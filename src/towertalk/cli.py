@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import simulation
 from .blockworld import (
@@ -37,6 +36,7 @@ from .simulation import (
     FRAGMENT_LEVELS,
     REPETITION_BLOCKS,
     STEP_LEVELS,
+    TOWER_PAIRS,
     generate_trial_sequence,
     sequence_from_dict,
     sequence_to_dict,
@@ -53,38 +53,6 @@ DEFAULT_ALPHA = 5.0
 DEFAULT_N_SEQUENCES = 49
 DEFAULT_ITERATIONS = 2
 DEFAULT_SIZE_RULE = BODY_TOKEN_SUM
-
-
-@dataclass
-class RunConfig:
-    """Flag mirror for the simulate subcommand."""
-
-    w_values: tuple[float, ...] = DEFAULT_W
-    beta_values: tuple[float, ...] = DEFAULT_BETA
-    alpha: float = DEFAULT_ALPHA
-    n_sequences: int = DEFAULT_N_SEQUENCES
-    iterations: int = DEFAULT_ITERATIONS
-    master_seed: int = 0
-    out_dir: str = "out"
-    stimulus_file: str | None = None
-    size_rule: str = DEFAULT_SIZE_RULE
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if any(w < 0 for w in self.w_values):
-            raise ValueError("w: values must be nonnegative")
-        if any(not 0 <= b <= 1 for b in self.beta_values):
-            raise ValueError("beta: values must lie in [0, 1]")
-        if self.alpha < 0:
-            raise ValueError("alpha: must be nonnegative")
-        if self.n_sequences < 0:
-            raise ValueError("n_sequences: must be nonnegative")
-        if self.iterations < 0:
-            raise ValueError("iterations: must be nonnegative")
-        if self.size_rule not in (PRIMITIVE_COUNT, BODY_TOKEN_SUM):
-            raise ValueError(f"size_rule: unknown rule {self.size_rule!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs: must be at least 1")
 
 
 class ConfigError(Exception):
@@ -120,6 +88,22 @@ def _load_stimuli_arg(path: str | None):
     return load_stimuli(path)
 
 
+def _check_tower_ids(used, stimuli) -> None:
+    """Every tower a trial names must be among the stimuli the run builds from."""
+    known = {t.id for t in (stimuli if stimuli is not None else stimulus_towers())}
+    unknown = sorted(set(used) - known)
+    if unknown:
+        raise ConfigError(f"stimuli: no tower with id {', '.join(map(repr, unknown))}")
+
+
+def _build_config(factory, **fields):
+    """Construct a config object; its own validation becomes a ConfigError."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_gen_seq(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ConfigError("count: must be nonnegative")
@@ -144,16 +128,16 @@ def _read_sequences(path: str):
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    if args.w < 0:
-        raise ConfigError("w: must be nonnegative")
-    if args.size_rule not in (PRIMITIVE_COUNT, BODY_TOKEN_SUM):
-        raise ConfigError(f"size_rule: unknown rule {args.size_rule!r}")
+    lcfg = _build_config(LearningConfig, w=args.w, size_rule=args.size_rule)
     sequences = _read_sequences(args.sequences)
     stimuli = _load_stimuli_arg(args.stimuli)
-    lcfg = LearningConfig(w=args.w, size_rule=args.size_rule)
+    _check_tower_ids((tower for sequence in sequences for trial in sequence.trials
+                      for tower in (trial.left, trial.right)), stimuli)
     runs = []
     for sequence in sequences:
-        snapshots = simulation.run_library_trajectory(sequence, lcfg, stimuli=stimuli)
+        snapshots = [snapshot
+                     for trial in simulation.library_trajectory(sequence, lcfg, stimuli)
+                     for snapshot in trial.adopted]
         runs.append({
             "sequence_seed": sequence.seed,
             "fragments": [simulation.snapshot_to_dict(s) for s in snapshots],
@@ -164,53 +148,35 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _simulate_config_grid(cfg: RunConfig):
-    grid = []
-    for w in cfg.w_values:
-        for beta in cfg.beta_values:
-            grid.append((
-                PragmaticsConfig(alpha=cfg.alpha, beta=beta),
-                LearningConfig(w=w, size_rule=cfg.size_rule),
-            ))
-    return grid
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        w_values=tuple(args.w),
-        beta_values=tuple(args.beta),
-        alpha=args.alpha,
+    if args.n_sequences < 0:
+        raise ConfigError("n_sequences: must be nonnegative")
+    if args.iterations < 0:
+        raise ConfigError("iterations: must be nonnegative")
+    if args.jobs < 1:
+        raise ConfigError("jobs: must be at least 1")
+    grid = [(_build_config(PragmaticsConfig, alpha=args.alpha, beta=beta),
+             _build_config(LearningConfig, w=w, size_rule=args.size_rule))
+            for w in args.w for beta in args.beta]
+    stimuli = _load_stimuli_arg(args.stimuli)
+    _check_tower_ids((tower for pair in TOWER_PAIRS for tower in pair), stimuli)
+    traces = simulation.run_experiment(
         n_sequences=args.n_sequences,
         iterations=args.iterations,
-        master_seed=args.master_seed,
-        out_dir=args.out_dir,
-        stimulus_file=args.stimuli,
-        size_rule=args.size_rule,
-        jobs=args.jobs,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    stimuli = _load_stimuli_arg(cfg.stimulus_file)
-    grid = _simulate_config_grid(cfg)
-    traces = simulation.run_experiment(
-        n_sequences=cfg.n_sequences,
-        iterations=cfg.iterations,
         configs=grid,
-        master_seed=cfg.master_seed,
-        jobs=cfg.jobs,
+        master_seed=args.master_seed,
+        jobs=args.jobs,
         stimuli=stimuli,
     )
 
     # Build every output in memory first so failures never leave partial files.
     outputs: dict[str, str] = {}
     trace_payload = {
-        "master_seed": cfg.master_seed,
-        "alpha": cfg.alpha,
-        "size_rule": cfg.size_rule,
-        "n_sequences": cfg.n_sequences,
-        "iterations": cfg.iterations,
+        "master_seed": args.master_seed,
+        "alpha": args.alpha,
+        "size_rule": args.size_rule,
+        "n_sequences": args.n_sequences,
+        "iterations": args.iterations,
         "traces": [simulation.trace_to_dict(t) for t in traces],
     }
     outputs["traces.json"] = _json_text(trace_payload)
@@ -234,9 +200,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "mean_pairwise_jsd": simulation.mean_pairwise_jsd(subset, block)}
              for block in range(1, REPETITION_BLOCKS + 1)])
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, text in sorted(outputs.items()):
-        _write_text(os.path.join(cfg.out_dir, name), text)
+        _write_text(os.path.join(args.out_dir, name), text)
     return EXIT_OK
 
 

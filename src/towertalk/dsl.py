@@ -232,14 +232,11 @@ def canonical_program(scene: Scene, start_x: int | None = None) -> Program:
 
 def validate_constructible(scene: Scene) -> bool:
     """True iff executing the canonical ordering rebuilds exactly this scene."""
-    start_x = default_start_x(scene)
-    program = _tokenize_scene(scene, start_x)
     try:
-        _, placed = execute(program, EMPTY_LIBRARY, start_x,
-                            empty_grid(scene.width, scene.height))
-    except (ProgramError, ValueError):
+        canonical_program(scene)
+    except ValueError:
         return False
-    return frozenset(placed) == scene.blocks
+    return True
 
 
 def print_program(program: Program) -> str:

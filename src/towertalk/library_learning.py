@@ -12,6 +12,7 @@ of rounds per trial.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,8 +49,8 @@ class LearningConfig:
     size_rule: str = PRIMITIVE_COUNT
 
     def __post_init__(self) -> None:
-        if self.w < 0:
-            raise ValueError("w must be nonnegative")
+        if not 0 <= self.w < math.inf:
+            raise ValueError(f"w must be finite and nonnegative, got {self.w!r}")
         if self.size_rule not in (PRIMITIVE_COUNT, BODY_TOKEN_SUM):
             raise ValueError(f"unknown size_rule {self.size_rule!r}")
 
@@ -73,16 +74,15 @@ def fragment_size_cost(body: Program, size_rule: str) -> int:
     return 1 if size_rule == PRIMITIVE_COUNT else dsl.token_length(body)
 
 
-@lru_cache(maxsize=1 << 18)
-def _mdl_cost(sequence: Program, expansions: tuple[Program, ...]) -> int:
-    """Suffix DP over token positions; expansions is the sorted tuple of fragment expansions."""
+def _mdl_table(sequence: Program, expansions: Sequence[Program]) -> list[tuple[int, int]]:
+    """Suffix DP over token positions: (cost, chunk count) of the cheapest
+    tokenization of each suffix; the chunk count breaks cost ties toward
+    fewer references."""
     n = len(sequence)
-    # (cost, chunk_count) per position; chunk count breaks ties toward fewer refs.
     best: list[tuple[int, int]] = [(0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail = best[i + 1]
-        cost = dsl.token_cost(sequence[i]) + tail[0]
-        entry = (cost, tail[1])
+        entry = (dsl.token_cost(sequence[i]) + tail[0], tail[1])
         for expansion in expansions:
             j = i + len(expansion)
             if j <= n and sequence[i:j] == expansion:
@@ -91,7 +91,17 @@ def _mdl_cost(sequence: Program, expansions: tuple[Program, ...]) -> int:
                 if candidate < entry:
                     entry = candidate
         best[i] = entry
-    return best[0][0]
+    return best
+
+
+@lru_cache(maxsize=1 << 18)
+def _mdl_cost(sequence: Program, expansions: tuple[Program, ...]) -> int:
+    """MDL of a base sequence; expansions is the sorted tuple of fragment expansions.
+
+    Only the cost is cached: caching the whole table would cost about 1 KB
+    per entry across thousands of distinct (sequence, library) keys.
+    """
+    return _mdl_table(sequence, expansions)[0][0]
 
 
 def mdl(base_sequence: Program, library: Library) -> int:
@@ -110,37 +120,24 @@ def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     n = len(sequence)
     by_expansion = {f.expansion: f.id for f in library.fragments}
     expansions = sorted(by_expansion)
-    best: list[tuple[int, int]] = [(0, 0)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail = best[i + 1]
-        entry = (dsl.token_cost(sequence[i]) + tail[0], tail[1])
-        for expansion in expansions:
-            j = i + len(expansion)
-            if j <= n and sequence[i:j] == expansion:
-                tail_j = best[j]
-                candidate = (1 + tail_j[0], 1 + tail_j[1])
-                if candidate < entry:
-                    entry = candidate
-        best[i] = entry
+    best = _mdl_table(sequence, expansions)
     tokens: list[str] = []
     i = 0
     while i < n:
-        # Prefer the longest advance that achieves the optimum at this position.
-        choice: tuple[int, str] | None = None
+        # Walk the table: at each position, the longest advance that is optimal.
         tail = best[i + 1]
-        base_entry = (dsl.token_cost(sequence[i]) + tail[0], tail[1])
-        if base_entry == best[i]:
-            choice = (1, sequence[i])
+        length, token = 1, sequence[i]
+        if (dsl.token_cost(token) + tail[0], tail[1]) != best[i]:
+            length = 0
         for expansion in expansions:
             j = i + len(expansion)
-            if j <= n and sequence[i:j] == expansion:
+            if len(expansion) > length and j <= n and sequence[i:j] == expansion:
                 tail_j = best[j]
                 if (1 + tail_j[0], 1 + tail_j[1]) == best[i]:
-                    if choice is None or len(expansion) > choice[0]:
-                        choice = (len(expansion), by_expansion[expansion])
-        assert choice is not None
-        tokens.append(choice[1])
-        i += choice[0]
+                    length, token = len(expansion), by_expansion[expansion]
+        assert length > 0
+        tokens.append(token)
+        i += length
     return tuple(tokens)
 
 
@@ -301,6 +298,3 @@ def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus],
                 return SCENE
     return OTHER
 
-
-def clear_mdl_cache() -> None:
-    _mdl_cost.cache_clear()

@@ -22,7 +22,16 @@ from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from . import dsl
-from .blockworld import HORIZONTAL, VERTICAL, BlockPlacement, GridState, Scene, drop_block, empty_grid
+from .blockworld import (
+    HORIZONTAL,
+    VERTICAL,
+    BlockPlacement,
+    GridState,
+    PlacementError,
+    Scene,
+    drop_block,
+    empty_grid,
+)
 from .dsl import Library, Program, Token
 from .library_learning import shortest_tokenization
 
@@ -36,8 +45,8 @@ class PragmaticsConfig:
     max_candidates: int = 4
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not self.alpha >= 0:  # also rejects NaN; inf selects the argmax speaker
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
 
@@ -83,14 +92,6 @@ class BeliefState:
     components: tuple[BeliefComponent, ...]
     words: tuple[str, ...]
     fragments: tuple[str, ...]
-
-    @property
-    def support(self) -> list[dict[str, str]]:
-        return [lex for lex, _ in enumerate_hypotheses(self)]
-
-    @property
-    def probs(self) -> list[float]:
-        return [p for _, p in enumerate_hypotheses(self)]
 
 
 def initial_belief() -> BeliefState:
@@ -378,15 +379,11 @@ def execute_lenient(tokens: Sequence[Token], grid: GridState,
             hand = min(max(hand + dsl.move_delta(token), 0), grid.width - 1)
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
-        if orientation == HORIZONTAL and hand + 1 >= grid.width:
-            continue
-        columns = (hand, hand + 1) if orientation == HORIZONTAL else (hand,)
-        rest = max(grid.column_heights[c] for c in columns)
-        top = rest + (1 if orientation == HORIZONTAL else 2)
-        if top > grid.height:
-            continue
         before = len(grid.placements)
-        grid = drop_block(grid, orientation, hand)
+        try:
+            grid = drop_block(grid, orientation, hand)
+        except PlacementError:
+            continue
         placed.extend(grid.placements[before:])
     return grid, hand, placed
 

@@ -14,7 +14,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import dsl, pragmatics
 from .blockworld import (
@@ -147,6 +147,45 @@ def _stimuli_by_id(stimuli: Sequence[TowerStimulus]) -> dict[str, TowerStimulus]
     return {tower.id: tower for tower in stimuli}
 
 
+class LearnedTrial(NamedTuple):
+    target: Scene
+    library: Library                        # after learning from this trial's scene
+    adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
+
+
+def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
+                       stimuli: Sequence[TowerStimulus] | None = None,
+                       geometry: SceneGeometry = DEFAULT_GEOMETRY) -> list[LearnedTrial]:
+    """Library learning over a trial sequence, one entry per trial.
+
+    Learning sees only the target scenes, never the RNG or the communication,
+    so a dyad and a learning-only run over the same sequence grow the same
+    library.
+    """
+    if stimuli is None:
+        stimuli = stimulus_towers()
+    towers = _stimuli_by_id(stimuli)
+    library = Library()
+    scenes: list[Program] = []
+    trials: list[LearnedTrial] = []
+    for index, spec in enumerate(sequence.trials, start=1):
+        target = compose_scene(towers[spec.left], towers[spec.right], geometry)
+        scenes.append(dsl.canonical_program(target))
+        library, adoptions = update_library_with_log(library, scenes, lcfg)
+        adopted = tuple(
+            FragmentSnapshot(
+                id=a.fragment.id,
+                body=dsl.print_program(a.fragment.body),
+                expansion=dsl.print_program(a.fragment.expansion),
+                level=classify_fragment(a.fragment, stimuli, geometry),
+                adopted_trial=index,
+                score_delta=a.score_delta,
+            )
+            for a in adoptions)
+        trials.append(LearnedTrial(target, library, adopted))
+    return trials
+
+
 def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
              lcfg: LearningConfig, rng: random.Random,
              stimuli: Sequence[TowerStimulus] | None = None,
@@ -154,24 +193,20 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
              iteration: int = 0, dyad_seed: int = 0) -> DyadTrace:
     """Simulate one Architect/Builder pair through a full trial sequence."""
     lcfg = replace(lcfg, w=w)
-    if stimuli is None:
-        stimuli = stimulus_towers()
-    towers = _stimuli_by_id(stimuli)
+    learned = library_trajectory(sequence, lcfg, stimuli, geometry)
 
     library = Library()
-    scenes_so_far: list[Program] = []
     belief = initial_belief()
     builder = BuilderState(grid=empty_grid(geometry.width, geometry.height), hand=0)
     level_by_fragment: dict[str, str] = {}
     snapshots: list[FragmentSnapshot] = []
     records: list[TrialRecord] = []
 
-    for index, spec in enumerate(sequence.trials, start=1):
-        target = compose_scene(towers[spec.left], towers[spec.right], geometry)
-        start_x = dsl.default_start_x(target)
+    for index, (spec, trial) in enumerate(zip(sequence.trials, learned), start=1):
+        target = trial.target
         program, utterance = architect_choose(target, library, belief, cfg, rng)
 
-        builder.reset_workspace(geometry.width, geometry.height, start_x)
+        builder.reset_workspace(geometry.width, geometry.height, dsl.default_start_x(target))
         steps: list[StepRecord] = []
         anomalies = 0
         for token, word in zip(program, utterance):
@@ -192,23 +227,12 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         built = Scene(geometry.width, geometry.height, frozenset(builder.grid.placements))
         trial_f1 = f1_score(target, built)
 
-        scenes_so_far.append(dsl.canonical_program(target, start_x))
-        library, adoptions = update_library_with_log(library, scenes_so_far, lcfg)
+        library = trial.library
         new_pairs: list[tuple[str, str]] = []
-        for adoption in adoptions:
-            fragment = adoption.fragment
-            word = synthetic_word(len(level_by_fragment))
-            level = classify_fragment(fragment, stimuli, geometry)
-            level_by_fragment[fragment.id] = level
-            new_pairs.append((word, fragment.id))
-            snapshots.append(FragmentSnapshot(
-                id=fragment.id,
-                body=dsl.print_program(fragment.body),
-                expansion=dsl.print_program(fragment.expansion),
-                level=level,
-                adopted_trial=index,
-                score_delta=adoption.score_delta,
-            ))
+        for snapshot in trial.adopted:
+            new_pairs.append((synthetic_word(len(level_by_fragment)), snapshot.id))
+            level_by_fragment[snapshot.id] = snapshot.level
+        snapshots.extend(trial.adopted)
         if new_pairs:
             belief = extend_hypotheses(belief, new_pairs)
             builder.fragment_ids = list(library.ids())
@@ -271,34 +295,6 @@ def run_experiment(n_sequences: int = 49, iterations: int = 2,
         return [_dyad_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_dyad_task, tasks, chunksize=1))
-
-
-def run_library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
-                           stimuli: Sequence[TowerStimulus] | None = None,
-                           geometry: SceneGeometry = DEFAULT_GEOMETRY,
-                           ) -> tuple[FragmentSnapshot, ...]:
-    """Library learning alone (no communication) over a trial sequence."""
-    if stimuli is None:
-        stimuli = stimulus_towers()
-    towers = _stimuli_by_id(stimuli)
-    library = Library()
-    scenes: list[Program] = []
-    snapshots: list[FragmentSnapshot] = []
-    for index, spec in enumerate(sequence.trials, start=1):
-        target = compose_scene(towers[spec.left], towers[spec.right], geometry)
-        scenes.append(dsl.canonical_program(target))
-        library, adoptions = update_library_with_log(library, scenes, lcfg)
-        for adoption in adoptions:
-            fragment = adoption.fragment
-            snapshots.append(FragmentSnapshot(
-                id=fragment.id,
-                body=dsl.print_program(fragment.body),
-                expansion=dsl.print_program(fragment.expansion),
-                level=classify_fragment(fragment, stimuli, geometry),
-                adopted_trial=index,
-                score_delta=adoption.score_delta,
-            ))
-    return tuple(snapshots)
 
 
 # ---------------------------------------------------------------------------

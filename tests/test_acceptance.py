@@ -45,7 +45,7 @@ from towertalk.simulation import (
     generate_trial_sequence,
     jsd,
     run_experiment,
-    run_library_trajectory,
+    library_trajectory,
 )
 
 NO_ADOPTION_SENTINEL = 13  # one past the final trial
@@ -171,7 +171,8 @@ def test_criterion_3_fragment_trajectories():
         lcfg = LearningConfig(w=w, size_rule=BODY_TOKEN_SUM)
         firsts = []
         for sequence in sequences:
-            snapshots = run_library_trajectory(sequence, lcfg)
+            snapshots = [s for trial in library_trajectory(sequence, lcfg)
+                         for s in trial.adopted]
             tower = first_adoption_trial(snapshots, "tower")
             firsts.append(NO_ADOPTION_SENTINEL if tower is None else tower)
             if w == 1.5 and tower is not None:

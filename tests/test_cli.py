@@ -2,7 +2,15 @@ import json
 import os
 
 from towertalk.cli import main
-from towertalk.blockworld import save_scene, Scene, BlockPlacement, VERTICAL
+from towertalk.blockworld import (
+    VERTICAL,
+    BlockPlacement,
+    Scene,
+    TowerStimulus,
+    save_scene,
+    save_stimuli,
+    stimulus_towers,
+)
 
 
 def run_cli(*args):
@@ -135,3 +143,42 @@ def test_io_error_exit_code(tmp_path):
     assert run_cli("gen-seq", "--seed", "0", "--count", "1", "--out", str(missing)) == 3
     assert run_cli("learn", "--sequences", str(missing), "--w", "1.0",
                    "--out", str(tmp_path / "x.json")) == 3
+
+
+def test_simulate_and_learn_reject_nan(tmp_path):
+    out_dir = tmp_path / "out"
+    for flag in ("--w", "--alpha"):
+        code = run_cli("simulate", flag, "nan", "--n-sequences", "1",
+                       "--iterations", "1", "--out-dir", str(out_dir))
+        assert code == 2
+        assert not out_dir.exists()
+    sequences = tmp_path / "seqs.json"
+    run_cli("gen-seq", "--seed", "1", "--count", "1", "--out", str(sequences))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "nan",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path):
+    renamed = [TowerStimulus(new_id, tower.blocks)
+               for new_id, tower in zip("XYZ", stimulus_towers())]
+    stimuli = tmp_path / "stimuli.json"
+    save_stimuli(renamed, str(stimuli))
+    out_dir = tmp_path / "out"
+    code = run_cli("simulate", "--stimuli", str(stimuli), "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir))
+    assert code == 2
+    assert not out_dir.exists()
+
+
+def test_learn_rejects_sequence_naming_unknown_tower(tmp_path):
+    sequences = tmp_path / "seqs.json"
+    run_cli("gen-seq", "--seed", "1", "--count", "2", "--out", str(sequences))
+    data = json.loads(sequences.read_text())
+    data["sequences"][1]["trials"][5]["left"] = "Q"
+    sequences.write_text(json.dumps(data))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
+                   "--out", str(out)) == 2
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import lru_cache
 
@@ -197,6 +198,17 @@ def test_shortest_tokenization_deterministic_across_fragment_order():
         assert [inline((t,), lib) for t in a] == [inline((t,), reversed_lib) for t in b]
 
 
+def test_shortest_tokenization_tie_break_is_leftmost_longest():
+    # (chunk2 v) and (h chunk1) both cost 2 units with one reference; the
+    # walk takes the longest optimal advance at the leftmost position.
+    chunk1 = make_fragment("chunk1", ("v", "h", "v"), Library())
+    chunk2 = make_fragment("chunk2", ("h", "v", "h"), Library())
+    for fragments in ((chunk1, chunk2), (chunk2, chunk1)):
+        lib = Library(fragments)
+        assert shortest_tokenization(("h", "v", "h", "v"), lib) == ("chunk2", "v")
+        assert mdl(("h", "v", "h", "v"), lib) == 2
+
+
 def test_library_score_empty_scene_list():
     cfg = LearningConfig(w=2.0)
     assert library_score(EMPTY_LIBRARY, [], cfg) == -2.0 * 13
@@ -307,7 +319,8 @@ def test_classify_mismatched_four_blocks_is_other():
 
 
 def test_learning_config_validation():
-    with pytest.raises(ValueError):
-        LearningConfig(w=-1.0)
+    for w in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LearningConfig(w=w)
     with pytest.raises(ValueError):
         LearningConfig(w=1.0, size_rule="nonsense")

@@ -93,9 +93,9 @@ def test_extend_two_at_once_splits_mass():
 
 
 def test_support_and_probs_properties():
-    belief = uniform_two_chunk_belief()
-    assert len(belief.support) == 2
-    assert sum(belief.probs) == pytest.approx(1.0)
+    hypotheses = enumerate_hypotheses(uniform_two_chunk_belief())
+    assert len([lex for lex, _ in hypotheses]) == 2
+    assert sum(p for _, p in hypotheses) == pytest.approx(1.0)
 
 
 def test_update_belief_collapses_on_disambiguating_observation(two_fragment_library):
@@ -356,4 +356,7 @@ def test_pragmatics_config_validation():
     with pytest.raises(ValueError):
         PragmaticsConfig(alpha=-1.0)
     with pytest.raises(ValueError):
+        PragmaticsConfig(alpha=math.nan)
+    with pytest.raises(ValueError):
         PragmaticsConfig(beta=1.5)
+    assert PragmaticsConfig(alpha=math.inf).alpha == math.inf

@@ -21,7 +21,7 @@ from towertalk.simulation import (
     mean_pairwise_jsd,
     run_dyad,
     run_experiment,
-    run_library_trajectory,
+    library_trajectory,
     sequence_from_dict,
     sequence_to_dict,
     snapshot_level_proportions,
@@ -209,11 +209,11 @@ def test_word_distribution_and_pairwise_jsd():
     assert 0.0 <= value <= 1.0
 
 
-def test_run_library_trajectory_matches_dyad_learning():
+def test_library_trajectory_matches_dyad_learning():
     """Library growth depends only on the observed scenes, not on communication."""
     sequence = generate_trial_sequence(8)
     lcfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
-    snapshots = run_library_trajectory(sequence, lcfg)
+    snapshots = [s for trial in library_trajectory(sequence, lcfg) for s in trial.adopted]
     trace = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8),
                      lcfg, random.Random(0))
     assert [(s.id, s.body, s.adopted_trial) for s in snapshots] == \
