@@ -74,12 +74,6 @@ class Scene:
     height: int
     blocks: frozenset[BlockPlacement]
 
-    def occupied_cells(self) -> set[tuple[int, int]]:
-        cells: set[tuple[int, int]] = set()
-        for block in self.blocks:
-            cells.update(block.cells())
-        return cells
-
 
 @dataclass(frozen=True)
 class TowerStimulus:
@@ -127,7 +121,7 @@ def is_supported(blocks: Iterable[BlockPlacement]) -> bool:
     for block in block_list:
         if block.y == 0:
             continue
-        if not any((cx, cy - 1) in cells for cx, cy in block.cells()):
+        if not any((cx, block.y - 1) in cells for cx, _ in block.cells()):
             return False
     return True
 
@@ -166,8 +160,8 @@ def validate_stimulus(tower: TowerStimulus) -> None:
     """Raise ValueError unless the tower has 2 vertical + 2 horizontal supported blocks."""
     if len(tower.blocks) != 4:
         raise ValueError(f"tower {tower.id}: expected 4 blocks, got {len(tower.blocks)}")
-    n_vertical = sum(1 for b in tower.blocks if b.orientation == VERTICAL)
-    if n_vertical != 2:
+    orientations = sorted(b.orientation for b in tower.blocks)
+    if orientations != [HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL]:
         raise ValueError(f"tower {tower.id}: expected 2 vertical + 2 horizontal blocks")
     cells: list[tuple[int, int]] = []
     for block in tower.blocks:
@@ -256,20 +250,18 @@ def parse_ascii(text: str) -> Scene:
     return Scene(width, height, frozenset(blocks))
 
 
+def block_from_dict(data: dict) -> BlockPlacement:
+    """Inverse of ``BlockPlacement._asdict``."""
+    return BlockPlacement(int(data["x"]), int(data["y"]), str(data["orientation"]))
+
+
 def scene_to_dict(scene: Scene) -> dict:
-    blocks = sorted(scene.blocks)
-    return {
-        "width": scene.width,
-        "height": scene.height,
-        "blocks": [{"x": b.x, "y": b.y, "orientation": b.orientation} for b in blocks],
-    }
+    return {"width": scene.width, "height": scene.height,
+            "blocks": [b._asdict() for b in sorted(scene.blocks)]}
 
 
 def scene_from_dict(data: dict) -> Scene:
-    blocks = frozenset(
-        BlockPlacement(int(b["x"]), int(b["y"]), str(b["orientation"]))
-        for b in data["blocks"]
-    )
+    blocks = frozenset(block_from_dict(b) for b in data["blocks"])
     return Scene(int(data["width"]), int(data["height"]), blocks)
 
 
@@ -290,11 +282,8 @@ def load_stimuli(path: str) -> list[TowerStimulus]:
         data = json.load(fh)
     towers = []
     for entry in data["towers"]:
-        blocks = frozenset(
-            BlockPlacement(int(b["x"]), int(b["y"]), str(b["orientation"]))
-            for b in entry["blocks"]
-        )
-        tower = TowerStimulus(str(entry["id"]), blocks)
+        tower = TowerStimulus(str(entry["id"]),
+                              frozenset(block_from_dict(b) for b in entry["blocks"]))
         validate_stimulus(tower)
         towers.append(tower)
     if len({t.id for t in towers}) != len(towers):
@@ -303,18 +292,8 @@ def load_stimuli(path: str) -> list[TowerStimulus]:
 
 
 def save_stimuli(towers: Iterable[TowerStimulus], path: str) -> None:
-    data = {
-        "towers": [
-            {
-                "id": t.id,
-                "blocks": [
-                    {"x": b.x, "y": b.y, "orientation": b.orientation}
-                    for b in sorted(t.blocks)
-                ],
-            }
-            for t in towers
-        ]
-    }
+    data = {"towers": [{"id": t.id, "blocks": [b._asdict() for b in sorted(t.blocks)]}
+                       for t in towers]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,7 +6,9 @@ Subcommands:
     simulate   run the full Architect/Builder experiment grid and export metrics
     render     draw a scene, stimulus, or recorded trial as ASCII art
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success; 2 for a bad flag or a malformed input file, checked
+before any compute; 3 for an I/O error. Any other failure is an internal
+error and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import simulation
 from .blockworld import (
     DEFAULT_GEOMETRY,
     Scene,
+    block_from_dict,
     compose_scene,
     f1_score,
     load_scene,
@@ -29,7 +32,6 @@ from .blockworld import (
     render_ascii,
     stimulus_towers,
 )
-from .blockworld import BlockPlacement
 from .library_learning import BODY_TOKEN_SUM, PRIMITIVE_COUNT, LearningConfig
 from .pragmatics import PragmaticsConfig
 from .simulation import (
@@ -82,18 +84,33 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _load_stimuli_arg(path: str | None):
-    if path is None:
-        return None
-    return load_stimuli(path)
+def _load(loader, path: str):
+    """Parse an input file; malformed content is a ConfigError naming the file.
+
+    OSError passes through, so a file that cannot be read still exits 3.
+    """
+    try:
+        return loader(path)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _check_tower_ids(used, stimuli) -> None:
-    """Every tower a trial names must be among the stimuli the run builds from."""
-    known = {t.id for t in (stimuli if stimuli is not None else stimulus_towers())}
-    unknown = sorted(set(used) - known)
-    if unknown:
-        raise ConfigError(f"stimuli: no tower with id {', '.join(map(repr, unknown))}")
+def _stimuli(path: str | None):
+    """The towers a run builds from: the file's, or the defaults."""
+    return _load(load_stimuli, path) if path else stimulus_towers()
+
+
+def _check_scenes(pairs, stimuli, source: str) -> None:
+    """Every (left, right) scene the run composes must name known towers and fit the grid."""
+    towers = {t.id: t for t in stimuli}
+    for left, right in sorted(set(pairs)):
+        for tower in (left, right):
+            if tower not in towers:
+                raise ConfigError(f"{source}: no tower with id {tower!r}")
+        try:
+            compose_scene(towers[left], towers[right])
+        except ValueError as exc:
+            raise ConfigError(f"{source}: scene {left}+{right}: {exc}") from exc
 
 
 def _build_config(factory, **fields):
@@ -129,10 +146,10 @@ def _read_sequences(path: str):
 
 def cmd_learn(args: argparse.Namespace) -> int:
     lcfg = _build_config(LearningConfig, w=args.w, size_rule=args.size_rule)
-    sequences = _read_sequences(args.sequences)
-    stimuli = _load_stimuli_arg(args.stimuli)
-    _check_tower_ids((tower for sequence in sequences for trial in sequence.trials
-                      for tower in (trial.left, trial.right)), stimuli)
+    sequences = _load(_read_sequences, args.sequences)
+    stimuli = _stimuli(args.stimuli)
+    _check_scenes(((trial.left, trial.right) for sequence in sequences
+                   for trial in sequence.trials), stimuli, args.stimuli or "stimuli")
     runs = []
     for sequence in sequences:
         snapshots = [snapshot
@@ -158,8 +175,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     grid = [(_build_config(PragmaticsConfig, alpha=args.alpha, beta=beta),
              _build_config(LearningConfig, w=w, size_rule=args.size_rule))
             for w in args.w for beta in args.beta]
-    stimuli = _load_stimuli_arg(args.stimuli)
-    _check_tower_ids((tower for pair in TOWER_PAIRS for tower in pair), stimuli)
+    stimuli = _stimuli(args.stimuli)
+    _check_scenes([*TOWER_PAIRS, *(pair[::-1] for pair in TOWER_PAIRS)],
+                  stimuli, args.stimuli or "stimuli")
     traces = simulation.run_experiment(
         n_sequences=args.n_sequences,
         iterations=args.iterations,
@@ -216,12 +234,29 @@ def _render_pair(target: Scene, built: Scene, label: str) -> str:
     return "\n".join(lines)
 
 
+def _read_trace_trial(path: str, trace_index: int, trial_index: int,
+                      towers: dict) -> tuple[str, Scene, Scene]:
+    """One recorded trial of a traces file: its label, target and built scenes."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    matches = [t for t in data["traces"][trace_index]["trials"]
+               if t["trial"] == trial_index]
+    if not matches:
+        raise ConfigError(f"trial: no trial {trial_index} in trace")
+    trial = matches[0]
+    target = compose_scene(towers[trial["left"]], towers[trial["right"]],
+                           DEFAULT_GEOMETRY)
+    built = Scene(DEFAULT_GEOMETRY.width, DEFAULT_GEOMETRY.height,
+                  frozenset(block_from_dict(b) for b in trial["builder_placements"]))
+    return f"trial {trial['trial']} ({trial['left']}+{trial['right']})", target, built
+
+
 def cmd_render(args: argparse.Namespace) -> int:
+    towers = {t.id: t for t in stimulus_towers()}
     if args.scene:
-        print(render_ascii(load_scene(args.scene)))
+        print(render_ascii(_load(load_scene, args.scene)))
         return EXIT_OK
     if args.stimulus:
-        towers = {t.id: t for t in stimulus_towers()}
         if args.stimulus not in towers:
             raise ConfigError(f"stimulus: unknown id {args.stimulus!r}")
         tower = towers[args.stimulus]
@@ -232,23 +267,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.trace:
         if args.trial is None:
             raise ConfigError("trial: required when rendering from a trace")
-        with open(args.trace, encoding="utf-8") as fh:
-            data = json.load(fh)
-        trace = data["traces"][args.trace_index]
-        trials = trace["trials"]
-        matches = [t for t in trials if t["trial"] == args.trial]
-        if not matches:
-            raise ConfigError(f"trial: no trial {args.trial} in trace")
-        trial = matches[0]
-        towers = {t.id: t for t in stimulus_towers()}
-        target = compose_scene(towers[trial["left"]], towers[trial["right"]],
-                               DEFAULT_GEOMETRY)
-        built_blocks = frozenset(
-            BlockPlacement(int(b["x"]), int(b["y"]), str(b["orientation"]))
-            for b in trial["builder_placements"])
-        built = Scene(DEFAULT_GEOMETRY.width, DEFAULT_GEOMETRY.height, built_blocks)
-        print(_render_pair(target, built,
-                           f"trial {trial['trial']} ({trial['left']}+{trial['right']})"))
+        label, target, built = _load(
+            lambda path: _read_trace_trial(path, args.trace_index, args.trial, towers),
+            args.trace)
+        print(_render_pair(target, built, label))
         return EXIT_OK
     raise ConfigError("render: pass one of --scene, --stimulus, or --trace")
 
@@ -306,9 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -157,9 +157,8 @@ def execute(program: Program, library: Library = EMPTY_LIBRARY, start_x: int = 0
                 raise ProgramError(f"hand moved out of bounds to column {hand}")
         else:
             orientation = HORIZONTAL if token == PLACE_H else VERTICAL
-            before = len(grid.placements)
             grid = drop_block(grid, orientation, hand)
-            placed.extend(grid.placements[before:])
+            placed.append(grid.placements[-1])
     return grid, placed
 
 

@@ -61,16 +61,13 @@ class Adoption(NamedTuple):
 
 
 def library_size(library: Library, size_rule: str = PRIMITIVE_COUNT) -> int:
-    """Library size for the prior: primitive count, or base count plus body lengths."""
-    if size_rule == PRIMITIVE_COUNT:
-        return dsl.BASE_PRIMITIVE_COUNT + len(library.fragments)
-    if size_rule == BODY_TOKEN_SUM:
-        return dsl.BASE_PRIMITIVE_COUNT + sum(
-            dsl.token_length(f.body) for f in library.fragments)
-    raise ValueError(f"unknown size_rule {size_rule!r}")
+    """Library size for the prior: the base primitives plus each fragment's size cost."""
+    return dsl.BASE_PRIMITIVE_COUNT + sum(
+        fragment_size_cost(f.body, size_rule) for f in library.fragments)
 
 
 def fragment_size_cost(body: Program, size_rule: str) -> int:
+    """One per fragment under primitive_count, its body's length under body_token_sum."""
     return 1 if size_rule == PRIMITIVE_COUNT else dsl.token_length(body)
 
 

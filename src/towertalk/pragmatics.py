@@ -63,10 +63,6 @@ def synthetic_word(index: int) -> str:
     return "chunk" + letters
 
 
-def is_fixed_word(word: str) -> bool:
-    return dsl.is_base_token(word)
-
-
 # ---------------------------------------------------------------------------
 # Belief over lexicons
 
@@ -158,7 +154,7 @@ def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
 
 def literal_listener(target: Token, word: str, lexicon: dict[str, str]) -> float:
     """Delta semantics: 1 exactly when the word denotes the target primitive."""
-    if is_fixed_word(word):
+    if dsl.is_base_token(word):
         return 1.0 if word == target else 0.0
     if word not in lexicon:
         raise KeyError(f"unknown word {word!r} under this lexicon")
@@ -167,7 +163,7 @@ def literal_listener(target: Token, word: str, lexicon: dict[str, str]) -> float
 
 def marginal_listener(target: Token, word: str, belief: BeliefState) -> float:
     """Expected literal-listener success, marginalizing over lexicon hypotheses."""
-    if is_fixed_word(word):
+    if dsl.is_base_token(word):
         return 1.0 if word == target else 0.0
     return sum(c.weight * _component_marginal(c, word, target)
                for c in belief.components)
@@ -226,7 +222,7 @@ def update_belief(belief: BeliefState, word: str,
     placements. Returns (new belief, anomaly flag); if every hypothesis is
     ruled out, the belief resets to uniform and the anomaly flag is set.
     """
-    if is_fixed_word(word):
+    if dsl.is_base_token(word):
         return belief, False
     observed_list = list(observed)
     cache: dict[str, bool] = {}
@@ -379,12 +375,11 @@ def execute_lenient(tokens: Sequence[Token], grid: GridState,
             hand = min(max(hand + dsl.move_delta(token), 0), grid.width - 1)
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
-        before = len(grid.placements)
         try:
             grid = drop_block(grid, orientation, hand)
         except PlacementError:
             continue
-        placed.extend(grid.placements[before:])
+        placed.append(grid.placements[-1])
     return grid, hand, placed
 
 
@@ -405,7 +400,7 @@ class BuilderState:
 def builder_interpret(word: str, state: BuilderState, rng: random.Random) -> Token:
     """Resolve a word to a primitive; first hearings bind uniformly at random
     to a fragment no other word has claimed, and the binding persists."""
-    if is_fixed_word(word):
+    if dsl.is_base_token(word):
         return word
     if word in state.bindings:
         return state.bindings[word]

@@ -14,6 +14,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import dsl, pragmatics
@@ -51,7 +52,7 @@ from .pragmatics import (
 BLOCK_LEVEL = "block"
 STEP_LEVELS = (BLOCK_LEVEL,) + FRAGMENT_LEVELS
 
-TOWER_PAIRS = (("A", "B"), ("A", "C"), ("B", "C"))
+TOWER_PAIRS = tuple(combinations(sorted(t.id for t in stimulus_towers()), 2))
 TRIALS_PER_SEQUENCE = 12
 REPETITION_BLOCKS = 4
 
@@ -139,12 +140,8 @@ def generate_trial_sequence(seed: int) -> TrialSequence:
         lefts: dict[str, int] = {}
         for trial in trials:
             lefts[trial.left] = lefts.get(trial.left, 0) + 1
-        if all(lefts.get(tower, 0) == 4 for tower in ("A", "B", "C")):
+        if all(lefts.get(tower, 0) == 4 for pair in TOWER_PAIRS for tower in pair):
             return TrialSequence(tuple(trials), seed)
-
-
-def _stimuli_by_id(stimuli: Sequence[TowerStimulus]) -> dict[str, TowerStimulus]:
-    return {tower.id: tower for tower in stimuli}
 
 
 class LearnedTrial(NamedTuple):
@@ -164,7 +161,7 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
     """
     if stimuli is None:
         stimuli = stimulus_towers()
-    towers = _stimuli_by_id(stimuli)
+    towers = {tower.id: tower for tower in stimuli}
     library = Library()
     scenes: list[Program] = []
     trials: list[LearnedTrial] = []
@@ -291,9 +288,11 @@ def run_experiment(n_sequences: int = 49, iterations: int = 2,
                 tasks.append((sequence, lcfg.w, cfg, lcfg, dyad_seed,
                               tuple(stimuli) if stimuli is not None else None,
                               geometry, iteration))
-    if jobs <= 1:
+    # Fork only as many workers as there are dyads; the pool starts them all at once.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_dyad_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_dyad_task, tasks, chunksize=1))
 
 
@@ -479,10 +478,7 @@ def trace_to_dict(trace: DyadTrace) -> dict:
                 "right": r.spec.right,
                 "program": dsl.print_program(r.program),
                 "utterance": list(r.utterance),
-                "builder_placements": [
-                    {"x": b.x, "y": b.y, "orientation": b.orientation}
-                    for b in r.builder_placements
-                ],
+                "builder_placements": [b._asdict() for b in r.builder_placements],
                 "f1": round(r.f1, 9),
                 "tokens_sent": r.tokens_sent,
                 "steps": [

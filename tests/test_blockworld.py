@@ -9,6 +9,7 @@ from towertalk.blockworld import (
     PlacementError,
     Scene,
     SceneGeometry,
+    TowerStimulus,
     compose_scene,
     drop_block,
     empty_grid,
@@ -194,6 +195,17 @@ def test_render_parse_round_trip(towers_by_id):
 def test_scene_dict_round_trip(towers_by_id):
     scene = compose_scene(towers_by_id["B"], towers_by_id["C"])
     assert scene_from_dict(scene_to_dict(scene)) == scene
+
+
+def test_validate_stimulus_rejects_floating_block_and_unknown_orientation():
+    base = [BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(4, 0, HORIZONTAL),
+            BlockPlacement(0, 1, VERTICAL)]
+    validate_stimulus(TowerStimulus("A", frozenset(base + [BlockPlacement(3, 0, VERTICAL)])))
+    # A vertical block's upper cell sits on its own lower cell; that is not support.
+    assert not is_supported([BlockPlacement(3, 3, VERTICAL)])
+    for odd in (BlockPlacement(3, 3, VERTICAL), BlockPlacement(3, 0, "diagonal")):
+        with pytest.raises(ValueError):
+            validate_stimulus(TowerStimulus("A", frozenset(base + [odd])))
 
 
 def test_stimulus_file_round_trip(tmp_path, towers):

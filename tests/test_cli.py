@@ -1,8 +1,14 @@
 import json
 import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from towertalk import simulation
 from towertalk.cli import main
 from towertalk.blockworld import (
+    HORIZONTAL,
     VERTICAL,
     BlockPlacement,
     Scene,
@@ -182,3 +188,158 @@ def test_learn_rejects_sequence_naming_unknown_tower(tmp_path):
     assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
                    "--out", str(out)) == 2
     assert not out.exists()
+
+
+def _gen_seq(path, count=1):
+    assert run_cli("gen-seq", "--seed", "1", "--count", str(count), "--out", str(path)) == 0
+    return json.loads(path.read_text())
+
+
+def _drop_right_key(data):
+    del data["sequences"][0]["trials"][3]["right"]
+    return data
+
+
+@pytest.mark.parametrize("malform", [
+    lambda data: {"seqs": []},
+    _drop_right_key,
+    lambda data: data["sequences"],
+], ids=["no-sequences-key", "trial-without-right", "json-array"])
+def test_learn_rejects_malformed_sequence_file(tmp_path, capsys, malform):
+    sequences = tmp_path / "seqs.json"
+    sequences.write_text(json.dumps(malform(_gen_seq(sequences))))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    assert str(sequences) in capsys.readouterr().err
+
+
+def test_learn_rejects_stimuli_file_without_towers(tmp_path, capsys):
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    stimuli = tmp_path / "stimuli.json"
+    stimuli.write_text(json.dumps({"tower": []}))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--stimuli", str(stimuli),
+                   "--w", "1.5", "--out", str(out)) == 2
+    assert not out.exists()
+    assert str(stimuli) in capsys.readouterr().err
+
+
+def test_render_rejects_scene_file_without_blocks(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"width": 3, "height": 3}))
+    assert run_cli("render", "--scene", str(scene)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(scene) in captured.err
+
+
+def test_render_rejects_trace_index_out_of_range(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    trace_file = out_dir / "traces.json"
+    capsys.readouterr()
+    assert run_cli("render", "--trace", str(trace_file), "--trial", "1",
+                   "--trace-index", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(trace_file) in captured.err
+
+
+def _stimuli_with_tower_a(tmp_path, blocks):
+    towers = [TowerStimulus("A", frozenset(blocks))] + stimulus_towers()[1:]
+    path = tmp_path / "stimuli.json"
+    save_stimuli(towers, str(path))
+    return path
+
+
+@pytest.mark.parametrize("blocks", [
+    # Seven columns wide: placed at the right origin it leaves the 14x8 grid.
+    [BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(3, 0, VERTICAL),
+     BlockPlacement(5, 0, HORIZONTAL), BlockPlacement(0, 1, VERTICAL)],
+    # A vertical block floating at y=3, which gravity cannot build.
+    [BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(3, 3, VERTICAL),
+     BlockPlacement(4, 0, HORIZONTAL), BlockPlacement(0, 1, VERTICAL)],
+], ids=["oversized", "floating"])
+def test_simulate_rejects_unbuildable_scene_before_compute(tmp_path, capsys, monkeypatch,
+                                                           blocks):
+    def must_not_run(**kwargs):
+        raise AssertionError("the experiment ran on invalid stimuli")
+    monkeypatch.setattr(simulation, "run_experiment", must_not_run)
+    stimuli = _stimuli_with_tower_a(tmp_path, blocks)
+    out_dir = tmp_path / "out"
+    code = run_cli("simulate", "--stimuli", str(stimuli), "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir))
+    assert code == 2
+    assert not out_dir.exists()
+    assert str(stimuli) in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
+    def broken(**kwargs):
+        raise ValueError("internal")
+    monkeypatch.setattr(simulation, "run_experiment", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run_cli("simulate", "--n-sequences", "1", "--iterations", "1",
+                "--out-dir", str(tmp_path / "out"))
+
+
+# Arbitrary JSON, plus values shaped like the real schemas so that loading
+# gets past the top-level keys.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+tower_ids = st.sampled_from("ABC") | json_values
+sequence_files = json_values | st.fixed_dictionaries({"sequences": st.lists(
+    json_values | st.fixed_dictionaries({
+        "seed": st.integers() | json_values,
+        "trials": st.lists(json_values | st.fixed_dictionaries(
+            {"left": tower_ids, "right": tower_ids}), max_size=3)}),
+    max_size=2)})
+coordinates = st.integers(-1, 8) | json_values
+default_stimuli = {"towers": [{"id": t.id, "blocks": [b._asdict() for b in t.blocks]}
+                              for t in stimulus_towers()]}
+stimuli_files = json_values | st.just(default_stimuli) | st.fixed_dictionaries({"towers": st.lists(
+    json_values | st.fixed_dictionaries({
+        "id": tower_ids,
+        "blocks": st.lists(st.fixed_dictionaries({
+            "x": coordinates, "y": coordinates,
+            "orientation": st.sampled_from([HORIZONTAL, VERTICAL]) | json_values}),
+            max_size=4)}),
+    max_size=3)})
+
+
+def _learn_exit(tmp_path_factory, sequences_data=None, stimuli_data=None):
+    """Run learn on the given file contents; exit 0 must write output, 2 must not."""
+    work = tmp_path_factory.mktemp("learn")
+    sequences = work / "seqs.json"
+    if sequences_data is None:
+        _gen_seq(sequences)
+    else:
+        sequences.write_text(json.dumps(sequences_data))
+    argv = ["learn", "--sequences", str(sequences), "--w", "1000000"]
+    if stimuli_data is not None:
+        stimuli = work / "stimuli.json"
+        stimuli.write_text(json.dumps(stimuli_data))
+        argv += ["--stimuli", str(stimuli)]
+    out = work / "learn.json"
+    code = run_cli(*argv, "--out", str(out))
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
+
+
+@given(sequence_files)
+@settings(max_examples=60, deadline=None)
+def test_learn_sequence_file_property(tmp_path_factory, data):
+    _learn_exit(tmp_path_factory, sequences_data=data)
+
+
+@given(stimuli_files)
+@settings(max_examples=60, deadline=None)
+def test_learn_stimuli_file_property(tmp_path_factory, data):
+    _learn_exit(tmp_path_factory, stimuli_data=data)

@@ -21,6 +21,7 @@ from towertalk.library_learning import (
     TOWER,
     LearningConfig,
     classify_fragment,
+    fragment_size_cost,
     library_score,
     library_size,
     mdl,
@@ -89,6 +90,11 @@ def test_library_size_rules():
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "r2", "h"), lib))
     assert library_size(lib, PRIMITIVE_COUNT) == 14
     assert library_size(lib, BODY_TOKEN_SUM) == 17
+    # Adopting a fragment grows the size by exactly its size cost, under both rules.
+    fragment = make_fragment("chunk2", ("chunk1", "l1", "v"), lib)
+    for rule in (PRIMITIVE_COUNT, BODY_TOKEN_SUM):
+        grown = library_size(lib.with_fragment(fragment), rule) - library_size(lib, rule)
+        assert grown == fragment_size_cost(fragment.body, rule)
 
 
 def test_propose_single_place_yields_nothing():

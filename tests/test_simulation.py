@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towertalk import simulation
 from towertalk.dsl import is_place, token_length
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
@@ -118,6 +119,35 @@ def test_run_experiment_parallel_matches_serial():
     parallel = run_experiment(n_sequences=2, iterations=1, configs=configs,
                               master_seed=4, jobs=4)
     assert [trace_to_dict(t) for t in serial] == [trace_to_dict(t) for t in parallel]
+
+
+def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    configs = [(PragmaticsConfig(alpha=5.0, beta=0.0), LearningConfig(w=1e6))]
+    two = run_experiment(n_sequences=1, iterations=2, configs=configs, jobs=8)
+    assert sizes == [2]
+    assert two == run_experiment(n_sequences=1, iterations=2, configs=configs, jobs=1)
+    # One task, or none, runs serially and starts no pool at all.
+    assert len(run_experiment(n_sequences=1, iterations=1, configs=configs, jobs=8)) == 1
+    assert run_experiment(n_sequences=0, iterations=2, configs=configs, jobs=8) == []
+    assert sizes == [2]
 
 
 def test_fragment_trajectory_zero_before_learning():
