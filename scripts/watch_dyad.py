@@ -23,13 +23,14 @@ def main():
                         help="also draw target and reconstruction")
     args = parser.parse_args()
 
+    stimuli = stimulus_towers()
     sequence = generate_trial_sequence(args.seed)
     trace = run_dyad(sequence, args.w,
                      PragmaticsConfig(alpha=args.alpha, beta=args.beta),
                      LearningConfig(w=args.w, size_rule=BODY_TOKEN_SUM),
-                     random.Random(args.dyad_seed))
+                     random.Random(args.dyad_seed), stimuli)
 
-    towers = {t.id: t for t in stimulus_towers()}
+    towers = {t.id: t for t in stimuli}
     seen = 0
     for record in trace.records:
         spec = record.spec

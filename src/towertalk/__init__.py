@@ -9,7 +9,6 @@ from .blockworld import (
     BlockPlacement,
     GridState,
     Scene,
-    SceneGeometry,
     TowerStimulus,
     compose_scene,
     drop_block,
@@ -24,19 +23,15 @@ from .dsl import (
     canonical_program,
     execute,
     inline,
-    parse_program,
     print_program,
     token_length,
-    validate_constructible,
 )
 from .library_learning import (
     LearningConfig,
     classify_fragment,
     library_score,
     mdl,
-    propose_fragments,
     shortest_tokenization,
-    update_library,
 )
 from .pragmatics import (
     BeliefState,
@@ -46,7 +41,6 @@ from .pragmatics import (
     builder_interpret,
     extend_hypotheses,
     joint_utility,
-    literal_listener,
     marginal_listener,
     update_belief,
 )

@@ -15,6 +15,12 @@ from typing import Iterable, NamedTuple
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
+# Every scene is two towers side by side in one 14x8 grid: the left tower
+# anchored at column 0, the right one at column 8.
+GRID_WIDTH = 14
+GRID_HEIGHT = 8
+RIGHT_ORIGIN = 8
+
 EMPTY_GLYPH = "."
 H_GLYPH = "="
 V_GLYPH = "|"
@@ -49,22 +55,6 @@ class GridState:
     column_heights: tuple[int, ...]
     placements: tuple[BlockPlacement, ...]
 
-    def occupied_cells(self) -> set[tuple[int, int]]:
-        cells: set[tuple[int, int]] = set()
-        for block in self.placements:
-            cells.update(block.cells())
-        return cells
-
-
-@dataclass(frozen=True)
-class SceneGeometry:
-    """Grid extent and the columns where the two towers of a scene are anchored."""
-
-    width: int = 14
-    height: int = 8
-    left_origin: int = 0
-    right_origin: int = 8
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -83,10 +73,7 @@ class TowerStimulus:
     blocks: frozenset[BlockPlacement]
 
 
-DEFAULT_GEOMETRY = SceneGeometry()
-
-
-def empty_grid(width: int = 14, height: int = 8) -> GridState:
+def empty_grid(width: int = GRID_WIDTH, height: int = GRID_HEIGHT) -> GridState:
     return GridState(width, height, (0,) * width, ())
 
 
@@ -172,11 +159,9 @@ def validate_stimulus(tower: TowerStimulus) -> None:
         raise ValueError(f"tower {tower.id}: contains an unsupported block")
 
 
-def compose_scene(left: TowerStimulus, right: TowerStimulus,
-                  geometry: SceneGeometry = DEFAULT_GEOMETRY) -> Scene:
-    """Place two towers side by side at the configured origin columns."""
-    blocks = {b.translate(geometry.left_origin) for b in left.blocks}
-    blocks |= {b.translate(geometry.right_origin) for b in right.blocks}
+def compose_scene(left: TowerStimulus, right: TowerStimulus) -> Scene:
+    """Place two towers side by side, the right one at column RIGHT_ORIGIN."""
+    blocks = left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}
     if len(blocks) != len(left.blocks) + len(right.blocks):
         raise ValueError("towers overlap after translation")
     cells: list[tuple[int, int]] = []
@@ -185,9 +170,9 @@ def compose_scene(left: TowerStimulus, right: TowerStimulus,
     if len(set(cells)) != len(cells):
         raise ValueError("towers overlap after translation")
     for cx, cy in cells:
-        if not (0 <= cx < geometry.width and 0 <= cy < geometry.height):
-            raise ValueError(f"cell ({cx}, {cy}) falls outside the {geometry.width}x{geometry.height} grid")
-    return Scene(geometry.width, geometry.height, frozenset(blocks))
+        if not (0 <= cx < GRID_WIDTH and 0 <= cy < GRID_HEIGHT):
+            raise ValueError(f"cell ({cx}, {cy}) falls outside the {GRID_WIDTH}x{GRID_HEIGHT} grid")
+    return Scene(GRID_WIDTH, GRID_HEIGHT, blocks)
 
 
 def f1_score(target: Scene, built: Scene) -> float:
@@ -215,39 +200,6 @@ def render_ascii(scene: Scene) -> str:
     for y in range(scene.height - 1, -1, -1):
         rows.append("".join(glyphs.get((x, y), EMPTY_GLYPH) for x in range(scene.width)))
     return "\n".join(rows)
-
-
-def parse_ascii(text: str) -> Scene:
-    """Inverse of render_ascii. Domino runs pair up greedily, which is the unique tiling."""
-    rows = text.split("\n")
-    height = len(rows)
-    width = max((len(r) for r in rows), default=0)
-    cells: dict[tuple[int, int], str] = {}
-    for i, row in enumerate(rows):
-        y = height - 1 - i
-        for x, ch in enumerate(row):
-            if ch != EMPTY_GLYPH:
-                cells[(x, y)] = ch
-    blocks: set[BlockPlacement] = set()
-    seen: set[tuple[int, int]] = set()
-    for y in range(height):
-        for x in range(width):
-            if (x, y) in seen or (x, y) not in cells:
-                continue
-            glyph = cells[(x, y)]
-            if glyph == V_GLYPH:
-                partner = (x, y + 1)
-                orientation = VERTICAL
-            elif glyph == H_GLYPH:
-                partner = (x + 1, y)
-                orientation = HORIZONTAL
-            else:
-                raise ValueError(f"unknown glyph {glyph!r} at ({x}, {y})")
-            if cells.get(partner) != glyph:
-                raise ValueError(f"unpaired {glyph!r} cell at ({x}, {y})")
-            blocks.add(BlockPlacement(x, y, orientation))
-            seen.update({(x, y), partner})
-    return Scene(width, height, frozenset(blocks))
 
 
 def block_from_dict(data: dict) -> BlockPlacement:

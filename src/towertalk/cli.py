@@ -22,7 +22,8 @@ import sys
 
 from . import simulation
 from .blockworld import (
-    DEFAULT_GEOMETRY,
+    GRID_HEIGHT,
+    GRID_WIDTH,
     Scene,
     block_from_dict,
     compose_scene,
@@ -39,7 +40,6 @@ from .simulation import (
     REPETITION_BLOCKS,
     STEP_LEVELS,
     TOWER_PAIRS,
-    generate_trial_sequence,
     sequence_from_dict,
     sequence_to_dict,
 )
@@ -62,7 +62,8 @@ class ConfigError(Exception):
 
 
 def _fmt(value: float) -> str:
-    return f"{value:g}"
+    # + 0.0 turns -0.0 into 0.0, so values that compare equal get one name.
+    return f"{value + 0.0:g}"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -124,13 +125,9 @@ def _build_config(factory, **fields):
 def cmd_gen_seq(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ConfigError("count: must be nonnegative")
-    seeder_seed = args.seed
-    import random
-    seeder = random.Random(seeder_seed)
-    sequences = [generate_trial_sequence(seeder.randrange(2 ** 62))
-                 for _ in range(args.count)]
+    sequences, _ = simulation.generate_sequences(args.seed, args.count)
     payload = {
-        "master_seed": seeder_seed,
+        "master_seed": args.seed,
         "count": args.count,
         "sequences": [sequence_to_dict(s) for s in sequences],
     }
@@ -158,7 +155,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         runs.append({
             "sequence_seed": sequence.seed,
             "fragments": [simulation.snapshot_to_dict(s) for s in snapshots],
-            "level_proportions": simulation.snapshot_level_proportions(snapshots),
+            "level_proportions": simulation.snapshot_level_proportions(
+                snapshots, len(sequence.trials)),
         })
     payload = {"w": args.w, "size_rule": args.size_rule, "runs": runs}
     _write_text(args.out, _json_text(payload))
@@ -175,16 +173,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     grid = [(_build_config(PragmaticsConfig, alpha=args.alpha, beta=beta),
              _build_config(LearningConfig, w=w, size_rule=args.size_rule))
             for w in args.w for beta in args.beta]
+    # A cell's four CSVs are named by its tag: two cells with one tag would overwrite
+    # each other, and two equal configs would each aggregate both cells' traces.
+    cells: dict[str, tuple[PragmaticsConfig, LearningConfig]] = {}
+    for pcfg, lcfg in grid:
+        tag = f"w{_fmt(lcfg.w)}_beta{_fmt(pcfg.beta)}"
+        if tag in cells:
+            other_p, other_l = cells[tag]
+            raise ConfigError(f"cells w={other_l.w!r} beta={other_p.beta!r} and "
+                              f"w={lcfg.w!r} beta={pcfg.beta!r} share the file tag {tag}")
+        cells[tag] = (pcfg, lcfg)
     stimuli = _stimuli(args.stimuli)
     _check_scenes([*TOWER_PAIRS, *(pair[::-1] for pair in TOWER_PAIRS)],
                   stimuli, args.stimuli or "stimuli")
     traces = simulation.run_experiment(
+        configs=grid,
+        stimuli=stimuli,
         n_sequences=args.n_sequences,
         iterations=args.iterations,
-        configs=grid,
         master_seed=args.master_seed,
         jobs=args.jobs,
-        stimuli=stimuli,
     )
 
     # Build every output in memory first so failures never leave partial files.
@@ -199,11 +207,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     outputs["traces.json"] = _json_text(trace_payload)
 
-    for pcfg, lcfg in grid:
-        subset = [t for t in traces
-                  if t.pragmatics == pcfg and t.learning.w == lcfg.w
-                  and t.learning.size_rule == lcfg.size_rule]
-        tag = f"w{_fmt(lcfg.w)}_beta{_fmt(pcfg.beta)}"
+    for tag, cell in cells.items():
+        subset = [t for t in traces if (t.pragmatics, t.learning) == cell]
         outputs[f"fragment_trajectory_{tag}.csv"] = _csv_text(
             ["trial", *FRAGMENT_LEVELS], simulation.fragment_trajectory(subset))
         outputs[f"abstraction_proportions_{tag}.csv"] = _csv_text(
@@ -244,9 +249,8 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
     if not matches:
         raise ConfigError(f"trial: no trial {trial_index} in trace")
     trial = matches[0]
-    target = compose_scene(towers[trial["left"]], towers[trial["right"]],
-                           DEFAULT_GEOMETRY)
-    built = Scene(DEFAULT_GEOMETRY.width, DEFAULT_GEOMETRY.height,
+    target = compose_scene(towers[trial["left"]], towers[trial["right"]])
+    built = Scene(GRID_WIDTH, GRID_HEIGHT,
                   frozenset(block_from_dict(b) for b in trial["builder_placements"]))
     return f"trial {trial['trial']} ({trial['left']}+{trial['right']})", target, built
 

@@ -53,10 +53,6 @@ def is_base_token(token: Token) -> bool:
     return is_place(token) or is_move(token)
 
 
-def is_chunk_ref(token: Token) -> bool:
-    return not is_base_token(token)
-
-
 def move_delta(token: Token) -> int:
     n = int(token[1:])
     return -n if token[0] == "l" else n
@@ -229,15 +225,6 @@ def canonical_program(scene: Scene, start_x: int | None = None) -> Program:
     return program
 
 
-def validate_constructible(scene: Scene) -> bool:
-    """True iff executing the canonical ordering rebuilds exactly this scene."""
-    try:
-        canonical_program(scene)
-    except ValueError:
-        return False
-    return True
-
-
 def print_program(program: Program) -> str:
     """Surface form, e.g. ``(h (l 1) v v (r 2) chunk1)``; the empty program prints as ''."""
     if not program:
@@ -250,37 +237,3 @@ def print_program(program: Program) -> str:
             parts.append(token)
     return "(" + " ".join(parts) + ")"
 
-
-def parse_program(text: str) -> Program:
-    """Parse the surface form back into tokens."""
-    stripped = text.strip()
-    if not stripped:
-        return ()
-    if stripped.startswith("(") and stripped.endswith(")"):
-        stripped = stripped[1:-1]
-    tokens: list[Token] = []
-    pieces = stripped.replace("(", " ( ").replace(")", " ) ").split()
-    i = 0
-    while i < len(pieces):
-        piece = pieces[i]
-        if piece == "(":
-            if i + 3 >= len(pieces) or pieces[i + 3] != ")":
-                raise ProgramError(f"malformed move near {' '.join(pieces[i:i + 4])!r}")
-            direction, magnitude = pieces[i + 1], pieces[i + 2]
-            if direction not in ("l", "r") or not magnitude.isdigit():
-                raise ProgramError(f"malformed move ({direction} {magnitude})")
-            if not (1 <= int(magnitude) <= 9):
-                raise ProgramError(f"move magnitude {magnitude} outside 1..9")
-            tokens.append(f"{direction}{magnitude}")
-            i += 4
-        elif piece == ")":
-            raise ProgramError("unbalanced ')'")
-        else:
-            if is_move(piece):
-                tokens.append(piece)
-            elif piece in (PLACE_H, PLACE_V) or re.fullmatch(r"\w+", piece):
-                tokens.append(piece)
-            else:
-                raise ProgramError(f"malformed token {piece!r}")
-            i += 1
-    return tuple(tokens)

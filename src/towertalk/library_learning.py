@@ -6,8 +6,8 @@ nest), scores each candidate extension by an unnormalized log posterior
 
     score(L) = -w * size(L) - sum_n MDL(scene_n | L)
 
-and adopts the single best strictly-improving fragment, up to a small number
-of rounds per trial.
+and adopts the single best strictly-improving fragment, up to
+MAX_FRAGMENTS_PER_TRIAL rounds per trial.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import (
-    DEFAULT_GEOMETRY,
-    BlockPlacement,
-    SceneGeometry,
-    TowerStimulus,
-    empty_grid,
-)
+from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus, empty_grid
 from .dsl import EMPTY_LIBRARY, Fragment, Library, Program
 
 PRIMITIVE_COUNT = "primitive_count"
@@ -37,7 +31,8 @@ SCENE = "scene"
 OTHER = "other"
 FRAGMENT_LEVELS = (SUB_TOWER, TOWER, SCENE, OTHER)
 
-_CANDIDATE_ID = "candidate"
+# Greedy adoption rounds after each trial.
+MAX_FRAGMENTS_PER_TRIAL = 3
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ class LearningConfig:
     """Library learning knobs; w is the library size penalty from the prior."""
 
     w: float
-    max_fragments_per_trial: int = 3
     size_rule: str = PRIMITIVE_COUNT
 
     def __post_init__(self) -> None:
@@ -103,7 +97,7 @@ def _mdl_cost(sequence: Program, expansions: tuple[Program, ...]) -> int:
 
 def mdl(base_sequence: Program, library: Library) -> int:
     """Length in units of the cheapest program over the library that inlines to base_sequence."""
-    if any(dsl.is_chunk_ref(t) for t in base_sequence):
+    if not all(dsl.is_base_token(t) for t in base_sequence):
         raise ValueError("mdl expects a base-level sequence")
     return _mdl_cost(tuple(base_sequence), tuple(sorted(library.expansions())))
 
@@ -160,19 +154,6 @@ def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Pr
     return windows
 
 
-def propose_fragments(observed: Sequence[Program],
-                      library: Library = EMPTY_LIBRARY) -> list[Fragment]:
-    """Candidate fragments: contiguous subsequences of the observed base programs.
-
-    A window qualifies if it places at least one block and is at least two
-    units long; duplicates (by expansion) collapse and expansions already in
-    the library are excluded.
-    """
-    windows = _candidate_windows(observed, library)
-    return [Fragment(_CANDIDATE_ID, body, expansion)
-            for expansion, body in sorted(windows.items())]
-
-
 def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConfig) -> float:
     """Unnormalized log posterior: -w * size(L) - sum of scene MDLs."""
     total = sum(mdl(scene, library) for scene in scenes)
@@ -207,7 +188,7 @@ def update_library_with_log(library: Library, observed: Sequence[Program],
     scene_counts = Counter(tuple(p) for p in observed)
     current = library
     adoptions: list[Adoption] = []
-    for _ in range(cfg.max_fragments_per_trial):
+    for _ in range(MAX_FRAGMENTS_PER_TRIAL):
         expansions_key = tuple(sorted(current.expansions()))
         current_total = sum(count * _mdl_cost(seq, expansions_key)
                             for seq, count in scene_counts.items())
@@ -242,13 +223,6 @@ def update_library_with_log(library: Library, observed: Sequence[Program],
     return current, adoptions
 
 
-def update_library(library: Library, observed: Sequence[Program],
-                   cfg: LearningConfig) -> Library:
-    """Extend the library with the best strictly-improving fragments, if any."""
-    updated, _ = update_library_with_log(library, observed, cfg)
-    return updated
-
-
 def _normalized_configuration(placements: Sequence[BlockPlacement]) -> frozenset[BlockPlacement]:
     if not placements:
         return frozenset()
@@ -266,8 +240,7 @@ def _execute_relative(expansion: Program) -> frozenset[BlockPlacement] | None:
     return _normalized_configuration(placed)
 
 
-def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus],
-                      geometry: SceneGeometry = DEFAULT_GEOMETRY) -> str:
+def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus]) -> str:
     """Bucket a fragment by the configuration its expansion builds.
 
     2-3 placements is sub-tower level; 4 placements that exactly rebuild one
@@ -287,10 +260,9 @@ def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus],
             if config == _normalized_configuration(sorted(tower.blocks)):
                 return TOWER
         return OTHER
-    offset = geometry.right_origin - geometry.left_origin
     for left in stimuli:
         for right in stimuli:
-            pair = {b for b in left.blocks} | {b.translate(offset) for b in right.blocks}
+            pair = left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}
             if config == _normalized_configuration(sorted(pair)):
                 return SCENE
     return OTHER

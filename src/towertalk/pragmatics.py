@@ -35,6 +35,9 @@ from .blockworld import (
 from .dsl import Library, Program, Token
 from .library_learning import shortest_tokenization
 
+# The most encodings of a scene the Architect weighs on one trial.
+MAX_CANDIDATES = 4
+
 
 @dataclass(frozen=True)
 class PragmaticsConfig:
@@ -42,7 +45,6 @@ class PragmaticsConfig:
 
     alpha: float = 5.0
     beta: float = 0.3
-    max_candidates: int = 4
 
     def __post_init__(self) -> None:
         if not self.alpha >= 0:  # also rejects NaN; inf selects the argmax speaker
@@ -152,17 +154,9 @@ def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
     return 0.0
 
 
-def literal_listener(target: Token, word: str, lexicon: dict[str, str]) -> float:
-    """Delta semantics: 1 exactly when the word denotes the target primitive."""
-    if dsl.is_base_token(word):
-        return 1.0 if word == target else 0.0
-    if word not in lexicon:
-        raise KeyError(f"unknown word {word!r} under this lexicon")
-    return 1.0 if lexicon[word] == target else 0.0
-
-
 def marginal_listener(target: Token, word: str, belief: BeliefState) -> float:
-    """Expected literal-listener success, marginalizing over lexicon hypotheses."""
+    """Expected success of a literal listener (a word means exactly the primitive
+    its lexicon binds it to), marginalizing over lexicon hypotheses."""
     if dsl.is_base_token(word):
         return 1.0 if word == target else 0.0
     return sum(c.weight * _component_marginal(c, word, target)
@@ -279,9 +273,8 @@ def point_mass_lexicon(belief: BeliefState) -> dict[str, str] | None:
 # ---------------------------------------------------------------------------
 # Architect: candidate programs, utilities, utterance choice
 
-def candidate_programs(scene: Scene, library: Library,
-                       max_candidates: int = 4) -> list[Program]:
-    """1..max_candidates distinct encodings of the scene, shortest first.
+def candidate_programs(scene: Scene, library: Library) -> list[Program]:
+    """1..MAX_CANDIDATES distinct encodings of the scene, shortest first.
 
     The pool is the base-level canonical program, the shortest tokenization
     under the full library, and the shortest tokenization under each
@@ -295,7 +288,7 @@ def candidate_programs(scene: Scene, library: Library,
         for fragment in library.fragments:
             pool.add(shortest_tokenization(base, Library((fragment,))))
     ordered = sorted(pool, key=lambda p: (dsl.token_length(p), p))
-    chosen = ordered[:max_candidates]
+    chosen = ordered[:MAX_CANDIDATES]
     if base not in chosen:
         chosen[-1] = base
     return chosen
@@ -340,7 +333,7 @@ def architect_choose(scene: Scene, library: Library, belief: BeliefState,
                      cfg: PragmaticsConfig, rng: random.Random) -> tuple[Program, tuple[str, ...]]:
     """Sample a (program, utterance) pair from the softmax over joint utility."""
     pairs = []
-    for program in candidate_programs(scene, library, cfg.max_candidates):
+    for program in candidate_programs(scene, library):
         utterance = best_utterance(program, belief)
         utility = joint_utility(program, utterance, belief, cfg)
         if utility > -math.inf:
@@ -392,8 +385,8 @@ class BuilderState:
     bindings: dict[str, str] = field(default_factory=dict)
     fragment_ids: list[str] = field(default_factory=list)
 
-    def reset_workspace(self, width: int, height: int, start_x: int) -> None:
-        self.grid = empty_grid(width, height)
+    def reset_workspace(self, start_x: int) -> None:
+        self.grid = empty_grid()
         self.hand = start_x
 
 

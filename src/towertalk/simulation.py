@@ -15,14 +15,14 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import dsl, pragmatics
 from .blockworld import (
-    DEFAULT_GEOMETRY,
+    GRID_HEIGHT,
+    GRID_WIDTH,
     BlockPlacement,
     Scene,
-    SceneGeometry,
     TowerStimulus,
     compose_scene,
     empty_grid,
@@ -144,6 +144,18 @@ def generate_trial_sequence(seed: int) -> TrialSequence:
             return TrialSequence(tuple(trials), seed)
 
 
+def generate_sequences(master_seed: int, count: int) -> tuple[list[TrialSequence], Iterator[int]]:
+    """`count` trial sequences drawn from master_seed, and the rest of its seeds.
+
+    `gen-seq --seed S` and `simulate --master-seed S` both draw here, so a run's
+    sequences are the first ones gen-seq writes; `simulate` takes one dyad
+    seed per dyad from the returned iterator.
+    """
+    seeder = random.Random(master_seed)
+    seeds = iter(lambda: seeder.randrange(2 ** 62), None)  # endless: never None
+    return [generate_trial_sequence(next(seeds)) for _ in range(count)], seeds
+
+
 class LearnedTrial(NamedTuple):
     target: Scene
     library: Library                        # after learning from this trial's scene
@@ -151,22 +163,19 @@ class LearnedTrial(NamedTuple):
 
 
 def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
-                       stimuli: Sequence[TowerStimulus] | None = None,
-                       geometry: SceneGeometry = DEFAULT_GEOMETRY) -> list[LearnedTrial]:
+                       stimuli: Sequence[TowerStimulus]) -> list[LearnedTrial]:
     """Library learning over a trial sequence, one entry per trial.
 
     Learning sees only the target scenes, never the RNG or the communication,
     so a dyad and a learning-only run over the same sequence grow the same
     library.
     """
-    if stimuli is None:
-        stimuli = stimulus_towers()
     towers = {tower.id: tower for tower in stimuli}
     library = Library()
     scenes: list[Program] = []
     trials: list[LearnedTrial] = []
     for index, spec in enumerate(sequence.trials, start=1):
-        target = compose_scene(towers[spec.left], towers[spec.right], geometry)
+        target = compose_scene(towers[spec.left], towers[spec.right])
         scenes.append(dsl.canonical_program(target))
         library, adoptions = update_library_with_log(library, scenes, lcfg)
         adopted = tuple(
@@ -174,7 +183,7 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
                 id=a.fragment.id,
                 body=dsl.print_program(a.fragment.body),
                 expansion=dsl.print_program(a.fragment.expansion),
-                level=classify_fragment(a.fragment, stimuli, geometry),
+                level=classify_fragment(a.fragment, stimuli),
                 adopted_trial=index,
                 score_delta=a.score_delta,
             )
@@ -185,16 +194,15 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
 
 def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
              lcfg: LearningConfig, rng: random.Random,
-             stimuli: Sequence[TowerStimulus] | None = None,
-             geometry: SceneGeometry = DEFAULT_GEOMETRY,
+             stimuli: Sequence[TowerStimulus],
              iteration: int = 0, dyad_seed: int = 0) -> DyadTrace:
     """Simulate one Architect/Builder pair through a full trial sequence."""
     lcfg = replace(lcfg, w=w)
-    learned = library_trajectory(sequence, lcfg, stimuli, geometry)
+    learned = library_trajectory(sequence, lcfg, stimuli)
 
     library = Library()
     belief = initial_belief()
-    builder = BuilderState(grid=empty_grid(geometry.width, geometry.height), hand=0)
+    builder = BuilderState(grid=empty_grid(), hand=0)
     level_by_fragment: dict[str, str] = {}
     snapshots: list[FragmentSnapshot] = []
     records: list[TrialRecord] = []
@@ -203,7 +211,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         target = trial.target
         program, utterance = architect_choose(target, library, belief, cfg, rng)
 
-        builder.reset_workspace(geometry.width, geometry.height, dsl.default_start_x(target))
+        builder.reset_workspace(dsl.default_start_x(target))
         steps: list[StepRecord] = []
         anomalies = 0
         for token, word in zip(program, utterance):
@@ -221,7 +229,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
                 level = level_by_fragment[token]
             steps.append(StepRecord(token, word, level, len(placed)))
 
-        built = Scene(geometry.width, geometry.height, frozenset(builder.grid.placements))
+        built = Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(builder.grid.placements))
         trial_f1 = f1_score(target, built)
 
         library = trial.library
@@ -261,33 +269,25 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
 
 
 def _dyad_task(args: tuple) -> DyadTrace:
-    sequence, w, cfg, lcfg, dyad_seed, stimuli, geometry, iteration = args
-    return run_dyad(sequence, w, cfg, lcfg, random.Random(dyad_seed),
-                    stimuli=stimuli, geometry=geometry,
+    sequence, w, cfg, lcfg, dyad_seed, stimuli, iteration = args
+    return run_dyad(sequence, w, cfg, lcfg, random.Random(dyad_seed), stimuli,
                     iteration=iteration, dyad_seed=dyad_seed)
 
 
-def run_experiment(n_sequences: int = 49, iterations: int = 2,
-                   configs: Sequence[tuple[PragmaticsConfig, LearningConfig]] = (),
-                   master_seed: int = 0, jobs: int = 1,
-                   stimuli: Sequence[TowerStimulus] | None = None,
-                   geometry: SceneGeometry = DEFAULT_GEOMETRY) -> list[DyadTrace]:
+def run_experiment(configs: Sequence[tuple[PragmaticsConfig, LearningConfig]],
+                   stimuli: Sequence[TowerStimulus], n_sequences: int, iterations: int,
+                   master_seed: int = 0, jobs: int = 1) -> list[DyadTrace]:
     """Run every config over the same generated sequences; fully deterministic.
 
     Seeds for sequences and dyads derive from master_seed in a fixed order, so
     results are identical for any level of parallelism.
     """
-    seeder = random.Random(master_seed)
-    sequence_seeds = [seeder.randrange(2 ** 62) for _ in range(n_sequences)]
-    sequences = [generate_trial_sequence(s) for s in sequence_seeds]
+    sequences, seeds = generate_sequences(master_seed, n_sequences)
     tasks = []
     for cfg, lcfg in configs:
         for sequence in sequences:
             for iteration in range(iterations):
-                dyad_seed = seeder.randrange(2 ** 62)
-                tasks.append((sequence, lcfg.w, cfg, lcfg, dyad_seed,
-                              tuple(stimuli) if stimuli is not None else None,
-                              geometry, iteration))
+                tasks.append((sequence, lcfg.w, cfg, lcfg, next(seeds), stimuli, iteration))
     # Fork only as many workers as there are dyads; the pool starts them all at once.
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -300,10 +300,10 @@ def run_experiment(n_sequences: int = 49, iterations: int = 2,
 # Metrics
 
 def snapshot_level_proportions(snapshots: Sequence[FragmentSnapshot],
-                               ) -> list[dict[str, float]]:
-    """Per trial 0..12: proportion of the library's fragments at each level."""
+                               n_trials: int) -> list[dict[str, float]]:
+    """Per trial 0..n_trials: proportion of the library's fragments at each level."""
     rows = []
-    for trial in range(TRIALS_PER_SEQUENCE + 1):
+    for trial in range(n_trials + 1):
         fragments = [s for s in snapshots if s.adopted_trial <= trial]
         row = {"trial": float(trial)}
         for level in FRAGMENT_LEVELS:
@@ -317,7 +317,8 @@ def fragment_trajectory(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
     """Mean per-trial library composition over traces (Fig-4A-style table)."""
     if not traces:
         return []
-    per_trace = [snapshot_level_proportions(t.final_library) for t in traces]
+    per_trace = [snapshot_level_proportions(t.final_library, TRIALS_PER_SEQUENCE)
+                 for t in traces]
     rows = []
     for trial in range(TRIALS_PER_SEQUENCE + 1):
         row = {"trial": float(trial)}

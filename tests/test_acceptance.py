@@ -42,6 +42,7 @@ from towertalk.simulation import (
     TOWER_PAIRS,
     abstraction_proportions,
     first_adoption_trial,
+    generate_sequences,
     generate_trial_sequence,
     jsd,
     run_experiment,
@@ -162,16 +163,15 @@ def test_criterion_2_semantic_preservation():
 
 def test_criterion_3_fragment_trajectories():
     started = time.monotonic()
-    seeder = random.Random(0)
-    sequences = [generate_trial_sequence(seeder.randrange(2 ** 62))
-                 for _ in range(49)]
+    sequences, _ = generate_sequences(0, 49)
+    towers = stimulus_towers()
     first_tower = {}
     precedence_ok = True
     for w in (1.5, 3.2, 9.6):
         lcfg = LearningConfig(w=w, size_rule=BODY_TOKEN_SUM)
         firsts = []
         for sequence in sequences:
-            snapshots = [s for trial in library_trajectory(sequence, lcfg)
+            snapshots = [s for trial in library_trajectory(sequence, lcfg, towers)
                          for s in trial.adopted]
             tower = first_adoption_trial(snapshots, "tower")
             firsts.append(NO_ADOPTION_SENTINEL if tower is None else tower)
@@ -203,7 +203,7 @@ def test_criterion_4_production_preferences():
     for beta in (0.0, 0.3, 0.8):
         configs = [(PragmaticsConfig(alpha=5.0, beta=beta),
                     LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM))]
-        traces = run_experiment(n_sequences=49, iterations=2, configs=configs,
+        traces = run_experiment(configs, stimulus_towers(), n_sequences=49, iterations=2,
                                 master_seed=0)
         assert len(traces) == 98
         shares[beta] = abstraction_proportions(traces)

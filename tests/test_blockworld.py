@@ -8,7 +8,6 @@ from towertalk.blockworld import (
     BlockPlacement,
     PlacementError,
     Scene,
-    SceneGeometry,
     TowerStimulus,
     compose_scene,
     drop_block,
@@ -16,14 +15,13 @@ from towertalk.blockworld import (
     f1_score,
     is_supported,
     load_stimuli,
-    parse_ascii,
     render_ascii,
     save_stimuli,
     scene_from_dict,
     scene_to_dict,
     validate_stimulus,
 )
-from towertalk.dsl import validate_constructible
+from towertalk.dsl import canonical_program
 
 
 def test_drop_vertical_on_ground():
@@ -83,7 +81,7 @@ def test_support_soundness_after_any_drop_sequence(drops):
             continue
     assert is_supported(grid.placements)
     # column_heights match the derived occupancy
-    cells = grid.occupied_cells()
+    cells = {cell for block in grid.placements for cell in block.cells()}
     for col in range(grid.width):
         rows = [y for (x, y) in cells if x == col]
         assert grid.column_heights[col] == (max(rows) + 1 if rows else 0)
@@ -101,7 +99,7 @@ def test_stimuli_are_three_valid_towers(towers):
 
 def test_stimuli_are_constructible(tower_scene):
     for tower_id in "ABC":
-        assert validate_constructible(tower_scene(tower_id))
+        canonical_program(tower_scene(tower_id))  # raises ProgramError if not
 
 
 def test_compose_has_eight_blocks(towers_by_id):
@@ -121,15 +119,27 @@ def test_compose_same_tower_twice_is_legal(towers_by_id):
 
 
 def test_compose_rejects_overlap(towers_by_id):
-    tight = SceneGeometry(width=14, height=8, left_origin=0, right_origin=1)
-    with pytest.raises(ValueError):
-        compose_scene(towers_by_id["A"], towers_by_id["A"], tight)
+    # Left towers reaching column 8, where tower B's first block stands once
+    # it is placed on the right: one shares a cell with it, one is the same block.
+    for reach in (BlockPlacement(7, 0, HORIZONTAL), BlockPlacement(8, 0, VERTICAL)):
+        blocks = {BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL), reach}
+        blocks.add(BlockPlacement(3, 0, VERTICAL if reach.orientation == HORIZONTAL
+                                  else HORIZONTAL))
+        wide = TowerStimulus("W", frozenset(blocks))
+        validate_stimulus(wide)
+        with pytest.raises(ValueError, match="overlap"):
+            compose_scene(wide, towers_by_id["B"])
 
 
 def test_compose_rejects_out_of_bounds(towers_by_id):
-    short = SceneGeometry(width=14, height=2, left_origin=0, right_origin=8)
-    with pytest.raises(ValueError):
-        compose_scene(towers_by_id["A"], towers_by_id["B"], short)
+    # Seven columns wide: it fits at column 0, but from column 8 it reaches column 14.
+    wide = TowerStimulus("W", frozenset({
+        BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL),
+        BlockPlacement(3, 0, HORIZONTAL), BlockPlacement(6, 0, VERTICAL)}))
+    validate_stimulus(wide)
+    assert len(compose_scene(wide, towers_by_id["A"]).blocks) == 8
+    with pytest.raises(ValueError, match="outside the 14x8 grid"):
+        compose_scene(towers_by_id["A"], wide)
 
 
 def test_f1_identical_scenes(towers_by_id):
@@ -183,13 +193,13 @@ def test_render_single_vertical():
     assert render_ascii(scene) == "...\n|..\n|.."
 
 
-def test_render_parse_round_trip(towers_by_id):
-    for left in "ABC":
-        for right in "ABC":
-            if left == right:
-                continue
-            scene = compose_scene(towers_by_id[left], towers_by_id[right])
-            assert parse_ascii(render_ascii(scene)).blocks == scene.blocks
+def test_render_composed_scene(towers_by_id):
+    scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
+    assert render_ascii(scene) == "\n".join(["." * 14] * 5 + [
+        "|...........==",
+        "|..|.....|..|.",
+        "==.|==...|==|.",
+    ])
 
 
 def test_scene_dict_round_trip(towers_by_id):

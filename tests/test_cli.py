@@ -75,6 +75,27 @@ def test_learn_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_learn_level_proportions_run_through_last_trial(tmp_path):
+    sequences = tmp_path / "seqs.json"
+    run_cli("gen-seq", "--seed", "1", "--count", "1", "--out", str(sequences))
+    data = json.loads(sequences.read_text())
+    data["sequences"][0]["trials"] *= 2  # the same twelve trials, twice over
+    sequences.write_text(json.dumps(data))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "9.6",
+                   "--out", str(out)) == 0
+    run = json.loads(out.read_text())["runs"][0]
+    adopted = [f["adopted_trial"] for f in run["fragments"]]
+    assert max(adopted) > 12
+    rows = run["level_proportions"]
+    assert [row["trial"] for row in rows] == list(range(25))
+    for trial in (12, 24):
+        fragments = [f for f in run["fragments"] if f["adopted_trial"] <= trial]
+        for level in ("sub_tower", "tower", "scene", "other"):
+            share = sum(f["level"] == level for f in fragments) / len(fragments)
+            assert rows[trial][level] == pytest.approx(share)
+
+
 def test_simulate_smoke_and_outputs(tmp_path):
     out_dir = tmp_path / "out"
     code = run_cli("simulate", "--w", "1.5", "--beta", "0.3", "--n-sequences", "1",
@@ -106,6 +127,25 @@ def test_simulate_rejects_bad_jobs(tmp_path):
                    "--iterations", "1", "--out-dir", str(out_dir))
     assert code == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid, named", [
+    (["--w", "1.5", "1.5", "--beta", "0.3"], ["w=1.5 beta=0.3 and w=1.5 beta=0.3"]),
+    (["--w", "1000000.1", "1000000.2", "--beta", "0.3"], ["w=1000000.1", "w=1000000.2"]),
+    (["--w", "1.5", "--beta", "0", "-0"], ["beta=0.0", "beta=-0.0"]),
+], ids=["repeated", "same-tag", "signed-zero"])
+def test_simulate_rejects_cells_sharing_a_file_name(tmp_path, capsys, monkeypatch,
+                                                    grid, named):
+    def must_not_run(**kwargs):
+        raise AssertionError("the experiment ran on a grid whose files collide")
+    monkeypatch.setattr(simulation, "run_experiment", must_not_run)
+    out_dir = tmp_path / "out"
+    code = run_cli("simulate", *grid, "--n-sequences", "1", "--iterations", "1",
+                   "--out-dir", str(out_dir))
+    assert code == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert all(value in err for value in named)
 
 
 def test_render_stimulus(capsys):

@@ -20,14 +20,13 @@ from towertalk.library_learning import (
     SUB_TOWER,
     TOWER,
     LearningConfig,
+    _candidate_windows,
     classify_fragment,
     fragment_size_cost,
     library_score,
     library_size,
     mdl,
-    propose_fragments,
     shortest_tokenization,
-    update_library,
     update_library_with_log,
 )
 from towertalk.dsl import canonical_program
@@ -98,18 +97,17 @@ def test_library_size_rules():
 
 
 def test_propose_single_place_yields_nothing():
-    assert propose_fragments([("v",)]) == []
+    assert _candidate_windows([("v",)], EMPTY_LIBRARY) == {}
 
 
 def test_propose_two_places_yields_one_window():
-    proposals = propose_fragments([("v", "v")])
-    assert [f.expansion for f in proposals] == [("v", "v")]
+    assert _candidate_windows([("v", "v")], EMPTY_LIBRARY) == {("v", "v"): ("v", "v")}
 
 
 def test_propose_excludes_known_expansions():
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
-    assert propose_fragments([("v", "v")], lib) == []
+    assert _candidate_windows([("v", "v")], lib) == {}
 
 
 def test_propose_matches_brute_force_window_enumeration(tower_scene):
@@ -123,8 +121,7 @@ def test_propose_matches_brute_force_window_enumeration(tower_scene):
             if not any(t in ("h", "v") for t in window):
                 continue
             expected.add(window)
-    proposals = propose_fragments([program])
-    assert {f.expansion for f in proposals} == expected
+    assert set(_candidate_windows([program], EMPTY_LIBRARY)) == expected
 
 
 def test_mdl_base_library_is_token_length():
@@ -243,7 +240,7 @@ def test_update_library_huge_w_never_grows(towers_by_id):
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")] * 4]
     lib = EMPTY_LIBRARY
     for t in range(1, len(scenes) + 1):
-        lib = update_library(lib, scenes[:t], cfg)
+        lib = update_library_with_log(lib, scenes[:t], cfg)[0]
     assert lib.fragments == ()
 
 
@@ -283,8 +280,8 @@ def test_update_library_deterministic(towers_by_id):
     cfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
     scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")]]
-    first = update_library(EMPTY_LIBRARY, scenes, cfg)
-    second = update_library(EMPTY_LIBRARY, scenes, cfg)
+    first = update_library_with_log(EMPTY_LIBRARY, scenes, cfg)[0]
+    second = update_library_with_log(EMPTY_LIBRARY, scenes, cfg)[0]
     assert first == second
 
 

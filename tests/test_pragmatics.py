@@ -20,7 +20,6 @@ from towertalk.pragmatics import (
     extend_hypotheses,
     initial_belief,
     joint_utility,
-    literal_listener,
     marginal_listener,
     point_mass_lexicon,
     synthetic_word,
@@ -44,17 +43,20 @@ def test_synthetic_word_names():
 
 
 def test_literal_listener_fixed_words():
-    assert literal_listener("h", "h", {}) == 1.0
-    assert literal_listener("v", "h", {}) == 0.0
-    assert literal_listener("l3", "l3", {}) == 1.0
+    # Base-token words mean themselves under every belief.
+    for belief in (initial_belief(), uniform_two_chunk_belief()):
+        assert marginal_listener("h", "h", belief) == 1.0
+        assert marginal_listener("v", "h", belief) == 0.0
+        assert marginal_listener("l3", "l3", belief) == 1.0
 
 
 def test_literal_listener_synthetic_words():
-    lex = {"chunkA": "chunk1"}
-    assert literal_listener("chunk1", "chunkA", lex) == 1.0
-    assert literal_listener("chunk2", "chunkA", lex) == 0.0
-    with pytest.raises(KeyError):
-        literal_listener("chunk1", "chunkZ", lex)
+    # A belief certain of one lexicon is that lexicon's literal listener.
+    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    assert point_mass_lexicon(belief) == {"chunkA": "chunk1"}
+    assert marginal_listener("chunk1", "chunkA", belief) == 1.0
+    assert marginal_listener("chunk2", "chunkA", belief) == 0.0
+    assert marginal_listener("chunk1", "chunkZ", belief) == 0.0
 
 
 def test_marginal_listener_uniform_two_chunks():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
+from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import is_place, token_length
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
@@ -29,6 +30,8 @@ from towertalk.simulation import (
     trace_to_dict,
     word_distribution,
 )
+
+TOWERS = stimulus_towers()
 
 
 def assert_valid_sequence(sequence):
@@ -72,7 +75,7 @@ def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3, size_rule=BODY_TOKEN_SUM):
         generate_trial_sequence(seq_seed), w,
         PragmaticsConfig(alpha=5.0, beta=beta),
         LearningConfig(w=w, size_rule=size_rule),
-        random.Random(dyad_seed))
+        random.Random(dyad_seed), TOWERS)
 
 
 def test_run_dyad_huge_w_is_all_base_and_perfect():
@@ -105,8 +108,8 @@ def test_run_dyad_distinct_seeds_differ():
 def test_run_experiment_shape_and_determinism():
     configs = [(PragmaticsConfig(alpha=5.0, beta=0.3),
                 LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM))]
-    first = run_experiment(n_sequences=2, iterations=2, configs=configs, master_seed=9)
-    second = run_experiment(n_sequences=2, iterations=2, configs=configs, master_seed=9)
+    first = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=9)
+    second = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=9)
     assert len(first) == 4
     assert [trace_to_dict(t) for t in first] == [trace_to_dict(t) for t in second]
 
@@ -114,9 +117,9 @@ def test_run_experiment_shape_and_determinism():
 def test_run_experiment_parallel_matches_serial():
     configs = [(PragmaticsConfig(alpha=5.0, beta=0.8),
                 LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM))]
-    serial = run_experiment(n_sequences=2, iterations=1, configs=configs,
+    serial = run_experiment(configs, TOWERS, n_sequences=2, iterations=1,
                             master_seed=4, jobs=1)
-    parallel = run_experiment(n_sequences=2, iterations=1, configs=configs,
+    parallel = run_experiment(configs, TOWERS, n_sequences=2, iterations=1,
                               master_seed=4, jobs=4)
     assert [trace_to_dict(t) for t in serial] == [trace_to_dict(t) for t in parallel]
 
@@ -141,18 +144,18 @@ def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
     configs = [(PragmaticsConfig(alpha=5.0, beta=0.0), LearningConfig(w=1e6))]
-    two = run_experiment(n_sequences=1, iterations=2, configs=configs, jobs=8)
+    two = run_experiment(configs, TOWERS, n_sequences=1, iterations=2, jobs=8)
     assert sizes == [2]
-    assert two == run_experiment(n_sequences=1, iterations=2, configs=configs, jobs=1)
+    assert two == run_experiment(configs, TOWERS, n_sequences=1, iterations=2, jobs=1)
     # One task, or none, runs serially and starts no pool at all.
-    assert len(run_experiment(n_sequences=1, iterations=1, configs=configs, jobs=8)) == 1
-    assert run_experiment(n_sequences=0, iterations=2, configs=configs, jobs=8) == []
+    assert len(run_experiment(configs, TOWERS, n_sequences=1, iterations=1, jobs=8)) == 1
+    assert run_experiment(configs, TOWERS, n_sequences=0, iterations=2, jobs=8) == []
     assert sizes == [2]
 
 
 def test_fragment_trajectory_zero_before_learning():
     trace = _run()
-    rows = snapshot_level_proportions(trace.final_library)
+    rows = snapshot_level_proportions(trace.final_library, TRIALS_PER_SEQUENCE)
     assert rows[0] == {"trial": 0.0, "sub_tower": 0.0, "tower": 0.0,
                        "scene": 0.0, "other": 0.0}
     table = fragment_trajectory([trace])
@@ -243,9 +246,10 @@ def test_library_trajectory_matches_dyad_learning():
     """Library growth depends only on the observed scenes, not on communication."""
     sequence = generate_trial_sequence(8)
     lcfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
-    snapshots = [s for trial in library_trajectory(sequence, lcfg) for s in trial.adopted]
+    snapshots = [s for trial in library_trajectory(sequence, lcfg, TOWERS)
+                 for s in trial.adopted]
     trace = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8),
-                     lcfg, random.Random(0))
+                     lcfg, random.Random(0), TOWERS)
     assert [(s.id, s.body, s.adopted_trial) for s in snapshots] == \
         [(s.id, s.body, s.adopted_trial) for s in trace.final_library]
 
