@@ -113,7 +113,7 @@ def is_supported(blocks: Iterable[BlockPlacement]) -> bool:
     return True
 
 
-def stimulus_towers() -> list[TowerStimulus]:
+def stimulus_towers() -> tuple[TowerStimulus, ...]:
     """The three default tower stimuli.
 
     All three carry the same interior motif (a vertical block with a
@@ -123,7 +123,7 @@ def stimulus_towers() -> list[TowerStimulus]:
     """
     v = VERTICAL
     h = HORIZONTAL
-    towers = [
+    return (
         # Ledge, motif three columns over, capped back above the ledge.
         TowerStimulus("A", frozenset({
             BlockPlacement(0, 0, h), BlockPlacement(3, 0, v),
@@ -139,8 +139,7 @@ def stimulus_towers() -> list[TowerStimulus]:
             BlockPlacement(1, 0, v), BlockPlacement(2, 0, h),
             BlockPlacement(4, 0, v), BlockPlacement(4, 2, h),
         })),
-    ]
-    return towers
+    )
 
 
 def validate_stimulus(tower: TowerStimulus) -> None:
@@ -228,7 +227,7 @@ def load_scene(path: str) -> Scene:
         return scene_from_dict(json.load(fh))
 
 
-def load_stimuli(path: str) -> list[TowerStimulus]:
+def load_stimuli(path: str) -> tuple[TowerStimulus, ...]:
     """Read replacement tower stimuli from a JSON file and validate them."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -240,7 +239,7 @@ def load_stimuli(path: str) -> list[TowerStimulus]:
         towers.append(tower)
     if len({t.id for t in towers}) != len(towers):
         raise ValueError("duplicate tower ids in stimulus file")
-    return towers
+    return tuple(towers)
 
 
 def save_stimuli(towers: Iterable[TowerStimulus], path: str) -> None:

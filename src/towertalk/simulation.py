@@ -14,6 +14,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -162,13 +163,15 @@ class LearnedTrial(NamedTuple):
     adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
 
 
+@lru_cache(maxsize=1)
 def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
-                       stimuli: Sequence[TowerStimulus]) -> list[LearnedTrial]:
+                       stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
     """Library learning over a trial sequence, one entry per trial.
 
     Learning sees only the target scenes, never the RNG or the communication,
     so a dyad and a learning-only run over the same sequence grow the same
-    library.
+    library. The last trajectory is kept: `run_experiment` runs the dyads that
+    share a (sequence, lcfg) back to back, so each group learns once.
     """
     towers = {tower.id: tower for tower in stimuli}
     library = Library()
@@ -189,12 +192,12 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
             )
             for a in adoptions)
         trials.append(LearnedTrial(target, library, adopted))
-    return trials
+    return tuple(trials)
 
 
 def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
              lcfg: LearningConfig, rng: random.Random,
-             stimuli: Sequence[TowerStimulus],
+             stimuli: tuple[TowerStimulus, ...],
              iteration: int = 0, dyad_seed: int = 0) -> DyadTrace:
     """Simulate one Architect/Builder pair through a full trial sequence."""
     lcfg = replace(lcfg, w=w)
@@ -268,32 +271,41 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
     )
 
 
-def _dyad_task(args: tuple) -> DyadTrace:
-    sequence, w, cfg, lcfg, dyad_seed, stimuli, iteration = args
-    return run_dyad(sequence, w, cfg, lcfg, random.Random(dyad_seed), stimuli,
-                    iteration=iteration, dyad_seed=dyad_seed)
+def _group_task(args: tuple) -> list[DyadTrace]:
+    sequence, lcfg, stimuli, dyads = args
+    return [run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(dyad_seed), stimuli,
+                     iteration=iteration, dyad_seed=dyad_seed)
+            for cfg, dyad_seed, iteration in dyads]
 
 
 def run_experiment(configs: Sequence[tuple[PragmaticsConfig, LearningConfig]],
-                   stimuli: Sequence[TowerStimulus], n_sequences: int, iterations: int,
+                   stimuli: tuple[TowerStimulus, ...], n_sequences: int, iterations: int,
                    master_seed: int = 0, jobs: int = 1) -> list[DyadTrace]:
     """Run every config over the same generated sequences; fully deterministic.
 
-    Seeds for sequences and dyads derive from master_seed in a fixed order, so
-    results are identical for any level of parallelism.
+    Seeds for sequences and dyads derive from master_seed in a fixed order
+    (config, sequence, iteration), and the traces come back in that order, so
+    results are identical for any level of parallelism. The dyads that share a
+    (sequence, lcfg) form one task and learn their library trajectory once.
     """
     sequences, seeds = generate_sequences(master_seed, n_sequences)
-    tasks = []
+    groups: dict[tuple[TrialSequence, LearningConfig], list[tuple]] = {}
+    order = []
     for cfg, lcfg in configs:
         for sequence in sequences:
             for iteration in range(iterations):
-                tasks.append((sequence, lcfg.w, cfg, lcfg, next(seeds), stimuli, iteration))
-    # Fork only as many workers as there are dyads; the pool starts them all at once.
+                groups.setdefault((sequence, lcfg), []).append((cfg, next(seeds), iteration))
+                order.append((sequence, lcfg))
+    tasks = [(sequence, lcfg, stimuli, dyads) for (sequence, lcfg), dyads in groups.items()]
+    # Fork only as many workers as there are groups; the pool starts them all at once.
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [_dyad_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_dyad_task, tasks, chunksize=1))
+        results = [_group_task(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_group_task, tasks, chunksize=1))
+    pending = {key: iter(traces) for key, traces in zip(groups, results)}
+    return [next(pending[key]) for key in order]
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def test_render_rejects_trace_index_out_of_range(tmp_path, capsys):
 
 
 def _stimuli_with_tower_a(tmp_path, blocks):
-    towers = [TowerStimulus("A", frozenset(blocks))] + stimulus_towers()[1:]
+    towers = (TowerStimulus("A", frozenset(blocks)),) + stimulus_towers()[1:]
     path = tmp_path / "stimuli.json"
     save_stimuli(towers, str(path))
     return path

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
-from towertalk.blockworld import stimulus_towers
+from towertalk.blockworld import TowerStimulus, compose_scene, stimulus_towers
 from towertalk.dsl import is_place, token_length
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
@@ -124,12 +124,14 @@ def test_run_experiment_parallel_matches_serial():
     assert [trace_to_dict(t) for t in serial] == [trace_to_dict(t) for t in parallel]
 
 
-def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
-    sizes = []
+def _record_pool(monkeypatch):
+    """Swap ProcessPoolExecutor for an in-process stand-in; return what it sees.
+
+    `sizes` gets each pool's max_workers and `mapped` each (task, result) pair.
+    """
+    sizes, mapped = [], []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -140,17 +142,102 @@ def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            for task in iterable:
+                mapped.append((task, fn(task)))
+                yield mapped[-1][1]
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-    configs = [(PragmaticsConfig(alpha=5.0, beta=0.0), LearningConfig(w=1e6))]
-    two = run_experiment(configs, TOWERS, n_sequences=1, iterations=2, jobs=8)
+    return sizes, mapped
+
+
+def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
+    """The unit of work is a (sequence, lcfg) group: the pool never outnumbers them."""
+    sizes, _ = _record_pool(monkeypatch)
+    lcfg = LearningConfig(w=1e6)
+    one_w = [(PragmaticsConfig(alpha=5.0, beta=beta), lcfg) for beta in (0.0, 0.8)]
+    # One sequence and one lcfg make one group, however many dyads it holds:
+    # it runs serially and starts no pool at all; so does an empty grid.
+    assert len(run_experiment(one_w, TOWERS, n_sequences=1, iterations=2, jobs=8)) == 4
+    assert run_experiment(one_w, TOWERS, n_sequences=0, iterations=2, jobs=8) == []
+    assert sizes == []
+    # Two sequences are two groups, so --jobs 8 forks two workers.
+    two = run_experiment(one_w, TOWERS, n_sequences=2, iterations=2, jobs=8)
     assert sizes == [2]
-    assert two == run_experiment(configs, TOWERS, n_sequences=1, iterations=2, jobs=1)
-    # One task, or none, runs serially and starts no pool at all.
-    assert len(run_experiment(configs, TOWERS, n_sequences=1, iterations=1, jobs=8)) == 1
-    assert run_experiment(configs, TOWERS, n_sequences=0, iterations=2, jobs=8) == []
-    assert sizes == [2]
+    assert two == run_experiment(one_w, TOWERS, n_sequences=2, iterations=2, jobs=1)
+
+
+SHARED_GRID = [(PragmaticsConfig(alpha=5.0, beta=beta), LearningConfig(w=w))
+               for w in (1.5, 9.6) for beta in (0.0, 0.8)]
+
+
+def test_run_experiment_learns_each_group_once(monkeypatch):
+    calls = []
+    learn = simulation.update_library_with_log
+
+    def counting(*args):
+        calls.append(1)
+        return learn(*args)
+
+    monkeypatch.setattr(simulation, "update_library_with_log", counting)
+    library_trajectory.cache_clear()
+    traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=2, iterations=2, master_seed=3)
+    # 2 sequences x 2 w, 12 trials each; not again for each beta x iteration (192).
+    assert len(calls) == 2 * 2 * TRIALS_PER_SEQUENCE
+
+    # The dyads, run one by one in seed order (config, sequence, iteration), each
+    # learning afresh, give the same traces in the same order.
+    sequences, seeds = simulation.generate_sequences(3, 2)
+    expected = []
+    for cfg, lcfg in SHARED_GRID:
+        for sequence in sequences:
+            for iteration in range(2):
+                seed = next(seeds)
+                library_trajectory.cache_clear()
+                expected.append(run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(seed),
+                                         TOWERS, iteration=iteration, dyad_seed=seed))
+    assert traces == expected
+
+
+def test_run_experiment_maps_whole_groups(monkeypatch):
+    sizes, mapped = _record_pool(monkeypatch)
+    traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=2, iterations=1,
+                            master_seed=3, jobs=8)
+    assert sizes == [4]
+    # Each task is one (sequence, lcfg) and holds all of its dyads: 2 beta x 1 iteration.
+    keys = [(task[0], task[1]) for task, _ in mapped]
+    assert len(set(keys)) == len(keys) == 4
+    for (sequence, lcfg, _, dyads), results in mapped:
+        assert len(dyads) == len(results) == 2
+        assert all(t.sequence == sequence and t.learning == lcfg for t in results)
+    assert len(traces) == sum(len(results) for _, results in mapped) == 8
+
+
+def test_library_trajectory_cache_keys_on_towers_and_config():
+    """A cached trajectory is never served for other towers or another config."""
+    sequence = generate_trial_sequence(8)
+    lcfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
+    rotated = tuple(TowerStimulus(t.id, other.blocks)
+                    for t, other in zip(TOWERS, TOWERS[1:] + TOWERS[:1]))
+    default = library_trajectory(sequence, lcfg, TOWERS)
+    custom = library_trajectory(sequence, lcfg, rotated)
+    assert isinstance(default, tuple) and isinstance(custom, tuple)
+    by_id = {t.id: t for t in rotated}
+    assert [trial.target for trial in custom] == [
+        compose_scene(by_id[s.left], by_id[s.right]) for s in sequence.trials]
+    assert custom != default
+    assert all(trial.adopted == () for trial in
+               library_trajectory(sequence, LearningConfig(w=1e6), TOWERS))
+
+    # A dyad on the custom towers, run while the default trajectory is cached,
+    # equals the same dyad run with nothing cached.
+    cfg = PragmaticsConfig(alpha=5.0, beta=0.8)
+    library_trajectory(sequence, lcfg, TOWERS)
+    cached = run_dyad(sequence, 1.5, cfg, lcfg, random.Random(5), rotated)
+    library_trajectory.cache_clear()
+    fresh = run_dyad(sequence, 1.5, cfg, lcfg, random.Random(5), rotated)
+    assert cached == fresh
+    assert [(s.id, s.body, s.adopted_trial) for s in fresh.final_library] == [
+        (s.id, s.body, s.adopted_trial) for trial in custom for s in trial.adopted]
 
 
 def test_fragment_trajectory_zero_before_learning():
