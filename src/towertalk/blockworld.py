@@ -158,20 +158,23 @@ def validate_stimulus(tower: TowerStimulus) -> None:
         raise ValueError(f"tower {tower.id}: contains an unsupported block")
 
 
+def _check_cells(blocks: Iterable[BlockPlacement], width: int, height: int) -> None:
+    """Raise ValueError if two blocks share a cell or a cell lies outside width x height."""
+    seen: set[tuple[int, int]] = set()
+    for block in blocks:
+        for cx, cy in block.cells():
+            if (cx, cy) in seen:
+                raise ValueError(f"blocks overlap at cell ({cx}, {cy})")
+            if not (0 <= cx < width and 0 <= cy < height):
+                raise ValueError(f"cell ({cx}, {cy}) falls outside the {width}x{height} grid")
+            seen.add((cx, cy))
+
+
 def compose_scene(left: TowerStimulus, right: TowerStimulus) -> Scene:
     """Place two towers side by side, the right one at column RIGHT_ORIGIN."""
-    blocks = left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}
-    if len(blocks) != len(left.blocks) + len(right.blocks):
-        raise ValueError("towers overlap after translation")
-    cells: list[tuple[int, int]] = []
-    for block in blocks:
-        cells.extend(block.cells())
-    if len(set(cells)) != len(cells):
-        raise ValueError("towers overlap after translation")
-    for cx, cy in cells:
-        if not (0 <= cx < GRID_WIDTH and 0 <= cy < GRID_HEIGHT):
-            raise ValueError(f"cell ({cx}, {cy}) falls outside the {GRID_WIDTH}x{GRID_HEIGHT} grid")
-    return Scene(GRID_WIDTH, GRID_HEIGHT, blocks)
+    blocks = [*left.blocks, *(b.translate(RIGHT_ORIGIN) for b in right.blocks)]
+    _check_cells(blocks, GRID_WIDTH, GRID_HEIGHT)
+    return Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(blocks))
 
 
 def f1_score(target: Scene, built: Scene) -> float:
@@ -202,8 +205,11 @@ def render_ascii(scene: Scene) -> str:
 
 
 def block_from_dict(data: dict) -> BlockPlacement:
-    """Inverse of ``BlockPlacement._asdict``."""
-    return BlockPlacement(int(data["x"]), int(data["y"]), str(data["orientation"]))
+    """Inverse of ``BlockPlacement._asdict``; rejects an unknown orientation."""
+    block = BlockPlacement(int(data["x"]), int(data["y"]), str(data["orientation"]))
+    if block.orientation not in (HORIZONTAL, VERTICAL):
+        raise ValueError(f"unknown orientation {block.orientation!r}")
+    return block
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -212,8 +218,13 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    blocks = frozenset(block_from_dict(b) for b in data["blocks"])
-    return Scene(int(data["width"]), int(data["height"]), blocks)
+    """Inverse of scene_to_dict; rejects an empty extent and overlapping or outlying blocks."""
+    width, height = int(data["width"]), int(data["height"])
+    if width < 1 or height < 1:
+        raise ValueError(f"scene extent {width}x{height} must be at least 1x1")
+    blocks = [block_from_dict(b) for b in data["blocks"]]
+    _check_cells(blocks, width, height)
+    return Scene(width, height, frozenset(blocks))
 
 
 def save_scene(scene: Scene, path: str) -> None:

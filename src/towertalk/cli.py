@@ -244,8 +244,11 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
     """One recorded trial of a traces file: its label, target and built scenes."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    matches = [t for t in data["traces"][trace_index]["trials"]
-               if t["trial"] == trial_index]
+    traces = data["traces"]
+    if not 0 <= trace_index < len(traces):
+        raise ConfigError(f"{path}: --trace-index {trace_index}: the file holds "
+                          f"{len(traces)} traces, counted from 0")
+    matches = [t for t in traces[trace_index]["trials"] if t["trial"] == trial_index]
     if not matches:
         raise ConfigError(f"trial: no trial {trial_index} in trace")
     trial = matches[0]

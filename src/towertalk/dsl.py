@@ -190,17 +190,6 @@ def _column_clusters(blocks: frozenset[BlockPlacement]) -> list[list[BlockPlacem
     return [sorted(clusters[start], key=lambda b: (b.y, b.x)) for start in sorted(breaks)]
 
 
-def _tokenize_scene(scene: Scene, start_x: int) -> Program:
-    tokens: list[Token] = []
-    hand = start_x
-    for cluster in _column_clusters(scene.blocks):
-        for block in cluster:
-            tokens.extend(moves_between(hand, block.x))
-            hand = block.x
-            tokens.append(PLACE_H if block.orientation == HORIZONTAL else PLACE_V)
-    return tuple(tokens)
-
-
 def default_start_x(scene: Scene) -> int:
     """The scene's leftmost placement column; canonical programs start there."""
     if not scene.blocks:
@@ -208,16 +197,22 @@ def default_start_x(scene: Scene) -> int:
     return min(b.x for b in scene.blocks)
 
 
-def canonical_program(scene: Scene, start_x: int | None = None) -> Program:
+def canonical_program(scene: Scene) -> Program:
     """The base-level encoding of a scene: towers left to right, blocks bottom-up.
 
-    Within each column-connected group, blocks are ordered by (y, x); the hand
-    is routed between placements with explicit move tokens. Raises
-    ProgramError if gravity execution of that order does not rebuild the scene.
+    The hand starts at default_start_x(scene). Within each column-connected
+    group, blocks are ordered by (y, x); the hand is routed between placements
+    with explicit move tokens. Raises ProgramError if gravity execution of
+    that order does not rebuild the scene.
     """
-    if start_x is None:
-        start_x = default_start_x(scene)
-    program = _tokenize_scene(scene, start_x)
+    start_x = hand = default_start_x(scene)
+    tokens: list[Token] = []
+    for cluster in _column_clusters(scene.blocks):
+        for block in cluster:
+            tokens.extend(moves_between(hand, block.x))
+            hand = block.x
+            tokens.append(PLACE_H if block.orientation == HORIZONTAL else PLACE_V)
+    program = tuple(tokens)
     _, placed = execute(program, EMPTY_LIBRARY, start_x,
                         empty_grid(scene.width, scene.height))
     if frozenset(placed) != scene.blocks:

@@ -54,7 +54,7 @@ class Adoption(NamedTuple):
     score_delta: float
 
 
-def library_size(library: Library, size_rule: str = PRIMITIVE_COUNT) -> int:
+def library_size(library: Library, size_rule: str) -> int:
     """Library size for the prior: the base primitives plus each fragment's size cost."""
     return dsl.BASE_PRIMITIVE_COUNT + sum(
         fragment_size_cost(f.body, size_rule) for f in library.fragments)

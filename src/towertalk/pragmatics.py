@@ -28,7 +28,6 @@ from .blockworld import (
     BlockPlacement,
     GridState,
     PlacementError,
-    Scene,
     drop_block,
     empty_grid,
 )
@@ -273,15 +272,15 @@ def point_mass_lexicon(belief: BeliefState) -> dict[str, str] | None:
 # ---------------------------------------------------------------------------
 # Architect: candidate programs, utilities, utterance choice
 
-def candidate_programs(scene: Scene, library: Library) -> list[Program]:
-    """1..MAX_CANDIDATES distinct encodings of the scene, shortest first.
+def candidate_programs(base: Program, library: Library) -> list[Program]:
+    """1..MAX_CANDIDATES distinct encodings of a scene, shortest first.
 
-    The pool is the base-level canonical program, the shortest tokenization
-    under the full library, and the shortest tokenization under each
-    single-fragment sublibrary; the base-level program always survives
-    truncation so the Architect is never without a safe option.
+    `base` is the scene's base-level canonical program. The pool is that
+    program, its shortest tokenization under the full library, and its
+    shortest tokenization under each single-fragment sublibrary; the base
+    program always survives truncation so the Architect is never without a
+    safe option.
     """
-    base = dsl.canonical_program(scene)
     pool = {base}
     if library.fragments:
         pool.add(shortest_tokenization(base, library))
@@ -329,11 +328,12 @@ def joint_utility(program: Program, utterance: Sequence[str],
     return (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
 
 
-def architect_choose(scene: Scene, library: Library, belief: BeliefState,
+def architect_choose(base: Program, library: Library, belief: BeliefState,
                      cfg: PragmaticsConfig, rng: random.Random) -> tuple[Program, tuple[str, ...]]:
-    """Sample a (program, utterance) pair from the softmax over joint utility."""
+    """Sample a (program, utterance) pair for the scene whose base program is
+    `base` from the softmax over joint utility."""
     pairs = []
-    for program in candidate_programs(scene, library):
+    for program in candidate_programs(base, library):
         utterance = best_utterance(program, belief)
         utility = joint_utility(program, utterance, belief, cfg)
         if utility > -math.inf:
@@ -383,22 +383,22 @@ class BuilderState:
     grid: GridState
     hand: int
     bindings: dict[str, str] = field(default_factory=dict)
-    fragment_ids: list[str] = field(default_factory=list)
 
     def reset_workspace(self, start_x: int) -> None:
         self.grid = empty_grid()
         self.hand = start_x
 
 
-def builder_interpret(word: str, state: BuilderState, rng: random.Random) -> Token:
+def builder_interpret(word: str, state: BuilderState, library: Library,
+                      rng: random.Random) -> Token:
     """Resolve a word to a primitive; first hearings bind uniformly at random
-    to a fragment no other word has claimed, and the binding persists."""
+    to a library fragment no other word has claimed, and the binding persists."""
     if dsl.is_base_token(word):
         return word
     if word in state.bindings:
         return state.bindings[word]
     taken = set(state.bindings.values())
-    unbound = sorted(f for f in state.fragment_ids if f not in taken)
+    unbound = sorted(f for f in library.ids() if f not in taken)
     if not unbound:
         raise RuntimeError(f"no unbound fragment left for new word {word!r}")
     choice = unbound[rng.randrange(len(unbound))]

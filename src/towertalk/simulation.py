@@ -159,6 +159,7 @@ def generate_sequences(master_seed: int, count: int) -> tuple[list[TrialSequence
 
 class LearnedTrial(NamedTuple):
     target: Scene
+    program: Program                        # the target's canonical program
     library: Library                        # after learning from this trial's scene
     adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
 
@@ -179,7 +180,8 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
     trials: list[LearnedTrial] = []
     for index, spec in enumerate(sequence.trials, start=1):
         target = compose_scene(towers[spec.left], towers[spec.right])
-        scenes.append(dsl.canonical_program(target))
+        program = dsl.canonical_program(target)
+        scenes.append(program)
         library, adoptions = update_library_with_log(library, scenes, lcfg)
         adopted = tuple(
             FragmentSnapshot(
@@ -191,7 +193,7 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
                 score_delta=a.score_delta,
             )
             for a in adoptions)
-        trials.append(LearnedTrial(target, library, adopted))
+        trials.append(LearnedTrial(target, program, library, adopted))
     return tuple(trials)
 
 
@@ -211,15 +213,14 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
     records: list[TrialRecord] = []
 
     for index, (spec, trial) in enumerate(zip(sequence.trials, learned), start=1):
-        target = trial.target
-        program, utterance = architect_choose(target, library, belief, cfg, rng)
+        program, utterance = architect_choose(trial.program, library, belief, cfg, rng)
 
-        builder.reset_workspace(dsl.default_start_x(target))
+        builder.reset_workspace(dsl.default_start_x(trial.target))
         steps: list[StepRecord] = []
         anomalies = 0
         for token, word in zip(program, utterance):
             pre_grid, pre_hand = builder.grid, builder.hand
-            interpreted = builder_interpret(word, builder, rng)
+            interpreted = builder_interpret(word, builder, library, rng)
             placed = builder_execute_token(builder, interpreted, library)
             belief, anomaly = update_belief(
                 belief, word, placed, library, grid=pre_grid, hand_x=pre_hand)
@@ -233,7 +234,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
             steps.append(StepRecord(token, word, level, len(placed)))
 
         built = Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(builder.grid.placements))
-        trial_f1 = f1_score(target, built)
+        trial_f1 = f1_score(trial.target, built)
 
         library = trial.library
         new_pairs: list[tuple[str, str]] = []
@@ -241,9 +242,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
             new_pairs.append((synthetic_word(len(level_by_fragment)), snapshot.id))
             level_by_fragment[snapshot.id] = snapshot.level
         snapshots.extend(trial.adopted)
-        if new_pairs:
-            belief = extend_hypotheses(belief, new_pairs)
-            builder.fragment_ids = list(library.ids())
+        belief = extend_hypotheses(belief, new_pairs)
 
         records.append(TrialRecord(
             index=index,

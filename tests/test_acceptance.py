@@ -244,12 +244,12 @@ def test_criterion_6_belief_convergence():
     lib = lib.with_fragment(make_fragment("chunk2", ("h", "r2", "h"), lib))
     belief = extend_hypotheses(initial_belief(),
                                [("chunkA", "chunk1"), ("chunkB", "chunk2")])
-    builder = BuilderState(grid=empty_grid(), hand=0, fragment_ids=list(lib.ids()))
+    builder = BuilderState(grid=empty_grid(), hand=0)
     rng = random.Random(5)
     entropies = [belief_entropy(belief)]
     for word in ("chunkA", "chunkB"):
         pre_grid, pre_hand = builder.grid, builder.hand
-        token = builder_interpret(word, builder, rng)
+        token = builder_interpret(word, builder, lib, rng)
         placed = builder_execute_token(builder, token, lib)
         belief, anomaly = update_belief(belief, word, placed, lib,
                                         grid=pre_grid, hand_x=pre_hand)

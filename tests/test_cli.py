@@ -268,12 +268,25 @@ def test_learn_rejects_stimuli_file_without_towers(tmp_path, capsys):
 
 
 def test_render_rejects_scene_file_without_blocks(tmp_path, capsys):
-    scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps({"width": 3, "height": 3}))
-    assert run_cli("render", "--scene", str(scene)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(scene) in captured.err
+    def block(x, y, orientation):
+        return {"x": x, "y": y, "orientation": orientation}
+
+    cases = {
+        "no-blocks": {"width": 3, "height": 3},
+        "diagonal": {"width": 3, "height": 3, "blocks": [block(0, 0, "diag")]},
+        # A horizontal block at column 2 covers column 3 of a 3-wide scene.
+        "outside": {"width": 3, "height": 3, "blocks": [block(2, 0, HORIZONTAL)]},
+        "negative-width": {"width": -3, "height": 3, "blocks": []},
+        "overlap": {"width": 3, "height": 3,
+                    "blocks": [block(0, 0, VERTICAL), block(0, 1, HORIZONTAL)]},
+    }
+    for name, data in cases.items():
+        scene = tmp_path / f"{name}.json"
+        scene.write_text(json.dumps(data))
+        assert run_cli("render", "--scene", str(scene)) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert str(scene) in captured.err, name
 
 
 def test_render_rejects_trace_index_out_of_range(tmp_path, capsys):
@@ -282,11 +295,14 @@ def test_render_rejects_trace_index_out_of_range(tmp_path, capsys):
                    "--iterations", "1", "--out-dir", str(out_dir)) == 0
     trace_file = out_dir / "traces.json"
     capsys.readouterr()
-    assert run_cli("render", "--trace", str(trace_file), "--trial", "1",
-                   "--trace-index", "5") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(trace_file) in captured.err
+    # Past the end, and negative: a Python index would wrap to the last trace.
+    for index in ("5", "-1"):
+        assert run_cli("render", "--trace", str(trace_file), "--trial", "1",
+                       "--trace-index", index) == 2, index
+        captured = capsys.readouterr()
+        assert captured.out == "", index
+        assert str(trace_file) in captured.err, index
+        assert "--trace-index" in captured.err, index
 
 
 def _stimuli_with_tower_a(tmp_path, blocks):

@@ -157,7 +157,7 @@ def test_belief_entropy_decreases_under_updates(two_fragment_library):
 
 def test_candidate_programs_base_only_library(towers_by_id):
     scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
-    candidates = candidate_programs(scene, Library())
+    candidates = candidate_programs(canonical_program(scene), Library())
     assert candidates == [canonical_program(scene)]
 
 
@@ -168,7 +168,7 @@ def test_candidate_programs_include_chunk_pair(towers_by_id, tower_scene):
         make_fragment("chunk1", canonical_program(tower_scene("A")), lib))
     lib = lib.with_fragment(
         make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
-    candidates = candidate_programs(scene, lib)
+    candidates = candidate_programs(canonical_program(scene), lib)
     assert ("chunk1", "r4", "chunk2") in candidates
     assert canonical_program(scene) in candidates
 
@@ -180,7 +180,7 @@ def test_candidate_programs_truncates_to_four(towers_by_id, tower_scene):
                               canonical_program(tower_scene("A")),
                               canonical_program(tower_scene("B"))]):
         lib = lib.with_fragment(make_fragment(f"chunk{i + 1}", body, lib))
-    candidates = candidate_programs(scene, lib)
+    candidates = candidate_programs(canonical_program(scene), lib)
     assert len(candidates) <= 4
     assert canonical_program(scene) in candidates
     assert len(set(candidates)) == len(candidates)
@@ -236,7 +236,8 @@ def test_architect_choose_argmax_at_infinite_alpha(towers_by_id):
         make_fragment("chunk1", canonical_program(scene), lib))
     belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
     cfg = PragmaticsConfig(alpha=math.inf, beta=0.8)
-    program, utterance = architect_choose(scene, lib, belief, cfg, random.Random(0))
+    program, utterance = architect_choose(canonical_program(scene), lib, belief, cfg,
+                                          random.Random(0))
     assert program == ("chunk1",)
     assert utterance == ("chunkA",)
 
@@ -249,7 +250,7 @@ def test_architect_choose_uniform_at_zero_alpha(towers_by_id):
     belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
     cfg = PragmaticsConfig(alpha=0.0, beta=0.8)
     rng = random.Random(0)
-    counts = Counter(architect_choose(scene, lib, belief, cfg, rng)[0]
+    counts = Counter(architect_choose(canonical_program(scene), lib, belief, cfg, rng)[0]
                      for _ in range(800))
     assert len(counts) == 2
     for count in counts.values():
@@ -272,48 +273,50 @@ def test_architect_choice_distribution_is_softmax(towers_by_id):
     total = sum(weights.values())
     expected = weights[("chunk1",)] / total
     rng = random.Random(1)
-    picks = sum(architect_choose(scene, lib, belief, cfg, rng)[0] == ("chunk1",)
+    picks = sum(architect_choose(base, lib, belief, cfg, rng)[0] == ("chunk1",)
                 for _ in range(3000))
     assert picks / 3000 == pytest.approx(expected, abs=0.03)
 
 
-def test_builder_interpret_fixed_words():
-    state = BuilderState(grid=empty_grid(), hand=0)
-    assert builder_interpret("v", state, random.Random(0)) == "v"
-    assert builder_interpret("l3", state, random.Random(0)) == "l3"
+def test_builder_interpret_fixed_words(two_fragment_library):
+    for lib in (Library(), two_fragment_library):
+        state = BuilderState(grid=empty_grid(), hand=0)
+        assert builder_interpret("v", state, lib, random.Random(0)) == "v"
+        assert builder_interpret("l3", state, lib, random.Random(0)) == "l3"
 
 
-def test_builder_interpret_first_binding_uniform():
+def test_builder_interpret_first_binding_uniform(two_fragment_library):
     outcomes = Counter()
     for seed in range(400):
-        state = BuilderState(grid=empty_grid(), hand=0,
-                             fragment_ids=["chunk1", "chunk2"])
-        outcomes[builder_interpret("chunkA", state, random.Random(seed))] += 1
+        state = BuilderState(grid=empty_grid(), hand=0)
+        outcomes[builder_interpret("chunkA", state, two_fragment_library,
+                                   random.Random(seed))] += 1
     assert set(outcomes) == {"chunk1", "chunk2"}
     assert 140 < outcomes["chunk1"] < 260
 
 
-def test_builder_interpret_binding_persists():
-    state = BuilderState(grid=empty_grid(), hand=0,
-                         fragment_ids=["chunk1", "chunk2"])
+def test_builder_interpret_binding_persists(two_fragment_library):
+    state = BuilderState(grid=empty_grid(), hand=0)
     rng = random.Random(3)
-    first = builder_interpret("chunkA", state, rng)
+    first = builder_interpret("chunkA", state, two_fragment_library, rng)
     for _ in range(5):
-        assert builder_interpret("chunkA", state, rng) == first
+        assert builder_interpret("chunkA", state, two_fragment_library, rng) == first
 
 
-def test_builder_interpret_respects_taken_bindings():
-    state = BuilderState(grid=empty_grid(), hand=0,
-                         fragment_ids=["chunk1", "chunk2"])
+def test_builder_interpret_respects_taken_bindings(two_fragment_library):
+    state = BuilderState(grid=empty_grid(), hand=0)
     state.bindings["chunkA"] = "chunk2"
-    assert builder_interpret("chunkB", state, random.Random(0)) == "chunk1"
+    assert builder_interpret("chunkB", state, two_fragment_library,
+                             random.Random(0)) == "chunk1"
 
 
 def test_builder_interpret_raises_without_free_fragment():
-    state = BuilderState(grid=empty_grid(), hand=0, fragment_ids=["chunk1"])
+    lib = Library()
+    lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
+    state = BuilderState(grid=empty_grid(), hand=0)
     state.bindings["chunkA"] = "chunk1"
     with pytest.raises(RuntimeError):
-        builder_interpret("chunkB", state, random.Random(0))
+        builder_interpret("chunkB", state, lib, random.Random(0))
 
 
 def test_execute_lenient_clamps_and_skips():
@@ -327,8 +330,7 @@ def test_execute_lenient_clamps_and_skips():
 
 
 def test_builder_execute_token_runs_chunk_bodies(two_fragment_library):
-    state = BuilderState(grid=empty_grid(), hand=0,
-                         fragment_ids=list(two_fragment_library.ids()))
+    state = BuilderState(grid=empty_grid(), hand=0)
     placed = builder_execute_token(state, "chunk1", two_fragment_library)
     assert [b.orientation for b in placed] == [VERTICAL, VERTICAL]
     assert state.grid.placements == tuple(placed)
@@ -339,12 +341,12 @@ def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
     mass equal to the builder's actual bindings."""
     lib = two_fragment_library
     belief = uniform_two_chunk_belief()
-    builder = BuilderState(grid=empty_grid(), hand=0, fragment_ids=list(lib.ids()))
+    builder = BuilderState(grid=empty_grid(), hand=0)
     rng = random.Random(17)
     entropies = [belief_entropy(belief)]
     for word in ("chunkA", "chunkB"):
         pre_grid, pre_hand = builder.grid, builder.hand
-        token = builder_interpret(word, builder, rng)
+        token = builder_interpret(word, builder, lib, rng)
         placed = builder_execute_token(builder, token, lib)
         belief, anomaly = update_belief(belief, word, placed, lib,
                                         grid=pre_grid, hand_x=pre_hand)

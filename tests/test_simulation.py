@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from towertalk import simulation
 from towertalk.blockworld import TowerStimulus, compose_scene, stimulus_towers
-from towertalk.dsl import is_place, token_length
+from towertalk.dsl import canonical_program, is_place, token_length
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
 from towertalk.simulation import (
@@ -333,8 +333,11 @@ def test_library_trajectory_matches_dyad_learning():
     """Library growth depends only on the observed scenes, not on communication."""
     sequence = generate_trial_sequence(8)
     lcfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
-    snapshots = [s for trial in library_trajectory(sequence, lcfg, TOWERS)
-                 for s in trial.adopted]
+    learned = library_trajectory(sequence, lcfg, TOWERS)
+    # Each trial carries its target's base program, which the Architect encodes.
+    for trial in learned:
+        assert trial.program == canonical_program(trial.target)
+    snapshots = [s for trial in learned for s in trial.adopted]
     trace = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8),
                      lcfg, random.Random(0), TOWERS)
     assert [(s.id, s.body, s.adopted_trial) for s in snapshots] == \
