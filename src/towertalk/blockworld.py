@@ -204,9 +204,20 @@ def render_ascii(scene: Scene) -> str:
     return "\n".join(rows)
 
 
+def strict_int(value: object, name: str) -> int:
+    """An integer field of an input file; a bool, a string or a fractional number
+    is rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def block_from_dict(data: dict) -> BlockPlacement:
     """Inverse of ``BlockPlacement._asdict``; rejects an unknown orientation."""
-    block = BlockPlacement(int(data["x"]), int(data["y"]), str(data["orientation"]))
+    block = BlockPlacement(strict_int(data["x"], "x"), strict_int(data["y"], "y"),
+                           str(data["orientation"]))
     if block.orientation not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"unknown orientation {block.orientation!r}")
     return block
@@ -219,7 +230,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(data: dict) -> Scene:
     """Inverse of scene_to_dict; rejects an empty extent and overlapping or outlying blocks."""
-    width, height = int(data["width"]), int(data["height"])
+    width, height = strict_int(data["width"], "width"), strict_int(data["height"], "height")
     if width < 1 or height < 1:
         raise ValueError(f"scene extent {width}x{height} must be at least 1x1")
     blocks = [block_from_dict(b) for b in data["blocks"]]

@@ -250,7 +250,8 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
                           f"{len(traces)} traces, counted from 0")
     matches = [t for t in traces[trace_index]["trials"] if t["trial"] == trial_index]
     if not matches:
-        raise ConfigError(f"trial: no trial {trial_index} in trace")
+        raise ConfigError(f"{path}: --trace-index {trace_index}: the trace holds "
+                          f"no trial {trial_index}")
     trial = matches[0]
     target = compose_scene(towers[trial["left"]], towers[trial["right"]])
     built = Scene(GRID_WIDTH, GRID_HEIGHT,

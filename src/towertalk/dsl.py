@@ -12,7 +12,6 @@ A place or chunk token counts as one description unit; a move counts as two
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .blockworld import (
@@ -31,7 +30,8 @@ Program = tuple[Token, ...]
 PLACE_H = "h"
 PLACE_V = "v"
 
-_MOVE_RE = re.compile(r"^[lr][1-9]$")
+# The 18 move tokens: a direction and a distance of 1..9 columns.
+_MOVES = frozenset(f"{d}{n}" for d in "lr" for n in range(1, 10))
 
 # h, v, l, r and the digits 1..9.
 BASE_PRIMITIVE_COUNT = 13
@@ -42,7 +42,7 @@ class ProgramError(ValueError):
 
 
 def is_move(token: Token) -> bool:
-    return _MOVE_RE.fullmatch(token) is not None
+    return token in _MOVES
 
 
 def is_place(token: Token) -> bool:
@@ -59,12 +59,12 @@ def move_delta(token: Token) -> int:
 
 
 def token_cost(token: Token) -> int:
-    return 2 if is_move(token) else 1
+    return 2 if token in _MOVES else 1
 
 
 def token_length(program: Program) -> int:
     """Description length in units: moves cost 2, everything else 1."""
-    return sum(token_cost(t) for t in program)
+    return len(program) + sum(t in _MOVES for t in program)
 
 
 def count_placements(program: Program) -> int:

@@ -132,25 +132,40 @@ def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     return tuple(tokens)
 
 
+def _keep_cheapest(windows: dict[Program, Program], expansion: Program, body: Program) -> None:
+    """Record body for expansion unless a shorter (then lexically smaller) body is known."""
+    current = windows.get(expansion)
+    if current is None or (dsl.token_length(body), body) < (dsl.token_length(current), current):
+        windows[expansion] = body
+
+
+@lru_cache(maxsize=1 << 12)
+def _program_windows(program: Program, library: Library) -> tuple[tuple[Program, Program], ...]:
+    """(expansion, cheapest body) for every valid window of one program, in order of
+    first appearance; known expansions are kept, _candidate_windows drops them."""
+    windows: dict[Program, Program] = {}
+    n = len(program)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            body = program[i:j]
+            if dsl.token_length(body) < 2:
+                continue
+            expansion = dsl.inline(body, library)
+            if dsl.count_placements(expansion) > 0:
+                _keep_cheapest(windows, expansion, body)
+    return tuple(windows.items())
+
+
 def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Program, Program]:
     """All valid contiguous windows, keyed by base expansion, keeping the cheapest body."""
     known = set(library.expansions())
     windows: dict[Program, Program] = {}
     for program in programs:
-        n = len(program)
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                body = program[i:j]
-                if dsl.token_length(body) < 2:
-                    continue
-                expansion = dsl.inline(body, library)
-                if dsl.count_placements(expansion) == 0:
-                    continue
-                if expansion in known:
-                    continue
-                current = windows.get(expansion)
-                if current is None or (dsl.token_length(body), body) < (dsl.token_length(current), current):
-                    windows[expansion] = body
+        # Inlining base tokens ignores the library, so one table serves every library.
+        key = EMPTY_LIBRARY if all(dsl.is_base_token(t) for t in program) else library
+        for expansion, body in _program_windows(program, key):
+            if expansion not in known:
+                _keep_cheapest(windows, expansion, body)
     return windows
 
 
@@ -160,6 +175,7 @@ def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConf
     return -cfg.w * library_size(library, cfg.size_rule) - total
 
 
+@lru_cache(maxsize=1 << 14)
 def _count_disjoint(pattern: Program, sequence: Program) -> int:
     """Greedy left-to-right count of non-overlapping occurrences (maximal for fixed length)."""
     count = 0
@@ -185,31 +201,41 @@ def _next_fragment_id(library: Library) -> str:
 def update_library_with_log(library: Library, observed: Sequence[Program],
                             cfg: LearningConfig) -> tuple[Library, list[Adoption]]:
     """Greedy per-trial growth; returns the new library and what was adopted."""
-    scene_counts = Counter(tuple(p) for p in observed)
+    scene_counts = tuple(sorted(Counter(tuple(p) for p in observed).items()))
+    current, adoptions = _learning_step(library, scene_counts, cfg)
+    return current, list(adoptions)
+
+
+@lru_cache(maxsize=1 << 12)
+def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ...],
+                   cfg: LearningConfig) -> tuple[Library, tuple[Adoption, ...]]:
+    """update_library_with_log on sorted (scene, count) pairs, so that a state
+    the learner has already met is answered from the cache."""
+    scenes = [seq for seq, _ in scene_counts]
     current = library
     adoptions: list[Adoption] = []
     for _ in range(MAX_FRAGMENTS_PER_TRIAL):
         expansions_key = tuple(sorted(current.expansions()))
         current_total = sum(count * _mdl_cost(seq, expansions_key)
-                            for seq, count in scene_counts.items())
+                            for seq, count in scene_counts)
         # Windows come from the base programs and from their rewrites under the
         # current library, so plain subsequences stay proposable while chunks
         # can still nest inside later fragments.
-        rewritten = [shortest_tokenization(seq, current) for seq in scene_counts]
-        windows = _candidate_windows(list(scene_counts) + rewritten, current)
+        rewritten = [shortest_tokenization(seq, current) for seq in scenes]
+        windows = _candidate_windows(scenes + rewritten, current)
         best_delta = 0.0
         best: tuple[Program, Program] | None = None
         for expansion in sorted(windows):
             body = windows[expansion]
             size_cost = cfg.w * fragment_size_cost(body, cfg.size_rule)
             occurrences = sum(count * _count_disjoint(expansion, seq)
-                              for seq, count in scene_counts.items())
+                              for seq, count in scene_counts)
             upper_bound = occurrences * (dsl.token_length(body) - 1)
             if upper_bound <= size_cost:
                 continue
             trial_key = tuple(sorted(expansions_key + (expansion,)))
             total = sum(count * _mdl_cost(seq, trial_key)
-                        for seq, count in scene_counts.items())
+                        for seq, count in scene_counts)
             delta = (current_total - total) - size_cost
             if delta > best_delta:
                 best_delta = delta
@@ -220,7 +246,7 @@ def update_library_with_log(library: Library, observed: Sequence[Program],
         fragment = Fragment(_next_fragment_id(current), body, expansion)
         current = current.with_fragment(fragment)
         adoptions.append(Adoption(fragment, best_delta))
-    return current, adoptions
+    return current, tuple(adoptions)
 
 
 def _normalized_configuration(placements: Sequence[BlockPlacement]) -> frozenset[BlockPlacement]:

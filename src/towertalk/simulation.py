@@ -29,6 +29,7 @@ from .blockworld import (
     empty_grid,
     f1_score,
     stimulus_towers,
+    strict_int,
 )
 from .dsl import Library, Program
 from .library_learning import (
@@ -455,10 +456,11 @@ def sequence_to_dict(sequence: TrialSequence) -> dict:
 
 def sequence_from_dict(data: dict) -> TrialSequence:
     trials = tuple(
-        TrialSpec(int(t["repetition_block"]), str(t["left"]), str(t["right"]))
+        TrialSpec(strict_int(t["repetition_block"], "repetition_block"),
+                  str(t["left"]), str(t["right"]))
         for t in data["trials"]
     )
-    return TrialSequence(trials, int(data["seed"]))
+    return TrialSequence(trials, strict_int(data["seed"], "seed"))
 
 
 def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:

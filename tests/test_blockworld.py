@@ -19,6 +19,7 @@ from towertalk.blockworld import (
     save_stimuli,
     scene_from_dict,
     scene_to_dict,
+    strict_int,
     validate_stimulus,
 )
 from towertalk.dsl import canonical_program
@@ -205,6 +206,25 @@ def test_render_composed_scene(towers_by_id):
 def test_scene_dict_round_trip(towers_by_id):
     scene = compose_scene(towers_by_id["B"], towers_by_id["C"])
     assert scene_from_dict(scene_to_dict(scene)) == scene
+
+
+def test_strict_int_refuses_what_int_would_truncate():
+    assert strict_int(3, "x") == 3
+    assert strict_int(-2, "x") == -2
+    assert strict_int(3.0, "x") == 3
+    for value in (True, False, "3", None, [3], 3.9, 0.5, float("nan"), float("inf")):
+        with pytest.raises((TypeError, ValueError), match="width: expected an integer"):
+            strict_int(value, "width")
+
+
+def test_scene_from_dict_rejects_fractional_numbers():
+    good = {"width": 3, "height": 3, "blocks": [{"x": 0, "y": 0, "orientation": VERTICAL}]}
+    assert scene_from_dict(good).width == 3
+    for key, value in (("width", 3.9), ("height", True)):
+        with pytest.raises((TypeError, ValueError), match=key):
+            scene_from_dict({**good, key: value})
+    with pytest.raises(ValueError, match="x"):
+        scene_from_dict({**good, "blocks": [{"x": 0.5, "y": 0, "orientation": VERTICAL}]})
 
 
 def test_validate_stimulus_rejects_floating_block_and_unknown_orientation():

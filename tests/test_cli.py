@@ -305,6 +305,71 @@ def test_render_rejects_trace_index_out_of_range(tmp_path, capsys):
         assert "--trace-index" in captured.err, index
 
 
+def test_render_rejects_missing_trial(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    trace_file = out_dir / "traces.json"
+    capsys.readouterr()
+    assert run_cli("render", "--trace", str(trace_file), "--trial", "99") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(trace_file) in captured.err
+    assert "--trace-index 0" in captured.err
+    assert "99" in captured.err
+
+
+def test_render_rejects_fractional_scene_numbers(tmp_path, capsys):
+    # int() would truncate each of these and draw a scene.
+    cases = {
+        "width-and-x": {"width": 3.9, "height": 3,
+                        "blocks": [{"x": 0.5, "y": 0, "orientation": VERTICAL}]},
+        "width": {"width": 3.9, "height": 3,
+                  "blocks": [{"x": 0, "y": 0, "orientation": VERTICAL}]},
+        "x": {"width": 3, "height": 3,
+              "blocks": [{"x": 0.5, "y": 0, "orientation": VERTICAL}]},
+    }
+    for name, data in cases.items():
+        scene = tmp_path / f"{name}.json"
+        scene.write_text(json.dumps(data))
+        assert run_cli("render", "--scene", str(scene)) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert str(scene) in captured.err, name
+        assert "expected an integer" in captured.err, name
+
+
+def _set_repetition_block(value):
+    def malform(data):
+        data["sequences"][0]["trials"][2]["repetition_block"] = value
+        return data
+    return malform
+
+
+def _set_seed(value):
+    def malform(data):
+        data["sequences"][0]["seed"] = value
+        return data
+    return malform
+
+
+@pytest.mark.parametrize("malform", [
+    _set_repetition_block(1.7),
+    _set_seed(True),
+    _set_seed("1"),
+], ids=["fractional-repetition-block", "boolean-seed", "string-seed"])
+def test_learn_rejects_non_integer_sequence_numbers(tmp_path, capsys, malform):
+    sequences = tmp_path / "seqs.json"
+    sequences.write_text(json.dumps(malform(_gen_seq(sequences))))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(sequences) in err
+    assert "expected an integer" in err
+
+
 def _stimuli_with_tower_a(tmp_path, blocks):
     towers = (TowerStimulus("A", frozenset(blocks)),) + stimulus_towers()[1:]
     path = tmp_path / "stimuli.json"

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -19,6 +21,7 @@ from towertalk.dsl import (
     default_start_x,
     execute,
     inline,
+    is_move,
     make_fragment,
     moves_between,
     print_program,
@@ -77,6 +80,19 @@ def test_token_costs():
     assert token_cost("l1") == token_cost("r9") == 2
     assert token_cost("chunk1") == 1
     assert token_length(("h", "l1", "v", "v", "r2")) == 7
+
+
+def test_move_tokens_match_the_move_pattern():
+    # Every string of up to 3 characters over l, r, h, v, x and the digits.
+    move = re.compile(r"^[lr][1-9]$")
+    alphabet = "lrhv0123456789x"
+    for size in range(4):
+        for chars in itertools.product(alphabet, repeat=size):
+            token = "".join(chars)
+            expected = move.fullmatch(token) is not None
+            assert is_move(token) == expected, token
+            assert token_cost(token) == (2 if expected else 1), token
+            assert token_length((token, "h", token)) == 1 + 2 * token_cost(token), token
 
 
 def test_execute_empty_program():

@@ -3,11 +3,15 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from towertalk import dsl, library_learning
 from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import (
     EMPTY_LIBRARY,
     Library,
+    count_placements,
     inline,
     make_fragment,
     token_length,
@@ -327,3 +331,93 @@ def test_learning_config_validation():
             LearningConfig(w=w)
     with pytest.raises(ValueError):
         LearningConfig(w=1.0, size_rule="nonsense")
+
+
+def learner_caches():
+    """Every lru_cache in the learner's modules."""
+    return [fn for module in (dsl, library_learning) for fn in vars(module).values()
+            if callable(fn) and hasattr(fn, "cache_parameters")]
+
+
+def test_learner_caches_are_bounded():
+    names = {fn.__name__ for fn in learner_caches()}
+    assert {"_learning_step", "_program_windows", "_count_disjoint", "_mdl_cost"} <= names
+    for fn in learner_caches():
+        assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
+
+
+def reference_candidate_windows(programs, library):
+    """Every window of every program, enumerated directly with no cache."""
+    known = set(library.expansions())
+    windows = {}
+    for program in programs:
+        for i in range(len(program)):
+            for j in range(i + 1, len(program) + 1):
+                body = program[i:j]
+                if token_length(body) < 2:
+                    continue
+                expansion = inline(body, library)
+                if count_placements(expansion) == 0 or expansion in known:
+                    continue
+                current = windows.get(expansion)
+                if current is None or (token_length(body), body) < (token_length(current), current):
+                    windows[expansion] = body
+    return windows
+
+
+def test_candidate_windows_match_direct_enumeration():
+    rng = random.Random(7)
+    for _ in range(150):
+        lib = random_fragment_library(rng)
+        scenes = [random_base_sequence(rng) for _ in range(rng.randint(1, 4))]
+        # Rewritten programs hold chunk references, so their windows depend on the library.
+        programs = scenes + [shortest_tokenization(s, lib) for s in scenes]
+        expected = reference_candidate_windows(programs, lib)
+        for _ in range(2):  # cold, then from the per-program tables
+            assert list(_candidate_windows(programs, lib).items()) == list(expected.items())
+
+
+base_tokens = st.sampled_from(["h", "v", "l1", "l2", "r1", "r2"])
+base_programs = st.lists(base_tokens, min_size=1, max_size=10).map(tuple)
+
+
+@st.composite
+def learner_states(draw):
+    library = EMPTY_LIBRARY
+    for body in draw(st.lists(st.lists(base_tokens | st.sampled_from(["chunk1", "chunk2"]),
+                                       min_size=2, max_size=5), max_size=3)):
+        try:
+            fragment = make_fragment(f"chunk{len(library.fragments) + 1}", tuple(body), library)
+        except ValueError:
+            continue
+        if fragment.expansion not in library.expansions():
+            library = library.with_fragment(fragment)
+    pool = draw(st.lists(base_programs, min_size=1, max_size=3))
+    observed = draw(st.lists(st.sampled_from(pool), max_size=6))
+    cfg = LearningConfig(w=draw(st.sampled_from([0.0, 0.5, 1.5, 3.2])),
+                         size_rule=draw(st.sampled_from([PRIMITIVE_COUNT, BODY_TOKEN_SUM])))
+    return library, observed, draw(st.permutations(observed)), cfg
+
+
+@given(learner_states())
+@settings(max_examples=150, deadline=None)
+def test_update_library_same_with_caches_cold_warm_and_permuted(state):
+    library, observed, permuted, cfg = state
+    for fn in learner_caches():
+        fn.cache_clear()
+    cold = update_library_with_log(library, observed, cfg)
+    assert update_library_with_log(library, observed, cfg) == cold
+    assert update_library_with_log(library, permuted, cfg) == cold
+    for fn in learner_caches():
+        fn.cache_clear()
+    assert update_library_with_log(library, permuted, cfg) == cold
+
+
+def test_update_library_returns_a_fresh_adoption_list():
+    cfg = LearningConfig(w=0.0)
+    scene = ("v", "r1", "h", "r2", "v", "v")
+    library, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene, scene], cfg)
+    assert adoptions
+    expected = list(adoptions)
+    adoptions.clear()
+    assert update_library_with_log(EMPTY_LIBRARY, [scene, scene], cfg) == (library, expected)
