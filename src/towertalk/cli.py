@@ -145,6 +145,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
     lcfg = _build_config(LearningConfig, w=args.w, size_rule=args.size_rule)
     sequences = _load(_read_sequences, args.sequences)
     stimuli = _stimuli(args.stimuli)
+    known = {t.id for t in stimuli}
+    for i, sequence in enumerate(sequences):
+        for k, trial in enumerate(sequence.trials):
+            for tower in (trial.left, trial.right):
+                if tower not in known:
+                    raise ConfigError(f"{args.sequences}: sequences[{i}].trials[{k}]: no tower "
+                                      f"with id {tower!r} in {args.stimuli or 'the default stimuli'}")
     _check_scenes(((trial.left, trial.right) for sequence in sequences
                    for trial in sequence.trials), stimuli, args.stimuli or "stimuli")
     runs = []

@@ -34,6 +34,9 @@ FRAGMENT_LEVELS = (SUB_TOWER, TOWER, SCENE, OTHER)
 # Greedy adoption rounds after each trial.
 MAX_FRAGMENTS_PER_TRIAL = 3
 
+# A candidate window: (token length of its body, body).
+Window = tuple[int, Program]
+
 
 @dataclass(frozen=True)
 class LearningConfig:
@@ -132,40 +135,42 @@ def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     return tuple(tokens)
 
 
-def _keep_cheapest(windows: dict[Program, Program], expansion: Program, body: Program) -> None:
-    """Record body for expansion unless a shorter (then lexically smaller) body is known."""
+def _keep_cheapest(windows: dict[Program, Window], expansion: Program, window: Window) -> None:
+    """Record window for expansion unless a shorter (then lexically smaller) body is known."""
     current = windows.get(expansion)
-    if current is None or (dsl.token_length(body), body) < (dsl.token_length(current), current):
-        windows[expansion] = body
+    if current is None or window < current:
+        windows[expansion] = window
 
 
 @lru_cache(maxsize=1 << 12)
-def _program_windows(program: Program, library: Library) -> tuple[tuple[Program, Program], ...]:
-    """(expansion, cheapest body) for every valid window of one program, in order of
+def _program_windows(program: Program, library: Library) -> tuple[tuple[Program, Window], ...]:
+    """(expansion, cheapest window) for every valid window of one program, in order of
     first appearance; known expansions are kept, _candidate_windows drops them."""
-    windows: dict[Program, Program] = {}
+    windows: dict[Program, Window] = {}
     n = len(program)
     for i in range(n):
         for j in range(i + 1, n + 1):
             body = program[i:j]
-            if dsl.token_length(body) < 2:
+            length = dsl.token_length(body)
+            if length < 2:
                 continue
             expansion = dsl.inline(body, library)
             if dsl.count_placements(expansion) > 0:
-                _keep_cheapest(windows, expansion, body)
+                _keep_cheapest(windows, expansion, (length, body))
     return tuple(windows.items())
 
 
-def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Program, Program]:
-    """All valid contiguous windows, keyed by base expansion, keeping the cheapest body."""
+def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Program, Window]:
+    """All valid contiguous windows, keyed by base expansion, keeping the cheapest
+    (token length, body)."""
     known = set(library.expansions())
-    windows: dict[Program, Program] = {}
+    windows: dict[Program, Window] = {}
     for program in programs:
         # Inlining base tokens ignores the library, so one table serves every library.
         key = EMPTY_LIBRARY if all(dsl.is_base_token(t) for t in program) else library
-        for expansion, body in _program_windows(program, key):
+        for expansion, window in _program_windows(program, key):
             if expansion not in known:
-                _keep_cheapest(windows, expansion, body)
+                _keep_cheapest(windows, expansion, window)
     return windows
 
 
@@ -175,19 +180,21 @@ def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConf
     return -cfg.w * library_size(library, cfg.size_rule) - total
 
 
-@lru_cache(maxsize=1 << 14)
-def _count_disjoint(pattern: Program, sequence: Program) -> int:
-    """Greedy left-to-right count of non-overlapping occurrences (maximal for fixed length)."""
-    count = 0
-    i = 0
-    n, m = len(sequence), len(pattern)
-    while i + m <= n:
-        if sequence[i:i + m] == pattern:
-            count += 1
-            i += m
-        else:
-            i += 1
-    return count
+@lru_cache(maxsize=1 << 8)
+def _disjoint_counts(scene: Program) -> dict[Program, int]:
+    """Greedy left-to-right count of non-overlapping occurrences (maximal for a fixed
+    length) of every contiguous subsequence of scene; a pattern that does not occur
+    has no entry. The caller must not change the returned dict."""
+    counts: dict[Program, int] = {}
+    ends: dict[Program, int] = {}  # where each pattern's last counted occurrence ends
+    n = len(scene)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            pattern = scene[i:j]
+            if ends.get(pattern, 0) <= i:
+                counts[pattern] = counts.get(pattern, 0) + 1
+                ends[pattern] = j
+    return counts
 
 
 def _next_fragment_id(library: Library) -> str:
@@ -216,8 +223,8 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
     adoptions: list[Adoption] = []
     for _ in range(MAX_FRAGMENTS_PER_TRIAL):
         expansions_key = tuple(sorted(current.expansions()))
-        current_total = sum(count * _mdl_cost(seq, expansions_key)
-                            for seq, count in scene_counts)
+        scored = [(seq, count, _mdl_cost(seq, expansions_key), _disjoint_counts(seq))
+                  for seq, count in scene_counts]
         # Windows come from the base programs and from their rewrites under the
         # current library, so plain subsequences stay proposable while chunks
         # can still nest inside later fragments.
@@ -226,17 +233,19 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
         best_delta = 0.0
         best: tuple[Program, Program] | None = None
         for expansion in sorted(windows):
-            body = windows[expansion]
-            size_cost = cfg.w * fragment_size_cost(body, cfg.size_rule)
-            occurrences = sum(count * _count_disjoint(expansion, seq)
-                              for seq, count in scene_counts)
-            upper_bound = occurrences * (dsl.token_length(body) - 1)
-            if upper_bound <= size_cost:
+            length, body = windows[expansion]
+            size_cost = cfg.w * (1 if cfg.size_rule == PRIMITIVE_COUNT else length)
+            # The DP can use the expansion only where it occurs, so a scene
+            # without it keeps its current MDL and adds nothing to the saving.
+            present = [(seq, count, cost, counts[expansion])
+                       for seq, count, cost, counts in scored if expansion in counts]
+            occurrences = sum(count * found for _, count, _, found in present)
+            if occurrences * (length - 1) <= size_cost:
                 continue
             trial_key = tuple(sorted(expansions_key + (expansion,)))
-            total = sum(count * _mdl_cost(seq, trial_key)
-                        for seq, count in scene_counts)
-            delta = (current_total - total) - size_cost
+            saving = sum(count * (cost - _mdl_cost(seq, trial_key))
+                         for seq, count, cost, _ in present)
+            delta = saving - size_cost
             if delta > best_delta:
                 best_delta = delta
                 best = (expansion, body)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -302,6 +301,8 @@ def run_experiment(configs: Sequence[tuple[PragmaticsConfig, LearningConfig]],
     if workers <= 1:
         results = [_group_task(task) for task in tasks]
     else:
+        # Imported here: the pool's modules cost every command that never forks.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_group_task, tasks, chunksize=1))
     pending = {key: iter(traces) for key, traces in zip(groups, results)}
@@ -454,13 +455,24 @@ def sequence_to_dict(sequence: TrialSequence) -> dict:
     }
 
 
+def _tower_id(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name}: expected a tower id string, got {value!r}")
+    return value
+
+
 def sequence_from_dict(data: dict) -> TrialSequence:
-    trials = tuple(
-        TrialSpec(strict_int(t["repetition_block"], "repetition_block"),
-                  str(t["left"]), str(t["right"]))
-        for t in data["trials"]
-    )
-    return TrialSequence(trials, strict_int(data["seed"], "seed"))
+    """Inverse of sequence_to_dict; rejects a repetition block outside 1..REPETITION_BLOCKS
+    and a tower id that is not a string. Whether the towers exist is the caller's check."""
+    trials = []
+    for k, t in enumerate(data["trials"]):
+        block = strict_int(t["repetition_block"], f"trials[{k}].repetition_block")
+        if not 1 <= block <= REPETITION_BLOCKS:
+            raise ValueError(f"trials[{k}].repetition_block: expected 1..{REPETITION_BLOCKS}, "
+                             f"got {block}")
+        trials.append(TrialSpec(block, _tower_id(t["left"], f"trials[{k}].left"),
+                                _tower_id(t["right"], f"trials[{k}].right")))
+    return TrialSequence(tuple(trials), strict_int(data["seed"], "seed"))
 
 
 def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:

@@ -218,7 +218,7 @@ def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path):
     assert not out_dir.exists()
 
 
-def test_learn_rejects_sequence_naming_unknown_tower(tmp_path):
+def test_learn_rejects_sequence_naming_unknown_tower(tmp_path, capsys):
     sequences = tmp_path / "seqs.json"
     run_cli("gen-seq", "--seed", "1", "--count", "2", "--out", str(sequences))
     data = json.loads(sequences.read_text())
@@ -228,6 +228,9 @@ def test_learn_rejects_sequence_naming_unknown_tower(tmp_path):
     assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
                    "--out", str(out)) == 2
     assert not out.exists()
+    # The sequence file is at fault, not the stimuli: the message names it and the trial.
+    assert capsys.readouterr().err == (f"error: {sequences}: sequences[1].trials[5]: "
+                                       "no tower with id 'Q' in the default stimuli\n")
 
 
 def _gen_seq(path, count=1):
@@ -368,6 +371,31 @@ def test_learn_rejects_non_integer_sequence_numbers(tmp_path, capsys, malform):
     err = capsys.readouterr().err
     assert str(sequences) in err
     assert "expected an integer" in err
+
+
+def _set_tower(value):
+    def malform(data):
+        data["sequences"][1]["trials"][2]["left"] = value
+        return data
+    return malform
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_set_repetition_block(7), "expected 1..4, got 7"),
+    (_set_repetition_block(0), "expected 1..4, got 0"),
+    (_set_tower(5), "expected a tower id string, got 5"),
+    (_set_tower(None), "expected a tower id string, got None"),
+], ids=["block-above-range", "block-zero", "integer-tower", "null-tower"])
+def test_learn_rejects_bad_sequence_trials(tmp_path, capsys, malform, message):
+    sequences = tmp_path / "seqs.json"
+    sequences.write_text(json.dumps(malform(_gen_seq(sequences, count=2))))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sequences}: "), err
+    assert message in err
 
 
 def _stimuli_with_tower_a(tmp_path, blocks):

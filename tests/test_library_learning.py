@@ -10,6 +10,7 @@ from towertalk import dsl, library_learning
 from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import (
     EMPTY_LIBRARY,
+    Fragment,
     Library,
     count_placements,
     inline,
@@ -23,8 +24,12 @@ from towertalk.library_learning import (
     SCENE,
     SUB_TOWER,
     TOWER,
+    MAX_FRAGMENTS_PER_TRIAL,
+    Adoption,
     LearningConfig,
     _candidate_windows,
+    _disjoint_counts,
+    _next_fragment_id,
     classify_fragment,
     fragment_size_cost,
     library_score,
@@ -105,7 +110,8 @@ def test_propose_single_place_yields_nothing():
 
 
 def test_propose_two_places_yields_one_window():
-    assert _candidate_windows([("v", "v")], EMPTY_LIBRARY) == {("v", "v"): ("v", "v")}
+    # Each candidate carries its body's token length with the body.
+    assert _candidate_windows([("v", "v")], EMPTY_LIBRARY) == {("v", "v"): (2, ("v", "v"))}
 
 
 def test_propose_excludes_known_expansions():
@@ -341,13 +347,14 @@ def learner_caches():
 
 def test_learner_caches_are_bounded():
     names = {fn.__name__ for fn in learner_caches()}
-    assert {"_learning_step", "_program_windows", "_count_disjoint", "_mdl_cost"} <= names
+    assert {"_learning_step", "_program_windows", "_disjoint_counts", "_mdl_cost"} <= names
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
 
 def reference_candidate_windows(programs, library):
-    """Every window of every program, enumerated directly with no cache."""
+    """Every window of every program, enumerated directly with no cache, as
+    expansion -> (token length, body)."""
     known = set(library.expansions())
     windows = {}
     for program in programs:
@@ -360,8 +367,8 @@ def reference_candidate_windows(programs, library):
                 if count_placements(expansion) == 0 or expansion in known:
                     continue
                 current = windows.get(expansion)
-                if current is None or (token_length(body), body) < (token_length(current), current):
-                    windows[expansion] = body
+                if current is None or (token_length(body), body) < current:
+                    windows[expansion] = (token_length(body), body)
     return windows
 
 
@@ -421,3 +428,68 @@ def test_update_library_returns_a_fresh_adoption_list():
     expected = list(adoptions)
     adoptions.clear()
     assert update_library_with_log(EMPTY_LIBRARY, [scene, scene], cfg) == (library, expected)
+
+
+def dense_update_library(library, observed, cfg):
+    """The learner with no sparse scoring: every candidate is scored by the MDL
+    of every scene, whether or not its expansion occurs there."""
+    scenes = sorted(set(tuple(p) for p in observed))
+    current = library
+    adoptions = []
+    for _ in range(MAX_FRAGMENTS_PER_TRIAL):
+        current_total = sum(mdl(seq, current) for seq in observed)
+        programs = scenes + [shortest_tokenization(seq, current) for seq in scenes]
+        windows = reference_candidate_windows(programs, current)
+        best_delta, best = 0.0, None
+        for expansion in sorted(windows):
+            length, body = windows[expansion]
+            size_cost = cfg.w * fragment_size_cost(body, cfg.size_rule)
+            occurrences = sum(greedy_count(expansion, seq) for seq in observed)
+            if occurrences * (length - 1) <= size_cost:
+                continue
+            trial = current.with_fragment(Fragment("trial", body, expansion))
+            delta = (current_total - sum(mdl(seq, trial) for seq in observed)) - size_cost
+            if delta > best_delta:
+                best_delta, best = delta, (expansion, body)
+        if best is None:
+            break
+        fragment = Fragment(_next_fragment_id(current), best[1], best[0])
+        current = current.with_fragment(fragment)
+        adoptions.append(Adoption(fragment, best_delta))
+    return current, adoptions
+
+
+@given(learner_states())
+@settings(max_examples=150, deadline=None)
+def test_update_library_matches_dense_scoring(state):
+    library, observed, _, cfg = state
+    assert update_library_with_log(library, observed, cfg) == \
+        dense_update_library(library, observed, cfg)
+
+
+def greedy_count(pattern, sequence):
+    """Left-to-right count of non-overlapping occurrences, one scan per pattern."""
+    count = i = 0
+    while i + len(pattern) <= len(sequence):
+        if sequence[i:i + len(pattern)] == pattern:
+            count += 1
+            i += len(pattern)
+        else:
+            i += 1
+    return count
+
+
+def test_disjoint_counts_match_greedy_counting():
+    rng = random.Random(11)
+    scenes = [("v", "v", "v", "v"), ("h", "r1", "h", "r1", "h"), ("v",)]
+    scenes += [random_base_sequence(rng, max_units=rng.randint(1, 16)) for _ in range(60)]
+    for scene in scenes:
+        table = _disjoint_counts(scene)
+        patterns = {scene[i:j] for i in range(len(scene)) for j in range(i + 1, len(scene) + 1)}
+        assert set(table) == patterns
+        for pattern in patterns:
+            assert table[pattern] == greedy_count(pattern, scene) > 0, (scene, pattern)
+    # Overlapping occurrences count once per disjoint, left-first match.
+    assert _disjoint_counts(("v", "v", "v"))[("v", "v")] == 1
+    for absent in [("h",), ("v", "v", "v", "v", "v"), ("r1", "v")]:
+        assert absent not in _disjoint_counts(("v", "v", "v", "v"))

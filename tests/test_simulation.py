@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from collections import Counter
 
@@ -146,7 +147,7 @@ def _record_pool(monkeypatch):
                 mapped.append((task, fn(task)))
                 yield mapped[-1][1]
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes, mapped
 
 
