@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import simulation
 from .blockworld import (
@@ -66,13 +67,76 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:g}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
+
+
+def _aside(path: str, suffix: str) -> str:
+    """A hidden name beside `path`, in the same directory, so renaming it is atomic."""
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.{os.getpid()}.{suffix}")
+
+
+def _write_outputs(outputs: dict[str, Iterable[str]]) -> None:
+    """Write every output of a command all-or-nothing.
+
+    Each file is written under a temporary name beside its path, and only
+    after every write has succeeded are they renamed into place. A path that
+    already exists is first hard-linked aside, so that when a rename fails the
+    ones already done are put back. On any failure every temporary file is
+    removed and every path holds what it held before.
+    """
+    temps = {path: _aside(path, "tmp") for path in outputs}
+    backups: dict[str, str] = {}
+    replaced: list[str] = []
+    try:
+        for path, pieces in outputs.items():
+            _write_text(temps[path], pieces)
+        for path, temp in temps.items():
+            if os.path.lexists(path):
+                backups[path] = _aside(path, "old")
+                os.link(path, backups[path], follow_symlinks=False)
+            os.replace(temp, path)
+            replaced.append(path)
+    except BaseException:
+        for path in replaced:
+            if path in backups:
+                os.replace(backups.pop(path), path)
+            else:
+                os.remove(path)
+        for leftover in [*temps.values(), *backups.values()]:
+            try:
+                os.remove(leftover)
+            except FileNotFoundError:
+                pass
+        raise
+    for backup in backups.values():
+        os.remove(backup)
 
 
 def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _traces_json(head: dict, traces: list) -> Iterator[str]:
+    """The text of `_json_text({**head, "traces": [...]})`, one dyad at a time.
+
+    "traces" sorts after every key of `head`, so that text is the head's own,
+    with each trace's text, indented two more levels, inside the last brackets.
+    Only one trace's text is held at a time.
+    """
+    text = _json_text({**head, "traces": []})
+    if not traces:
+        yield text
+        return
+    yield text.rsplit("[]", 1)[0] + "["
+    separator = "\n    "
+    for trace in traces:
+        encoded = _json_text(simulation.trace_to_dict(trace))[:-1]
+        yield separator + encoded.replace("\n", "\n    ")
+        separator = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
@@ -131,7 +195,7 @@ def cmd_gen_seq(args: argparse.Namespace) -> int:
         "count": args.count,
         "sequences": [sequence_to_dict(s) for s in sequences],
     }
-    _write_text(args.out, _json_text(payload))
+    _write_outputs({args.out: [_json_text(payload)]})
     return EXIT_OK
 
 
@@ -166,7 +230,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 snapshots, len(sequence.trials)),
         })
     payload = {"w": args.w, "size_rule": args.size_rule, "runs": runs}
-    _write_text(args.out, _json_text(payload))
+    _write_outputs({args.out: [_json_text(payload)]})
     return EXIT_OK
 
 
@@ -202,37 +266,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
 
-    # Build every output in memory first so failures never leave partial files.
-    outputs: dict[str, str] = {}
-    trace_payload = {
+    # The CSVs are small and built first. traces.json is the bulk of the output,
+    # so it is encoded one dyad at a time while it is written.
+    outputs: dict[str, Iterable[str]] = {}
+    for tag, cell in cells.items():
+        subset = [t for t in traces if (t.pragmatics, t.learning) == cell]
+        outputs[f"fragment_trajectory_{tag}.csv"] = [_csv_text(
+            ["trial", *FRAGMENT_LEVELS], simulation.fragment_trajectory(subset))]
+        outputs[f"abstraction_proportions_{tag}.csv"] = [_csv_text(
+            ["repetition_block", *STEP_LEVELS],
+            simulation.abstraction_proportions(subset))]
+        outputs[f"accuracy_efficiency_{tag}.csv"] = [_csv_text(
+            ["repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"],
+            simulation.accuracy_and_efficiency(subset))]
+        outputs[f"jsd_{tag}.csv"] = [_csv_text(
+            ["repetition_block", "mean_pairwise_jsd"],
+            [{"repetition_block": float(block),
+              "mean_pairwise_jsd": simulation.mean_pairwise_jsd(subset, block)}
+             for block in range(1, REPETITION_BLOCKS + 1)])]
+    outputs["traces.json"] = _traces_json({
         "master_seed": args.master_seed,
         "alpha": args.alpha,
         "size_rule": args.size_rule,
         "n_sequences": args.n_sequences,
         "iterations": args.iterations,
-        "traces": [simulation.trace_to_dict(t) for t in traces],
-    }
-    outputs["traces.json"] = _json_text(trace_payload)
-
-    for tag, cell in cells.items():
-        subset = [t for t in traces if (t.pragmatics, t.learning) == cell]
-        outputs[f"fragment_trajectory_{tag}.csv"] = _csv_text(
-            ["trial", *FRAGMENT_LEVELS], simulation.fragment_trajectory(subset))
-        outputs[f"abstraction_proportions_{tag}.csv"] = _csv_text(
-            ["repetition_block", *STEP_LEVELS],
-            simulation.abstraction_proportions(subset))
-        outputs[f"accuracy_efficiency_{tag}.csv"] = _csv_text(
-            ["repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"],
-            simulation.accuracy_and_efficiency(subset))
-        outputs[f"jsd_{tag}.csv"] = _csv_text(
-            ["repetition_block", "mean_pairwise_jsd"],
-            [{"repetition_block": float(block),
-              "mean_pairwise_jsd": simulation.mean_pairwise_jsd(subset, block)}
-             for block in range(1, REPETITION_BLOCKS + 1)])
+    }, traces)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, text in sorted(outputs.items()):
-        _write_text(os.path.join(args.out_dir, name), text)
+    _write_outputs({os.path.join(args.out_dir, name): pieces
+                    for name, pieces in sorted(outputs.items())})
     return EXIT_OK
 
 

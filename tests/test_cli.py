@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towertalk import simulation
-from towertalk.cli import main
+from towertalk import cli, simulation
+from towertalk.cli import DEFAULT_ALPHA, DEFAULT_SIZE_RULE, main
 from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
@@ -111,6 +112,102 @@ def test_simulate_smoke_and_outputs(tmp_path):
     traces = json.loads((out_dir / "traces.json").read_text())
     assert len(traces["traces"]) == 1
     assert len(traces["traces"][0]["trials"]) == 12
+
+
+@pytest.mark.parametrize("w, beta, n_sequences, iterations, n_traces", [
+    (["1.5"], ["0.3"], 0, 1, 0),
+    (["1.5"], ["0.3"], 1, 0, 0),
+    (["1.5"], ["0.3"], 1, 1, 1),
+    (["1.5", "3.2"], ["0", "0.8"], 1, 1, 4),
+], ids=["no-sequences", "no-iterations", "one-trace", "two-by-two"])
+def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, beta,
+                                                     n_sequences, iterations, n_traces):
+    traces = []
+    run_experiment = simulation.run_experiment
+
+    def recording(**kwargs):
+        traces.extend(run_experiment(**kwargs))
+        return traces
+    monkeypatch.setattr(simulation, "run_experiment", recording)
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", *w, "--beta", *beta, "--n-sequences", str(n_sequences),
+                   "--iterations", str(iterations), "--master-seed", "4",
+                   "--out-dir", str(out_dir)) == 0
+    assert len(traces) == n_traces
+    payload = {"master_seed": 4, "alpha": DEFAULT_ALPHA, "size_rule": DEFAULT_SIZE_RULE,
+               "n_sequences": n_sequences, "iterations": iterations,
+               "traces": [simulation.trace_to_dict(t) for t in traces]}
+    # The file is written as the head, then each trace's own text: that equals
+    # the whole payload's encoding only while "traces" sorts last.
+    assert sorted(payload)[-1] == "traces"
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (out_dir / "traces.json").read_bytes() == expected.encode("utf-8")
+
+
+SMALL_RUN = ("simulate", "--w", "1.5", "--beta", "0.3", "--n-sequences", "1",
+             "--iterations", "1")
+SMALL_RUN_FILES = 5  # traces.json and one cell's four CSVs
+
+
+def _contents(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _fail_kth_call(monkeypatch, module, name, k, partial=None):
+    """Make the k-th call of module.name raise OSError; `partial` runs first."""
+    original = getattr(module, name)
+    calls = itertools.count(1)
+
+    def failing(*args):
+        if next(calls) == k:
+            if partial is not None:
+                partial(original, *args)
+            raise OSError(5, "injected failure")
+        return original(*args)
+    monkeypatch.setattr(module, name, failing)
+
+
+def _write_first_piece(write_text, path, pieces):
+    write_text(path, itertools.islice(pieces, 1))
+
+
+@pytest.mark.parametrize("step, k", [*(("write", k) for k in range(1, SMALL_RUN_FILES + 1)),
+                                     *(("rename", k) for k in range(1, SMALL_RUN_FILES + 1))],
+                         ids=lambda value: str(value))
+def test_simulate_failed_output_leaves_out_dir_as_it_was(tmp_path, monkeypatch, step, k):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    # An earlier run's first CSV and traces.json, which sort first and last, and
+    # a file that is not an output.
+    (out_dir / "abstraction_proportions_w1.5_beta0.3.csv").write_text("earlier\n")
+    (out_dir / "traces.json").write_text("{}\n")
+    (out_dir / "notes.txt").write_text("kept\n")
+    before = _contents(out_dir)
+    if step == "write":
+        # The failing write leaves a partly written temporary file behind it.
+        _fail_kth_call(monkeypatch, cli, "_write_text", k, partial=_write_first_piece)
+    else:
+        _fail_kth_call(monkeypatch, os, "replace", k)
+    assert run_cli(*SMALL_RUN, "--out-dir", str(out_dir)) == 3
+    assert _contents(out_dir) == before
+
+
+@pytest.mark.parametrize("step", ["write", "rename"])
+@pytest.mark.parametrize("command", ["gen-seq", "learn"])
+def test_failed_out_file_keeps_the_earlier_file(tmp_path, monkeypatch, command, step):
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    argv = {"gen-seq": ["gen-seq", "--seed", "2", "--count", "1"],
+            "learn": ["learn", "--sequences", str(sequences), "--w", "1.5"]}[command]
+    out = tmp_path / "out.json"
+    out.write_text("earlier\n")
+    before = _contents(tmp_path)
+    if step == "write":
+        _fail_kth_call(monkeypatch, cli, "_write_text", 1, partial=_write_first_piece)
+    else:
+        _fail_kth_call(monkeypatch, os, "replace", 1)
+    assert run_cli(*argv, "--out", str(out)) == 3
+    assert _contents(tmp_path) == before
 
 
 def test_simulate_rejects_bad_beta(tmp_path):
