@@ -8,6 +8,14 @@ nest), scores each candidate extension by an unnormalized log posterior
 
 and adopts the single best strictly-improving fragment, up to
 MAX_FRAGMENTS_PER_TRIAL rounds per trial.
+
+Which expansions are candidates, and where each occurs, depends only on the
+scenes: a window of a rewritten program inlines to a substring of its scene,
+and that substring is already a window of the scene. So _scene_table lists the
+candidates once per scene set, and _round, once per scene set and library,
+drops the known expansions and takes a shorter body where a rewrite that holds
+a chunk reference offers one. Every library and score is the one a search over
+all windows of all the programs gives.
 """
 
 from __future__ import annotations
@@ -72,12 +80,18 @@ def _mdl_table(sequence: Program, expansions: Sequence[Program]) -> list[tuple[i
     """Suffix DP over token positions: (cost, chunk count) of the cheapest
     tokenization of each suffix; the chunk count breaks cost ties toward
     fewer references."""
+    # Only the expansions that start with sequence[i] can match at i; the
+    # minimum below does not depend on the order they are tried in.
+    by_first: dict[dsl.Token, list[Program]] = {}
+    for expansion in expansions:
+        by_first.setdefault(expansion[0], []).append(expansion)
     n = len(sequence)
     best: list[tuple[int, int]] = [(0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail = best[i + 1]
-        entry = (dsl.token_cost(sequence[i]) + tail[0], tail[1])
-        for expansion in expansions:
+        token = sequence[i]
+        entry = (dsl.token_cost(token) + tail[0], tail[1])
+        for expansion in by_first.get(token, ()):
             j = i + len(expansion)
             if j <= n and sequence[i:j] == expansion:
                 tail_j = best[j]
@@ -166,9 +180,7 @@ def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Pr
     known = set(library.expansions())
     windows: dict[Program, Window] = {}
     for program in programs:
-        # Inlining base tokens ignores the library, so one table serves every library.
-        key = EMPTY_LIBRARY if all(dsl.is_base_token(t) for t in program) else library
-        for expansion, window in _program_windows(program, key):
+        for expansion, window in _program_windows(program, library):
             if expansion not in known:
                 _keep_cheapest(windows, expansion, window)
     return windows
@@ -197,6 +209,30 @@ def _disjoint_counts(scene: Program) -> dict[Program, int]:
     return counts
 
 
+# One row of a scene table: a candidate expansion, its cheapest base window,
+# and the (scene index, disjoint count) of each scene it occurs in.
+SceneRow = tuple[Program, Window, tuple[tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=1 << 6)
+def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
+    """Every candidate expansion of the base scenes, in sorted order, with its
+    window and where it occurs: what _candidate_windows(scenes, EMPTY_LIBRARY)
+    gives, plus the presence. Neither depends on the library."""
+    rows: dict[Program, tuple[Window, list[tuple[int, int]]]] = {}
+    for n, scene in enumerate(scenes):
+        counts = _disjoint_counts(scene)
+        # A base window is its own expansion, so no two windows share a key
+        # with different bodies and there is nothing to choose between.
+        for expansion, window in _program_windows(scene, EMPTY_LIBRARY):
+            row = rows.get(expansion)
+            if row is None:
+                rows[expansion] = row = (window, [])
+            row[1].append((n, counts[expansion]))
+    return tuple((expansion, window, tuple(present))
+                 for expansion, (window, present) in sorted(rows.items()))
+
+
 def _next_fragment_id(library: Library) -> str:
     used = set(library.ids())
     n = len(library.fragments) + 1
@@ -213,38 +249,58 @@ def update_library_with_log(library: Library, observed: Sequence[Program],
     return current, list(adoptions)
 
 
+@lru_cache(maxsize=1 << 6)
+def _round(scenes: tuple[Program, ...],
+           library: Library) -> tuple[tuple[Program, ...], tuple[int, ...], tuple[SceneRow, ...]]:
+    """An adoption round over the scenes under the library: the library's sorted
+    expansions (the MDL cache key), each scene's MDL under it, and the table's
+    rows for the expansions it does not know, each at its cheapest window. The
+    scene counts only weight a round, so rounds that differ only in counts share it."""
+    expansions = tuple(sorted(library.expansions()))
+    known = set(expansions)
+    # Rewrites under the library let chunks nest inside later fragments. A
+    # rewrite's window inlines to a substring of its scene, so it can only offer
+    # a cheaper body for an expansion the table holds; a rewrite with no chunk
+    # reference is its scene and offers nothing.
+    rewritten = [shortest_tokenization(seq, library) for seq in scenes]
+    cheaper = _candidate_windows([p for p, seq in zip(rewritten, scenes) if p != seq], library)
+    rows = []
+    for row in _scene_table(scenes):
+        expansion, window, present = row
+        if expansion not in known:
+            rewrite = cheaper.get(expansion)
+            rows.append(row if rewrite is None or window < rewrite
+                        else (expansion, rewrite, present))
+    costs = tuple(_mdl_cost(seq, expansions) for seq in scenes)
+    return expansions, costs, tuple(rows)
+
+
 @lru_cache(maxsize=1 << 12)
 def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ...],
                    cfg: LearningConfig) -> tuple[Library, tuple[Adoption, ...]]:
     """update_library_with_log on sorted (scene, count) pairs, so that a state
     the learner has already met is answered from the cache."""
-    scenes = [seq for seq, _ in scene_counts]
+    scenes = tuple(seq for seq, _ in scene_counts)
+    counts = [count for _, count in scene_counts]
     current = library
     adoptions: list[Adoption] = []
     for _ in range(MAX_FRAGMENTS_PER_TRIAL):
-        expansions_key = tuple(sorted(current.expansions()))
-        scored = [(seq, count, _mdl_cost(seq, expansions_key), _disjoint_counts(seq))
-                  for seq, count in scene_counts]
-        # Windows come from the base programs and from their rewrites under the
-        # current library, so plain subsequences stay proposable while chunks
-        # can still nest inside later fragments.
-        rewritten = [shortest_tokenization(seq, current) for seq in scenes]
-        windows = _candidate_windows(scenes + rewritten, current)
+        expansions, costs, rows = _round(scenes, current)
         best_delta = 0.0
         best: tuple[Program, Program] | None = None
-        for expansion in sorted(windows):
-            length, body = windows[expansion]
+        for expansion, (length, body), present in rows:
             size_cost = cfg.w * (1 if cfg.size_rule == PRIMITIVE_COUNT else length)
-            # The DP can use the expansion only where it occurs, so a scene
-            # without it keeps its current MDL and adds nothing to the saving.
-            present = [(seq, count, cost, counts[expansion])
-                       for seq, count, cost, counts in scored if expansion in counts]
-            occurrences = sum(count * found for _, count, _, found in present)
+            occurrences = 0
+            for n, found in present:  # a plain loop: sum() of a generator is 3x slower here
+                occurrences += counts[n] * found
             if occurrences * (length - 1) <= size_cost:
                 continue
-            trial_key = tuple(sorted(expansions_key + (expansion,)))
-            saving = sum(count * (cost - _mdl_cost(seq, trial_key))
-                         for seq, count, cost, _ in present)
+            # The DP can use the expansion only where it occurs, so a scene
+            # without it keeps its current MDL and adds nothing to the saving.
+            trial_key = tuple(sorted(expansions + (expansion,)))
+            saving = 0
+            for n, _ in present:
+                saving += counts[n] * (costs[n] - _mdl_cost(scenes[n], trial_key))
             delta = saving - size_cost
             if delta > best_delta:
                 best_delta = delta

@@ -30,6 +30,8 @@ from towertalk.library_learning import (
     _candidate_windows,
     _disjoint_counts,
     _next_fragment_id,
+    _round,
+    _scene_table,
     classify_fragment,
     fragment_size_cost,
     library_score,
@@ -347,7 +349,8 @@ def learner_caches():
 
 def test_learner_caches_are_bounded():
     names = {fn.__name__ for fn in learner_caches()}
-    assert {"_learning_step", "_program_windows", "_disjoint_counts", "_mdl_cost"} <= names
+    assert {"_learning_step", "_round", "_scene_table", "_program_windows", "_disjoint_counts",
+            "_mdl_cost"} <= names
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
@@ -382,6 +385,56 @@ def test_candidate_windows_match_direct_enumeration():
         expected = reference_candidate_windows(programs, lib)
         for _ in range(2):  # cold, then from the per-program tables
             assert list(_candidate_windows(programs, lib).items()) == list(expected.items())
+
+
+def nested_fragment_library(rng, scenes):
+    """random_fragment_library plus, where a scene's rewrite holds a chunk
+    reference, one fragment whose body is a window of that rewrite."""
+    lib = random_fragment_library(rng)
+    for scene in rng.sample(scenes, len(scenes)):
+        rewrite = shortest_tokenization(scene, lib)
+        bodies = [rewrite[i:j] for i in range(len(rewrite)) for j in range(i + 1, len(rewrite) + 1)
+                  if any(t not in scene for t in rewrite[i:j])]
+        for body in rng.sample(bodies, len(bodies)):
+            try:
+                fragment = make_fragment(_next_fragment_id(lib), body, lib)
+            except ValueError:
+                continue
+            if fragment.expansion not in lib.expansions():
+                return lib.with_fragment(fragment)
+    return lib
+
+
+def test_scene_table_holds_every_candidate_of_every_library():
+    rng = random.Random(13)
+    nested = 0
+    for _ in range(150):
+        scenes = tuple(sorted({random_base_sequence(rng) for _ in range(rng.randint(1, 4))}))
+        table = _scene_table(scenes)
+        base = _candidate_windows(scenes, EMPTY_LIBRARY)
+        assert [expansion for expansion, _, _ in table] == sorted(base)
+        for expansion, window, present in table:
+            assert window == base[expansion]
+            assert present == tuple((n, _disjoint_counts(scene)[expansion])
+                                    for n, scene in enumerate(scenes)
+                                    if expansion in _disjoint_counts(scene))
+        rows = {expansion: window for expansion, window, _ in table}
+        for _ in range(3):
+            lib = nested_fragment_library(rng, list(scenes))
+            nested += any(not dsl.is_base_token(t) for f in lib.fragments for t in f.body)
+            rewritten = [shortest_tokenization(scene, lib) for scene in scenes]
+            chunked = _candidate_windows([p for p, scene in zip(rewritten, scenes) if p != scene], lib)
+            # Every candidate of the scenes and their rewrites is a new expansion
+            # the table holds, at the cheaper of the table's and the rewrites' windows.
+            candidates = _candidate_windows(scenes + tuple(rewritten), lib)
+            for expansion, window in candidates.items():
+                assert expansion in rows and expansion not in lib.expansions()
+                assert window == min(rows[expansion], chunked.get(expansion, rows[expansion]))
+            # A learning round scores exactly those candidates, in sorted order.
+            _, _, round_rows = _round(scenes, lib)
+            assert [(expansion, window) for expansion, window, _ in round_rows] \
+                == sorted(candidates.items())
+    assert nested > 50
 
 
 base_tokens = st.sampled_from(["h", "v", "l1", "l2", "r1", "r2"])
