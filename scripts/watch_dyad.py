@@ -6,8 +6,9 @@ import argparse
 import random
 
 from towertalk.blockworld import Scene, compose_scene, render_ascii, stimulus_towers
+from towertalk.cli import DEFAULT_ALPHA
 from towertalk.dsl import print_program
-from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
+from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
 from towertalk.simulation import generate_trial_sequence, run_dyad
 
@@ -17,7 +18,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0, help="trial sequence seed")
     parser.add_argument("--dyad-seed", type=int, default=0)
     parser.add_argument("--w", type=float, default=1.5)
-    parser.add_argument("--alpha", type=float, default=5.0)
+    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     parser.add_argument("--beta", type=float, default=0.3)
     parser.add_argument("--render", action="store_true",
                         help="also draw target and reconstruction")
@@ -27,7 +28,7 @@ def main():
     sequence = generate_trial_sequence(args.seed)
     trace = run_dyad(sequence, args.w,
                      PragmaticsConfig(alpha=args.alpha, beta=args.beta),
-                     LearningConfig(w=args.w, size_rule=BODY_TOKEN_SUM),
+                     LearningConfig(w=args.w),
                      random.Random(args.dyad_seed), stimuli)
 
     towers = {t.id: t for t in stimuli}

@@ -214,6 +214,13 @@ def strict_int(value: object, name: str) -> int:
     return int(value)
 
 
+def strict_tower_id(value: object, name: str) -> str:
+    """A tower id field of an input file; anything but a string is rejected."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name}: expected a tower id string, got {value!r}")
+    return value
+
+
 def block_from_dict(data: dict) -> BlockPlacement:
     """Inverse of ``BlockPlacement._asdict``; rejects an unknown orientation."""
     block = BlockPlacement(strict_int(data["x"], "x"), strict_int(data["y"], "y"),
@@ -254,8 +261,8 @@ def load_stimuli(path: str) -> tuple[TowerStimulus, ...]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     towers = []
-    for entry in data["towers"]:
-        tower = TowerStimulus(str(entry["id"]),
+    for k, entry in enumerate(data["towers"]):
+        tower = TowerStimulus(strict_tower_id(entry["id"], f"towers[{k}].id"),
                               frozenset(block_from_dict(b) for b in entry["blocks"]))
         validate_stimulus(tower)
         towers.append(tower)

@@ -34,7 +34,7 @@ from .blockworld import (
     render_ascii,
     stimulus_towers,
 )
-from .library_learning import BODY_TOKEN_SUM, PRIMITIVE_COUNT, LearningConfig
+from .library_learning import BODY_TOKEN_SUM, LearningConfig
 from .pragmatics import PragmaticsConfig
 from .simulation import (
     FRAGMENT_LEVELS,
@@ -55,7 +55,6 @@ DEFAULT_BETA = (0.0, 0.3, 0.8)
 DEFAULT_ALPHA = 5.0
 DEFAULT_N_SEQUENCES = 49
 DEFAULT_ITERATIONS = 2
-DEFAULT_SIZE_RULE = BODY_TOKEN_SUM
 
 
 class ConfigError(Exception):
@@ -206,7 +205,7 @@ def _read_sequences(path: str):
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    lcfg = _build_config(LearningConfig, w=args.w, size_rule=args.size_rule)
+    lcfg = _build_config(LearningConfig, w=args.w)
     sequences = _load(_read_sequences, args.sequences)
     stimuli = _stimuli(args.stimuli)
     known = {t.id for t in stimuli}
@@ -229,7 +228,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             "level_proportions": simulation.snapshot_level_proportions(
                 snapshots, len(sequence.trials)),
         })
-    payload = {"w": args.w, "size_rule": args.size_rule, "runs": runs}
+    payload = {"w": args.w, "size_rule": BODY_TOKEN_SUM, "runs": runs}
     _write_outputs({args.out: [_json_text(payload)]})
     return EXIT_OK
 
@@ -242,7 +241,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError("jobs: must be at least 1")
     grid = [(_build_config(PragmaticsConfig, alpha=args.alpha, beta=beta),
-             _build_config(LearningConfig, w=w, size_rule=args.size_rule))
+             _build_config(LearningConfig, w=w))
             for w in args.w for beta in args.beta]
     # A cell's four CSVs are named by its tag: two cells with one tag would overwrite
     # each other, and two equal configs would each aggregate both cells' traces.
@@ -287,7 +286,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs["traces.json"] = _traces_json({
         "master_seed": args.master_seed,
         "alpha": args.alpha,
-        "size_rule": args.size_rule,
+        "size_rule": BODY_TOKEN_SUM,
         "n_sequences": args.n_sequences,
         "iterations": args.iterations,
     }, traces)
@@ -367,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn = sub.add_parser("learn", help="library learning over a sequence file")
     p_learn.add_argument("--sequences", required=True)
     p_learn.add_argument("--w", type=float, required=True)
-    p_learn.add_argument("--size-rule", dest="size_rule", default=DEFAULT_SIZE_RULE,
-                         choices=[PRIMITIVE_COUNT, BODY_TOKEN_SUM])
     p_learn.add_argument("--stimuli", default=None)
     p_learn.add_argument("--out", required=True)
     p_learn.set_defaults(func=cmd_learn)
@@ -383,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--master-seed", dest="master_seed", type=int, default=0)
     p_sim.add_argument("--out-dir", dest="out_dir", default="out")
     p_sim.add_argument("--stimuli", default=None)
-    p_sim.add_argument("--size-rule", dest="size_rule", default=DEFAULT_SIZE_RULE,
-                       choices=[PRIMITIVE_COUNT, BODY_TOKEN_SUM])
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 

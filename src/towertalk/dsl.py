@@ -33,9 +33,6 @@ PLACE_V = "v"
 # The 18 move tokens: a direction and a distance of 1..9 columns.
 _MOVES = frozenset(f"{d}{n}" for d in "lr" for n in range(1, 10))
 
-# h, v, l, r and the digits 1..9.
-BASE_PRIMITIVE_COUNT = 13
-
 
 class ProgramError(ValueError):
     """A malformed token or a program that cannot be executed."""
@@ -110,16 +107,6 @@ class Library:
 
 
 EMPTY_LIBRARY = Library()
-
-
-def make_fragment(fragment_id: str, body: Program, library: Library) -> Fragment:
-    """Build a fragment, inlining its body against the given library."""
-    expansion = inline(tuple(body), library)
-    if count_placements(expansion) == 0:
-        raise ValueError("fragment body places no blocks")
-    if token_length(body) < 2:
-        raise ValueError("fragment body must be at least 2 units long")
-    return Fragment(fragment_id, tuple(body), expansion)
 
 
 def inline(program: Program, library: Library) -> Program:

@@ -4,7 +4,7 @@ After each trial the learner proposes contiguous token windows of the scene
 programs seen so far (re-tokenized under the current library, so chunks can
 nest), scores each candidate extension by an unnormalized log posterior
 
-    score(L) = -w * size(L) - sum_n MDL(scene_n | L)
+    score(L) = -w * sum_f token_length(body_f) - sum_n MDL(scene_n | L)
 
 and adopts the single best strictly-improving fragment, up to
 MAX_FRAGMENTS_PER_TRIAL rounds per trial.
@@ -30,7 +30,6 @@ from . import dsl
 from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus, empty_grid
 from .dsl import EMPTY_LIBRARY, Fragment, Library, Program
 
-PRIMITIVE_COUNT = "primitive_count"
 BODY_TOKEN_SUM = "body_token_sum"
 
 SUB_TOWER = "sub_tower"
@@ -51,29 +50,15 @@ class LearningConfig:
     """Library learning knobs; w is the library size penalty from the prior."""
 
     w: float
-    size_rule: str = PRIMITIVE_COUNT
 
     def __post_init__(self) -> None:
         if not 0 <= self.w < math.inf:
             raise ValueError(f"w must be finite and nonnegative, got {self.w!r}")
-        if self.size_rule not in (PRIMITIVE_COUNT, BODY_TOKEN_SUM):
-            raise ValueError(f"unknown size_rule {self.size_rule!r}")
 
 
 class Adoption(NamedTuple):
     fragment: Fragment
     score_delta: float
-
-
-def library_size(library: Library, size_rule: str) -> int:
-    """Library size for the prior: the base primitives plus each fragment's size cost."""
-    return dsl.BASE_PRIMITIVE_COUNT + sum(
-        fragment_size_cost(f.body, size_rule) for f in library.fragments)
-
-
-def fragment_size_cost(body: Program, size_rule: str) -> int:
-    """One per fragment under primitive_count, its body's length under body_token_sum."""
-    return 1 if size_rule == PRIMITIVE_COUNT else dsl.token_length(body)
 
 
 def _mdl_table(sequence: Program, expansions: Sequence[Program]) -> list[tuple[int, int]]:
@@ -112,15 +97,9 @@ def _mdl_cost(sequence: Program, expansions: tuple[Program, ...]) -> int:
     return _mdl_table(sequence, expansions)[0][0]
 
 
-def mdl(base_sequence: Program, library: Library) -> int:
-    """Length in units of the cheapest program over the library that inlines to base_sequence."""
-    if not all(dsl.is_base_token(t) for t in base_sequence):
-        raise ValueError("mdl expects a base-level sequence")
-    return _mdl_cost(tuple(base_sequence), tuple(sorted(library.expansions())))
-
-
 def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
-    """A witness program for mdl(); deterministic regardless of fragment ordering.
+    """A cheapest program over the library that inlines to base_sequence;
+    deterministic regardless of fragment ordering.
 
     Ties prefer fewer chunk references, then the leftmost-longest match.
     """
@@ -184,12 +163,6 @@ def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Pr
             if expansion not in known:
                 _keep_cheapest(windows, expansion, window)
     return windows
-
-
-def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConfig) -> float:
-    """Unnormalized log posterior: -w * size(L) - sum of scene MDLs."""
-    total = sum(mdl(scene, library) for scene in scenes)
-    return -cfg.w * library_size(library, cfg.size_rule) - total
 
 
 @lru_cache(maxsize=1 << 8)
@@ -289,7 +262,7 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
         best_delta = 0.0
         best: tuple[Program, Program] | None = None
         for expansion, (length, body), present in rows:
-            size_cost = cfg.w * (1 if cfg.size_rule == PRIMITIVE_COUNT else length)
+            size_cost = cfg.w * length
             occurrences = 0
             for n, found in present:  # a plain loop: sum() of a generator is 3x slower here
                 occurrences += counts[n] * found

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from . import dsl
@@ -42,8 +41,8 @@ MAX_CANDIDATES = 4
 class PragmaticsConfig:
     """Speaker optimality (alpha) and cost sensitivity (beta) for the Architect."""
 
-    alpha: float = 5.0
-    beta: float = 0.3
+    alpha: float
+    beta: float
 
     def __post_init__(self) -> None:
         if not self.alpha >= 0:  # also rejects NaN; inf selects the argmax speaker
@@ -239,34 +238,6 @@ def belief_entropy(belief: BeliefState) -> float:
         entropy -= comp.weight * math.log2(comp.weight)
         entropy += comp.weight * math.log2(comp.hypothesis_count())
     return entropy
-
-
-def enumerate_hypotheses(belief: BeliefState,
-                         limit: int = 50000) -> list[tuple[dict[str, str], float]]:
-    """Materialize (lexicon, probability) pairs; refuses absurdly large spaces."""
-    if sum(c.hypothesis_count() for c in belief.components) > limit:
-        raise RuntimeError("hypothesis space too large to enumerate")
-    out: list[tuple[dict[str, str], float]] = []
-    for comp in belief.components:
-        per_hypothesis = comp.weight / comp.hypothesis_count()
-        partials: list[dict[str, str]] = [dict(comp.known)]
-        for words, frags in comp.pools:
-            extended: list[dict[str, str]] = []
-            for assignment in permutations(frags, len(words)):
-                for partial in partials:
-                    lex = dict(partial)
-                    lex.update(zip(words, assignment))
-                    extended.append(lex)
-            partials = extended
-        out.extend((lex, per_hypothesis) for lex in partials)
-    return out
-
-
-def point_mass_lexicon(belief: BeliefState) -> dict[str, str] | None:
-    """The single certain lexicon, if belief has collapsed; otherwise None."""
-    if len(belief.components) == 1 and not belief.components[0].pools:
-        return dict(belief.components[0].known)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,11 @@ from .blockworld import (
     f1_score,
     stimulus_towers,
     strict_int,
+    strict_tower_id,
 )
 from .dsl import Library, Program
 from .library_learning import (
+    BODY_TOKEN_SUM,
     FRAGMENT_LEVELS,
     LearningConfig,
     classify_fragment,
@@ -341,13 +343,6 @@ def fragment_trajectory(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
     return rows
 
 
-def first_adoption_trial(snapshots: Sequence[FragmentSnapshot],
-                         level: str) -> int | None:
-    """Trial at which a fragment of the given level first entered the library."""
-    trials = [s.adopted_trial for s in snapshots if s.level == level]
-    return min(trials) if trials else None
-
-
 def _place_bearing_steps(record: TrialRecord) -> list[StepRecord]:
     return [s for s in record.steps if s.level != "move"]
 
@@ -399,7 +394,7 @@ def accuracy_and_efficiency(traces: Sequence[DyadTrace]) -> list[dict[str, float
 
 def jsd(p: dict[str, float], q: dict[str, float]) -> float:
     """Jensen-Shannon divergence, base 2, over the union vocabulary; in [0, 1]."""
-    vocabulary = set(p) | set(q)
+    vocabulary = sorted(set(p) | set(q))  # a set's order varies with PYTHONHASHSEED
     p_total = sum(p.values())
     q_total = sum(q.values())
     if p_total <= 0 or q_total <= 0:
@@ -455,12 +450,6 @@ def sequence_to_dict(sequence: TrialSequence) -> dict:
     }
 
 
-def _tower_id(value: object, name: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{name}: expected a tower id string, got {value!r}")
-    return value
-
-
 def sequence_from_dict(data: dict) -> TrialSequence:
     """Inverse of sequence_to_dict; rejects a repetition block outside 1..REPETITION_BLOCKS
     and a tower id that is not a string. Whether the towers exist is the caller's check."""
@@ -470,8 +459,8 @@ def sequence_from_dict(data: dict) -> TrialSequence:
         if not 1 <= block <= REPETITION_BLOCKS:
             raise ValueError(f"trials[{k}].repetition_block: expected 1..{REPETITION_BLOCKS}, "
                              f"got {block}")
-        trials.append(TrialSpec(block, _tower_id(t["left"], f"trials[{k}].left"),
-                                _tower_id(t["right"], f"trials[{k}].right")))
+        trials.append(TrialSpec(block, strict_tower_id(t["left"], f"trials[{k}].left"),
+                                strict_tower_id(t["right"], f"trials[{k}].right")))
     return TrialSequence(tuple(trials), strict_int(data["seed"], "seed"))
 
 
@@ -491,7 +480,7 @@ def trace_to_dict(trace: DyadTrace) -> dict:
         "alpha": trace.pragmatics.alpha,
         "beta": trace.pragmatics.beta,
         "w": trace.learning.w,
-        "size_rule": trace.learning.size_rule,
+        "size_rule": BODY_TOKEN_SUM,
         "sequence": sequence_to_dict(trace.sequence),
         "iteration": trace.iteration,
         "dyad_seed": trace.dyad_seed,

@@ -1,7 +1,9 @@
 import pytest
 
 from towertalk.blockworld import Scene, stimulus_towers
-from towertalk.dsl import Library, make_fragment
+from towertalk.dsl import Library
+
+from oracles import make_fragment
 
 
 @pytest.fixture

@@ -1,0 +1,80 @@
+"""Reference functions that only the tests use: building a fragment by hand,
+the learner's posterior score, and readouts of a belief and a library
+trajectory. The program computes none of these; the tests check it against them.
+
+Import with `from oracles import ...`: pytest puts this directory on sys.path.
+"""
+
+from itertools import permutations
+from typing import Sequence
+
+from towertalk import dsl
+from towertalk.dsl import Fragment, Library, Program
+from towertalk.library_learning import LearningConfig, _mdl_cost
+from towertalk.pragmatics import BeliefState
+from towertalk.simulation import FragmentSnapshot
+
+# h, v, l, r and the digits 1..9.
+BASE_PRIMITIVE_COUNT = 13
+
+
+def make_fragment(fragment_id: str, body: Program, library: Library) -> Fragment:
+    """Build a fragment, inlining its body against the given library."""
+    expansion = dsl.inline(tuple(body), library)
+    if dsl.count_placements(expansion) == 0:
+        raise ValueError("fragment body places no blocks")
+    if dsl.token_length(body) < 2:
+        raise ValueError("fragment body must be at least 2 units long")
+    return Fragment(fragment_id, tuple(body), expansion)
+
+
+def mdl(base_sequence: Program, library: Library) -> int:
+    """Length in units of the cheapest program over the library that inlines to base_sequence."""
+    if not all(dsl.is_base_token(t) for t in base_sequence):
+        raise ValueError("mdl expects a base-level sequence")
+    return _mdl_cost(tuple(base_sequence), tuple(sorted(library.expansions())))
+
+
+def library_size(library: Library) -> int:
+    """Library size for the prior: the base primitives plus each fragment's body length."""
+    return BASE_PRIMITIVE_COUNT + sum(dsl.token_length(f.body) for f in library.fragments)
+
+
+def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConfig) -> float:
+    """Unnormalized log posterior: -w * size(L) - sum of scene MDLs."""
+    total = sum(mdl(scene, library) for scene in scenes)
+    return -cfg.w * library_size(library) - total
+
+
+def enumerate_hypotheses(belief: BeliefState,
+                         limit: int = 50000) -> list[tuple[dict[str, str], float]]:
+    """Materialize (lexicon, probability) pairs; refuses absurdly large spaces."""
+    if sum(c.hypothesis_count() for c in belief.components) > limit:
+        raise RuntimeError("hypothesis space too large to enumerate")
+    out: list[tuple[dict[str, str], float]] = []
+    for comp in belief.components:
+        per_hypothesis = comp.weight / comp.hypothesis_count()
+        partials: list[dict[str, str]] = [dict(comp.known)]
+        for words, frags in comp.pools:
+            extended: list[dict[str, str]] = []
+            for assignment in permutations(frags, len(words)):
+                for partial in partials:
+                    lex = dict(partial)
+                    lex.update(zip(words, assignment))
+                    extended.append(lex)
+            partials = extended
+        out.extend((lex, per_hypothesis) for lex in partials)
+    return out
+
+
+def point_mass_lexicon(belief: BeliefState) -> dict[str, str] | None:
+    """The single certain lexicon, if belief has collapsed; otherwise None."""
+    if len(belief.components) == 1 and not belief.components[0].pools:
+        return dict(belief.components[0].known)
+    return None
+
+
+def first_adoption_trial(snapshots: Sequence[FragmentSnapshot], level: str) -> int | None:
+    """Trial at which a fragment of the given level first entered the library."""
+    trials = [s.adopted_trial for s in snapshots if s.level == level]
+    return min(trials) if trials else None

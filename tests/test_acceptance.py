@@ -23,9 +23,8 @@ from towertalk.dsl import (
     Library,
     execute,
     inline,
-    make_fragment,
 )
-from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, mdl
+from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import (
     BuilderState,
     PragmaticsConfig,
@@ -34,20 +33,20 @@ from towertalk.pragmatics import (
     builder_interpret,
     extend_hypotheses,
     initial_belief,
-    point_mass_lexicon,
     update_belief,
 )
 from towertalk.simulation import (
     REPETITION_BLOCKS,
     TOWER_PAIRS,
     abstraction_proportions,
-    first_adoption_trial,
     generate_sequences,
     generate_trial_sequence,
     jsd,
     run_experiment,
     library_trajectory,
 )
+
+from oracles import first_adoption_trial, make_fragment, mdl, point_mass_lexicon
 
 NO_ADOPTION_SENTINEL = 13  # one past the final trial
 
@@ -168,7 +167,7 @@ def test_criterion_3_fragment_trajectories():
     first_tower = {}
     precedence_ok = True
     for w in (1.5, 3.2, 9.6):
-        lcfg = LearningConfig(w=w, size_rule=BODY_TOKEN_SUM)
+        lcfg = LearningConfig(w=w)
         firsts = []
         for sequence in sequences:
             snapshots = [s for trial in library_trajectory(sequence, lcfg, towers)
@@ -202,7 +201,7 @@ def test_criterion_4_production_preferences():
     shares = {}
     for beta in (0.0, 0.3, 0.8):
         configs = [(PragmaticsConfig(alpha=5.0, beta=beta),
-                    LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM))]
+                    LearningConfig(w=1.5))]
         traces = run_experiment(configs, stimulus_towers(), n_sequences=49, iterations=2,
                                 master_seed=0)
         assert len(traces) == 98

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk import cli, simulation
-from towertalk.cli import DEFAULT_ALPHA, DEFAULT_SIZE_RULE, main
+from towertalk.cli import DEFAULT_ALPHA, main
+from towertalk.library_learning import BODY_TOKEN_SUM
 from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
@@ -134,7 +135,7 @@ def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, b
                    "--iterations", str(iterations), "--master-seed", "4",
                    "--out-dir", str(out_dir)) == 0
     assert len(traces) == n_traces
-    payload = {"master_seed": 4, "alpha": DEFAULT_ALPHA, "size_rule": DEFAULT_SIZE_RULE,
+    payload = {"master_seed": 4, "alpha": DEFAULT_ALPHA, "size_rule": BODY_TOKEN_SUM,
                "n_sequences": n_sequences, "iterations": iterations,
                "traces": [simulation.trace_to_dict(t) for t in traces]}
     # The file is written as the head, then each trace's own text: that equals
@@ -365,6 +366,27 @@ def test_learn_rejects_stimuli_file_without_towers(tmp_path, capsys):
                    "--w", "1.5", "--out", str(out)) == 2
     assert not out.exists()
     assert str(stimuli) in capsys.readouterr().err
+
+
+def test_learn_rejects_stimuli_tower_ids_that_are_not_strings(tmp_path, capsys):
+    # Sequences naming the towers "None", "5" and "['C']", which is what
+    # str() would make of the ids null, 5 and ["C"]: only a strict reader refuses them.
+    names = {"A": "None", "B": "5", "C": "['C']"}
+    sequences = tmp_path / "seqs.json"
+    data = _gen_seq(sequences)
+    for trial in data["sequences"][0]["trials"]:
+        trial["left"], trial["right"] = names[trial["left"]], names[trial["right"]]
+    sequences.write_text(json.dumps(data))
+    stimuli = tmp_path / "stimuli.json"
+    stimuli.write_text(json.dumps({"towers": [
+        {"id": tower_id, "blocks": [b._asdict() for b in tower.blocks]}
+        for tower_id, tower in zip([None, 5, ["C"]], stimulus_towers())]}))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--stimuli", str(stimuli),
+                   "--w", "1.5", "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"error: {stimuli}: TypeError: towers[0].id: "
+                                       "expected a tower id string, got None\n")
 
 
 def test_render_rejects_scene_file_without_blocks(tmp_path, capsys):

@@ -22,12 +22,14 @@ from towertalk.dsl import (
     execute,
     inline,
     is_move,
-    make_fragment,
     moves_between,
     print_program,
     token_cost,
     token_length,
 )
+
+from oracles import make_fragment
+
 
 def reference_expand(program, library):
     """Independent recursive expander used as the inlining oracle."""

@@ -14,13 +14,10 @@ from towertalk.dsl import (
     Library,
     count_placements,
     inline,
-    make_fragment,
     token_length,
 )
 from towertalk.library_learning import (
-    BODY_TOKEN_SUM,
     OTHER,
-    PRIMITIVE_COUNT,
     SCENE,
     SUB_TOWER,
     TOWER,
@@ -33,15 +30,13 @@ from towertalk.library_learning import (
     _round,
     _scene_table,
     classify_fragment,
-    fragment_size_cost,
-    library_score,
-    library_size,
-    mdl,
     shortest_tokenization,
     update_library_with_log,
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
+
+from oracles import library_score, library_size, make_fragment, mdl
 
 
 def brute_force_mdl(sequence, expansions):
@@ -95,16 +90,13 @@ def random_fragment_library(rng, max_fragments=3):
 
 def test_library_size_rules():
     lib = Library()
-    assert library_size(lib, PRIMITIVE_COUNT) == 13
-    assert library_size(lib, BODY_TOKEN_SUM) == 13
+    assert library_size(lib) == 13
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "r2", "h"), lib))
-    assert library_size(lib, PRIMITIVE_COUNT) == 14
-    assert library_size(lib, BODY_TOKEN_SUM) == 17
-    # Adopting a fragment grows the size by exactly its size cost, under both rules.
+    assert library_size(lib) == 17
+    # Adopting a fragment grows the size by exactly its body's token length,
+    # counting a chunk reference in the body as one unit.
     fragment = make_fragment("chunk2", ("chunk1", "l1", "v"), lib)
-    for rule in (PRIMITIVE_COUNT, BODY_TOKEN_SUM):
-        grown = library_size(lib.with_fragment(fragment), rule) - library_size(lib, rule)
-        assert grown == fragment_size_cost(fragment.body, rule)
+    assert library_size(lib.with_fragment(fragment)) - library_size(lib) == 4
 
 
 def test_propose_single_place_yields_nothing():
@@ -235,7 +227,7 @@ def test_library_score_unused_fragment_costs_w():
     base_score = library_score(EMPTY_LIBRARY, scenes, cfg)
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
-    assert library_score(lib, scenes, cfg) == pytest.approx(base_score - 1.5)
+    assert library_score(lib, scenes, cfg) == pytest.approx(base_score - 1.5 * 2)
 
 
 def test_library_score_zero_w_rewards_any_compression():
@@ -247,7 +239,7 @@ def test_library_score_zero_w_rewards_any_compression():
 
 
 def test_update_library_huge_w_never_grows(towers_by_id):
-    cfg = LearningConfig(w=1e6, size_rule=BODY_TOKEN_SUM)
+    cfg = LearningConfig(w=1e6)
     scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")] * 4]
     lib = EMPTY_LIBRARY
@@ -265,7 +257,7 @@ def test_update_library_zero_w_adopts_whole_scene_on_duplicates():
 
 
 def test_update_library_adoption_requires_strict_improvement():
-    cfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
+    cfg = LearningConfig(w=1.5)
     scene = ("v", "r1", "h")
     lib, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene], cfg)
     # single occurrence of a 4-unit window saves 3 < 1.5 * 4
@@ -274,7 +266,7 @@ def test_update_library_adoption_requires_strict_improvement():
 
 
 def test_update_library_posterior_tradeoff(towers_by_id):
-    cfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
+    cfg = LearningConfig(w=1.5)
     scenes = []
     lib = EMPTY_LIBRARY
     for a, b in [("A", "B"), ("B", "C"), ("A", "C"), ("C", "B")]:
@@ -289,7 +281,7 @@ def test_update_library_posterior_tradeoff(towers_by_id):
 
 
 def test_update_library_deterministic(towers_by_id):
-    cfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
+    cfg = LearningConfig(w=1.5)
     scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")]]
     first = update_library_with_log(EMPTY_LIBRARY, scenes, cfg)[0]
@@ -337,8 +329,6 @@ def test_learning_config_validation():
     for w in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             LearningConfig(w=w)
-    with pytest.raises(ValueError):
-        LearningConfig(w=1.0, size_rule="nonsense")
 
 
 def learner_caches():
@@ -454,8 +444,7 @@ def learner_states(draw):
             library = library.with_fragment(fragment)
     pool = draw(st.lists(base_programs, min_size=1, max_size=3))
     observed = draw(st.lists(st.sampled_from(pool), max_size=6))
-    cfg = LearningConfig(w=draw(st.sampled_from([0.0, 0.5, 1.5, 3.2])),
-                         size_rule=draw(st.sampled_from([PRIMITIVE_COUNT, BODY_TOKEN_SUM])))
+    cfg = LearningConfig(w=draw(st.sampled_from([0.0, 0.5, 1.5, 3.2])))
     return library, observed, draw(st.permutations(observed)), cfg
 
 
@@ -496,7 +485,7 @@ def dense_update_library(library, observed, cfg):
         best_delta, best = 0.0, None
         for expansion in sorted(windows):
             length, body = windows[expansion]
-            size_cost = cfg.w * fragment_size_cost(body, cfg.size_rule)
+            size_cost = cfg.w * token_length(body)
             occurrences = sum(greedy_count(expansion, seq) for seq in observed)
             if occurrences * (length - 1) <= size_cost:
                 continue

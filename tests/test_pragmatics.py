@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from towertalk.blockworld import BlockPlacement, VERTICAL, empty_grid
-from towertalk.dsl import Library, make_fragment, token_length
+from towertalk.dsl import Library, token_length
 from towertalk.pragmatics import (
     BuilderState,
     PragmaticsConfig,
@@ -15,18 +15,18 @@ from towertalk.pragmatics import (
     builder_execute_token,
     builder_interpret,
     candidate_programs,
-    enumerate_hypotheses,
     execute_lenient,
     extend_hypotheses,
     initial_belief,
     joint_utility,
     marginal_listener,
-    point_mass_lexicon,
     synthetic_word,
     update_belief,
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
+
+from oracles import enumerate_hypotheses, make_fragment, point_mass_lexicon
 
 
 def uniform_two_chunk_belief():
@@ -215,14 +215,14 @@ def test_joint_utility_beta_one_is_negative_length():
 
 
 def test_joint_utility_misaligned_lengths_raises():
-    cfg = PragmaticsConfig()
+    cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
     with pytest.raises(ValueError):
         joint_utility(("v", "v"), ("v",), initial_belief(), cfg)
 
 
 def test_joint_utility_minus_infinity_on_zero_marginal():
     belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
-    cfg = PragmaticsConfig()
+    cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
     # chunkA certainly means chunk1, so it cannot convey chunk2
     belief = extend_hypotheses(belief, [("chunkB", "chunk2")])
     utility = joint_utility(("chunk2",), ("chunkA",), belief, cfg)
@@ -358,9 +358,9 @@ def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
 
 def test_pragmatics_config_validation():
     with pytest.raises(ValueError):
-        PragmaticsConfig(alpha=-1.0)
+        PragmaticsConfig(alpha=-1.0, beta=0.3)
     with pytest.raises(ValueError):
-        PragmaticsConfig(alpha=math.nan)
+        PragmaticsConfig(alpha=math.nan, beta=0.3)
     with pytest.raises(ValueError):
-        PragmaticsConfig(beta=1.5)
-    assert PragmaticsConfig(alpha=math.inf).alpha == math.inf
+        PragmaticsConfig(alpha=5.0, beta=1.5)
+    assert PragmaticsConfig(alpha=math.inf, beta=0.3).alpha == math.inf

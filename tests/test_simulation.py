@@ -1,5 +1,9 @@
 import concurrent.futures
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from towertalk import simulation
 from towertalk.blockworld import TowerStimulus, compose_scene, stimulus_towers
 from towertalk.dsl import canonical_program, is_place, token_length
-from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
+from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
 from towertalk.simulation import (
     REPETITION_BLOCKS,
@@ -18,7 +22,6 @@ from towertalk.simulation import (
     abstraction_proportions,
     accuracy_and_efficiency,
     fragment_trajectory,
-    first_adoption_trial,
     generate_trial_sequence,
     jsd,
     mean_pairwise_jsd,
@@ -31,6 +34,8 @@ from towertalk.simulation import (
     trace_to_dict,
     word_distribution,
 )
+
+from oracles import first_adoption_trial
 
 TOWERS = stimulus_towers()
 
@@ -71,11 +76,11 @@ def test_sequence_dict_round_trip():
     assert sequence_from_dict(sequence_to_dict(sequence)) == sequence
 
 
-def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3, size_rule=BODY_TOKEN_SUM):
+def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3):
     return run_dyad(
         generate_trial_sequence(seq_seed), w,
         PragmaticsConfig(alpha=5.0, beta=beta),
-        LearningConfig(w=w, size_rule=size_rule),
+        LearningConfig(w=w),
         random.Random(dyad_seed), TOWERS)
 
 
@@ -108,7 +113,7 @@ def test_run_dyad_distinct_seeds_differ():
 
 def test_run_experiment_shape_and_determinism():
     configs = [(PragmaticsConfig(alpha=5.0, beta=0.3),
-                LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM))]
+                LearningConfig(w=1.5))]
     first = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=9)
     second = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=9)
     assert len(first) == 4
@@ -117,7 +122,7 @@ def test_run_experiment_shape_and_determinism():
 
 def test_run_experiment_parallel_matches_serial():
     configs = [(PragmaticsConfig(alpha=5.0, beta=0.8),
-                LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM))]
+                LearningConfig(w=1.5))]
     serial = run_experiment(configs, TOWERS, n_sequences=2, iterations=1,
                             master_seed=4, jobs=1)
     parallel = run_experiment(configs, TOWERS, n_sequences=2, iterations=1,
@@ -216,7 +221,7 @@ def test_run_experiment_maps_whole_groups(monkeypatch):
 def test_library_trajectory_cache_keys_on_towers_and_config():
     """A cached trajectory is never served for other towers or another config."""
     sequence = generate_trial_sequence(8)
-    lcfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
+    lcfg = LearningConfig(w=1.5)
     rotated = tuple(TowerStimulus(t.id, other.blocks)
                     for t, other in zip(TOWERS, TOWERS[1:] + TOWERS[:1]))
     default = library_trajectory(sequence, lcfg, TOWERS)
@@ -321,6 +326,32 @@ def test_jsd_rejects_zero_mass():
         jsd({}, {"a": 1.0})
 
 
+def test_mean_pairwise_jsd_does_not_depend_on_string_hashing():
+    """The same traces, and the same two distributions, give the same float under
+    every PYTHONHASHSEED."""
+    script = textwrap.dedent("""\
+        from towertalk.blockworld import stimulus_towers
+        from towertalk.library_learning import LearningConfig
+        from towertalk.pragmatics import PragmaticsConfig
+        from towertalk.simulation import jsd, mean_pairwise_jsd, run_experiment
+        configs = [(PragmaticsConfig(alpha=5.0, beta=b), LearningConfig(w=1.5))
+                   for b in (0.3, 0.8)]
+        traces = run_experiment(configs, stimulus_towers(), n_sequences=4, iterations=2,
+                                master_seed=0)
+        print(repr(mean_pairwise_jsd(traces, 3)))
+        p = {f"w{i}": 1.0 + i % 7 for i in range(40)}
+        q = {f"w{i}": 1.0 + i % 5 for i in range(20, 60)}
+        print(repr(jsd(p, q)))
+        """)
+    src = os.path.dirname(os.path.dirname(simulation.__file__))
+    values = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        values.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    assert len(values) == 1, values
+
+
 def test_word_distribution_and_pairwise_jsd():
     traces = [_run(seq_seed=s, dyad_seed=7 + s) for s in range(2)]
     dist = word_distribution(traces[0], 1)
@@ -333,7 +364,7 @@ def test_word_distribution_and_pairwise_jsd():
 def test_library_trajectory_matches_dyad_learning():
     """Library growth depends only on the observed scenes, not on communication."""
     sequence = generate_trial_sequence(8)
-    lcfg = LearningConfig(w=1.5, size_rule=BODY_TOKEN_SUM)
+    lcfg = LearningConfig(w=1.5)
     learned = library_trajectory(sequence, lcfg, TOWERS)
     # Each trial carries its target's base program, which the Architect encodes.
     for trial in learned:
