@@ -122,18 +122,18 @@ def _traces_json(head: dict, traces: list) -> Iterator[str]:
     """The text of `_json_text({**head, "traces": [...]})`, one dyad at a time.
 
     "traces" sorts after every key of `head`, so that text is the head's own,
-    with each trace's text, indented two more levels, inside the last brackets.
-    Only one trace's text is held at a time.
+    with each trace's text, which `simulation.trace_json` writes at that depth,
+    inside the last brackets. Only one trace's text is held at a time.
     """
     text = _json_text({**head, "traces": []})
     if not traces:
         yield text
         return
     yield text.rsplit("[]", 1)[0] + "["
+    memo: dict = {}
     separator = "\n    "
     for trace in traces:
-        encoded = _json_text(simulation.trace_to_dict(trace))[:-1]
-        yield separator + encoded.replace("\n", "\n    ")
+        yield separator + simulation.trace_json(trace, memo)
         separator = ",\n    "
     yield "\n  ]\n}\n"
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import dsl
@@ -243,14 +244,16 @@ def belief_entropy(belief: BeliefState) -> float:
 # ---------------------------------------------------------------------------
 # Architect: candidate programs, utilities, utterance choice
 
-def candidate_programs(base: Program, library: Library) -> list[Program]:
+@lru_cache(maxsize=1 << 10)
+def candidate_programs(base: Program, library: Library) -> tuple[Program, ...]:
     """1..MAX_CANDIDATES distinct encodings of a scene, shortest first.
 
     `base` is the scene's base-level canonical program. The pool is that
     program, its shortest tokenization under the full library, and its
     shortest tokenization under each single-fragment sublibrary; the base
     program always survives truncation so the Architect is never without a
-    safe option.
+    safe option. The encodings read neither the belief nor the RNG, so the
+    dyads that share a library trajectory share them through the cache.
     """
     pool = {base}
     if library.fragments:
@@ -261,7 +264,7 @@ def candidate_programs(base: Program, library: Library) -> list[Program]:
     chosen = ordered[:MAX_CANDIDATES]
     if base not in chosen:
         chosen[-1] = base
-    return chosen
+    return tuple(chosen)
 
 
 def best_utterance(program: Program, belief: BeliefState) -> tuple[str, ...]:

@@ -10,8 +10,10 @@ library from the scenes observed so far.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -423,18 +425,23 @@ def word_distribution(trace: DyadTrace, repetition_block: int) -> dict[str, floa
 
 
 def mean_pairwise_jsd(traces: Sequence[DyadTrace], repetition_block: int) -> float:
-    """Mean JSD between the word distributions of all dyad pairs in a block."""
-    distributions = [word_distribution(t, repetition_block) for t in traces]
-    distributions = [d for d in distributions if d]
-    if len(distributions) < 2:
+    """Mean JSD between the word distributions of all dyad pairs in a block.
+
+    Each distinct distribution is scored once against each other: a pair of
+    them counts once per pair of dyads holding them, in sorted order, and two
+    dyads with the same distribution add nothing.
+    """
+    counts = Counter(tuple(sorted(d.items()))
+                     for d in (word_distribution(t, repetition_block) for t in traces) if d)
+    n = sum(counts.values())
+    if n < 2:
         return 0.0
+    keys = sorted(counts)
+    distributions = [dict(key) for key in keys]
     total = 0.0
-    count = 0
-    for i in range(len(distributions)):
-        for j in range(i + 1, len(distributions)):
-            total += jsd(distributions[i], distributions[j])
-            count += 1
-    return total / count
+    for i, j in combinations(range(len(keys)), 2):
+        total += counts[keys[i]] * counts[keys[j]] * jsd(distributions[i], distributions[j])
+    return total / (n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,36 +482,117 @@ def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:
     }
 
 
+# traces.json holds each trace two levels deep, in its payload's "traces" list.
+# The encoder below writes a trace's text at that depth directly: an object or
+# array at depth d closes on a line indented 2d spaces, and its members sit one
+# level deeper. Every key is written in sorted order, as json.dumps(...,
+# sort_keys=True) would.
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_TRACE_DEPTH = 2
+_LINE = tuple("\n" + "  " * depth for depth in range(8))
+_SEPARATOR = tuple("," + line for line in _LINE)
+
+
+def _template(depth: int, keys: tuple[str, ...]) -> str:
+    """A %-format string for a JSON object at `depth`; `keys` must be sorted."""
+    return "{" + ",".join(f'{_LINE[depth + 1]}"{key}": %s' for key in keys) + _LINE[depth] + "}"
+
+
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of already-encoded items, at `depth`."""
+    if not items:
+        return "[]"
+    return "[" + _LINE[depth + 1] + _SEPARATOR[depth + 1].join(items) + _LINE[depth] + "]"
+
+
+def _nested(data, depth: int) -> str:
+    """json.dumps(data, indent=2, sort_keys=True) for a value at `depth`."""
+    return json.dumps(data, indent=2, sort_keys=True).replace("\n", _LINE[depth])
+
+
+def _number(value) -> str:
+    """A number as json writes it; for a float that is float.__repr__, or
+    Infinity, -Infinity or NaN."""
+    if value.__class__ is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    return json.dumps(value)  # an int, or a config value of another type
+
+
+_TRACE = _template(_TRACE_DEPTH, (
+    "alpha", "beta", "dyad_seed", "final_belief_entropy", "iteration", "sequence",
+    "size_rule", "trials", "w"))
+_TRIAL = _template(_TRACE_DEPTH + 2, (
+    "anomalies", "belief_entropy", "builder_placements", "f1", "left", "library",
+    "program", "repetition_block", "right", "steps", "tokens_sent", "trial", "utterance"))
+_PLACEMENT = _template(_TRACE_DEPTH + 4, ("orientation", "x", "y"))
+_STEP = _template(_TRACE_DEPTH + 4, ("level", "placements", "token", "word"))
+
+
+def trace_json(trace: DyadTrace, memo: dict | None = None) -> str:
+    """A trace's JSON text as json.dumps(..., indent=2, sort_keys=True) writes
+    it in the "traces" list of traces.json: every line after the first is
+    indented 4 more spaces than at the top level.
+
+    `memo` maps each sequence, placement and fragment snapshot already
+    written to its text. Pass one dict to every call of a run: the dyads of a
+    group, and each trial's library, repeat the same ones. Equal values share
+    a text, so a snapshot whose score_delta is 2 and one whose is 2.0 must not
+    meet in one memo; the traces of one run never hold both.
+    """
+    if memo is None:
+        memo = {}
+    trial_depth = _TRACE_DEPTH + 2
+    trials = []
+    for r in trace.records:
+        placements = []
+        for block in r.builder_placements:
+            text = memo.get(block)
+            if text is None:
+                text = memo[block] = _PLACEMENT % (
+                    _ENCODE_STR(block.orientation), int.__repr__(block.x),
+                    int.__repr__(block.y))
+            placements.append(text)
+        library = []
+        for snapshot in r.library:
+            text = memo.get(snapshot)
+            if text is None:
+                text = memo[snapshot] = _nested(snapshot_to_dict(snapshot), trial_depth + 2)
+            library.append(text)
+        steps = [_STEP % (_ENCODE_STR(s.level), int.__repr__(s.placements),
+                          _ENCODE_STR(s.token), _ENCODE_STR(s.word))
+                 for s in r.steps]
+        trials.append(_TRIAL % (
+            int.__repr__(r.anomalies),
+            _number(round(r.belief_entropy, 9)),
+            _array(placements, trial_depth + 1),
+            _number(round(r.f1, 9)),
+            _ENCODE_STR(r.spec.left),
+            _array(library, trial_depth + 1),
+            _ENCODE_STR(dsl.print_program(r.program)),
+            int.__repr__(r.spec.repetition_block),
+            _ENCODE_STR(r.spec.right),
+            _array(steps, trial_depth + 1),
+            int.__repr__(r.tokens_sent),
+            int.__repr__(r.index),
+            _array([_ENCODE_STR(word) for word in r.utterance], trial_depth + 1)))
+    sequence = memo.get(trace.sequence)
+    if sequence is None:
+        sequence = memo[trace.sequence] = _nested(sequence_to_dict(trace.sequence),
+                                                  _TRACE_DEPTH + 1)
+    return _TRACE % (
+        _number(trace.pragmatics.alpha),
+        _number(trace.pragmatics.beta),
+        int.__repr__(trace.dyad_seed),
+        _number(round(trace.final_belief_entropy, 9)),
+        int.__repr__(trace.iteration),
+        sequence,
+        _ENCODE_STR(BODY_TOKEN_SUM),
+        _array(trials, _TRACE_DEPTH + 1),
+        _number(trace.learning.w))
+
+
 def trace_to_dict(trace: DyadTrace) -> dict:
-    return {
-        "alpha": trace.pragmatics.alpha,
-        "beta": trace.pragmatics.beta,
-        "w": trace.learning.w,
-        "size_rule": BODY_TOKEN_SUM,
-        "sequence": sequence_to_dict(trace.sequence),
-        "iteration": trace.iteration,
-        "dyad_seed": trace.dyad_seed,
-        "final_belief_entropy": round(trace.final_belief_entropy, 9),
-        "trials": [
-            {
-                "trial": r.index,
-                "repetition_block": r.spec.repetition_block,
-                "left": r.spec.left,
-                "right": r.spec.right,
-                "program": dsl.print_program(r.program),
-                "utterance": list(r.utterance),
-                "builder_placements": [b._asdict() for b in r.builder_placements],
-                "f1": round(r.f1, 9),
-                "tokens_sent": r.tokens_sent,
-                "steps": [
-                    {"token": s.token, "word": s.word, "level": s.level,
-                     "placements": s.placements}
-                    for s in r.steps
-                ],
-                "library": [snapshot_to_dict(s) for s in r.library],
-                "belief_entropy": round(r.belief_entropy, 9),
-                "anomalies": r.anomalies,
-            }
-            for r in trace.records
-        ],
-    }
+    """A trace as the data traces.json holds for it."""
+    return json.loads(trace_json(trace))

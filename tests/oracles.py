@@ -1,6 +1,7 @@
 """Reference functions that only the tests use: building a fragment by hand,
-the learner's posterior score, and readouts of a belief and a library
-trajectory. The program computes none of these; the tests check it against them.
+the learner's posterior score, readouts of a belief and a library trajectory,
+and a trace's data as plain dicts and lists. The program computes none of
+these; the tests check it against them.
 
 Import with `from oracles import ...`: pytest puts this directory on sys.path.
 """
@@ -10,9 +11,10 @@ from typing import Sequence
 
 from towertalk import dsl
 from towertalk.dsl import Fragment, Library, Program
-from towertalk.library_learning import LearningConfig, _mdl_cost
+from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost
 from towertalk.pragmatics import BeliefState
-from towertalk.simulation import FragmentSnapshot
+from towertalk.simulation import (DyadTrace, FragmentSnapshot, sequence_to_dict,
+                                  snapshot_to_dict)
 
 # h, v, l, r and the digits 1..9.
 BASE_PRIMITIVE_COUNT = 13
@@ -78,3 +80,40 @@ def first_adoption_trial(snapshots: Sequence[FragmentSnapshot], level: str) -> i
     """Trial at which a fragment of the given level first entered the library."""
     trials = [s.adopted_trial for s in snapshots if s.level == level]
     return min(trials) if trials else None
+
+
+def trace_to_dict(trace: DyadTrace) -> dict:
+    """A trace's data, built field by field; json.dumps(..., indent=2,
+    sort_keys=True) of it is the text traces.json must hold for the trace."""
+    return {
+        "alpha": trace.pragmatics.alpha,
+        "beta": trace.pragmatics.beta,
+        "w": trace.learning.w,
+        "size_rule": BODY_TOKEN_SUM,
+        "sequence": sequence_to_dict(trace.sequence),
+        "iteration": trace.iteration,
+        "dyad_seed": trace.dyad_seed,
+        "final_belief_entropy": round(trace.final_belief_entropy, 9),
+        "trials": [
+            {
+                "trial": r.index,
+                "repetition_block": r.spec.repetition_block,
+                "left": r.spec.left,
+                "right": r.spec.right,
+                "program": dsl.print_program(r.program),
+                "utterance": list(r.utterance),
+                "builder_placements": [b._asdict() for b in r.builder_placements],
+                "f1": round(r.f1, 9),
+                "tokens_sent": r.tokens_sent,
+                "steps": [
+                    {"token": s.token, "word": s.word, "level": s.level,
+                     "placements": s.placements}
+                    for s in r.steps
+                ],
+                "library": [snapshot_to_dict(s) for s in r.library],
+                "belief_entropy": round(r.belief_entropy, 9),
+                "anomalies": r.anomalies,
+            }
+            for r in trace.records
+        ],
+    }

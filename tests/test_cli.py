@@ -20,6 +20,8 @@ from towertalk.blockworld import (
     stimulus_towers,
 )
 
+from oracles import trace_to_dict
+
 
 def run_cli(*args):
     return main(list(args))
@@ -115,13 +117,16 @@ def test_simulate_smoke_and_outputs(tmp_path):
     assert len(traces["traces"][0]["trials"]) == 12
 
 
-@pytest.mark.parametrize("w, beta, n_sequences, iterations, n_traces", [
-    (["1.5"], ["0.3"], 0, 1, 0),
-    (["1.5"], ["0.3"], 1, 0, 0),
-    (["1.5"], ["0.3"], 1, 1, 1),
-    (["1.5", "3.2"], ["0", "0.8"], 1, 1, 4),
-], ids=["no-sequences", "no-iterations", "one-trace", "two-by-two"])
-def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, beta,
+@pytest.mark.parametrize("w, beta, alpha, n_sequences, iterations, n_traces", [
+    (["1.5"], ["0.3"], DEFAULT_ALPHA, 0, 1, 0),
+    (["1.5"], ["0.3"], DEFAULT_ALPHA, 1, 0, 0),
+    (["1.5"], ["0.3"], DEFAULT_ALPHA, 1, 1, 1),
+    (["1.5", "3.2"], ["0", "0.8"], DEFAULT_ALPHA, 1, 1, 4),
+    (["1.5"], ["0.3"], float("inf"), 1, 1, 1),
+    (["1.5"], ["-0.0"], DEFAULT_ALPHA, 1, 1, 1),
+], ids=["no-sequences", "no-iterations", "one-trace", "two-by-two", "alpha-inf",
+        "beta-negative-zero"])
+def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, beta, alpha,
                                                      n_sequences, iterations, n_traces):
     traces = []
     run_experiment = simulation.run_experiment
@@ -131,13 +136,13 @@ def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, b
         return traces
     monkeypatch.setattr(simulation, "run_experiment", recording)
     out_dir = tmp_path / "out"
-    assert run_cli("simulate", "--w", *w, "--beta", *beta, "--n-sequences", str(n_sequences),
-                   "--iterations", str(iterations), "--master-seed", "4",
-                   "--out-dir", str(out_dir)) == 0
+    assert run_cli("simulate", "--w", *w, "--beta", *beta, "--alpha", str(alpha),
+                   "--n-sequences", str(n_sequences), "--iterations", str(iterations),
+                   "--master-seed", "4", "--out-dir", str(out_dir)) == 0
     assert len(traces) == n_traces
-    payload = {"master_seed": 4, "alpha": DEFAULT_ALPHA, "size_rule": BODY_TOKEN_SUM,
+    payload = {"master_seed": 4, "alpha": alpha, "size_rule": BODY_TOKEN_SUM,
                "n_sequences": n_sequences, "iterations": iterations,
-               "traces": [simulation.trace_to_dict(t) for t in traces]}
+               "traces": [trace_to_dict(t) for t in traces]}
     # The file is written as the head, then each trace's own text: that equals
     # the whole payload's encoding only while "traces" sorts last.
     assert sorted(payload)[-1] == "traces"

@@ -158,7 +158,7 @@ def test_belief_entropy_decreases_under_updates(two_fragment_library):
 def test_candidate_programs_base_only_library(towers_by_id):
     scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
     candidates = candidate_programs(canonical_program(scene), Library())
-    assert candidates == [canonical_program(scene)]
+    assert candidates == (canonical_program(scene),)
 
 
 def test_candidate_programs_include_chunk_pair(towers_by_id, tower_scene):

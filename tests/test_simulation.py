@@ -1,17 +1,20 @@
 import concurrent.futures
+import json
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
-from towertalk.blockworld import TowerStimulus, compose_scene, stimulus_towers
+from towertalk.blockworld import BlockPlacement, TowerStimulus, compose_scene, stimulus_towers
 from towertalk.dsl import canonical_program, is_place, token_length
 from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
@@ -19,6 +22,12 @@ from towertalk.simulation import (
     REPETITION_BLOCKS,
     TOWER_PAIRS,
     TRIALS_PER_SEQUENCE,
+    DyadTrace,
+    FragmentSnapshot,
+    StepRecord,
+    TrialRecord,
+    TrialSequence,
+    TrialSpec,
     abstraction_proportions,
     accuracy_and_efficiency,
     fragment_trajectory,
@@ -31,10 +40,12 @@ from towertalk.simulation import (
     sequence_from_dict,
     sequence_to_dict,
     snapshot_level_proportions,
+    trace_json,
     trace_to_dict,
     word_distribution,
 )
 
+import oracles
 from oracles import first_adoption_trial
 
 TOWERS = stimulus_towers()
@@ -352,6 +363,34 @@ def test_mean_pairwise_jsd_does_not_depend_on_string_hashing():
     assert len(values) == 1, values
 
 
+def test_mean_pairwise_jsd_matches_every_pair_summed_exactly():
+    """Scoring each distinct distribution once gives the mean over every dyad pair."""
+    traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=3, iterations=2, master_seed=0)
+    repeated = 0
+    for block in range(1, REPETITION_BLOCKS + 1):
+        distributions = [d for d in (word_distribution(t, block) for t in traces) if d]
+        pairs = [jsd(p, q) for p, q in combinations(distributions, 2)]
+        assert mean_pairwise_jsd(traces, block) == pytest.approx(
+            math.fsum(pairs) / len(pairs), rel=0, abs=1e-12)
+        repeated += len(distributions) - len({tuple(sorted(d.items())) for d in distributions})
+    assert repeated > 0  # dyads that share a distribution are grouped
+
+
+def test_jsd_csvs_do_not_depend_on_string_hashing(tmp_path):
+    src = os.path.dirname(os.path.dirname(simulation.__file__))
+    written = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "towertalk", "simulate", "--w", "1.5",
+                        "--beta", "0.3", "0.8", "--n-sequences", "4", "--iterations", "2",
+                        "--master-seed", "0", "--out-dir", str(out_dir)],
+                       env=env, check=True, capture_output=True)
+        written.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("jsd_*.csv"))})
+    assert len(written[0]) == 2
+    assert written[0] == written[1]
+
+
 def test_word_distribution_and_pairwise_jsd():
     traces = [_run(seq_seed=s, dyad_seed=7 + s) for s in range(2)]
     dist = word_distribution(traces[0], 1)
@@ -386,3 +425,47 @@ def test_belief_entropy_non_increasing_between_extensions():
         if not grew and record.anomalies == 0:
             assert record.belief_entropy <= previous + 1e-9
         previous = record.belief_entropy
+
+
+def _oracle_text(trace):
+    """The oracle's encoding of a trace, at the depth traces.json holds it."""
+    text = json.dumps(oracles.trace_to_dict(trace), indent=2, sort_keys=True)
+    return text.replace("\n", "\n    ")
+
+
+def test_trace_json_writes_int_configs_as_ints():
+    """Configs built in code may hold ints; json writes 2, not 2.0, and so must the encoder."""
+    trace = run_dyad(generate_trial_sequence(3), 2, PragmaticsConfig(alpha=5, beta=0),
+                     LearningConfig(w=2), random.Random(70), TOWERS)
+    text = trace_json(trace)
+    assert text == _oracle_text(trace)
+    assert '"alpha": 5,' in text and '"beta": 0,' in text and '"w": 2\n' in text
+    assert trace.final_library  # an adopted fragment's score_delta is an int too
+    assert trace_to_dict(trace) == oracles.trace_to_dict(trace)
+
+
+def test_trace_json_writes_empty_lists_and_escapes_strings():
+    odd = 'q"b\\s\x07\u00e9\u2603'
+    spec = TrialSpec(1, odd, "B")
+    snapshot = FragmentSnapshot(id=odd, body=odd, expansion="v v", level=odd,
+                                adopted_trial=2, score_delta=-1.25)
+    empty = TrialRecord(index=1, spec=spec, program=(), utterance=(), builder_placements=(),
+                        f1=0.0, tokens_sent=0, steps=(), library=(), belief_entropy=0.0,
+                        anomalies=0)
+    full = TrialRecord(index=2, spec=spec, program=("v", odd), utterance=(odd, "v"),
+                       builder_placements=(BlockPlacement(0, 0, odd),), f1=1 / 3,
+                       tokens_sent=2, steps=(StepRecord(odd, odd, odd, 1),),
+                       library=(snapshot,), belief_entropy=math.log2(3), anomalies=1)
+    trace = DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
+                      TrialSequence((spec,), seed=7), iteration=0, dyad_seed=11,
+                      records=(empty, full), final_library=(snapshot,),
+                      final_belief_entropy=0.5)
+    text = trace_json(trace)
+    assert text == _oracle_text(trace)
+    for written in ('"library": []', '"builder_placements": []', '"steps": []',
+                    '"utterance": []', '\\"', "\\\\", "\\u0007", "\\u00e9", "\\u2603"):
+        assert written in text
+    assert text.isascii()
+    no_trials = DyadTrace(trace.pragmatics, trace.learning, trace.sequence, 0, 11, (), (), 0.0)
+    assert trace_json(no_trials) == _oracle_text(no_trials)
+    assert '"trials": []' in trace_json(no_trials)
