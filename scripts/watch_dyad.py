@@ -23,13 +23,15 @@ def main():
     parser.add_argument("--render", action="store_true",
                         help="also draw target and reconstruction")
     args = parser.parse_args()
+    try:
+        cfg = PragmaticsConfig(alpha=args.alpha, beta=args.beta)
+        lcfg = LearningConfig(w=args.w)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     stimuli = stimulus_towers()
     sequence = generate_trial_sequence(args.seed)
-    trace = run_dyad(sequence, args.w,
-                     PragmaticsConfig(alpha=args.alpha, beta=args.beta),
-                     LearningConfig(w=args.w),
-                     random.Random(args.dyad_seed), stimuli)
+    trace = run_dyad(sequence, args.w, cfg, lcfg, random.Random(args.dyad_seed), stimuli)
 
     towers = {t.id: t for t in stimuli}
     seen = 0

@@ -32,6 +32,8 @@ PLACE_V = "v"
 
 # The 18 move tokens: a direction and a distance of 1..9 columns.
 _MOVES = frozenset(f"{d}{n}" for d in "lr" for n in range(1, 10))
+# Every token that is not a chunk reference: the two places and the moves.
+BASE_TOKENS = _MOVES | {PLACE_H, PLACE_V}
 
 
 class ProgramError(ValueError):
@@ -47,7 +49,7 @@ def is_place(token: Token) -> bool:
 
 
 def is_base_token(token: Token) -> bool:
-    return is_place(token) or is_move(token)
+    return token in BASE_TOKENS
 
 
 def move_delta(token: Token) -> int:

@@ -267,51 +267,52 @@ def candidate_programs(base: Program, library: Library) -> tuple[Program, ...]:
     return tuple(chosen)
 
 
-def best_utterance(program: Program, belief: BeliefState) -> tuple[str, ...]:
-    """One word per token step: fixed surfaces for base tokens, else the word
-    with the highest marginal listener probability (ties to the smallest)."""
-    words: list[str] = []
-    for token in program:
-        if dsl.is_base_token(token):
-            words.append(token)
-            continue
-        if not belief.words:
-            raise ValueError(f"no synthetic words available for {token!r}")
-        best_word = belief.words[0]
-        best_prob = -1.0
-        for word in sorted(belief.words):
-            prob = marginal_listener(token, word, belief)
-            if prob > best_prob:
-                best_prob = prob
-                best_word = word
-        words.append(best_word)
-    return tuple(words)
-
-
-def joint_utility(program: Program, utterance: Sequence[str],
-                  belief: BeliefState, cfg: PragmaticsConfig) -> float:
-    """(1-beta) * sum of log marginal listener probabilities - beta * program length."""
-    if len(utterance) != len(program):
-        raise ValueError("utterance is not aligned with the program's steps")
-    informativity = 0.0
-    for token, word in zip(program, utterance):
+def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
+    """The word with the highest marginal listener probability for a chunk
+    token (ties to the smallest), and that probability."""
+    if not belief.words:
+        raise ValueError(f"no synthetic words available for {token!r}")
+    best_word = belief.words[0]
+    best_prob = -1.0
+    for word in sorted(belief.words):
         prob = marginal_listener(token, word, belief)
-        if prob <= 0.0:
-            return -math.inf
-        informativity += math.log(prob)
-    return (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
+        if prob > best_prob:
+            best_prob = prob
+            best_word = word
+    return best_word, best_prob
 
 
 def architect_choose(base: Program, library: Library, belief: BeliefState,
                      cfg: PragmaticsConfig, rng: random.Random) -> tuple[Program, tuple[str, ...]]:
     """Sample a (program, utterance) pair for the scene whose base program is
-    `base` from the softmax over joint utility."""
+    `base` from the softmax over joint utility.
+
+    A candidate's utterance sends each base token as itself and each chunk
+    token as its best word; its joint utility is (1-beta) * the sum of log
+    marginal listener probabilities - beta * program length, and a chunk
+    word of marginal 0 drops it. The belief is fixed for the call, so each
+    chunk token's best word is found once for all candidates. A base token's
+    marginal is 1, adding log(1) == 0, so the sum skips it.
+    """
+    best: dict[Token, tuple[str, float]] = {}
     pairs = []
     for program in candidate_programs(base, library):
-        utterance = best_utterance(program, belief)
-        utility = joint_utility(program, utterance, belief, cfg)
-        if utility > -math.inf:
-            pairs.append((program, utterance, utility))
+        words: list[str] = []
+        informativity = 0.0
+        for token in program:
+            if dsl.is_base_token(token):
+                words.append(token)
+                continue
+            if token not in best:
+                best[token] = _best_word(token, belief)
+            word, prob = best[token]
+            if prob <= 0.0:
+                break
+            informativity += math.log(prob)
+            words.append(word)
+        else:
+            utility = (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
+            pairs.append((program, tuple(words), utility))
     if not pairs:
         raise RuntimeError("no candidate with finite utility; base program should always qualify")
     if math.isinf(cfg.alpha):
@@ -336,18 +337,31 @@ def execute_lenient(tokens: Sequence[Token], grid: GridState,
                     hand: int) -> tuple[GridState, int, list[BlockPlacement]]:
     """Best-effort base-token execution: the hand clamps at the walls and
     drops that cannot fit are skipped rather than raised."""
-    placed: list[BlockPlacement] = []
+    heights, hand, placed = _lenient_run(tuple(tokens), grid.width, grid.height,
+                                         grid.column_heights, hand)
+    return (GridState(grid.width, grid.height, heights, grid.placements + placed),
+            hand, list(placed))
+
+
+@lru_cache(maxsize=1 << 12)
+def _lenient_run(tokens: Program, width: int, height: int, heights: tuple[int, ...],
+                 hand: int) -> tuple[tuple[int, ...], int, tuple[BlockPlacement, ...]]:
+    """execute_lenient's loop: the final column heights, the hand and the new
+    placements. Where a drop lands depends only on the column heights, so the
+    result does not depend on the grid's earlier placements, and the Builder's
+    steps and the belief update's re-executions of one fragment from one grid
+    share it."""
+    grid = GridState(width, height, heights, ())
     for token in tokens:
         if dsl.is_move(token):
-            hand = min(max(hand + dsl.move_delta(token), 0), grid.width - 1)
+            hand = min(max(hand + dsl.move_delta(token), 0), width - 1)
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
         try:
             grid = drop_block(grid, orientation, hand)
         except PlacementError:
             continue
-        placed.append(grid.placements[-1])
-    return grid, hand, placed
+    return grid.column_heights, hand, grid.placements
 
 
 @dataclass

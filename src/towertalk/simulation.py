@@ -56,6 +56,9 @@ from .pragmatics import (
 
 BLOCK_LEVEL = "block"
 STEP_LEVELS = (BLOCK_LEVEL,) + FRAGMENT_LEVELS
+# The level of a step that sends a base token; a chunk's step takes its fragment's.
+_BASE_LEVELS = {token: "move" if dsl.is_move(token) else BLOCK_LEVEL
+                for token in dsl.BASE_TOKENS}
 
 TOWER_PAIRS = tuple(combinations(sorted(t.id for t in stimulus_towers()), 2))
 TRIALS_PER_SEQUENCE = 12
@@ -229,12 +232,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
             belief, anomaly = update_belief(
                 belief, word, placed, library, grid=pre_grid, hand_x=pre_hand)
             anomalies += int(anomaly)
-            if dsl.is_move(token):
-                level = "move"
-            elif dsl.is_place(token):
-                level = BLOCK_LEVEL
-            else:
-                level = level_by_fragment[token]
+            level = _BASE_LEVELS.get(token) or level_by_fragment[token]
             steps.append(StepRecord(token, word, level, len(placed)))
 
         built = Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(builder.grid.placements))

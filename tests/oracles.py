@@ -1,18 +1,24 @@
 """Reference functions that only the tests use: building a fragment by hand,
 the learner's posterior score, readouts of a belief and a library trajectory,
-and a trace's data as plain dicts and lists. The program computes none of
-these; the tests check it against them.
+the Architect's per-candidate utterance and utility, the Builder's lenient
+execution without a memo, and a trace's data as plain dicts and lists. The
+program computes none of these; the tests check it against them.
 
 Import with `from oracles import ...`: pytest puts this directory on sys.path.
 """
 
+import math
+import random
 from itertools import permutations
 from typing import Sequence
 
 from towertalk import dsl
-from towertalk.dsl import Fragment, Library, Program
+from towertalk.blockworld import (HORIZONTAL, VERTICAL, BlockPlacement, GridState,
+                                  PlacementError, drop_block)
+from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost
-from towertalk.pragmatics import BeliefState
+from towertalk.pragmatics import (BeliefState, PragmaticsConfig, candidate_programs,
+                                  marginal_listener)
 from towertalk.simulation import (DyadTrace, FragmentSnapshot, sequence_to_dict,
                                   snapshot_to_dict)
 
@@ -80,6 +86,86 @@ def first_adoption_trial(snapshots: Sequence[FragmentSnapshot], level: str) -> i
     """Trial at which a fragment of the given level first entered the library."""
     trials = [s.adopted_trial for s in snapshots if s.level == level]
     return min(trials) if trials else None
+
+
+def best_utterance(program: Program, belief: BeliefState) -> tuple[str, ...]:
+    """One word per token step: fixed surfaces for base tokens, else the word
+    with the highest marginal listener probability (ties to the smallest)."""
+    words: list[str] = []
+    for token in program:
+        if dsl.is_base_token(token):
+            words.append(token)
+            continue
+        if not belief.words:
+            raise ValueError(f"no synthetic words available for {token!r}")
+        best_word = belief.words[0]
+        best_prob = -1.0
+        for word in sorted(belief.words):
+            prob = marginal_listener(token, word, belief)
+            if prob > best_prob:
+                best_prob = prob
+                best_word = word
+        words.append(best_word)
+    return tuple(words)
+
+
+def joint_utility(program: Program, utterance: Sequence[str],
+                  belief: BeliefState, cfg: PragmaticsConfig) -> float:
+    """(1-beta) * sum of log marginal listener probabilities - beta * program length."""
+    if len(utterance) != len(program):
+        raise ValueError("utterance is not aligned with the program's steps")
+    informativity = 0.0
+    for token, word in zip(program, utterance):
+        prob = marginal_listener(token, word, belief)
+        if prob <= 0.0:
+            return -math.inf
+        informativity += math.log(prob)
+    return (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
+
+
+def uncached_architect_choose(base: Program, library: Library, belief: BeliefState,
+                              cfg: PragmaticsConfig,
+                              rng: random.Random) -> tuple[Program, tuple[str, ...]]:
+    """architect_choose with each candidate's utterance and utility found on
+    their own, every marginal taken again for every candidate."""
+    pairs = []
+    for program in candidate_programs(base, library):
+        utterance = best_utterance(program, belief)
+        utility = joint_utility(program, utterance, belief, cfg)
+        if utility > -math.inf:
+            pairs.append((program, utterance, utility))
+    if not pairs:
+        raise RuntimeError("no candidate with finite utility; base program should always qualify")
+    if math.isinf(cfg.alpha):
+        return max(pairs, key=lambda p: p[2])[:2]
+    top = max(utility for _, _, utility in pairs)
+    weights = [math.exp(cfg.alpha * (utility - top)) for _, _, utility in pairs]
+    total = sum(weights)
+    draw = rng.random() * total
+    cumulative = 0.0
+    for (program, utterance, _), weight in zip(pairs, weights):
+        cumulative += weight
+        if draw <= cumulative:
+            return program, utterance
+    program, utterance, _ = pairs[-1]
+    return program, utterance
+
+
+def uncached_execute_lenient(tokens: Sequence[Token], grid: GridState,
+                             hand: int) -> tuple[GridState, int, list[BlockPlacement]]:
+    """execute_lenient without its memo: every drop made again on the caller's grid."""
+    placed: list[BlockPlacement] = []
+    for token in tokens:
+        if dsl.is_move(token):
+            hand = min(max(hand + dsl.move_delta(token), 0), grid.width - 1)
+            continue
+        orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
+        try:
+            grid = drop_block(grid, orientation, hand)
+        except PlacementError:
+            continue
+        placed.append(grid.placements[-1])
+    return grid, hand, placed
 
 
 def trace_to_dict(trace: DyadTrace) -> dict:

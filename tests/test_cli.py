@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,22 @@ def test_simulate_and_learn_reject_nan(tmp_path):
     assert run_cli("learn", "--sequences", str(sequences), "--w", "nan",
                    "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--beta", "2", "beta must lie in [0, 1]"),
+    ("--w", "-1", "w must be finite and nonnegative"),
+    ("--alpha", "nan", "alpha must be nonnegative"),
+])
+def test_watch_dyad_reports_bad_parameters_as_usage_errors(flag, value, message):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "watch_dyad.py"),
+                           flag, value], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"watch_dyad.py: error: {message}")
 
 
 def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path):

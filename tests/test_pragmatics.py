@@ -3,30 +3,33 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from towertalk.blockworld import BlockPlacement, VERTICAL, empty_grid
+from towertalk import simulation
+from towertalk.blockworld import HORIZONTAL, BlockPlacement, VERTICAL, empty_grid
 from towertalk.dsl import Library, token_length
 from towertalk.pragmatics import (
     BuilderState,
     PragmaticsConfig,
     architect_choose,
     belief_entropy,
-    best_utterance,
     builder_execute_token,
     builder_interpret,
     candidate_programs,
     execute_lenient,
     extend_hypotheses,
     initial_belief,
-    joint_utility,
     marginal_listener,
     synthetic_word,
     update_belief,
 )
 from towertalk.dsl import canonical_program
-from towertalk.blockworld import compose_scene
+from towertalk.blockworld import compose_scene, stimulus_towers
+from towertalk.library_learning import LearningConfig
 
-from oracles import enumerate_hypotheses, make_fragment, point_mass_lexicon
+from oracles import (best_utterance, enumerate_hypotheses, joint_utility, make_fragment,
+                     point_mass_lexicon, uncached_architect_choose, uncached_execute_lenient)
 
 
 def uniform_two_chunk_belief():
@@ -327,6 +330,133 @@ def test_execute_lenient_clamps_and_skips():
     assert placed[0] == BlockPlacement(0, 0, VERTICAL)
     # second drop would exceed the height and is skipped
     assert len(placed) == 1
+
+
+LENIENT_TOKENS = ("h", "v", "l1", "l2", "l9", "r1", "r3", "r9")
+
+
+@st.composite
+def lenient_runs(draw):
+    """A grid of a random extent, partly built, a hand on it, and tokens to run."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    height = draw(st.integers(min_value=1, max_value=4))
+    prefix = draw(st.lists(st.sampled_from(LENIENT_TOKENS), max_size=10))
+    grid, _, _ = uncached_execute_lenient(prefix, empty_grid(width, height), 0)
+    hand = draw(st.integers(min_value=0, max_value=width - 1))
+    tokens = tuple(draw(st.lists(st.sampled_from(LENIENT_TOKENS), max_size=12)))
+    return tokens, grid, hand
+
+
+@given(lenient_runs())
+@settings(max_examples=300, deadline=None)
+def test_execute_lenient_matches_uncached_loop(run):
+    tokens, grid, hand = run
+    result = execute_lenient(tokens, grid, hand)
+    assert result == uncached_execute_lenient(tokens, grid, hand)
+    assert type(result[2]) is list
+
+
+def test_execute_lenient_clamps_at_both_walls_and_skips_blocks_that_do_not_fit():
+    grid = empty_grid(width=3, height=2)
+    cases = [
+        (("r9", "h", "l9", "v", "v"), grid, 1),  # a horizontal at the last column
+        (("l9", "h", "h", "r1", "v"), grid, 2),  # full columns under a horizontal
+        (("r1", "v", "v", "l9", "h"), grid, 0),
+    ]
+    for tokens, start, hand in cases:
+        assert execute_lenient(tokens, start, hand) == uncached_execute_lenient(
+            tokens, start, hand)
+    _, hand, placed = execute_lenient(cases[0][0], grid, 1)
+    assert hand == 0
+    assert placed == [BlockPlacement(0, 0, VERTICAL)]
+    _, _, placed = execute_lenient(cases[1][0], grid, 2)
+    assert placed == [BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(0, 1, HORIZONTAL)]
+
+
+def test_execute_lenient_results_do_not_share_state_with_later_calls():
+    grid = empty_grid(width=5, height=4)
+    tokens = ("v", "r1", "h", "l1", "v")
+    expected = uncached_execute_lenient(tokens, grid, 0)
+    built, hand, placed = execute_lenient(tokens, grid, 0)
+    placed.append(BlockPlacement(4, 0, VERTICAL))
+    placed.reverse()
+    for _ in range(2):  # building on a returned grid, twice from the same one
+        assert execute_lenient(tokens, built, hand) == uncached_execute_lenient(
+            tokens, built, hand)
+    assert execute_lenient(tokens, grid, 0) == expected
+    assert grid == empty_grid(width=5, height=4)
+
+
+def _assert_choice_matches_oracle(base, library, belief, cfg, rng):
+    oracle_rng = random.Random()
+    oracle_rng.setstate(rng.getstate())
+    expected = uncached_architect_choose(base, library, belief, cfg, oracle_rng)
+    chosen = architect_choose(base, library, belief, cfg, rng)
+    assert chosen == expected
+    assert rng.getstate() == oracle_rng.getstate()
+    return chosen
+
+
+CHOICE_CONFIGS = [PragmaticsConfig(alpha=alpha, beta=beta)
+                  for alpha in (0.0, 5.0, math.inf) for beta in (0.0, 0.3, 1.0)]
+
+
+def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
+        towers_by_id, tower_scene):
+    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+    base = canonical_program(scene)
+    lib = Library()
+    lib = lib.with_fragment(make_fragment("chunk1", canonical_program(tower_scene("A")), lib))
+    lib = lib.with_fragment(make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
+    lib = lib.with_fragment(make_fragment("chunk3", ("v", "r1", "h"), lib))
+    certain = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    uniform = extend_hypotheses(certain, [("chunkB", "chunk2"), ("chunkC", "chunk3")])
+    grid = empty_grid()
+    _, _, chunk3_placed = execute_lenient(("v", "r1", "h"), grid, 0)
+    informed, anomaly = update_belief(uniform, "chunkB", chunk3_placed, lib,
+                                      grid=grid, hand_x=0)
+    assert not anomaly
+    reset, anomaly = update_belief(informed, "chunkA", chunk3_placed, lib, grid=grid, hand_x=0)
+    assert anomaly
+    # `certain` gives chunk2 no word with mass, so the candidates that use it drop.
+    beliefs = [certain, uniform, informed, reset]
+    for cfg in CHOICE_CONFIGS:
+        rng = random.Random(11)
+        for belief in beliefs:
+            for _ in range(5):
+                _assert_choice_matches_oracle(base, lib, belief, cfg, rng)
+    for choose in (architect_choose, uncached_architect_choose):
+        with pytest.raises(ValueError, match="no synthetic words"):
+            choose(base, lib, initial_belief(), CHOICE_CONFIGS[0], random.Random(0))
+
+
+def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
+    """Every choice of whole dyads, on the beliefs their updates grow, resets included."""
+    seen = Counter()
+    anomaly_seen = [False]
+
+    def checked_choose(base, library, belief, cfg, rng):
+        program, utterance = _assert_choice_matches_oracle(base, library, belief, cfg, rng)
+        seen["choices"] += 1
+        seen["after an anomaly"] += anomaly_seen[0]
+        seen["chunked"] += program != base
+        return program, utterance
+
+    def watched_update(*args, **kwargs):
+        belief, anomaly = update_belief(*args, **kwargs)
+        anomaly_seen[0] |= anomaly
+        return belief, anomaly
+
+    monkeypatch.setattr(simulation, "architect_choose", checked_choose)
+    monkeypatch.setattr(simulation, "update_belief", watched_update)
+    for cfg in CHOICE_CONFIGS:
+        for seed in (3, 4):
+            anomaly_seen[0] = False
+            simulation.run_dyad(simulation.generate_trial_sequence(seed), 1.5, cfg,
+                                LearningConfig(w=1.5), random.Random(seed), stimulus_towers())
+    assert seen["choices"] == len(CHOICE_CONFIGS) * 2 * simulation.TRIALS_PER_SEQUENCE
+    assert seen["chunked"] > 0
+    assert seen["after an anomaly"] > 0
 
 
 def test_builder_execute_token_runs_chunk_bodies(two_fragment_library):
