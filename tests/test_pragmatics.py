@@ -3,11 +3,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
-from towertalk.blockworld import HORIZONTAL, BlockPlacement, VERTICAL, empty_grid
+from towertalk.blockworld import BlockPlacement, VERTICAL, empty_grid
 from towertalk.dsl import Library, token_length
 from towertalk.pragmatics import (
     BuilderState,
@@ -348,29 +348,15 @@ def lenient_runs(draw):
 
 
 @given(lenient_runs())
+# Clamps at both walls, a horizontal at the last column, and full columns.
+@example((("r9", "h", "l9", "v", "v"), empty_grid(width=3, height=2), 1))
+@example((("l9", "h", "h", "r1", "v"), empty_grid(width=3, height=2), 2))
 @settings(max_examples=300, deadline=None)
 def test_execute_lenient_matches_uncached_loop(run):
     tokens, grid, hand = run
     result = execute_lenient(tokens, grid, hand)
     assert result == uncached_execute_lenient(tokens, grid, hand)
     assert type(result[2]) is list
-
-
-def test_execute_lenient_clamps_at_both_walls_and_skips_blocks_that_do_not_fit():
-    grid = empty_grid(width=3, height=2)
-    cases = [
-        (("r9", "h", "l9", "v", "v"), grid, 1),  # a horizontal at the last column
-        (("l9", "h", "h", "r1", "v"), grid, 2),  # full columns under a horizontal
-        (("r1", "v", "v", "l9", "h"), grid, 0),
-    ]
-    for tokens, start, hand in cases:
-        assert execute_lenient(tokens, start, hand) == uncached_execute_lenient(
-            tokens, start, hand)
-    _, hand, placed = execute_lenient(cases[0][0], grid, 1)
-    assert hand == 0
-    assert placed == [BlockPlacement(0, 0, VERTICAL)]
-    _, _, placed = execute_lenient(cases[1][0], grid, 2)
-    assert placed == [BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(0, 1, HORIZONTAL)]
 
 
 def test_execute_lenient_results_do_not_share_state_with_later_calls():
