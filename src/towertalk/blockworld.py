@@ -9,7 +9,6 @@ Once placed, blocks never move.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 HORIZONTAL = "horizontal"
@@ -46,8 +45,7 @@ class BlockPlacement(NamedTuple):
         return BlockPlacement(self.x + dx, self.y + dy, self.orientation)
 
 
-@dataclass(frozen=True)
-class GridState:
+class GridState(NamedTuple):
     """Immutable build surface: column heights plus the placements that produced them."""
 
     width: int
@@ -56,8 +54,7 @@ class GridState:
     placements: tuple[BlockPlacement, ...]
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """An unordered set of placed blocks within a fixed grid extent."""
 
     width: int
@@ -65,8 +62,7 @@ class Scene:
     blocks: frozenset[BlockPlacement]
 
 
-@dataclass(frozen=True)
-class TowerStimulus:
+class TowerStimulus(NamedTuple):
     """A four-block tower (two vertical, two horizontal) in tower-local coordinates."""
 
     id: str
@@ -236,10 +232,12 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    """Inverse of scene_to_dict; rejects an empty extent and overlapping or outlying blocks."""
+    """Inverse of scene_to_dict; rejects an extent outside 1x1..GRID_WIDTH x GRID_HEIGHT
+    and overlapping or outlying blocks."""
     width, height = strict_int(data["width"], "width"), strict_int(data["height"], "height")
-    if width < 1 or height < 1:
-        raise ValueError(f"scene extent {width}x{height} must be at least 1x1")
+    if not (1 <= width <= GRID_WIDTH and 1 <= height <= GRID_HEIGHT):
+        raise ValueError(f"scene extent {width}x{height} must lie within 1x1 and "
+                         f"{GRID_WIDTH}x{GRID_HEIGHT}")
     blocks = [block_from_dict(b) for b in data["blocks"]]
     _check_cells(blocks, width, height)
     return Scene(width, height, frozenset(blocks))

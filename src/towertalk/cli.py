@@ -164,13 +164,20 @@ def _stimuli(path: str | None):
     return _load(load_stimuli, path) if path else stimulus_towers()
 
 
-def _check_scenes(pairs, stimuli, source: str) -> None:
-    """Every (left, right) scene the run composes must name known towers and fit the grid."""
+def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
+    """Every scene a run composes must name known towers and fit the grid.
+
+    `scenes` lists (where, left, right). The tower ids are checked first, in
+    that order: an unknown one is reported as "{where}: no tower with id
+    ...{unknown}". Then each distinct scene is composed, and one that does not
+    fit is reported against `source`, the stimuli.
+    """
     towers = {t.id: t for t in stimuli}
-    for left, right in sorted(set(pairs)):
+    for where, left, right in scenes:
         for tower in (left, right):
             if tower not in towers:
-                raise ConfigError(f"{source}: no tower with id {tower!r}")
+                raise ConfigError(f"{where}: no tower with id {tower!r}{unknown}")
+    for left, right in sorted({(left, right) for _, left, right in scenes}):
         try:
             compose_scene(towers[left], towers[right])
         except ValueError as exc:
@@ -208,15 +215,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
     lcfg = _build_config(LearningConfig, w=args.w)
     sequences = _load(_read_sequences, args.sequences)
     stimuli = _stimuli(args.stimuli)
-    known = {t.id for t in stimuli}
-    for i, sequence in enumerate(sequences):
-        for k, trial in enumerate(sequence.trials):
-            for tower in (trial.left, trial.right):
-                if tower not in known:
-                    raise ConfigError(f"{args.sequences}: sequences[{i}].trials[{k}]: no tower "
-                                      f"with id {tower!r} in {args.stimuli or 'the default stimuli'}")
-    _check_scenes(((trial.left, trial.right) for sequence in sequences
-                   for trial in sequence.trials), stimuli, args.stimuli or "stimuli")
+    # The sequence file is at fault for an unknown tower, so the message names its trial.
+    _check_scenes([(f"{args.sequences}: sequences[{i}].trials[{k}]", trial.left, trial.right)
+                   for i, sequence in enumerate(sequences)
+                   for k, trial in enumerate(sequence.trials)],
+                  stimuli, args.stimuli or "stimuli",
+                  f" in {args.stimuli or 'the default stimuli'}")
     runs = []
     for sequence in sequences:
         snapshots = [snapshot
@@ -254,8 +258,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                               f"w={lcfg.w!r} beta={pcfg.beta!r} share the file tag {tag}")
         cells[tag] = (pcfg, lcfg)
     stimuli = _stimuli(args.stimuli)
-    _check_scenes([*TOWER_PAIRS, *(pair[::-1] for pair in TOWER_PAIRS)],
-                  stimuli, args.stimuli or "stimuli")
+    source = args.stimuli or "stimuli"
+    _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
+                  stimuli, source)
     traces = simulation.run_experiment(
         configs=grid,
         stimuli=stimuli,
@@ -328,11 +333,16 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    given = [flag for flag, value in (("--scene", args.scene), ("--stimulus", args.stimulus),
+                                      ("--trace", args.trace)) if value is not None]
+    if len(given) != 1:
+        raise ConfigError("render: pass exactly one of --scene, --stimulus, or --trace"
+                          + (f", not {' and '.join(given)}" if given else ""))
     towers = {t.id: t for t in stimulus_towers()}
-    if args.scene:
+    if args.scene is not None:
         print(render_ascii(_load(load_scene, args.scene)))
         return EXIT_OK
-    if args.stimulus:
+    if args.stimulus is not None:
         if args.stimulus not in towers:
             raise ConfigError(f"stimulus: unknown id {args.stimulus!r}")
         tower = towers[args.stimulus]
@@ -340,15 +350,13 @@ def cmd_render(args: argparse.Namespace) -> int:
         height = max(y for b in tower.blocks for _, y in b.cells()) + 1
         print(render_ascii(Scene(width, height, tower.blocks)))
         return EXIT_OK
-    if args.trace:
-        if args.trial is None:
-            raise ConfigError("trial: required when rendering from a trace")
-        label, target, built = _load(
-            lambda path: _read_trace_trial(path, args.trace_index, args.trial, towers),
-            args.trace)
-        print(_render_pair(target, built, label))
-        return EXIT_OK
-    raise ConfigError("render: pass one of --scene, --stimulus, or --trace")
+    if args.trial is None:
+        raise ConfigError("trial: required when rendering from a trace")
+    label, target, built = _load(
+        lambda path: _read_trace_trial(path, args.trace_index, args.trial, towers),
+        args.trace)
+    print(_render_pair(target, built, label))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ A place or chunk token counts as one description unit; a move counts as two
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blockworld import (
     HORIZONTAL,
@@ -70,8 +70,7 @@ def count_placements(program: Program) -> int:
     return sum(1 for t in program if is_place(t))
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """A zero-arity learned primitive: a reusable token subsequence.
 
     ``body`` may reference previously defined fragments; ``expansion`` is the
@@ -84,8 +83,7 @@ class Fragment:
     expansion: Program
 
 
-@dataclass(frozen=True)
-class Library:
+class Library(NamedTuple):
     """The shared primitive inventory: 13 base primitives plus learned fragments."""
 
     fragments: tuple[Fragment, ...] = ()

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import dsl
 from .blockworld import (
@@ -38,18 +37,21 @@ from .library_learning import shortest_tokenization
 MAX_CANDIDATES = 4
 
 
-@dataclass(frozen=True)
-class PragmaticsConfig:
-    """Speaker optimality (alpha) and cost sensitivity (beta) for the Architect."""
+class PragmaticsConfig(NamedTuple("PragmaticsConfig", [("alpha", float), ("beta", float)])):
+    """Speaker optimality (alpha) and cost sensitivity (beta) for the Architect.
 
-    alpha: float
-    beta: float
+    The checks run in __new__, which a class-syntax NamedTuple may not define;
+    _replace and _make skip them.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.alpha >= 0:  # also rejects NaN; inf selects the argmax speaker
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha!r}")
-        if not 0 <= self.beta <= 1:
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, beta: float) -> "PragmaticsConfig":
+        if not alpha >= 0:  # also rejects NaN; inf selects the argmax speaker
+            raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+        if not 0 <= beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
+        return super().__new__(cls, alpha, beta)
 
 
 def synthetic_word(index: int) -> str:
@@ -67,8 +69,7 @@ def synthetic_word(index: int) -> str:
 # ---------------------------------------------------------------------------
 # Belief over lexicons
 
-@dataclass(frozen=True)
-class BeliefComponent:
+class BeliefComponent(NamedTuple):
     """Fixed bindings plus independent pools, uniform over each pool's bijections."""
 
     weight: float
@@ -82,8 +83,7 @@ class BeliefComponent:
         return count
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     """The Architect's distribution over word-to-fragment bijections."""
 
     components: tuple[BeliefComponent, ...]
@@ -364,13 +364,13 @@ def _lenient_run(tokens: Program, width: int, height: int, heights: tuple[int, .
     return grid.column_heights, hand, grid.placements
 
 
-@dataclass
 class BuilderState:
     """The Builder's grid, hand, and persistent word bindings for one dyad."""
 
-    grid: GridState
-    hand: int
-    bindings: dict[str, str] = field(default_factory=dict)
+    def __init__(self, grid: GridState, hand: int) -> None:
+        self.grid = grid
+        self.hand = hand
+        self.bindings: dict[str, str] = {}
 
     def reset_workspace(self, start_x: int) -> None:
         self.grid = empty_grid()

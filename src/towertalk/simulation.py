@@ -14,7 +14,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
@@ -65,8 +65,7 @@ TRIALS_PER_SEQUENCE = 12
 REPETITION_BLOCKS = 4
 
 
-@dataclass(frozen=True)
-class TrialSpec:
+class TrialSpec(NamedTuple):
     repetition_block: int
     left: str
     right: str
@@ -76,22 +75,19 @@ class TrialSpec:
         return frozenset((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class TrialSequence:
+class TrialSequence(NamedTuple):
     trials: tuple[TrialSpec, ...]
     seed: int
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     token: str
     word: str
     level: str          # block, sub_tower, tower, scene, or other
     placements: int     # blocks the Builder actually placed for this step
 
 
-@dataclass(frozen=True)
-class FragmentSnapshot:
+class FragmentSnapshot(NamedTuple):
     id: str
     body: str
     expansion: str
@@ -100,8 +96,7 @@ class FragmentSnapshot:
     score_delta: float
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     index: int
     spec: TrialSpec
     program: Program
@@ -115,8 +110,7 @@ class TrialRecord:
     anomalies: int
 
 
-@dataclass(frozen=True)
-class DyadTrace:
+class DyadTrace(NamedTuple):
     pragmatics: PragmaticsConfig
     learning: LearningConfig
     sequence: TrialSequence
@@ -446,13 +440,7 @@ def mean_pairwise_jsd(traces: Sequence[DyadTrace], repetition_block: int) -> flo
 # Serialization
 
 def sequence_to_dict(sequence: TrialSequence) -> dict:
-    return {
-        "seed": sequence.seed,
-        "trials": [
-            {"repetition_block": t.repetition_block, "left": t.left, "right": t.right}
-            for t in sequence.trials
-        ],
-    }
+    return {"seed": sequence.seed, "trials": [t._asdict() for t in sequence.trials]}
 
 
 def sequence_from_dict(data: dict) -> TrialSequence:
@@ -470,14 +458,7 @@ def sequence_from_dict(data: dict) -> TrialSequence:
 
 
 def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:
-    return {
-        "id": snapshot.id,
-        "body": snapshot.body,
-        "expansion": snapshot.expansion,
-        "level": snapshot.level,
-        "adopted_trial": snapshot.adopted_trial,
-        "score_delta": round(snapshot.score_delta, 9),
-    }
+    return {**snapshot._asdict(), "score_delta": round(snapshot.score_delta, 9)}
 
 
 # traces.json holds each trace two levels deep, in its payload's "traces" list.

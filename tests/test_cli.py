@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -289,6 +290,19 @@ def test_render_requires_a_source():
     assert run_cli("render") == 2
 
 
+def test_render_refuses_more_than_one_source(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    save_scene(Scene(4, 3, frozenset()), str(scene))
+    for sources in (["--scene", str(scene), "--trace", str(scene)],
+                    ["--scene", str(scene), "--stimulus", "A"],
+                    ["--stimulus", "A", "--trace", str(scene), "--trial", "1"]):
+        assert run_cli("render", *sources) == 2, sources
+        captured = capsys.readouterr()
+        assert captured.out == "", sources
+        named = [flag for flag in ("--scene", "--stimulus", "--trace") if flag in sources]
+        assert captured.err.endswith(f", not {' and '.join(named)}\n"), sources
+
+
 def test_io_error_exit_code(tmp_path):
     missing = tmp_path / "nope" / "deep" / "file.json"
     assert run_cli("gen-seq", "--seed", "0", "--count", "1", "--out", str(missing)) == 3
@@ -327,7 +341,7 @@ def test_watch_dyad_reports_bad_parameters_as_usage_errors(flag, value, message)
     assert proc.stderr.splitlines()[-1].startswith(f"watch_dyad.py: error: {message}")
 
 
-def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path):
+def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path, capsys):
     renamed = [TowerStimulus(new_id, tower.blocks)
                for new_id, tower in zip("XYZ", stimulus_towers())]
     stimuli = tmp_path / "stimuli.json"
@@ -337,6 +351,7 @@ def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path):
                    "--iterations", "1", "--out-dir", str(out_dir))
     assert code == 2
     assert not out_dir.exists()
+    assert capsys.readouterr().err == f"error: {stimuli}: no tower with id 'A'\n"
 
 
 def test_learn_rejects_sequence_naming_unknown_tower(tmp_path, capsys):
@@ -432,6 +447,36 @@ def test_render_rejects_scene_file_without_blocks(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", name
         assert str(scene) in captured.err, name
+
+
+def test_render_scene_extent_is_bounded_by_the_grid(tmp_path, capsys):
+    for width, height, code in ((14, 8, 0), (15, 8, 2), (14, 9, 2)):
+        scene = tmp_path / f"{width}x{height}.json"
+        scene.write_text(json.dumps({"width": width, "height": height, "blocks": []}))
+        assert run_cli("render", "--scene", str(scene)) == code, (width, height)
+        captured = capsys.readouterr()
+        assert captured.out == ("\n".join(["." * 14] * 8) + "\n" if code == 0 else "")
+        assert code == 0 or str(scene) in captured.err
+
+
+def test_render_rejects_a_huge_scene_extent_promptly(tmp_path):
+    # Rendering this extent would build a 10^10-cell string, so the check is
+    # run in a child held to 1 GB of address space and 10 s.
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps({"width": 100000, "height": 100000, "blocks": []}))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "towertalk", "render", "--scene", str(scene)],
+                          env=env, capture_output=True, text=True, timeout=10,
+                          preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: {scene}: ValueError: scene extent 100000x100000 "
+                           "must lie within 1x1 and 14x8\n")
 
 
 def test_render_rejects_trace_index_out_of_range(tmp_path, capsys):

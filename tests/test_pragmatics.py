@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -480,3 +481,27 @@ def test_pragmatics_config_validation():
     with pytest.raises(ValueError):
         PragmaticsConfig(alpha=5.0, beta=1.5)
     assert PragmaticsConfig(alpha=math.inf, beta=0.3).alpha == math.inf
+
+
+@pytest.mark.parametrize("alpha, beta", [(-1.0, 0.3), (math.nan, 0.3), (5.0, 2.0), (5.0, math.nan)])
+def test_pragmatics_config_checks_run_for_every_construction(alpha, beta):
+    with pytest.raises(ValueError):
+        PragmaticsConfig(alpha=alpha, beta=beta)
+    with pytest.raises(ValueError):
+        PragmaticsConfig(alpha, beta)
+
+
+@pytest.mark.parametrize("cfg", [PragmaticsConfig(5.0, 0.3), PragmaticsConfig(math.inf, 1.0)])
+def test_pragmatics_config_pickles_to_an_equal_config(cfg):
+    # A --jobs pool sends each config to its workers by pickle.
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(cfg, protocol))
+        assert copy == cfg and type(copy) is PragmaticsConfig
+
+
+def test_builder_states_never_share_bindings(two_fragment_library):
+    first = BuilderState(grid=empty_grid(), hand=0)
+    second = BuilderState(grid=empty_grid(), hand=0)
+    builder_interpret("chunkA", first, two_fragment_library, random.Random(0))
+    assert list(first.bindings) == ["chunkA"]
+    assert second.bindings == {}
