@@ -26,12 +26,12 @@ from .blockworld import (
     GRID_HEIGHT,
     GRID_WIDTH,
     Scene,
-    block_from_dict,
     compose_scene,
     f1_score,
     load_scene,
     load_stimuli,
     render_ascii,
+    scene_from_dict,
     stimulus_towers,
 )
 from .library_learning import BODY_TOKEN_SUM, LearningConfig
@@ -327,8 +327,8 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
                           f"no trial {trial_index}")
     trial = matches[0]
     target = compose_scene(towers[trial["left"]], towers[trial["right"]])
-    built = Scene(GRID_WIDTH, GRID_HEIGHT,
-                  frozenset(block_from_dict(b) for b in trial["builder_placements"]))
+    built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
+                             "blocks": trial["builder_placements"]})
     return f"trial {trial['trial']} ({trial['left']}+{trial['right']})", target, built
 
 

@@ -61,26 +61,27 @@ class Adoption(NamedTuple):
     score_delta: float
 
 
-def _mdl_table(sequence: Program, expansions: Sequence[Program]) -> list[tuple[int, int]]:
-    """Suffix DP over token positions: (cost, chunk count) of the cheapest
-    tokenization of each suffix; the chunk count breaks cost ties toward
-    fewer references."""
+def _mdl_table(sequence: Program, expansions: Sequence[Program]) -> list[tuple[int, int, int]]:
+    """Suffix DP over token positions: (cost, chunk count, -step) of the cheapest
+    tokenization of each suffix; the chunk count breaks cost ties toward fewer
+    references, and the step, the number of tokens its first token covers,
+    breaks what ties remain toward the longest first step."""
     # Only the expansions that start with sequence[i] can match at i; the
     # minimum below does not depend on the order they are tried in.
     by_first: dict[dsl.Token, list[Program]] = {}
     for expansion in expansions:
         by_first.setdefault(expansion[0], []).append(expansion)
     n = len(sequence)
-    best: list[tuple[int, int]] = [(0, 0)] * (n + 1)
+    best: list[tuple[int, int, int]] = [(0, 0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail = best[i + 1]
         token = sequence[i]
-        entry = (dsl.token_cost(token) + tail[0], tail[1])
+        entry = (dsl.token_cost(token) + tail[0], tail[1], -1)
         for expansion in by_first.get(token, ()):
             j = i + len(expansion)
             if j <= n and sequence[i:j] == expansion:
                 tail_j = best[j]
-                candidate = (1 + tail_j[0], 1 + tail_j[1])
+                candidate = (1 + tail_j[0], 1 + tail_j[1], i - j)
                 if candidate < entry:
                     entry = candidate
         best[i] = entry
@@ -101,30 +102,20 @@ def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     """A cheapest program over the library that inlines to base_sequence;
     deterministic regardless of fragment ordering.
 
-    Ties prefer fewer chunk references, then the leftmost-longest match.
+    Ties prefer fewer chunk references, then the leftmost-longest match: the
+    walk takes the step _mdl_table records at each position.
     """
     sequence = tuple(base_sequence)
-    n = len(sequence)
     by_expansion = {f.expansion: f.id for f in library.fragments}
-    expansions = sorted(by_expansion)
-    best = _mdl_table(sequence, expansions)
+    best = _mdl_table(sequence, sorted(by_expansion))
     tokens: list[str] = []
     i = 0
-    while i < n:
-        # Walk the table: at each position, the longest advance that is optimal.
-        tail = best[i + 1]
-        length, token = 1, sequence[i]
-        if (dsl.token_cost(token) + tail[0], tail[1]) != best[i]:
-            length = 0
-        for expansion in expansions:
-            j = i + len(expansion)
-            if len(expansion) > length and j <= n and sequence[i:j] == expansion:
-                tail_j = best[j]
-                if (1 + tail_j[0], 1 + tail_j[1]) == best[i]:
-                    length, token = len(expansion), by_expansion[expansion]
-        assert length > 0
-        tokens.append(token)
-        i += length
+    while i < len(sequence):
+        _, chunks, step = best[i]
+        j = i - step
+        # A step that adds no chunk reference is the base token itself.
+        tokens.append(sequence[i] if chunks == best[j][1] else by_expansion[sequence[i:j]])
+        i = j
     return tuple(tokens)
 
 
@@ -137,8 +128,9 @@ def _keep_cheapest(windows: dict[Program, Window], expansion: Program, window: W
 
 @lru_cache(maxsize=1 << 12)
 def _program_windows(program: Program, library: Library) -> tuple[tuple[Program, Window], ...]:
-    """(expansion, cheapest window) for every valid window of one program, in order of
-    first appearance; known expansions are kept, _candidate_windows drops them."""
+    """(expansion, cheapest window) for every valid window of one program rewritten
+    under the library, in order of first appearance; known expansions are kept,
+    _candidate_windows drops them. A base scene's windows come from _scene_table."""
     windows: dict[Program, Window] = {}
     n = len(program)
     for i in range(n):
@@ -165,11 +157,11 @@ def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Pr
     return windows
 
 
-@lru_cache(maxsize=1 << 8)
-def _disjoint_counts(scene: Program) -> dict[Program, int]:
-    """Greedy left-to-right count of non-overlapping occurrences (maximal for a fixed
-    length) of every contiguous subsequence of scene; a pattern that does not occur
-    has no entry. The caller must not change the returned dict."""
+def _scene_windows(scene: Program) -> dict[Program, tuple[int, int]]:
+    """{expansion: (token length, disjoint count)} for every window of a base scene
+    that is at least 2 units long and places a block, in one pass over the scene.
+    The count is a greedy left-to-right count of non-overlapping occurrences
+    (maximal for a fixed length)."""
     counts: dict[Program, int] = {}
     ends: dict[Program, int] = {}  # where each pattern's last counted occurrence ends
     n = len(scene)
@@ -179,7 +171,8 @@ def _disjoint_counts(scene: Program) -> dict[Program, int]:
             if ends.get(pattern, 0) <= i:
                 counts[pattern] = counts.get(pattern, 0) + 1
                 ends[pattern] = j
-    return counts
+    return {pattern: (length, count) for pattern, count in counts.items()
+            if (length := dsl.token_length(pattern)) >= 2 and dsl.count_placements(pattern) > 0}
 
 
 # One row of a scene table: a candidate expansion, its cheapest base window,
@@ -191,17 +184,21 @@ SceneRow = tuple[Program, Window, tuple[tuple[int, int], ...]]
 def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
     """Every candidate expansion of the base scenes, in sorted order, with its
     window and where it occurs: what _candidate_windows(scenes, EMPTY_LIBRARY)
-    gives, plus the presence. Neither depends on the library."""
+    gives, plus the presence. Neither depends on the library.
+
+    A one-scene table is the scene's one pass; a larger set merges the
+    one-scene tables, so each scene is passed over once while it stays cached.
+    A base window is its own expansion and its own body."""
+    if len(scenes) == 1:
+        return tuple(sorted((expansion, (length, expansion), ((0, count),))
+                            for expansion, (length, count) in _scene_windows(scenes[0]).items()))
     rows: dict[Program, tuple[Window, list[tuple[int, int]]]] = {}
     for n, scene in enumerate(scenes):
-        counts = _disjoint_counts(scene)
-        # A base window is its own expansion, so no two windows share a key
-        # with different bodies and there is nothing to choose between.
-        for expansion, window in _program_windows(scene, EMPTY_LIBRARY):
+        for expansion, window, ((_, count),) in _scene_table((scene,)):
             row = rows.get(expansion)
             if row is None:
                 rows[expansion] = row = (window, [])
-            row[1].append((n, counts[expansion]))
+            row[1].append((n, count))
     return tuple((expansion, window, tuple(present))
                  for expansion, (window, present) in sorted(rows.items()))
 

@@ -70,10 +70,6 @@ class TrialSpec(NamedTuple):
     left: str
     right: str
 
-    @property
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.left, self.right))
-
 
 class TrialSequence(NamedTuple):
     trials: tuple[TrialSpec, ...]
@@ -337,8 +333,10 @@ def fragment_trajectory(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
     return rows
 
 
-def _place_bearing_steps(record: TrialRecord) -> list[StepRecord]:
-    return [s for s in record.steps if s.level != "move"]
+def _block_records(traces: Sequence[DyadTrace], block: int) -> list[list[TrialRecord]]:
+    """Each dyad's records in a repetition block, for the dyads that have any."""
+    per_dyad = ([r for r in trace.records if r.spec.repetition_block == block] for trace in traces)
+    return [records for records in per_dyad if records]
 
 
 def abstraction_proportions(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
@@ -347,9 +345,8 @@ def abstraction_proportions(traces: Sequence[DyadTrace]) -> list[dict[str, float
     rows = []
     for block in range(1, REPETITION_BLOCKS + 1):
         shares = {level: [] for level in STEP_LEVELS}
-        for trace in traces:
-            steps = [s for r in trace.records if r.spec.repetition_block == block
-                     for s in _place_bearing_steps(r)]
+        for records in _block_records(traces, block):
+            steps = [s for r in records for s in r.steps if s.level != "move"]
             if not steps:
                 continue
             for level in STEP_LEVELS:
@@ -367,16 +364,9 @@ def accuracy_and_efficiency(traces: Sequence[DyadTrace]) -> list[dict[str, float
     """Per repetition block: mean F1 and mean tokens sent, over all dyads."""
     rows = []
     for block in range(1, REPETITION_BLOCKS + 1):
-        f1_values: list[float] = []
-        token_values: list[float] = []
-        for trace in traces:
-            block_records = [r for r in trace.records
-                             if r.spec.repetition_block == block]
-            if not block_records:
-                continue
-            f1_values.append(sum(r.f1 for r in block_records) / len(block_records))
-            token_values.append(
-                sum(r.tokens_sent for r in block_records) / len(block_records))
+        per_dyad = _block_records(traces, block)
+        f1_values = [sum(r.f1 for r in records) / len(records) for records in per_dyad]
+        token_values = [sum(r.tokens_sent for r in records) / len(records) for records in per_dyad]
         rows.append({
             "repetition_block": float(block),
             "mean_f1": sum(f1_values) / len(f1_values) if f1_values else 0.0,

@@ -1,5 +1,6 @@
 """Reference functions that only the tests use: building a fragment by hand,
-the learner's posterior score, readouts of a belief and a library trajectory,
+the learner's posterior score, the tokenizer's walk that matches every
+expansion again at each position, readouts of a belief and a library trajectory,
 the Architect's per-candidate utterance and utility, the Builder's lenient
 execution without a memo, and a trace's data as plain dicts and lists. The
 program computes none of these; the tests check it against them.
@@ -16,7 +17,7 @@ from towertalk import dsl
 from towertalk.blockworld import (HORIZONTAL, VERTICAL, BlockPlacement, GridState,
                                   PlacementError, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
-from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost
+from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
 from towertalk.pragmatics import (BeliefState, PragmaticsConfig, candidate_programs,
                                   marginal_listener)
 from towertalk.simulation import (DyadTrace, FragmentSnapshot, sequence_to_dict,
@@ -41,6 +42,34 @@ def mdl(base_sequence: Program, library: Library) -> int:
     if not all(dsl.is_base_token(t) for t in base_sequence):
         raise ValueError("mdl expects a base-level sequence")
     return _mdl_cost(tuple(base_sequence), tuple(sorted(library.expansions())))
+
+
+def reference_shortest_tokenization(base_sequence: Program, library: Library) -> Program:
+    """shortest_tokenization the slow way: at each position of the walk, match
+    every expansion again and take the longest step that keeps the MDL table's
+    (cost, chunk count)."""
+    sequence = tuple(base_sequence)
+    n = len(sequence)
+    by_expansion = {f.expansion: f.id for f in library.fragments}
+    expansions = sorted(by_expansion)
+    best = [entry[:2] for entry in _mdl_table(sequence, expansions)]
+    tokens: list[str] = []
+    i = 0
+    while i < n:
+        tail = best[i + 1]
+        length, token = 1, sequence[i]
+        if (dsl.token_cost(token) + tail[0], tail[1]) != best[i]:
+            length = 0
+        for expansion in expansions:
+            j = i + len(expansion)
+            if len(expansion) > length and j <= n and sequence[i:j] == expansion:
+                tail_j = best[j]
+                if (1 + tail_j[0], 1 + tail_j[1]) == best[i]:
+                    length, token = len(expansion), by_expansion[expansion]
+        assert length > 0
+        tokens.append(token)
+        i += length
+    return tuple(tokens)
 
 
 def library_size(library: Library) -> int:

@@ -271,7 +271,7 @@ def test_criterion_7_sequence_invariants():
         sequence = generate_trial_sequence(seed)
         assert len(sequence.trials) == 12
         for block in range(1, REPETITION_BLOCKS + 1):
-            block_pairs = [t.pair for t in sequence.trials
+            block_pairs = [frozenset((t.left, t.right)) for t in sequence.trials
                            if t.repetition_block == block]
             assert len(block_pairs) == 3 and set(block_pairs) == expected_pairs
         lefts = Counter(t.left for t in sequence.trials)

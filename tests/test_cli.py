@@ -509,6 +509,26 @@ def test_render_rejects_missing_trial(tmp_path, capsys):
     assert "99" in captured.err
 
 
+def test_render_rejects_trace_placements_off_the_grid(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    data = json.loads((out_dir / "traces.json").read_text())
+    placements = data["traces"][0]["trials"][0]["builder_placements"]
+    # Off the 14x8 grid, and on a cell another block fills.
+    cases = {"outlying": placements + [{"x": 1000000, "y": 5, "orientation": VERTICAL}],
+             "overlapping": placements + placements[:1]}
+    capsys.readouterr()
+    for name, bad in cases.items():
+        data["traces"][0]["trials"][0]["builder_placements"] = bad
+        trace_file = tmp_path / f"{name}.json"
+        trace_file.write_text(json.dumps(data))
+        assert run_cli("render", "--trace", str(trace_file), "--trial", "1") == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert str(trace_file) in captured.err, name
+
+
 def test_render_rejects_fractional_scene_numbers(tmp_path, capsys):
     # int() would truncate each of these and draw a scene.
     cases = {

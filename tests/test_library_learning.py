@@ -3,7 +3,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import dsl, library_learning
@@ -25,10 +25,10 @@ from towertalk.library_learning import (
     Adoption,
     LearningConfig,
     _candidate_windows,
-    _disjoint_counts,
     _next_fragment_id,
     _round,
     _scene_table,
+    _scene_windows,
     classify_fragment,
     shortest_tokenization,
     update_library_with_log,
@@ -36,7 +36,8 @@ from towertalk.library_learning import (
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
 
-from oracles import library_score, library_size, make_fragment, mdl
+from oracles import (library_score, library_size, make_fragment, mdl,
+                     reference_shortest_tokenization)
 
 
 def brute_force_mdl(sequence, expansions):
@@ -339,8 +340,7 @@ def learner_caches():
 
 def test_learner_caches_are_bounded():
     names = {fn.__name__ for fn in learner_caches()}
-    assert {"_learning_step", "_round", "_scene_table", "_program_windows", "_disjoint_counts",
-            "_mdl_cost"} <= names
+    assert names == {"_learning_step", "_round", "_scene_table", "_program_windows", "_mdl_cost"}
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
@@ -401,13 +401,13 @@ def test_scene_table_holds_every_candidate_of_every_library():
     for _ in range(150):
         scenes = tuple(sorted({random_base_sequence(rng) for _ in range(rng.randint(1, 4))}))
         table = _scene_table(scenes)
-        base = _candidate_windows(scenes, EMPTY_LIBRARY)
+        base = reference_candidate_windows(scenes, EMPTY_LIBRARY)
         assert [expansion for expansion, _, _ in table] == sorted(base)
         for expansion, window, present in table:
             assert window == base[expansion]
-            assert present == tuple((n, _disjoint_counts(scene)[expansion])
-                                    for n, scene in enumerate(scenes)
-                                    if expansion in _disjoint_counts(scene))
+            assert present == tuple((n, greedy_count(expansion, scene))
+                                    for n, scene in enumerate(scenes) if expansion in
+                                    reference_candidate_windows([scene], EMPTY_LIBRARY))
         rows = {expansion: window for expansion, window, _ in table}
         for _ in range(3):
             lib = nested_fragment_library(rng, list(scenes))
@@ -446,6 +446,41 @@ def learner_states(draw):
     observed = draw(st.lists(st.sampled_from(pool), max_size=6))
     cfg = LearningConfig(w=draw(st.sampled_from([0.0, 0.5, 1.5, 3.2])))
     return library, observed, draw(st.permutations(observed)), cfg
+
+
+# Two tokens of one unit each, so that expansions overlap and tie often.
+tie_tokens = st.sampled_from(["h", "v"])
+
+
+@st.composite
+def libraries_and_scenes(draw):
+    library = EMPTY_LIBRARY
+    for body in draw(st.lists(st.lists(tie_tokens | st.sampled_from(["chunk1", "chunk2"]),
+                                       min_size=2, max_size=5), max_size=4)):
+        try:
+            fragment = make_fragment(f"chunk{len(library.fragments) + 1}", tuple(body), library)
+        except ValueError:
+            continue
+        if fragment.expansion not in library.expansions():
+            library = library.with_fragment(fragment)
+    return library, tuple(draw(st.lists(tie_tokens, max_size=14)))
+
+
+# (chunk2 v) and (h chunk1) tie on cost and chunk count; the longest first step wins.
+_TIE = (make_fragment("chunk1", ("v", "h", "v"), EMPTY_LIBRARY),
+        make_fragment("chunk2", ("h", "v", "h"), EMPTY_LIBRARY))
+_MOVE_TIE = (make_fragment("chunk1", ("r1", "v"), EMPTY_LIBRARY),
+             make_fragment("chunk2", ("h", "r1"), EMPTY_LIBRARY))
+
+
+@given(libraries_and_scenes())
+@example((Library(_TIE), ("h", "v", "h", "v")))
+@example((Library(_TIE[::-1]), ("h", "v", "h", "v", "h", "v")))
+@example((Library(_MOVE_TIE), ("h", "r1", "v", "h", "r1", "v")))
+@settings(max_examples=300, deadline=None)
+def test_shortest_tokenization_walks_the_table_like_the_reference(case):
+    library, scene = case
+    assert shortest_tokenization(scene, library) == reference_shortest_tokenization(scene, library)
 
 
 @given(learner_states())
@@ -526,12 +561,15 @@ def test_disjoint_counts_match_greedy_counting():
     scenes = [("v", "v", "v", "v"), ("h", "r1", "h", "r1", "h"), ("v",)]
     scenes += [random_base_sequence(rng, max_units=rng.randint(1, 16)) for _ in range(60)]
     for scene in scenes:
-        table = _disjoint_counts(scene)
+        table = _scene_windows(scene)
         patterns = {scene[i:j] for i in range(len(scene)) for j in range(i + 1, len(scene) + 1)}
-        assert set(table) == patterns
-        for pattern in patterns:
-            assert table[pattern] == greedy_count(pattern, scene) > 0, (scene, pattern)
+        # Every window that can become a fragment, and no other, with its length and count.
+        assert set(table) == {p for p in patterns
+                              if token_length(p) >= 2 and count_placements(p) > 0}
+        for pattern, (length, count) in table.items():
+            assert length == token_length(pattern)
+            assert count == greedy_count(pattern, scene) > 0, (scene, pattern)
     # Overlapping occurrences count once per disjoint, left-first match.
-    assert _disjoint_counts(("v", "v", "v"))[("v", "v")] == 1
-    for absent in [("h",), ("v", "v", "v", "v", "v"), ("r1", "v")]:
-        assert absent not in _disjoint_counts(("v", "v", "v", "v"))
+    assert _scene_windows(("v", "v", "v"))[("v", "v")] == (2, 1)
+    for absent in [("v",), ("h", "v"), ("v", "v", "v", "v", "v"), ("r1", "v")]:
+        assert absent not in _scene_windows(("v", "v", "v", "v"))

@@ -54,7 +54,8 @@ TOWERS = stimulus_towers()
 def assert_valid_sequence(sequence):
     assert len(sequence.trials) == TRIALS_PER_SEQUENCE
     for block in range(1, REPETITION_BLOCKS + 1):
-        pairs = [t.pair for t in sequence.trials if t.repetition_block == block]
+        pairs = [frozenset((t.left, t.right)) for t in sequence.trials
+                 if t.repetition_block == block]
         assert len(pairs) == 3
         assert set(pairs) == {frozenset(p) for p in TOWER_PAIRS}
     lefts = Counter(t.left for t in sequence.trials)
