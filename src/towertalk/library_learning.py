@@ -16,11 +16,18 @@ candidates once per scene set, and _round, once per scene set and library,
 drops the known expansions and takes a shorter body where a rewrite that holds
 a chunk reference offers one. Every library and score is the one a search over
 all windows of all the programs gives.
+
+A candidate is scored from columns the round already builds: each scene's MDL
+under the library for every prefix and every suffix. Where the candidate fits
+a scene once, its MDL with the candidate is the cheapest split around one of
+its starts; only a scene that holds two or more disjoint occurrences runs the
+DP again (_mdl_cost).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,27 +164,30 @@ def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Pr
     return windows
 
 
-def _scene_windows(scene: Program) -> dict[Program, tuple[int, int]]:
-    """{expansion: (token length, disjoint count)} for every window of a base scene
-    that is at least 2 units long and places a block, in one pass over the scene.
-    The count is a greedy left-to-right count of non-overlapping occurrences
-    (maximal for a fixed length)."""
+def _scene_windows(scene: Program) -> dict[Program, tuple[int, int, tuple[int, ...]]]:
+    """{expansion: (token length, disjoint count, starts)} for every window of a
+    base scene that is at least 2 units long and places a block, in one pass over
+    the scene. The count is a greedy left-to-right count of non-overlapping
+    occurrences (maximal for a fixed length); starts lists every occurrence,
+    overlapping ones included."""
+    starts: dict[Program, list[int]] = {}
     counts: dict[Program, int] = {}
     ends: dict[Program, int] = {}  # where each pattern's last counted occurrence ends
     n = len(scene)
     for i in range(n):
         for j in range(i + 1, n + 1):
             pattern = scene[i:j]
+            starts.setdefault(pattern, []).append(i)
             if ends.get(pattern, 0) <= i:
                 counts[pattern] = counts.get(pattern, 0) + 1
                 ends[pattern] = j
-    return {pattern: (length, count) for pattern, count in counts.items()
+    return {pattern: (length, counts[pattern], tuple(found)) for pattern, found in starts.items()
             if (length := dsl.token_length(pattern)) >= 2 and dsl.count_placements(pattern) > 0}
 
 
 # One row of a scene table: a candidate expansion, its cheapest base window,
-# and the (scene index, disjoint count) of each scene it occurs in.
-SceneRow = tuple[Program, Window, tuple[tuple[int, int], ...]]
+# and (scene index, disjoint count, start positions) for each scene it occurs in.
+SceneRow = tuple[Program, Window, tuple[tuple[int, int, tuple[int, ...]], ...]]
 
 
 @lru_cache(maxsize=1 << 6)
@@ -190,15 +200,16 @@ def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
     one-scene tables, so each scene is passed over once while it stays cached.
     A base window is its own expansion and its own body."""
     if len(scenes) == 1:
-        return tuple(sorted((expansion, (length, expansion), ((0, count),))
-                            for expansion, (length, count) in _scene_windows(scenes[0]).items()))
-    rows: dict[Program, tuple[Window, list[tuple[int, int]]]] = {}
+        return tuple(sorted((expansion, (length, expansion), ((0, count, starts),))
+                            for expansion, (length, count, starts)
+                            in _scene_windows(scenes[0]).items()))
+    rows: dict[Program, tuple[Window, list[tuple[int, int, tuple[int, ...]]]]] = {}
     for n, scene in enumerate(scenes):
-        for expansion, window, ((_, count),) in _scene_table((scene,)):
+        for expansion, window, ((_, count, starts),) in _scene_table((scene,)):
             row = rows.get(expansion)
             if row is None:
                 rows[expansion] = row = (window, [])
-            row[1].append((n, count))
+            row[1].append((n, count, starts))
     return tuple((expansion, window, tuple(present))
                  for expansion, (window, present) in sorted(rows.items()))
 
@@ -219,13 +230,30 @@ def update_library_with_log(library: Library, observed: Sequence[Program],
     return current, list(adoptions)
 
 
-@lru_cache(maxsize=1 << 6)
-def _round(scenes: tuple[Program, ...],
-           library: Library) -> tuple[tuple[Program, ...], tuple[int, ...], tuple[SceneRow, ...]]:
+class Round(NamedTuple):
+    """One adoption round over a scene set under a library."""
+
+    expansions: tuple[Program, ...]  # the library's, sorted: the MDL cache key
+    costs: tuple[int, ...]           # each scene's MDL under the library
+    # Per scene, (prefix, suffix): the MDL of scene[:p] and of scene[p:] under
+    # the library, for every position p.
+    columns: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    rows: tuple[SceneRow, ...]       # the candidates, each at its cheapest window
+
+
+def _cost_column(sequence: Program, expansions: Sequence[Program]) -> tuple[int, ...]:
+    return tuple(cost for cost, _, _ in _mdl_table(sequence, expansions))
+
+
+@lru_cache(maxsize=1 << 9)
+def _round(scenes: tuple[Program, ...], library: Library) -> Round:
     """An adoption round over the scenes under the library: the library's sorted
-    expansions (the MDL cache key), each scene's MDL under it, and the table's
-    rows for the expansions it does not know, each at its cheapest window. The
-    scene counts only weight a round, so rounds that differ only in counts share it."""
+    expansions, each scene's MDL and cost columns under it, and the table's rows
+    for the expansions it does not know, each at its cheapest window. The scene
+    counts only weight a round, so rounds that differ only in counts share it.
+
+    The suffix column is _mdl_table's; the prefix column is the same DP run
+    over the reversed scene and the reversed expansions, read back to front."""
     expansions = tuple(sorted(library.expansions()))
     known = set(expansions)
     # Rewrites under the library let chunks nest inside later fragments. A
@@ -241,36 +269,57 @@ def _round(scenes: tuple[Program, ...],
             rewrite = cheaper.get(expansion)
             rows.append(row if rewrite is None or window < rewrite
                         else (expansion, rewrite, present))
-    costs = tuple(_mdl_cost(seq, expansions) for seq in scenes)
-    return expansions, costs, tuple(rows)
+    reversed_expansions = [expansion[::-1] for expansion in expansions]
+    columns = tuple((_cost_column(seq[::-1], reversed_expansions)[::-1],
+                     _cost_column(seq, expansions)) for seq in scenes)
+    return Round(expansions, tuple(suffix[0] for _, suffix in columns), columns, tuple(rows))
 
 
 @lru_cache(maxsize=1 << 12)
 def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ...],
                    cfg: LearningConfig) -> tuple[Library, tuple[Adoption, ...]]:
     """update_library_with_log on sorted (scene, count) pairs, so that a state
-    the learner has already met is answered from the cache."""
+    the learner has already met is answered from the cache.
+
+    A candidate is scored only on the scenes it occurs in: elsewhere the DP
+    cannot use it, so the scene keeps its MDL. Where it fits a scene once, any
+    tokenization uses it at most once and the parts either side of that use
+    cannot hold it, so the scene's MDL with it is the cheaper of its current
+    MDL and, over each start p, prefix[p] + 1 + suffix[p + len(expansion)].
+    Only a scene that holds two or more disjoint occurrences runs the DP."""
     scenes = tuple(seq for seq, _ in scene_counts)
     counts = [count for _, count in scene_counts]
     current = library
     adoptions: list[Adoption] = []
     for _ in range(MAX_FRAGMENTS_PER_TRIAL):
-        expansions, costs, rows = _round(scenes, current)
+        expansions, costs, columns, rows = _round(scenes, current)
         best_delta = 0.0
         best: tuple[Program, Program] | None = None
         for expansion, (length, body), present in rows:
             size_cost = cfg.w * length
             occurrences = 0
-            for n, found in present:  # a plain loop: sum() of a generator is 3x slower here
+            for n, found, _ in present:  # a plain loop: sum() of a generator is 3x slower here
                 occurrences += counts[n] * found
             if occurrences * (length - 1) <= size_cost:
                 continue
-            # The DP can use the expansion only where it occurs, so a scene
-            # without it keeps its current MDL and adds nothing to the saving.
-            trial_key = tuple(sorted(expansions + (expansion,)))
+            span = len(expansion)
+            trial_key = None
             saving = 0
-            for n, _ in present:
-                saving += counts[n] * (costs[n] - _mdl_cost(scenes[n], trial_key))
+            for n, found, starts in present:
+                if found == 1:
+                    prefix, suffix = columns[n]
+                    cost = costs[n]
+                    for p in starts:
+                        split = prefix[p] + 1 + suffix[p + span]
+                        if split < cost:
+                            cost = split
+                else:
+                    if trial_key is None:
+                        # The sorted expansions with this one inserted in place.
+                        at = bisect_left(expansions, expansion)
+                        trial_key = expansions[:at] + (expansion,) + expansions[at:]
+                    cost = _mdl_cost(scenes[n], trial_key)
+                saving += counts[n] * (costs[n] - cost)
             delta = saving - size_cost
             if delta > best_delta:
                 best_delta = delta

@@ -161,6 +161,13 @@ class LearnedTrial(NamedTuple):
     adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
 
 
+@lru_cache(maxsize=1 << 6)
+def _base_scene(left: TowerStimulus, right: TowerStimulus) -> tuple[Scene, Program]:
+    """A trial's target scene and its canonical program, derived once per tower pair."""
+    target = compose_scene(left, right)
+    return target, dsl.canonical_program(target)
+
+
 @lru_cache(maxsize=1)
 def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
                        stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
@@ -176,8 +183,7 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
     scenes: list[Program] = []
     trials: list[LearnedTrial] = []
     for index, spec in enumerate(sequence.trials, start=1):
-        target = compose_scene(towers[spec.left], towers[spec.right])
-        program = dsl.canonical_program(target)
+        target, program = _base_scene(towers[spec.left], towers[spec.right])
         scenes.append(program)
         library, adoptions = update_library_with_log(library, scenes, lcfg)
         adopted = tuple(

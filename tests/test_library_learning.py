@@ -25,6 +25,7 @@ from towertalk.library_learning import (
     Adoption,
     LearningConfig,
     _candidate_windows,
+    _mdl_cost,
     _next_fragment_id,
     _round,
     _scene_table,
@@ -35,6 +36,7 @@ from towertalk.library_learning import (
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
+from towertalk.simulation import generate_sequences, library_trajectory
 
 from oracles import (library_score, library_size, make_fragment, mdl,
                      reference_shortest_tokenization)
@@ -343,6 +345,17 @@ def test_learner_caches_are_bounded():
     assert names == {"_learning_step", "_round", "_scene_table", "_program_windows", "_mdl_cost"}
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
+    # Each round holds two cost columns per scene, so an evicted round costs two
+    # DPs per scene again: the default grid's learning (49 sequences at each w)
+    # fits in the round cache.
+    for fn in learner_caches():
+        fn.cache_clear()
+    sequences, _ = generate_sequences(0, 49)
+    for w in (1.5, 3.2, 9.6):
+        for sequence in sequences:
+            library_trajectory(sequence, LearningConfig(w=w), stimulus_towers())
+    rounds = _round.cache_info()
+    assert rounds.misses == rounds.currsize < rounds.maxsize, rounds
 
 
 def reference_candidate_windows(programs, library):
@@ -405,7 +418,8 @@ def test_scene_table_holds_every_candidate_of_every_library():
         assert [expansion for expansion, _, _ in table] == sorted(base)
         for expansion, window, present in table:
             assert window == base[expansion]
-            assert present == tuple((n, greedy_count(expansion, scene))
+            assert present == tuple((n, greedy_count(expansion, scene),
+                                     occurrences(expansion, scene))
                                     for n, scene in enumerate(scenes) if expansion in
                                     reference_candidate_windows([scene], EMPTY_LIBRARY))
         rows = {expansion: window for expansion, window, _ in table}
@@ -421,7 +435,7 @@ def test_scene_table_holds_every_candidate_of_every_library():
                 assert expansion in rows and expansion not in lib.expansions()
                 assert window == min(rows[expansion], chunked.get(expansion, rows[expansion]))
             # A learning round scores exactly those candidates, in sorted order.
-            _, _, round_rows = _round(scenes, lib)
+            round_rows = _round(scenes, lib).rows
             assert [(expansion, window) for expansion, window, _ in round_rows] \
                 == sorted(candidates.items())
     assert nested > 50
@@ -556,6 +570,99 @@ def greedy_count(pattern, sequence):
     return count
 
 
+def test_single_use_split_matches_the_dp_and_brute_force():
+    """A round's prefix and suffix columns are the MDL of each prefix and suffix,
+    and where a candidate fits a scene once, min(MDL, prefix[p] + 1 + suffix[p + k])
+    over every start p is the scene's MDL with the candidate added."""
+    rng = random.Random(17)
+    cases = [(EMPTY_LIBRARY, ("v", "v", "v")),  # (v v) overlaps itself at 0 and 1
+             (EMPTY_LIBRARY, ("h", "v", "h", "v", "h")),  # (h v h) at 0 and 2
+             (Library((make_fragment("chunk1", ("v", "v"), EMPTY_LIBRARY),)), ("v", "v", "v"))]
+    cases += [(random_fragment_library(rng),
+               random_base_sequence(rng, max_units=rng.randint(2, 16))) for _ in range(200)]
+    single = overlapping = repeated = 0
+    for lib, scene in cases:
+        expansions = tuple(sorted(lib.expansions()))
+        (prefix, suffix), = _round((scene,), lib).columns
+        assert len(prefix) == len(suffix) == len(scene) + 1
+        for p in range(len(scene) + 1):
+            assert prefix[p] == brute_force_mdl(scene[:p], expansions)
+            assert suffix[p] == brute_force_mdl(scene[p:], expansions)
+        for expansion, (_, count, starts) in _scene_windows(scene).items():
+            if expansion in expansions:
+                continue
+            trial_key = tuple(sorted(expansions + (expansion,)))
+            exact = _mdl_cost(scene, trial_key)
+            assert exact == brute_force_mdl(scene, trial_key)
+            if count > 1:
+                repeated += 1
+                continue
+            single += 1
+            overlapping += len(starts) > 1
+            split = min([suffix[0]] + [prefix[p] + 1 + suffix[p + len(expansion)] for p in starts])
+            assert split == exact, (lib, scene, expansion)
+    assert single > 1000 and overlapping > 20 and repeated > 100
+
+
+def test_learning_step_scores_each_candidate_exactly(monkeypatch):
+    """_learning_step's saving for a candidate is the brute-force MDL saving over
+    the scenes, and it calls _mdl_cost for exactly the scenes that hold two or
+    more disjoint occurrences, with the round's expansions and the candidate.
+    Each candidate is scored alone, by a round that offers only its row."""
+    rng = random.Random(19)
+    cfg = LearningConfig(w=0.0)  # every candidate passes the bound; delta is the saving
+    calls = []
+    cost, real_round = library_learning._mdl_cost, library_learning._round
+    monkeypatch.setattr(library_learning, "_mdl_cost",
+                        lambda sequence, key: calls.append((sequence, key)) or cost(sequence, key))
+
+    def scored_alone(lib, scene_counts, round_, row):
+        monkeypatch.setattr(library_learning, "_round", lambda _, library: round_._replace(
+            rows=(row,) if library == lib else ()))
+        library_learning._learning_step.cache_clear()
+        calls.clear()
+        return library_learning._learning_step(lib, scene_counts, cfg)[1]
+
+    # (v v) fits (r1 v v v) once, at 1 and at 2; only the later start uses chunk1.
+    cases = [(Library((make_fragment("chunk1", ("r1", "v"), EMPTY_LIBRARY),)),
+              (("r1", "v", "v", "v"),))]
+    for _ in range(100):
+        cases.append((random_fragment_library(rng),
+                      tuple(sorted({random_base_sequence(rng, max_units=rng.randint(4, 16))
+                                    for _ in range(rng.randint(1, 3))}))))
+    later_start = fallbacks = 0
+    try:
+        for lib, scenes in cases:
+            scene_counts = tuple((scene, rng.randint(1, 3)) for scene in scenes)
+            expansions = tuple(sorted(lib.expansions()))
+            round_ = real_round(scenes, lib)
+            for row in round_.rows:
+                expansion, (_, body), present = row
+                trial_key = tuple(sorted(expansions + (expansion,)))
+                saving = sum(count * (brute_force_mdl(scene, expansions)
+                                      - brute_force_mdl(scene, trial_key))
+                             for scene, count in scene_counts)
+                fragment = Fragment(_next_fragment_id(lib), body, expansion)
+                assert scored_alone(lib, scene_counts, round_, row) == \
+                    ((Adoption(fragment, saving),) if saving > 0 else ())
+                assert calls == [(scenes[n], trial_key) for n, count, _ in present if count > 1]
+                fallbacks += len(calls)
+                for n, count, starts in present:
+                    if count == 1 and len(starts) > 1:
+                        prefix, suffix = round_.columns[n]
+                        splits = [prefix[p] + 1 + suffix[p + len(expansion)] for p in starts]
+                        later_start += min(splits[1:]) < min(splits[0], round_.costs[n])
+    finally:  # its entries were scored by the one-row rounds
+        library_learning._learning_step.cache_clear()
+    assert later_start > 0 and fallbacks > 100
+
+
+def occurrences(pattern, sequence):
+    """Every start of pattern in sequence, overlapping ones included."""
+    return tuple(i for i in range(len(sequence) - len(pattern) + 1)
+                 if sequence[i:i + len(pattern)] == pattern)
+
+
 def test_disjoint_counts_match_greedy_counting():
     rng = random.Random(11)
     scenes = [("v", "v", "v", "v"), ("h", "r1", "h", "r1", "h"), ("v",)]
@@ -566,10 +673,12 @@ def test_disjoint_counts_match_greedy_counting():
         # Every window that can become a fragment, and no other, with its length and count.
         assert set(table) == {p for p in patterns
                               if token_length(p) >= 2 and count_placements(p) > 0}
-        for pattern, (length, count) in table.items():
+        for pattern, (length, count, starts) in table.items():
             assert length == token_length(pattern)
             assert count == greedy_count(pattern, scene) > 0, (scene, pattern)
-    # Overlapping occurrences count once per disjoint, left-first match.
-    assert _scene_windows(("v", "v", "v"))[("v", "v")] == (2, 1)
+            assert starts == occurrences(pattern, scene)
+    # Overlapping occurrences count once per disjoint, left-first match, and
+    # every one of them is a start.
+    assert _scene_windows(("v", "v", "v"))[("v", "v")] == (2, 1, (0, 1))
     for absent in [("v",), ("h", "v"), ("v", "v", "v", "v", "v"), ("r1", "v")]:
         assert absent not in _scene_windows(("v", "v", "v", "v"))
