@@ -41,8 +41,8 @@ class BlockPlacement(NamedTuple):
             return ((self.x, self.y), (self.x + 1, self.y))
         return ((self.x, self.y), (self.x, self.y + 1))
 
-    def translate(self, dx: int, dy: int = 0) -> "BlockPlacement":
-        return BlockPlacement(self.x + dx, self.y + dy, self.orientation)
+    def translate(self, dx: int) -> "BlockPlacement":
+        return BlockPlacement(self.x + dx, self.y, self.orientation)
 
 
 class GridState(NamedTuple):

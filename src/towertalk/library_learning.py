@@ -105,6 +105,22 @@ def _mdl_cost(sequence: Program, expansions: tuple[Program, ...]) -> int:
     return _mdl_table(sequence, expansions)[0][0]
 
 
+def _walk(sequence: Program, table: list[tuple[int, int, int]],
+          by_expansion: dict[Program, str]) -> Program:
+    """The tokenization _mdl_table(sequence, ...) records: at each position, the
+    step its entry holds, as the base token or as the id of the fragment whose
+    expansion the step covers."""
+    tokens: list[str] = []
+    i = 0
+    while i < len(sequence):
+        _, chunks, step = table[i]
+        j = i - step
+        # A step that adds no chunk reference is the base token itself.
+        tokens.append(sequence[i] if chunks == table[j][1] else by_expansion[sequence[i:j]])
+        i = j
+    return tuple(tokens)
+
+
 def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     """A cheapest program over the library that inlines to base_sequence;
     deterministic regardless of fragment ordering.
@@ -114,16 +130,7 @@ def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     """
     sequence = tuple(base_sequence)
     by_expansion = {f.expansion: f.id for f in library.fragments}
-    best = _mdl_table(sequence, sorted(by_expansion))
-    tokens: list[str] = []
-    i = 0
-    while i < len(sequence):
-        _, chunks, step = best[i]
-        j = i - step
-        # A step that adds no chunk reference is the base token itself.
-        tokens.append(sequence[i] if chunks == best[j][1] else by_expansion[sequence[i:j]])
-        i = j
-    return tuple(tokens)
+    return _walk(sequence, _mdl_table(sequence, sorted(by_expansion)), by_expansion)
 
 
 def _keep_cheapest(windows: dict[Program, Window], expansion: Program, window: Window) -> None:
@@ -241,8 +248,8 @@ class Round(NamedTuple):
     rows: tuple[SceneRow, ...]       # the candidates, each at its cheapest window
 
 
-def _cost_column(sequence: Program, expansions: Sequence[Program]) -> tuple[int, ...]:
-    return tuple(cost for cost, _, _ in _mdl_table(sequence, expansions))
+def _cost_column(table: list[tuple[int, int, int]]) -> tuple[int, ...]:
+    return tuple(cost for cost, _, _ in table)
 
 
 @lru_cache(maxsize=1 << 9)
@@ -252,16 +259,25 @@ def _round(scenes: tuple[Program, ...], library: Library) -> Round:
     for the expansions it does not know, each at its cheapest window. The scene
     counts only weight a round, so rounds that differ only in counts share it.
 
-    The suffix column is _mdl_table's; the prefix column is the same DP run
-    over the reversed scene and the reversed expansions, read back to front."""
+    Each scene's _mdl_table gives its rewrite, its suffix column and its MDL;
+    the prefix column is the same DP run over the reversed scene and the
+    reversed expansions, read back to front."""
     expansions = tuple(sorted(library.expansions()))
-    known = set(expansions)
+    by_expansion = {f.expansion: f.id for f in library.fragments}
+    reversed_expansions = [expansion[::-1] for expansion in expansions]
+    rewritten = []
+    columns = []
+    for seq in scenes:
+        table = _mdl_table(seq, expansions)
+        rewritten.append(_walk(seq, table, by_expansion))
+        columns.append((_cost_column(_mdl_table(seq[::-1], reversed_expansions))[::-1],
+                        _cost_column(table)))
     # Rewrites under the library let chunks nest inside later fragments. A
     # rewrite's window inlines to a substring of its scene, so it can only offer
     # a cheaper body for an expansion the table holds; a rewrite with no chunk
     # reference is its scene and offers nothing.
-    rewritten = [shortest_tokenization(seq, library) for seq in scenes]
     cheaper = _candidate_windows([p for p, seq in zip(rewritten, scenes) if p != seq], library)
+    known = set(expansions)
     rows = []
     for row in _scene_table(scenes):
         expansion, window, present = row
@@ -269,10 +285,8 @@ def _round(scenes: tuple[Program, ...], library: Library) -> Round:
             rewrite = cheaper.get(expansion)
             rows.append(row if rewrite is None or window < rewrite
                         else (expansion, rewrite, present))
-    reversed_expansions = [expansion[::-1] for expansion in expansions]
-    columns = tuple((_cost_column(seq[::-1], reversed_expansions)[::-1],
-                     _cost_column(seq, expansions)) for seq in scenes)
-    return Round(expansions, tuple(suffix[0] for _, suffix in columns), columns, tuple(rows))
+    return Round(expansions, tuple(suffix[0] for _, suffix in columns), tuple(columns),
+                 tuple(rows))
 
 
 @lru_cache(maxsize=1 << 12)

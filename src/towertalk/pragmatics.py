@@ -22,13 +22,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import dsl
 from .blockworld import (
+    GRID_HEIGHT,
+    GRID_WIDTH,
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
     GridState,
     PlacementError,
     drop_block,
-    empty_grid,
 )
 from .dsl import Library, Program, Token
 from .library_learning import shortest_tokenization
@@ -207,24 +208,23 @@ def _update_components(belief: BeliefState, word: str,
 
 def update_belief(belief: BeliefState, word: str,
                   observed: Sequence[BlockPlacement], library: Library, *,
-                  grid: GridState, hand_x: int) -> tuple[BeliefState, bool]:
+                  heights: tuple[int, ...], hand: int) -> tuple[BeliefState, bool]:
     """Condition on the Builder's placements for one word.
 
-    A hypothesis survives iff executing its fragment for the word from the
-    Builder's pre-step grid and hand reproduces exactly the observed
+    A hypothesis survives iff running its fragment for the word from the
+    Builder's pre-step column heights and hand reproduces exactly the observed
     placements. Returns (new belief, anomaly flag); if every hypothesis is
     ruled out, the belief resets to uniform and the anomaly flag is set.
     """
     if dsl.is_base_token(word):
         return belief, False
-    observed_list = list(observed)
+    observed = tuple(observed)
     cache: dict[str, bool] = {}
 
     def consistent(frag_id: str) -> bool:
         if frag_id not in cache:
-            fragment = library.resolve(frag_id)
-            _, _, placed = execute_lenient(fragment.expansion, grid, hand_x)
-            cache[frag_id] = placed == observed_list
+            expansion = library.resolve(frag_id).expansion
+            cache[frag_id] = lenient_run(expansion, heights, hand)[2] == observed
         return cache[frag_id]
 
     return _update_components(belief, word, consistent)
@@ -333,28 +333,19 @@ def architect_choose(base: Program, library: Library, belief: BeliefState,
 # ---------------------------------------------------------------------------
 # Builder
 
-def execute_lenient(tokens: Sequence[Token], grid: GridState,
-                    hand: int) -> tuple[GridState, int, list[BlockPlacement]]:
-    """Best-effort base-token execution: the hand clamps at the walls and
-    drops that cannot fit are skipped rather than raised."""
-    heights, hand, placed = _lenient_run(tuple(tokens), grid.width, grid.height,
-                                         grid.column_heights, hand)
-    return (GridState(grid.width, grid.height, heights, grid.placements + placed),
-            hand, list(placed))
-
-
 @lru_cache(maxsize=1 << 12)
-def _lenient_run(tokens: Program, width: int, height: int, heights: tuple[int, ...],
-                 hand: int) -> tuple[tuple[int, ...], int, tuple[BlockPlacement, ...]]:
-    """execute_lenient's loop: the final column heights, the hand and the new
-    placements. Where a drop lands depends only on the column heights, so the
-    result does not depend on the grid's earlier placements, and the Builder's
-    steps and the belief update's re-executions of one fragment from one grid
-    share it."""
-    grid = GridState(width, height, heights, ())
+def lenient_run(tokens: Program, heights: tuple[int, ...],
+                hand: int) -> tuple[tuple[int, ...], int, tuple[BlockPlacement, ...]]:
+    """Best-effort base-token execution on the GRID_WIDTH x GRID_HEIGHT grid: the
+    hand clamps at the walls and drops that cannot fit are skipped rather than
+    raised. Returns the final column heights, the hand and the new placements.
+    Where a drop lands depends only on the column heights, so the Builder's steps
+    and the belief update's re-executions of one fragment from one state share
+    a run."""
+    grid = GridState(GRID_WIDTH, GRID_HEIGHT, heights, ())
     for token in tokens:
         if dsl.is_move(token):
-            hand = min(max(hand + dsl.move_delta(token), 0), width - 1)
+            hand = min(max(hand + dsl.move_delta(token), 0), GRID_WIDTH - 1)
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
         try:
@@ -364,39 +355,18 @@ def _lenient_run(tokens: Program, width: int, height: int, heights: tuple[int, .
     return grid.column_heights, hand, grid.placements
 
 
-class BuilderState:
-    """The Builder's grid, hand, and persistent word bindings for one dyad."""
-
-    def __init__(self, grid: GridState, hand: int) -> None:
-        self.grid = grid
-        self.hand = hand
-        self.bindings: dict[str, str] = {}
-
-    def reset_workspace(self, start_x: int) -> None:
-        self.grid = empty_grid()
-        self.hand = start_x
-
-
-def builder_interpret(word: str, state: BuilderState, library: Library,
-                      rng: random.Random) -> Token:
-    """Resolve a word to a primitive; first hearings bind uniformly at random
-    to a library fragment no other word has claimed, and the binding persists."""
+def builder_interpret(word: str, bindings: dict[str, str], library: Library,
+                      rng: random.Random) -> Program:
+    """The base tokens a word means: a base word is itself, a synthetic word its
+    bound fragment's expansion. A first hearing binds the word uniformly at
+    random to a library fragment no other word has claimed, in `bindings`."""
     if dsl.is_base_token(word):
-        return word
-    if word in state.bindings:
-        return state.bindings[word]
-    taken = set(state.bindings.values())
-    unbound = sorted(f for f in library.ids() if f not in taken)
-    if not unbound:
-        raise RuntimeError(f"no unbound fragment left for new word {word!r}")
-    choice = unbound[rng.randrange(len(unbound))]
-    state.bindings[word] = choice
-    return choice
-
-
-def builder_execute_token(state: BuilderState, token: Token,
-                          library: Library) -> list[BlockPlacement]:
-    """Execute one interpreted primitive on the Builder's workspace."""
-    tokens = (token,) if dsl.is_base_token(token) else library.resolve(token).expansion
-    state.grid, state.hand, placed = execute_lenient(tokens, state.grid, state.hand)
-    return placed
+        return (word,)
+    fragment_id = bindings.get(word)
+    if fragment_id is None:
+        taken = set(bindings.values())
+        unbound = sorted(f for f in library.ids() if f not in taken)
+        if not unbound:
+            raise RuntimeError(f"no unbound fragment left for new word {word!r}")
+        fragment_id = bindings[word] = unbound[rng.randrange(len(unbound))]
+    return library.resolve(fragment_id).expansion

@@ -27,7 +27,6 @@ from .blockworld import (
     Scene,
     TowerStimulus,
     compose_scene,
-    empty_grid,
     f1_score,
     stimulus_towers,
     strict_int,
@@ -42,14 +41,13 @@ from .library_learning import (
     update_library_with_log,
 )
 from .pragmatics import (
-    BuilderState,
     PragmaticsConfig,
     architect_choose,
     belief_entropy,
-    builder_execute_token,
     builder_interpret,
     extend_hypotheses,
     initial_belief,
+    lenient_run,
     synthetic_word,
     update_belief,
 )
@@ -210,7 +208,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
 
     library = Library()
     belief = initial_belief()
-    builder = BuilderState(grid=empty_grid(), hand=0)
+    bindings: dict[str, str] = {}  # the Builder's word-to-fragment bindings
     level_by_fragment: dict[str, str] = {}
     snapshots: list[FragmentSnapshot] = []
     records: list[TrialRecord] = []
@@ -218,21 +216,23 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
     for index, (spec, trial) in enumerate(zip(sequence.trials, learned), start=1):
         program, utterance = architect_choose(trial.program, library, belief, cfg, rng)
 
-        builder.reset_workspace(dsl.default_start_x(trial.target))
+        # The Builder's workspace: column heights and hand, empty at each trial.
+        heights, hand = (0,) * GRID_WIDTH, dsl.default_start_x(trial.target)
+        built: list[BlockPlacement] = []
         steps: list[StepRecord] = []
         anomalies = 0
         for token, word in zip(program, utterance):
-            pre_grid, pre_hand = builder.grid, builder.hand
-            interpreted = builder_interpret(word, builder, library, rng)
-            placed = builder_execute_token(builder, interpreted, library)
+            tokens = builder_interpret(word, bindings, library, rng)
+            after_heights, after_hand, placed = lenient_run(tokens, heights, hand)
             belief, anomaly = update_belief(
-                belief, word, placed, library, grid=pre_grid, hand_x=pre_hand)
+                belief, word, placed, library, heights=heights, hand=hand)
+            heights, hand = after_heights, after_hand
+            built.extend(placed)
             anomalies += int(anomaly)
             level = _BASE_LEVELS.get(token) or level_by_fragment[token]
             steps.append(StepRecord(token, word, level, len(placed)))
 
-        built = Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(builder.grid.placements))
-        trial_f1 = f1_score(trial.target, built)
+        trial_f1 = f1_score(trial.target, Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(built)))
 
         library = trial.library
         new_pairs: list[tuple[str, str]] = []
@@ -247,7 +247,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
             spec=spec,
             program=program,
             utterance=utterance,
-            builder_placements=tuple(builder.grid.placements),
+            builder_placements=tuple(built),
             f1=trial_f1,
             tokens_sent=dsl.token_length(program),
             steps=tuple(steps),

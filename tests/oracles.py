@@ -1,8 +1,9 @@
 """Reference functions that only the tests use: building a fragment by hand,
 the learner's posterior score, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
+the belief update and extension by explicit enumeration of lexicons,
 the Architect's per-candidate utterance and utility, the Builder's lenient
-execution without a memo, and a trace's data as plain dicts and lists. The
+run without a memo, and a trace's data as plain dicts and lists. The
 program computes none of these; the tests check it against them.
 
 Import with `from oracles import ...`: pytest puts this directory on sys.path.
@@ -14,8 +15,8 @@ from itertools import permutations
 from typing import Sequence
 
 from towertalk import dsl
-from towertalk.blockworld import (HORIZONTAL, VERTICAL, BlockPlacement, GridState,
-                                  PlacementError, drop_block)
+from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, VERTICAL,
+                                  BlockPlacement, GridState, PlacementError, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
 from towertalk.pragmatics import (BeliefState, PragmaticsConfig, candidate_programs,
@@ -104,6 +105,52 @@ def enumerate_hypotheses(belief: BeliefState,
     return out
 
 
+def lexicon_distribution(belief: BeliefState) -> dict[frozenset, float]:
+    """The belief's probability of each lexicon (as a frozenset of its bindings)."""
+    distribution: dict[frozenset, float] = {}
+    for lexicon, probability in enumerate_hypotheses(belief):
+        key = frozenset(lexicon.items())
+        distribution[key] = distribution.get(key, 0.0) + probability
+    return distribution
+
+
+def enumerated_update(belief: BeliefState, word: str, observed: Sequence[BlockPlacement],
+                      library: Library, heights: tuple[int, ...],
+                      hand: int) -> tuple[dict[frozenset, float], bool]:
+    """update_belief by explicit Bayesian enumeration: the lexicons whose fragment
+    for the word reproduces the observed placements from the pre-step column
+    heights and hand keep their mass, renormalized; if none does, the result is
+    uniform over every bijection of the belief's words and fragments, and the
+    anomaly flag is set."""
+    prior = lexicon_distribution(belief)
+    if dsl.is_base_token(word):
+        return prior, False
+    observed = tuple(observed)
+    kept = {lexicon: probability for lexicon, probability in prior.items()
+            if uncached_lenient_run(library.resolve(dict(lexicon)[word]).expansion,
+                                    heights, hand)[2] == observed}
+    if not kept:
+        bijections = [frozenset(zip(belief.words, assignment))
+                      for assignment in permutations(belief.fragments)]
+        return {lexicon: 1.0 / len(bijections) for lexicon in bijections}, True
+    total = sum(kept.values())
+    return {lexicon: probability / total for lexicon, probability in kept.items()}, False
+
+
+def enumerated_extension(belief: BeliefState,
+                         new_pairs: Sequence[tuple[str, str]]) -> dict[frozenset, float]:
+    """extend_hypotheses by explicit enumeration: each lexicon's mass split evenly
+    over its extensions by every bijection of the new words and fragments."""
+    words = [word for word, _ in new_pairs]
+    extensions = list(permutations([fragment for _, fragment in new_pairs]))
+    extended: dict[frozenset, float] = {}
+    for lexicon, probability in lexicon_distribution(belief).items():
+        for assignment in extensions:
+            key = lexicon | frozenset(zip(words, assignment))
+            extended[key] = extended.get(key, 0.0) + probability / len(extensions)
+    return extended
+
+
 def point_mass_lexicon(belief: BeliefState) -> dict[str, str] | None:
     """The single certain lexicon, if belief has collapsed; otherwise None."""
     if len(belief.components) == 1 and not belief.components[0].pools:
@@ -180,13 +227,14 @@ def uncached_architect_choose(base: Program, library: Library, belief: BeliefSta
     return program, utterance
 
 
-def uncached_execute_lenient(tokens: Sequence[Token], grid: GridState,
-                             hand: int) -> tuple[GridState, int, list[BlockPlacement]]:
-    """execute_lenient without its memo: every drop made again on the caller's grid."""
+def uncached_lenient_run(tokens: Sequence[Token], heights: tuple[int, ...],
+                         hand: int) -> tuple[tuple[int, ...], int, tuple[BlockPlacement, ...]]:
+    """lenient_run without its memo: every drop made again on a 14x8 grid."""
+    grid = GridState(GRID_WIDTH, GRID_HEIGHT, heights, ())
     placed: list[BlockPlacement] = []
     for token in tokens:
         if dsl.is_move(token):
-            hand = min(max(hand + dsl.move_delta(token), 0), grid.width - 1)
+            hand = min(max(hand + dsl.move_delta(token), 0), GRID_WIDTH - 1)
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
         try:
@@ -194,7 +242,7 @@ def uncached_execute_lenient(tokens: Sequence[Token], grid: GridState,
         except PlacementError:
             continue
         placed.append(grid.placements[-1])
-    return grid, hand, placed
+    return grid.column_heights, hand, tuple(placed)
 
 
 def trace_to_dict(trace: DyadTrace) -> dict:

@@ -9,6 +9,7 @@ from collections import Counter
 from functools import lru_cache
 
 from towertalk.blockworld import (
+    GRID_WIDTH,
     BlockPlacement,
     Scene,
     VERTICAL,
@@ -26,13 +27,12 @@ from towertalk.dsl import (
 )
 from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import (
-    BuilderState,
     PragmaticsConfig,
     belief_entropy,
-    builder_execute_token,
     builder_interpret,
     extend_hypotheses,
     initial_belief,
+    lenient_run,
     update_belief,
 )
 from towertalk.simulation import (
@@ -243,23 +243,23 @@ def test_criterion_6_belief_convergence():
     lib = lib.with_fragment(make_fragment("chunk2", ("h", "r2", "h"), lib))
     belief = extend_hypotheses(initial_belief(),
                                [("chunkA", "chunk1"), ("chunkB", "chunk2")])
-    builder = BuilderState(grid=empty_grid(), hand=0)
+    bindings = {}
+    heights, hand = (0,) * GRID_WIDTH, 0
     rng = random.Random(5)
     entropies = [belief_entropy(belief)]
     for word in ("chunkA", "chunkB"):
-        pre_grid, pre_hand = builder.grid, builder.hand
-        token = builder_interpret(word, builder, lib, rng)
-        placed = builder_execute_token(builder, token, lib)
-        belief, anomaly = update_belief(belief, word, placed, lib,
-                                        grid=pre_grid, hand_x=pre_hand)
+        tokens = builder_interpret(word, bindings, lib, rng)
+        after_heights, after_hand, placed = lenient_run(tokens, heights, hand)
+        belief, anomaly = update_belief(belief, word, placed, lib, heights=heights, hand=hand)
+        heights, hand = after_heights, after_hand
         assert not anomaly
         entropies.append(belief_entropy(belief))
     collapsed = point_mass_lexicon(belief)
     monotone = all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
-    ok = collapsed == builder.bindings and monotone
+    ok = collapsed == bindings and monotone
     report(6, ok,
            f"belief collapsed to {collapsed} matching builder bindings "
-           f"{builder.bindings}; entropy trace {[f'{e:.2f}' for e in entropies]}")
+           f"{bindings}; entropy trace {[f'{e:.2f}' for e in entropies]}")
 
 
 # -- criterion 7 -------------------------------------------------------------

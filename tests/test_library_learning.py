@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towertalk import dsl, library_learning
+from towertalk import blockworld, cli, dsl, library_learning, pragmatics, simulation
 from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import (
     EMPTY_LIBRARY,
@@ -334,10 +334,15 @@ def test_learning_config_validation():
             LearningConfig(w=w)
 
 
+def module_caches(*modules):
+    """Every lru_cache the modules define (not the ones they import by name)."""
+    return [fn for module in modules for fn in vars(module).values()
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__]
+
+
 def learner_caches():
     """Every lru_cache in the learner's modules."""
-    return [fn for module in (dsl, library_learning) for fn in vars(module).values()
-            if callable(fn) and hasattr(fn, "cache_parameters")]
+    return module_caches(dsl, library_learning)
 
 
 def test_learner_caches_are_bounded():
@@ -356,6 +361,19 @@ def test_learner_caches_are_bounded():
             library_trajectory(sequence, LearningConfig(w=w), stimulus_towers())
     rounds = _round.cache_info()
     assert rounds.misses == rounds.currsize < rounds.maxsize, rounds
+
+
+def test_every_cache_in_the_package_is_bounded():
+    modules = (blockworld, cli, dsl, library_learning, pragmatics, simulation)
+    names = {f"{fn.__module__}.{fn.__name__}" for fn in module_caches(*modules)}
+    assert names == {f"towertalk.{name}" for name in (
+        "library_learning._learning_step", "library_learning._round",
+        "library_learning._scene_table", "library_learning._program_windows",
+        "library_learning._mdl_cost", "pragmatics.candidate_programs",
+        "pragmatics.lenient_run", "simulation._base_scene",
+        "simulation.library_trajectory")}
+    for fn in module_caches(*modules):
+        assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
 
 def reference_candidate_windows(programs, library):

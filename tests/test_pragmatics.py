@@ -8,19 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
-from towertalk.blockworld import BlockPlacement, VERTICAL, empty_grid
-from towertalk.dsl import Library, token_length
+from towertalk.blockworld import GRID_WIDTH, VERTICAL, BlockPlacement
+from towertalk.cli import DEFAULT_ALPHA
+from towertalk.dsl import Library, is_base_token, token_length
 from towertalk.pragmatics import (
-    BuilderState,
     PragmaticsConfig,
     architect_choose,
     belief_entropy,
-    builder_execute_token,
     builder_interpret,
     candidate_programs,
-    execute_lenient,
     extend_hypotheses,
     initial_belief,
+    lenient_run,
     marginal_listener,
     synthetic_word,
     update_belief,
@@ -29,8 +28,12 @@ from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene, stimulus_towers
 from towertalk.library_learning import LearningConfig
 
-from oracles import (best_utterance, enumerate_hypotheses, joint_utility, make_fragment,
-                     point_mass_lexicon, uncached_architect_choose, uncached_execute_lenient)
+from oracles import (best_utterance, enumerate_hypotheses, enumerated_extension,
+                     enumerated_update, joint_utility, lexicon_distribution, make_fragment,
+                     point_mass_lexicon, uncached_architect_choose, uncached_lenient_run)
+
+# The Builder's workspace at the start of a trial: every column empty.
+EMPTY = (0,) * GRID_WIDTH
 
 
 def uniform_two_chunk_belief():
@@ -106,10 +109,9 @@ def test_support_and_probs_properties():
 
 def test_update_belief_collapses_on_disambiguating_observation(two_fragment_library):
     belief = uniform_two_chunk_belief()
-    grid = empty_grid()
-    _, _, placed = execute_lenient(("v", "v"), grid, 0)  # chunk1's behavior
+    _, _, placed = lenient_run(("v", "v"), EMPTY, 0)  # chunk1's behavior
     updated, anomaly = update_belief(
-        belief, "chunkA", placed, two_fragment_library, grid=grid, hand_x=0)
+        belief, "chunkA", placed, two_fragment_library, heights=EMPTY, hand=0)
     assert not anomaly
     assert point_mass_lexicon(updated) == {"chunkA": "chunk1", "chunkB": "chunk2"}
 
@@ -119,9 +121,8 @@ def test_update_belief_uninformative_observation_is_noop(two_fragment_library):
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
     lib = lib.with_fragment(make_fragment("chunk2", ("v", "v", "l1"), lib))
     belief = uniform_two_chunk_belief()
-    grid = empty_grid()
-    _, _, placed = execute_lenient(("v", "v"), grid, 0)
-    updated, anomaly = update_belief(belief, "chunkA", placed, lib, grid=grid, hand_x=0)
+    _, _, placed = lenient_run(("v", "v"), EMPTY, 0)
+    updated, anomaly = update_belief(belief, "chunkA", placed, lib, heights=EMPTY, hand=0)
     assert not anomaly
     assert updated.components == belief.components
 
@@ -130,7 +131,7 @@ def test_update_belief_fixed_word_is_noop(two_fragment_library):
     belief = uniform_two_chunk_belief()
     updated, anomaly = update_belief(
         belief, "v", [BlockPlacement(0, 0, VERTICAL)], two_fragment_library,
-        grid=empty_grid(), hand_x=0)
+        heights=EMPTY, hand=0)
     assert updated is belief
     assert not anomaly
 
@@ -138,11 +139,10 @@ def test_update_belief_fixed_word_is_noop(two_fragment_library):
 def test_update_belief_resets_on_contradiction(two_fragment_library):
     belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
     belief = extend_hypotheses(belief, [("chunkB", "chunk2")])
-    grid = empty_grid()
-    _, _, chunk2_placed = execute_lenient(("h", "r2", "h"), grid, 0)
+    _, _, chunk2_placed = lenient_run(("h", "r2", "h"), EMPTY, 0)
     # chunkA is certainly chunk1, but the builder produced chunk2's blocks
     updated, anomaly = update_belief(
-        belief, "chunkA", chunk2_placed, two_fragment_library, grid=grid, hand_x=0)
+        belief, "chunkA", chunk2_placed, two_fragment_library, heights=EMPTY, hand=0)
     assert anomaly
     assert len(enumerate_hypotheses(updated)) == 2
     assert belief_entropy(updated) == pytest.approx(1.0)
@@ -151,10 +151,9 @@ def test_update_belief_resets_on_contradiction(two_fragment_library):
 def test_belief_entropy_decreases_under_updates(two_fragment_library):
     belief = uniform_two_chunk_belief()
     before = belief_entropy(belief)
-    grid = empty_grid()
-    _, _, placed = execute_lenient(("v", "v"), grid, 0)
+    _, _, placed = lenient_run(("v", "v"), EMPTY, 0)
     updated, _ = update_belief(belief, "chunkA", placed, two_fragment_library,
-                               grid=grid, hand_x=0)
+                               heights=EMPTY, hand=0)
     assert belief_entropy(updated) <= before
     assert belief_entropy(updated) == 0.0
 
@@ -284,53 +283,63 @@ def test_architect_choice_distribution_is_softmax(towers_by_id):
 
 def test_builder_interpret_fixed_words(two_fragment_library):
     for lib in (Library(), two_fragment_library):
-        state = BuilderState(grid=empty_grid(), hand=0)
-        assert builder_interpret("v", state, lib, random.Random(0)) == "v"
-        assert builder_interpret("l3", state, lib, random.Random(0)) == "l3"
+        bindings = {}
+        assert builder_interpret("v", bindings, lib, random.Random(0)) == ("v",)
+        assert builder_interpret("l3", bindings, lib, random.Random(0)) == ("l3",)
+        assert bindings == {}
 
 
 def test_builder_interpret_first_binding_uniform(two_fragment_library):
     outcomes = Counter()
     for seed in range(400):
-        state = BuilderState(grid=empty_grid(), hand=0)
-        outcomes[builder_interpret("chunkA", state, two_fragment_library,
-                                   random.Random(seed))] += 1
+        bindings = {}
+        builder_interpret("chunkA", bindings, two_fragment_library, random.Random(seed))
+        outcomes[bindings["chunkA"]] += 1
     assert set(outcomes) == {"chunk1", "chunk2"}
     assert 140 < outcomes["chunk1"] < 260
 
 
 def test_builder_interpret_binding_persists(two_fragment_library):
-    state = BuilderState(grid=empty_grid(), hand=0)
+    bindings = {}
     rng = random.Random(3)
-    first = builder_interpret("chunkA", state, two_fragment_library, rng)
+    first = builder_interpret("chunkA", bindings, two_fragment_library, rng)
+    state = rng.getstate()
     for _ in range(5):
-        assert builder_interpret("chunkA", state, two_fragment_library, rng) == first
+        assert builder_interpret("chunkA", bindings, two_fragment_library, rng) == first
+    assert rng.getstate() == state  # only a first hearing draws
 
 
 def test_builder_interpret_respects_taken_bindings(two_fragment_library):
-    state = BuilderState(grid=empty_grid(), hand=0)
-    state.bindings["chunkA"] = "chunk2"
-    assert builder_interpret("chunkB", state, two_fragment_library,
-                             random.Random(0)) == "chunk1"
+    bindings = {"chunkA": "chunk2"}
+    assert builder_interpret("chunkB", bindings, two_fragment_library,
+                             random.Random(0)) == ("v", "v")
+    assert bindings == {"chunkA": "chunk2", "chunkB": "chunk1"}
 
 
 def test_builder_interpret_raises_without_free_fragment():
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
-    state = BuilderState(grid=empty_grid(), hand=0)
-    state.bindings["chunkA"] = "chunk1"
     with pytest.raises(RuntimeError):
-        builder_interpret("chunkB", state, lib, random.Random(0))
+        builder_interpret("chunkB", {"chunkA": "chunk1"}, lib, random.Random(0))
 
 
-def test_execute_lenient_clamps_and_skips():
-    grid = empty_grid(width=4, height=2)
-    grid, hand, placed = execute_lenient(("l5", "v", "h"), grid, 2)
-    # hand clamps to 0; the vertical does not fit a height-2 grid... it does (2 cells)
-    assert hand == 0
-    assert placed[0] == BlockPlacement(0, 0, VERTICAL)
-    # second drop would exceed the height and is skipped
-    assert len(placed) == 1
+def test_builder_interpret_expands_chunk_words(two_fragment_library):
+    bindings = {"chunkA": "chunk1"}
+    tokens = builder_interpret("chunkA", bindings, two_fragment_library, random.Random(0))
+    assert tokens == two_fragment_library.resolve("chunk1").expansion
+    _, _, placed = lenient_run(tokens, EMPTY, 0)
+    assert [b.orientation for b in placed] == [VERTICAL, VERTICAL]
+
+
+def test_lenient_run_clamps_and_skips():
+    tokens = ("l5",) + ("v",) * 5 + ("r9", "r9", "h")
+    heights, hand, placed = lenient_run(tokens, EMPTY, 2)
+    # The hand clamps at the left wall, four verticals fill column 0 and the
+    # fifth does not fit; the hand clamps at the right wall, where a
+    # horizontal would leave the grid.
+    assert placed == tuple(BlockPlacement(0, y, VERTICAL) for y in (0, 2, 4, 6))
+    assert hand == GRID_WIDTH - 1
+    assert heights == (8,) + (0,) * (GRID_WIDTH - 1)
 
 
 LENIENT_TOKENS = ("h", "v", "l1", "l2", "l9", "r1", "r3", "r9")
@@ -338,40 +347,42 @@ LENIENT_TOKENS = ("h", "v", "l1", "l2", "l9", "r1", "r3", "r9")
 
 @st.composite
 def lenient_runs(draw):
-    """A grid of a random extent, partly built, a hand on it, and tokens to run."""
-    width = draw(st.integers(min_value=1, max_value=6))
-    height = draw(st.integers(min_value=1, max_value=4))
-    prefix = draw(st.lists(st.sampled_from(LENIENT_TOKENS), max_size=10))
-    grid, _, _ = uncached_execute_lenient(prefix, empty_grid(width, height), 0)
-    hand = draw(st.integers(min_value=0, max_value=width - 1))
-    tokens = tuple(draw(st.lists(st.sampled_from(LENIENT_TOKENS), max_size=12)))
-    return tokens, grid, hand
+    """Column heights a prefix of tokens builds from an empty grid, a hand, and
+    tokens to run from there."""
+    prefix = draw(st.lists(st.sampled_from(LENIENT_TOKENS), max_size=24))
+    start = draw(st.integers(min_value=0, max_value=GRID_WIDTH - 1))
+    heights, _, _ = uncached_lenient_run(prefix, EMPTY, start)
+    hand = draw(st.integers(min_value=0, max_value=GRID_WIDTH - 1))
+    tokens = tuple(draw(st.lists(st.sampled_from(LENIENT_TOKENS), max_size=16)))
+    return tokens, heights, hand
 
 
 @given(lenient_runs())
-# Clamps at both walls, a horizontal at the last column, and full columns.
-@example((("r9", "h", "l9", "v", "v"), empty_grid(width=3, height=2), 1))
-@example((("l9", "h", "h", "r1", "v"), empty_grid(width=3, height=2), 2))
+# Clamps at both walls, a horizontal at the last column, and a full column.
+@example((("r9", "r9", "h", "l9", "l9", "v"), EMPTY, 1))
+@example((("v",) * 5, EMPTY, 3))
 @settings(max_examples=300, deadline=None)
 def test_execute_lenient_matches_uncached_loop(run):
-    tokens, grid, hand = run
-    result = execute_lenient(tokens, grid, hand)
-    assert result == uncached_execute_lenient(tokens, grid, hand)
-    assert type(result[2]) is list
+    tokens, heights, hand = run
+    result = lenient_run(tokens, heights, hand)
+    assert result == uncached_lenient_run(tokens, heights, hand)
+    # Running on from the result matches too, cached or not.
+    assert lenient_run(tokens, *result[:2]) == uncached_lenient_run(tokens, *result[:2])
 
 
 def test_execute_lenient_results_do_not_share_state_with_later_calls():
-    grid = empty_grid(width=5, height=4)
     tokens = ("v", "r1", "h", "l1", "v")
-    expected = uncached_execute_lenient(tokens, grid, 0)
-    built, hand, placed = execute_lenient(tokens, grid, 0)
-    placed.append(BlockPlacement(4, 0, VERTICAL))
-    placed.reverse()
-    for _ in range(2):  # building on a returned grid, twice from the same one
-        assert execute_lenient(tokens, built, hand) == uncached_execute_lenient(
-            tokens, built, hand)
-    assert execute_lenient(tokens, grid, 0) == expected
-    assert grid == empty_grid(width=5, height=4)
+    expected = uncached_lenient_run(tokens, EMPTY, 0)
+    result = lenient_run(tokens, EMPTY, 0)
+    # A cached run hands out only immutable values, so no caller can change
+    # what a later call with the same arguments returns.
+    heights, hand, placed = result
+    assert type(heights) is tuple and type(placed) is tuple
+    for _ in range(2):  # building on a returned state, twice from the same one
+        assert lenient_run(tokens, heights, hand) == uncached_lenient_run(
+            tokens, heights, hand)
+    assert lenient_run(tokens, EMPTY, 0) == expected
+    assert EMPTY == (0,) * GRID_WIDTH
 
 
 def _assert_choice_matches_oracle(base, library, belief, cfg, rng):
@@ -398,12 +409,12 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     lib = lib.with_fragment(make_fragment("chunk3", ("v", "r1", "h"), lib))
     certain = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
     uniform = extend_hypotheses(certain, [("chunkB", "chunk2"), ("chunkC", "chunk3")])
-    grid = empty_grid()
-    _, _, chunk3_placed = execute_lenient(("v", "r1", "h"), grid, 0)
+    _, _, chunk3_placed = lenient_run(("v", "r1", "h"), EMPTY, 0)
     informed, anomaly = update_belief(uniform, "chunkB", chunk3_placed, lib,
-                                      grid=grid, hand_x=0)
+                                      heights=EMPTY, hand=0)
     assert not anomaly
-    reset, anomaly = update_belief(informed, "chunkA", chunk3_placed, lib, grid=grid, hand_x=0)
+    reset, anomaly = update_belief(informed, "chunkA", chunk3_placed, lib,
+                                   heights=EMPTY, hand=0)
     assert anomaly
     # `certain` gives chunk2 no word with mass, so the candidates that use it drop.
     beliefs = [certain, uniform, informed, reset]
@@ -446,11 +457,51 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
     assert seen["after an anomaly"] > 0
 
 
-def test_builder_execute_token_runs_chunk_bodies(two_fragment_library):
-    state = BuilderState(grid=empty_grid(), hand=0)
-    placed = builder_execute_token(state, "chunk1", two_fragment_library)
-    assert [b.orientation for b in placed] == [VERTICAL, VERTICAL]
-    assert state.grid.placements == tuple(placed)
+def assert_same_distribution(actual, expected):
+    assert actual.keys() == expected.keys()
+    for lexicon, probability in expected.items():
+        assert abs(actual[lexicon] - probability) <= 1e-9, (lexicon, actual[lexicon], probability)
+
+
+def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
+    """Every belief update and extension of real dyads, resets included, against
+    explicit enumeration of the lexicons: 4 sequences x the 9 grid cells x 2
+    iterations, at master seeds 0 and 7."""
+    seen = Counter()
+
+    def checked_update(belief, word, observed, library, *, heights, hand):
+        expected, expected_anomaly = enumerated_update(belief, word, observed, library,
+                                                       heights, hand)
+        posterior, anomaly = update_belief(belief, word, observed, library,
+                                           heights=heights, hand=hand)
+        assert anomaly == expected_anomaly
+        assert_same_distribution(lexicon_distribution(posterior), expected)
+        seen["updates"] += 1
+        seen["chunk words"] += not is_base_token(word)
+        seen["informative"] += len(expected) < len(lexicon_distribution(belief))
+        seen["anomalies"] += anomaly
+        return posterior, anomaly
+
+    def checked_extend(belief, new_pairs):
+        extended = extend_hypotheses(belief, new_pairs)
+        assert_same_distribution(lexicon_distribution(extended),
+                                 enumerated_extension(belief, new_pairs))
+        seen["extensions"] += 1
+        seen["words added"] += len(new_pairs)
+        return extended
+
+    monkeypatch.setattr(simulation, "update_belief", checked_update)
+    monkeypatch.setattr(simulation, "extend_hypotheses", checked_extend)
+    configs = [(PragmaticsConfig(DEFAULT_ALPHA, beta), LearningConfig(w=w))
+               for w in (1.5, 3.2, 9.6) for beta in (0.0, 0.3, 0.8)]
+    traces = [trace for master_seed in (0, 7)
+              for trace in simulation.run_experiment(configs, stimulus_towers(), n_sequences=4,
+                                                     iterations=2, master_seed=master_seed)]
+    assert len(traces) == 2 * 9 * 4 * 2
+    assert seen["extensions"] == len(traces) * simulation.TRIALS_PER_SEQUENCE
+    assert seen["updates"] == sum(len(r.steps) for t in traces for r in t.records)
+    assert min(seen["chunk words"], seen["informative"], seen["anomalies"],
+               seen["words added"]) > 0, seen
 
 
 def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
@@ -458,18 +509,18 @@ def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
     mass equal to the builder's actual bindings."""
     lib = two_fragment_library
     belief = uniform_two_chunk_belief()
-    builder = BuilderState(grid=empty_grid(), hand=0)
+    bindings = {}
+    heights, hand = EMPTY, 0
     rng = random.Random(17)
     entropies = [belief_entropy(belief)]
     for word in ("chunkA", "chunkB"):
-        pre_grid, pre_hand = builder.grid, builder.hand
-        token = builder_interpret(word, builder, lib, rng)
-        placed = builder_execute_token(builder, token, lib)
-        belief, anomaly = update_belief(belief, word, placed, lib,
-                                        grid=pre_grid, hand_x=pre_hand)
+        tokens = builder_interpret(word, bindings, lib, rng)
+        after_heights, after_hand, placed = lenient_run(tokens, heights, hand)
+        belief, anomaly = update_belief(belief, word, placed, lib, heights=heights, hand=hand)
+        heights, hand = after_heights, after_hand
         assert not anomaly
         entropies.append(belief_entropy(belief))
-    assert point_mass_lexicon(belief) == builder.bindings
+    assert point_mass_lexicon(belief) == bindings
     assert all(a >= b for a, b in zip(entropies, entropies[1:]))
 
 
@@ -497,11 +548,3 @@ def test_pragmatics_config_pickles_to_an_equal_config(cfg):
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(cfg, protocol))
         assert copy == cfg and type(copy) is PragmaticsConfig
-
-
-def test_builder_states_never_share_bindings(two_fragment_library):
-    first = BuilderState(grid=empty_grid(), hand=0)
-    second = BuilderState(grid=empty_grid(), hand=0)
-    builder_interpret("chunkA", first, two_fragment_library, random.Random(0))
-    assert list(first.bindings) == ["chunkA"]
-    assert second.bindings == {}
