@@ -45,15 +45,6 @@ class BlockPlacement(NamedTuple):
         return BlockPlacement(self.x + dx, self.y, self.orientation)
 
 
-class GridState(NamedTuple):
-    """Immutable build surface: column heights plus the placements that produced them."""
-
-    width: int
-    height: int
-    column_heights: tuple[int, ...]
-    placements: tuple[BlockPlacement, ...]
-
-
 class Scene(NamedTuple):
     """An unordered set of placed blocks within a fixed grid extent."""
 
@@ -69,30 +60,23 @@ class TowerStimulus(NamedTuple):
     blocks: frozenset[BlockPlacement]
 
 
-def empty_grid(width: int = GRID_WIDTH, height: int = GRID_HEIGHT) -> GridState:
-    return GridState(width, height, (0,) * width, ())
-
-
-def _span_columns(orientation: str, x: int) -> tuple[int, ...]:
-    return (x, x + 1) if orientation == HORIZONTAL else (x,)
-
-
-def drop_block(grid: GridState, orientation: str, x: int) -> GridState:
-    """Drop a block into column x; it rests on the tallest stack it covers."""
+def drop_block(heights: tuple[int, ...], orientation: str, x: int,
+               height: int = GRID_HEIGHT) -> tuple[tuple[int, ...], BlockPlacement]:
+    """Drop a block into column x of the grid whose column heights are given (its
+    width is len(heights)); it rests on the tallest stack it covers. Returns the
+    new column heights and the placed block; raises PlacementError if the block
+    leaves the grid's width or height."""
     if orientation not in (HORIZONTAL, VERTICAL):
         raise PlacementError(f"unknown orientation {orientation!r}")
-    columns = _span_columns(orientation, x)
-    if x < 0 or columns[-1] >= grid.width:
+    right = x + 1 if orientation == HORIZONTAL else x
+    if x < 0 or right >= len(heights):
         raise PlacementError(f"column {x} out of bounds for {orientation} block")
-    y = max(grid.column_heights[c] for c in columns)
+    y = max(heights[x], heights[right])
     top = y + (1 if orientation == HORIZONTAL else 2)
-    if top > grid.height:
+    if top > height:
         raise PlacementError(f"{orientation} block at column {x} would exceed grid height")
-    heights = list(grid.column_heights)
-    for c in columns:
-        heights[c] = top
     block = BlockPlacement(x, y, orientation)
-    return GridState(grid.width, grid.height, tuple(heights), grid.placements + (block,))
+    return heights[:x] + (top,) * (right + 1 - x) + heights[right + 1:], block
 
 
 def is_supported(blocks: Iterable[BlockPlacement]) -> bool:
@@ -226,13 +210,8 @@ def block_from_dict(data: dict) -> BlockPlacement:
     return block
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    return {"width": scene.width, "height": scene.height,
-            "blocks": [b._asdict() for b in sorted(scene.blocks)]}
-
-
 def scene_from_dict(data: dict) -> Scene:
-    """Inverse of scene_to_dict; rejects an extent outside 1x1..GRID_WIDTH x GRID_HEIGHT
+    """A scene file's data as a Scene; rejects an extent outside 1x1..GRID_WIDTH x GRID_HEIGHT
     and overlapping or outlying blocks."""
     width, height = strict_int(data["width"], "width"), strict_int(data["height"], "height")
     if not (1 <= width <= GRID_WIDTH and 1 <= height <= GRID_HEIGHT):
@@ -241,12 +220,6 @@ def scene_from_dict(data: dict) -> Scene:
     blocks = [block_from_dict(b) for b in data["blocks"]]
     _check_cells(blocks, width, height)
     return Scene(width, height, frozenset(blocks))
-
-
-def save_scene(scene: Scene, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_scene(path: str) -> Scene:
@@ -267,11 +240,3 @@ def load_stimuli(path: str) -> tuple[TowerStimulus, ...]:
     if len({t.id for t in towers}) != len(towers):
         raise ValueError("duplicate tower ids in stimulus file")
     return tuple(towers)
-
-
-def save_stimuli(towers: Iterable[TowerStimulus], path: str) -> None:
-    data = {"towers": [{"id": t.id, "blocks": [b._asdict() for b in sorted(t.blocks)]}
-                       for t in towers]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .blockworld import (
-    HORIZONTAL,
-    VERTICAL,
-    BlockPlacement,
-    GridState,
-    Scene,
-    drop_block,
-    empty_grid,
-)
+from .blockworld import HORIZONTAL, VERTICAL, BlockPlacement, Scene, drop_block
 
 Token = str
 Program = tuple[Token, ...]
@@ -120,29 +112,31 @@ def inline(program: Program, library: Library) -> Program:
     return tuple(out)
 
 
-def execute(program: Program, library: Library = EMPTY_LIBRARY, start_x: int = 0,
-            grid: GridState | None = None) -> tuple[GridState, list[BlockPlacement]]:
-    """Interpret a program left to right from a hand initialized at start_x.
+def execute(program: Program, start_x: int, width: int, height: int) -> list[BlockPlacement]:
+    """Run base tokens left to right on an empty width x height grid, the hand
+    starting at start_x, and return the placements in order.
 
-    Returns the final grid and the placements produced, in order. Raises
-    ProgramError if the hand leaves the grid or a block does not fit.
+    Raises ProgramError for a token that is not a base token or a hand that
+    leaves the grid, and PlacementError for a block that does not fit. A
+    program with chunk references runs as its inline(program, library).
     """
-    if grid is None:
-        grid = empty_grid()
-    if not (0 <= start_x < grid.width):
+    if not (0 <= start_x < width):
         raise ProgramError(f"start column {start_x} out of bounds")
+    heights = (0,) * width
     hand = start_x
     placed: list[BlockPlacement] = []
-    for token in inline(program, library):
+    for token in program:
         if is_move(token):
             hand += move_delta(token)
-            if not (0 <= hand < grid.width):
+            if not (0 <= hand < width):
                 raise ProgramError(f"hand moved out of bounds to column {hand}")
-        else:
+        elif is_place(token):
             orientation = HORIZONTAL if token == PLACE_H else VERTICAL
-            grid = drop_block(grid, orientation, hand)
-            placed.append(grid.placements[-1])
-    return grid, placed
+            heights, block = drop_block(heights, orientation, hand, height)
+            placed.append(block)
+        else:
+            raise ProgramError(f"{token!r} is not a base token")
+    return placed
 
 
 def moves_between(from_x: int, to_x: int) -> Program:
@@ -200,9 +194,7 @@ def canonical_program(scene: Scene) -> Program:
             hand = block.x
             tokens.append(PLACE_H if block.orientation == HORIZONTAL else PLACE_V)
     program = tuple(tokens)
-    _, placed = execute(program, EMPTY_LIBRARY, start_x,
-                        empty_grid(scene.width, scene.height))
-    if frozenset(placed) != scene.blocks:
+    if frozenset(execute(program, start_x, scene.width, scene.height)) != scene.blocks:
         raise ProgramError("scene is not reproducible in canonical order")
     return program
 

@@ -31,11 +31,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus, empty_grid
-from .dsl import EMPTY_LIBRARY, Fragment, Library, Program
+from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus
+from .dsl import Fragment, Library, Program
 
 BODY_TOKEN_SUM = "body_token_sum"
 
@@ -347,21 +347,10 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
     return current, tuple(adoptions)
 
 
-def _normalized_configuration(placements: Sequence[BlockPlacement]) -> frozenset[BlockPlacement]:
-    if not placements:
-        return frozenset()
-    min_x = min(b.x for b in placements)
-    return frozenset(b.translate(-min_x) for b in placements)
-
-
-def _execute_relative(expansion: Program) -> frozenset[BlockPlacement] | None:
-    """Run a base sequence on a wide empty grid and normalize the result's x origin."""
-    grid = empty_grid(width=64, height=32)
-    try:
-        _, placed = dsl.execute(expansion, EMPTY_LIBRARY, start_x=30, grid=grid)
-    except (dsl.ProgramError, ValueError):
-        return None
-    return _normalized_configuration(placed)
+def _shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
+    """The blocks moved left so that the leftmost one stands in column 0."""
+    min_x = min(b.x for b in blocks)
+    return frozenset(b.translate(-min_x) for b in blocks)
 
 
 def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus]) -> str:
@@ -369,25 +358,21 @@ def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus]) -> s
 
     2-3 placements is sub-tower level; 4 placements that exactly rebuild one
     stimulus is tower level; 8 placements that rebuild a side-by-side pair of
-    stimuli is scene level; anything else is other.
+    stimuli is scene level; anything else is other. The expansion runs from
+    column 30 of an empty 64x32 grid, so only its shape decides.
     """
     n = dsl.count_placements(fragment.expansion)
     if 2 <= n <= 3:
         return SUB_TOWER
     if n not in (4, 8):
         return OTHER
-    config = _execute_relative(fragment.expansion)
-    if config is None:
+    try:
+        placed = dsl.execute(fragment.expansion, 30, 64, 32)
+    except ValueError:  # ProgramError or PlacementError
         return OTHER
-    if n == 4:
-        for tower in stimuli:
-            if config == _normalized_configuration(sorted(tower.blocks)):
-                return TOWER
-        return OTHER
-    for left in stimuli:
-        for right in stimuli:
-            pair = left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}
-            if config == _normalized_configuration(sorted(pair)):
-                return SCENE
-    return OTHER
-
+    # Towers go in last: a pair has a tower's shape only when its two halves are
+    # the same four blocks, and then it is that tower.
+    levels = {_shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
+              for left in stimuli for right in stimuli}
+    levels.update((_shape(tower.blocks), TOWER) for tower in stimuli)
+    return levels.get(_shape(placed), OTHER)

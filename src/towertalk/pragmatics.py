@@ -22,12 +22,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import dsl
 from .blockworld import (
-    GRID_HEIGHT,
     GRID_WIDTH,
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
-    GridState,
     PlacementError,
     drop_block,
 )
@@ -342,17 +340,18 @@ def lenient_run(tokens: Program, heights: tuple[int, ...],
     Where a drop lands depends only on the column heights, so the Builder's steps
     and the belief update's re-executions of one fragment from one state share
     a run."""
-    grid = GridState(GRID_WIDTH, GRID_HEIGHT, heights, ())
+    placed: list[BlockPlacement] = []
     for token in tokens:
         if dsl.is_move(token):
             hand = min(max(hand + dsl.move_delta(token), 0), GRID_WIDTH - 1)
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
         try:
-            grid = drop_block(grid, orientation, hand)
+            heights, block = drop_block(heights, orientation, hand)
         except PlacementError:
             continue
-    return grid.column_heights, hand, grid.placements
+        placed.append(block)
+    return heights, hand, tuple(placed)
 
 
 def builder_interpret(word: str, bindings: dict[str, str], library: Library,

@@ -1,22 +1,25 @@
 """Reference functions that only the tests use: building a fragment by hand,
+running a program's chunks in place without inlining,
 the learner's posterior score, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
 the Architect's per-candidate utterance and utility, the Builder's lenient
 run without a memo, and a trace's data as plain dicts and lists. The
-program computes none of these; the tests check it against them.
+program computes none of these; the tests check it against them. The scene
+and stimuli file writers are here too: the program only reads those files.
 
 Import with `from oracles import ...`: pytest puts this directory on sys.path.
 """
 
+import json
 import math
 import random
 from itertools import permutations
 from typing import Sequence
 
 from towertalk import dsl
-from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, VERTICAL,
-                                  BlockPlacement, GridState, PlacementError, drop_block)
+from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement,
+                                  PlacementError, Scene, TowerStimulus, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
 from towertalk.pragmatics import (BeliefState, PragmaticsConfig, candidate_programs,
@@ -230,7 +233,6 @@ def uncached_architect_choose(base: Program, library: Library, belief: BeliefSta
 def uncached_lenient_run(tokens: Sequence[Token], heights: tuple[int, ...],
                          hand: int) -> tuple[tuple[int, ...], int, tuple[BlockPlacement, ...]]:
     """lenient_run without its memo: every drop made again on a 14x8 grid."""
-    grid = GridState(GRID_WIDTH, GRID_HEIGHT, heights, ())
     placed: list[BlockPlacement] = []
     for token in tokens:
         if dsl.is_move(token):
@@ -238,11 +240,62 @@ def uncached_lenient_run(tokens: Sequence[Token], heights: tuple[int, ...],
             continue
         orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
         try:
-            grid = drop_block(grid, orientation, hand)
+            heights, block = drop_block(heights, orientation, hand)
         except PlacementError:
             continue
-        placed.append(grid.placements[-1])
-    return grid.column_heights, hand, tuple(placed)
+        placed.append(block)
+    return heights, hand, tuple(placed)
+
+
+def execute_nested(program: Program, library: Library, start_x: int, width: int,
+                   height: int) -> list[BlockPlacement]:
+    """dsl.execute for a program with chunk references, without inline: a chunk
+    token runs its fragment's body in place, recursively, on the same hand and
+    column heights."""
+    if not (0 <= start_x < width):
+        raise dsl.ProgramError(f"start column {start_x} out of bounds")
+    heights = (0,) * width
+    hand = start_x
+    placed: list[BlockPlacement] = []
+
+    def run(tokens: Program) -> None:
+        nonlocal heights, hand
+        for token in tokens:
+            if dsl.is_move(token):
+                hand += dsl.move_delta(token)
+                if not (0 <= hand < width):
+                    raise dsl.ProgramError(f"hand moved out of bounds to column {hand}")
+            elif dsl.is_place(token):
+                orientation = HORIZONTAL if token == dsl.PLACE_H else VERTICAL
+                heights, block = drop_block(heights, orientation, hand, height)
+                placed.append(block)
+            else:
+                run(library.resolve(token).body)
+
+    run(program)
+    return placed
+
+
+def scene_to_dict(scene: Scene) -> dict:
+    """A scene in the file schema that `render --scene` reads."""
+    return {"width": scene.width, "height": scene.height,
+            "blocks": [b._asdict() for b in sorted(scene.blocks)]}
+
+
+def _write_json(data: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_scene(scene: Scene, path: str) -> None:
+    _write_json(scene_to_dict(scene), path)
+
+
+def save_stimuli(towers: Sequence[TowerStimulus], path: str) -> None:
+    """Towers in the file schema that `--stimuli` reads."""
+    _write_json({"towers": [{"id": t.id, "blocks": [b._asdict() for b in sorted(t.blocks)]}
+                            for t in towers]}, path)
 
 
 def trace_to_dict(trace: DyadTrace) -> dict:

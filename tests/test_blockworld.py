@@ -11,62 +11,79 @@ from towertalk.blockworld import (
     TowerStimulus,
     compose_scene,
     drop_block,
-    empty_grid,
     f1_score,
     is_supported,
     load_stimuli,
     render_ascii,
-    save_stimuli,
     scene_from_dict,
-    scene_to_dict,
     strict_int,
     validate_stimulus,
 )
 from towertalk.dsl import canonical_program
 
+from oracles import save_stimuli, scene_to_dict
+
+EMPTY = (0,) * 14
+
 
 def test_drop_vertical_on_ground():
-    grid = drop_block(empty_grid(), VERTICAL, 0)
-    assert grid.placements == (BlockPlacement(0, 0, VERTICAL),)
-    assert grid.column_heights[0] == 2
+    heights, block = drop_block(EMPTY, VERTICAL, 0)
+    assert block == BlockPlacement(0, 0, VERTICAL)
+    assert heights == (2,) + (0,) * 13
 
 
 def test_drop_stacks_on_previous_block():
-    grid = drop_block(empty_grid(), VERTICAL, 0)
-    grid = drop_block(grid, VERTICAL, 0)
-    assert grid.placements[-1] == BlockPlacement(0, 2, VERTICAL)
-    assert grid.column_heights[0] == 4
+    heights, _ = drop_block(EMPTY, VERTICAL, 0)
+    heights, block = drop_block(heights, VERTICAL, 0)
+    assert block == BlockPlacement(0, 2, VERTICAL)
+    assert heights[0] == 4
 
 
 def test_horizontal_rests_on_taller_column():
-    grid = drop_block(empty_grid(), VERTICAL, 0)  # heights (2, 0, ...)
-    grid = drop_block(grid, HORIZONTAL, 0)
-    assert grid.placements[-1] == BlockPlacement(0, 2, HORIZONTAL)
-    assert grid.column_heights[0] == grid.column_heights[1] == 3
+    heights, _ = drop_block(EMPTY, VERTICAL, 0)  # heights (2, 0, ...)
+    heights, block = drop_block(heights, HORIZONTAL, 0)
+    assert block == BlockPlacement(0, 2, HORIZONTAL)
+    assert heights[:3] == (3, 3, 0)
 
 
 def test_drop_out_of_bounds_raises():
-    grid = empty_grid(width=4, height=8)
+    # The grid's width is the number of column heights.
+    heights = (0,) * 4
     with pytest.raises(PlacementError):
-        drop_block(grid, HORIZONTAL, 3)
+        drop_block(heights, HORIZONTAL, 3)
     with pytest.raises(PlacementError):
-        drop_block(grid, VERTICAL, -1)
+        drop_block(heights, VERTICAL, -1)
+    with pytest.raises(PlacementError):
+        drop_block(heights, VERTICAL, 4)
+    with pytest.raises(PlacementError):
+        drop_block(heights, "diagonal", 0)
+    assert drop_block(heights, HORIZONTAL, 2) == ((0, 0, 1, 1), BlockPlacement(2, 0, HORIZONTAL))
 
 
 def test_drop_over_height_raises():
-    grid = empty_grid(width=4, height=4)
-    grid = drop_block(grid, VERTICAL, 0)
-    grid = drop_block(grid, VERTICAL, 0)
+    heights = (0,) * 4
+    heights, _ = drop_block(heights, VERTICAL, 0, height=4)
+    heights, _ = drop_block(heights, VERTICAL, 0, height=4)
     with pytest.raises(PlacementError):
-        drop_block(grid, VERTICAL, 0)
+        drop_block(heights, VERTICAL, 0, height=4)
+    with pytest.raises(PlacementError):
+        drop_block(heights, HORIZONTAL, 0, height=4)
+    # The 14x8 grid is the default height.
+    heights = (7,) + (0,) * 13
+    assert drop_block(heights, HORIZONTAL, 0)[0][:2] == (8, 8)
+    with pytest.raises(PlacementError):
+        drop_block(heights, VERTICAL, 0)
 
 
 def test_drop_is_pure():
-    grid = empty_grid()
-    first = drop_block(grid, VERTICAL, 2)
-    second = drop_block(grid, VERTICAL, 2)
+    heights = (1, 0, 3) + (0,) * 11
+    first = drop_block(heights, VERTICAL, 2)
+    second = drop_block(heights, VERTICAL, 2)
     assert first == second
-    assert grid.placements == ()
+    assert heights == (1, 0, 3) + (0,) * 11
+    with pytest.raises(PlacementError):
+        drop_block(heights, HORIZONTAL, 13)
+    assert heights == (1, 0, 3) + (0,) * 11
 
 
 @given(st.lists(st.tuples(st.sampled_from([HORIZONTAL, VERTICAL]),
@@ -74,18 +91,21 @@ def test_drop_is_pure():
                 max_size=20))
 @settings(max_examples=200)
 def test_support_soundness_after_any_drop_sequence(drops):
-    grid = empty_grid()
+    heights = EMPTY
+    placements = []
     for orientation, x in drops:
         try:
-            grid = drop_block(grid, orientation, x)
+            heights, block = drop_block(heights, orientation, x)
         except PlacementError:
             continue
-    assert is_supported(grid.placements)
-    # column_heights match the derived occupancy
-    cells = {cell for block in grid.placements for cell in block.cells()}
-    for col in range(grid.width):
+        placements.append(block)
+    assert is_supported(placements)
+    # column heights match the derived occupancy
+    cells = {cell for block in placements for cell in block.cells()}
+    assert len(cells) == 2 * len(placements)
+    for col in range(len(heights)):
         rows = [y for (x, y) in cells if x == col]
-        assert grid.column_heights[col] == (max(rows) + 1 if rows else 0)
+        assert heights[col] == (max(rows) + 1 if rows else 0)
 
 
 def test_stimuli_are_three_valid_towers(towers):

@@ -18,12 +18,10 @@ from towertalk.blockworld import (
     BlockPlacement,
     Scene,
     TowerStimulus,
-    save_scene,
-    save_stimuli,
     stimulus_towers,
 )
 
-from oracles import trace_to_dict
+from oracles import save_scene, save_stimuli, trace_to_dict
 
 
 def run_cli(*args):

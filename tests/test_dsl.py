@@ -3,14 +3,18 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from towertalk.blockworld import (
+    GRID_HEIGHT,
+    GRID_WIDTH,
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
+    PlacementError,
     Scene,
     compose_scene,
-    empty_grid,
 )
 from towertalk.dsl import (
     EMPTY_LIBRARY,
@@ -27,8 +31,9 @@ from towertalk.dsl import (
     token_cost,
     token_length,
 )
+from towertalk.pragmatics import lenient_run
 
-from oracles import make_fragment
+from oracles import execute_nested, make_fragment
 
 
 def reference_expand(program, library):
@@ -98,34 +103,82 @@ def test_move_tokens_match_the_move_pattern():
 
 
 def test_execute_empty_program():
-    grid, placed = execute((), EMPTY_LIBRARY, 0)
-    assert placed == []
-    assert grid.placements == ()
+    assert execute((), 0, GRID_WIDTH, GRID_HEIGHT) == []
 
 
 def test_execute_stacks_verticals():
-    _, placed = execute(("v", "v"), EMPTY_LIBRARY, 0)
+    placed = execute(("v", "v"), 0, GRID_WIDTH, GRID_HEIGHT)
     assert placed == [BlockPlacement(0, 0, VERTICAL), BlockPlacement(0, 2, VERTICAL)]
 
 
 def test_execute_chunk_matches_inline_body():
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "r1", "h"), lib))
-    _, direct = execute(("v", "r1", "h"), EMPTY_LIBRARY, 2)
-    _, chunked = execute(("chunk1",), lib, 2)
-    assert direct == chunked
+    direct = execute(("v", "r1", "h"), 2, GRID_WIDTH, GRID_HEIGHT)
+    assert direct == [BlockPlacement(2, 0, VERTICAL), BlockPlacement(3, 0, HORIZONTAL)]
+    assert execute(inline(("chunk1",), lib), 2, GRID_WIDTH, GRID_HEIGHT) == direct
+    assert execute_nested(("chunk1",), lib, 2, GRID_WIDTH, GRID_HEIGHT) == direct
 
 
 def test_execute_rejects_bad_hand():
     with pytest.raises(ProgramError):
-        execute(("l1",), EMPTY_LIBRARY, 0)
+        execute(("l1",), 0, GRID_WIDTH, GRID_HEIGHT)
     with pytest.raises(ProgramError):
-        execute(("v",), EMPTY_LIBRARY, 99)
+        execute(("r9", "r4", "r1"), 0, GRID_WIDTH, GRID_HEIGHT)
+    for start in (99, GRID_WIDTH, -1):
+        with pytest.raises(ProgramError):
+            execute(("v",), start, GRID_WIDTH, GRID_HEIGHT)
+    # The grid is the one given: column 4 is off a 4-wide grid.
+    assert execute(("r4", "v"), 0, 6, 4) == [BlockPlacement(4, 0, VERTICAL)]
+    with pytest.raises(ProgramError):
+        execute(("r4", "v"), 0, 4, 4)
+    # A block that does not fit is the grid's error, not the program's.
+    with pytest.raises(PlacementError):
+        execute(("r9", "r4", "h"), 0, GRID_WIDTH, GRID_HEIGHT)
+    with pytest.raises(PlacementError):
+        execute(("v", "v", "v"), 0, 6, 4)
 
 
 def test_execute_rejects_unresolved_chunk():
-    with pytest.raises(ProgramError):
-        execute(("chunk9",), EMPTY_LIBRARY, 0)
+    # execute runs base tokens only; a chunk reference runs as its inline form.
+    lib = Library()
+    lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
+    for program in (("chunk9",), ("v", "chunk1"), ("x",)):
+        with pytest.raises(ProgramError, match="not a base token"):
+            execute(program, 0, GRID_WIDTH, GRID_HEIGHT)
+
+
+@st.composite
+def base_programs(draw):
+    """A start column and a base program whose hand stays on the 14x8 grid:
+    each block is placed after the moves to its column."""
+    start = hand = draw(st.integers(min_value=0, max_value=GRID_WIDTH - 1))
+    tokens = []
+    for column, place in draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=GRID_WIDTH - 1), st.sampled_from("hv")),
+            max_size=12)):
+        tokens += [*moves_between(hand, column), place]
+        hand = column
+    return tuple(tokens), start
+
+
+@given(base_programs())
+@settings(max_examples=300)
+def test_lenient_run_matches_execute_where_execute_succeeds(run):
+    """Where the strict run succeeds, the Builder's lenient run neither clamps
+    nor skips, so both place the same blocks."""
+    program, start = run
+    try:
+        placed = execute(program, start, GRID_WIDTH, GRID_HEIGHT)
+    except PlacementError:
+        assume(False)
+    heights, hand, lenient = lenient_run(program, (0,) * GRID_WIDTH, start)
+    assert lenient == tuple(placed)
+    assert hand == start + sum(int(t[1:]) * (1 if t[0] == "r" else -1)
+                               for t in program if is_move(t))
+    cells = [cell for block in placed for cell in block.cells()]
+    assert heights == tuple(max([y + 1 for x, y in cells if x == col], default=0)
+                            for col in range(GRID_WIDTH))
 
 
 def test_inline_identity_on_base_program():
@@ -153,13 +206,11 @@ def test_semantic_preservation_execute_vs_inline():
     for _ in range(300):
         lib = random_library(rng)
         program = random_program(rng, lib, rng.randint(0, 6))
-        grid = empty_grid(width=40, height=64)
         try:
-            _, direct = execute(program, lib, 20, grid)
+            nested = execute_nested(program, lib, 20, 40, 64)
         except ProgramError:
             continue
-        _, inlined = execute(inline(program, lib), EMPTY_LIBRARY, 20, grid)
-        assert direct == inlined
+        assert execute(inline(program, lib), 20, 40, 64) == nested
 
 
 def test_moves_between_splits_long_spans():
@@ -179,8 +230,7 @@ def test_canonical_rebuilds_all_stimuli(tower_scene):
     for tower_id in "ABC":
         scene = tower_scene(tower_id)
         program = canonical_program(scene)
-        _, placed = execute(program, EMPTY_LIBRARY, default_start_x(scene),
-                            empty_grid(scene.width, scene.height))
+        placed = execute(program, default_start_x(scene), scene.width, scene.height)
         assert frozenset(placed) == scene.blocks
 
 
@@ -212,9 +262,8 @@ def test_length_accounting_lower_bound():
     for _ in range(100):
         lib = random_library(rng)
         program = random_program(rng, lib, rng.randint(1, 6))
-        grid = empty_grid(width=40, height=64)
         try:
-            _, placed = execute(program, lib, 20, grid)
+            placed = execute(inline(program, lib), 20, 40, 64)
         except ProgramError:
             continue
         assert token_length(inline(program, lib)) >= len(placed)
