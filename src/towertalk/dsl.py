@@ -98,9 +98,6 @@ class Library(NamedTuple):
         return tuple(f.id for f in self.fragments)
 
 
-EMPTY_LIBRARY = Library()
-
-
 def inline(program: Program, library: Library) -> Program:
     """Replace every chunk reference by its base expansion."""
     out: list[Token] = []
@@ -117,8 +114,8 @@ def execute(program: Program, start_x: int, width: int, height: int) -> list[Blo
     starting at start_x, and return the placements in order.
 
     Raises ProgramError for a token that is not a base token or a hand that
-    leaves the grid, and PlacementError for a block that does not fit. A
-    program with chunk references runs as its inline(program, library).
+    leaves the grid, and PlacementError for a block that does not fit. To run
+    a program with chunk references, the caller inlines it first.
     """
     if not (0 <= start_x < width):
         raise ProgramError(f"start column {start_x} out of bounds")

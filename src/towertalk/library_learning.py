@@ -14,8 +14,10 @@ scenes: a window of a rewritten program inlines to a substring of its scene,
 and that substring is already a window of the scene. So _scene_table lists the
 candidates once per scene set, and _round, once per scene set and library,
 drops the known expansions and takes a shorter body where a rewrite that holds
-a chunk reference offers one. Every library and score is the one a search over
-all windows of all the programs gives.
+a chunk reference offers one. It reads each such body's expansion off the
+rewrite's token boundaries as a slice of the scene, so nothing is inlined.
+Every library and score is the one a search over all windows of all the
+programs gives.
 
 A candidate is scored from columns the round already builds: each scene's MDL
 under the library for every prefix and every suffix. Where the candidate fits
@@ -133,41 +135,27 @@ def shortest_tokenization(base_sequence: Program, library: Library) -> Program:
     return _walk(sequence, _mdl_table(sequence, sorted(by_expansion)), by_expansion)
 
 
-def _keep_cheapest(windows: dict[Program, Window], expansion: Program, window: Window) -> None:
-    """Record window for expansion unless a shorter (then lexically smaller) body is known."""
-    current = windows.get(expansion)
-    if current is None or window < current:
-        windows[expansion] = window
-
-
-@lru_cache(maxsize=1 << 12)
-def _program_windows(program: Program, library: Library) -> tuple[tuple[Program, Window], ...]:
-    """(expansion, cheapest window) for every valid window of one program rewritten
-    under the library, in order of first appearance; known expansions are kept,
-    _candidate_windows drops them. A base scene's windows come from _scene_table."""
+def _candidate_windows(pairs: Iterable[tuple[Program, Program]],
+                       library: Library) -> dict[Program, Window]:
+    """Every window of each (scene, rewrite) pair's rewrite under the library,
+    keyed by the substring of the scene it inlines to, at its cheapest (token
+    length, body). The window rewrite[i:j] inlines to scene[pos[i]:pos[j]],
+    where pos runs over the tokens' expansion lengths, a base token counting 1."""
+    sizes = {f.id: len(f.expansion) for f in library.fragments}
     windows: dict[Program, Window] = {}
-    n = len(program)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            body = program[i:j]
-            length = dsl.token_length(body)
-            if length < 2:
-                continue
-            expansion = dsl.inline(body, library)
-            if dsl.count_placements(expansion) > 0:
-                _keep_cheapest(windows, expansion, (length, body))
-    return tuple(windows.items())
-
-
-def _candidate_windows(programs: Iterable[Program], library: Library) -> dict[Program, Window]:
-    """All valid contiguous windows, keyed by base expansion, keeping the cheapest
-    (token length, body)."""
-    known = set(library.expansions())
-    windows: dict[Program, Window] = {}
-    for program in programs:
-        for expansion, window in _program_windows(program, library):
-            if expansion not in known:
-                _keep_cheapest(windows, expansion, window)
+    for scene, rewrite in pairs:
+        pos = [0]
+        units = [0]
+        for token in rewrite:
+            pos.append(pos[-1] + sizes.get(token, 1))
+            units.append(units[-1] + dsl.token_cost(token))
+        for i in range(len(rewrite)):
+            for j in range(i + 1, len(rewrite) + 1):
+                expansion = scene[pos[i]:pos[j]]
+                window = (units[j] - units[i], rewrite[i:j])
+                current = windows.get(expansion)
+                if current is None or window < current:
+                    windows[expansion] = window
     return windows
 
 
@@ -200,12 +188,11 @@ SceneRow = tuple[Program, Window, tuple[tuple[int, int, tuple[int, ...]], ...]]
 @lru_cache(maxsize=1 << 6)
 def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
     """Every candidate expansion of the base scenes, in sorted order, with its
-    window and where it occurs: what _candidate_windows(scenes, EMPTY_LIBRARY)
-    gives, plus the presence. Neither depends on the library.
+    window and where it occurs: each window of a scene that is at least 2 units
+    long and places a block, as its own body. Neither depends on the library.
 
     A one-scene table is the scene's one pass; a larger set merges the
-    one-scene tables, so each scene is passed over once while it stays cached.
-    A base window is its own expansion and its own body."""
+    one-scene tables, so each scene is passed over once while it stays cached."""
     if len(scenes) == 1:
         return tuple(sorted((expansion, (length, expansion), ((0, count, starts),))
                             for expansion, (length, count, starts)
@@ -276,7 +263,8 @@ def _round(scenes: tuple[Program, ...], library: Library) -> Round:
     # rewrite's window inlines to a substring of its scene, so it can only offer
     # a cheaper body for an expansion the table holds; a rewrite with no chunk
     # reference is its scene and offers nothing.
-    cheaper = _candidate_windows([p for p, seq in zip(rewritten, scenes) if p != seq], library)
+    cheaper = _candidate_windows([(seq, p) for seq, p in zip(scenes, rewritten) if p != seq],
+                                 library)
     known = set(expansions)
     rows = []
     for row in _scene_table(scenes):

@@ -1,5 +1,6 @@
-"""Reference functions that only the tests use: building a fragment by hand,
-running a program's chunks in place without inlining,
+"""Reference functions that only the tests use: the empty library, building a
+fragment by hand, running a program's chunks in place without inlining, every
+candidate window of a set of programs by direct enumeration,
 the learner's posterior score, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
@@ -30,6 +31,8 @@ from towertalk.simulation import (DyadTrace, FragmentSnapshot, sequence_to_dict,
 # h, v, l, r and the digits 1..9.
 BASE_PRIMITIVE_COUNT = 13
 
+EMPTY_LIBRARY = Library()
+
 
 def make_fragment(fragment_id: str, body: Program, library: Library) -> Fragment:
     """Build a fragment, inlining its body against the given library."""
@@ -39,6 +42,28 @@ def make_fragment(fragment_id: str, body: Program, library: Library) -> Fragment
     if dsl.token_length(body) < 2:
         raise ValueError("fragment body must be at least 2 units long")
     return Fragment(fragment_id, tuple(body), expansion)
+
+
+def reference_candidate_windows(programs: Sequence[Program],
+                                library: Library) -> dict[Program, tuple[int, Program]]:
+    """Every window of every program that is at least 2 units long, places a
+    block and inlines to an expansion the library does not know, enumerated
+    directly with no cache, as expansion -> cheapest (token length, body)."""
+    known = set(library.expansions())
+    windows: dict[Program, tuple[int, Program]] = {}
+    for program in programs:
+        for i in range(len(program)):
+            for j in range(i + 1, len(program) + 1):
+                body = program[i:j]
+                if dsl.token_length(body) < 2:
+                    continue
+                expansion = dsl.inline(body, library)
+                if dsl.count_placements(expansion) == 0 or expansion in known:
+                    continue
+                current = windows.get(expansion)
+                if current is None or (dsl.token_length(body), body) < current:
+                    windows[expansion] = (dsl.token_length(body), body)
+    return windows
 
 
 def mdl(base_sequence: Program, library: Library) -> int:

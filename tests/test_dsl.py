@@ -17,7 +17,6 @@ from towertalk.blockworld import (
     compose_scene,
 )
 from towertalk.dsl import (
-    EMPTY_LIBRARY,
     Library,
     ProgramError,
     canonical_program,
@@ -33,7 +32,7 @@ from towertalk.dsl import (
 )
 from towertalk.pragmatics import lenient_run
 
-from oracles import execute_nested, make_fragment
+from oracles import EMPTY_LIBRARY, execute_nested, make_fragment
 
 
 def reference_expand(program, library):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from towertalk import blockworld, cli, dsl, library_learning, pragmatics, simulation
 from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import (
-    EMPTY_LIBRARY,
     Fragment,
     Library,
     count_placements,
@@ -38,8 +37,8 @@ from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
 from towertalk.simulation import generate_sequences, library_trajectory
 
-from oracles import (library_score, library_size, make_fragment, mdl,
-                     reference_shortest_tokenization)
+from oracles import (EMPTY_LIBRARY, library_score, library_size, make_fragment, mdl,
+                     reference_candidate_windows, reference_shortest_tokenization)
 
 
 def brute_force_mdl(sequence, expansions):
@@ -103,18 +102,19 @@ def test_library_size_rules():
 
 
 def test_propose_single_place_yields_nothing():
-    assert _candidate_windows([("v",)], EMPTY_LIBRARY) == {}
+    assert _scene_table((("v",),)) == ()
 
 
 def test_propose_two_places_yields_one_window():
-    # Each candidate carries its body's token length with the body.
-    assert _candidate_windows([("v", "v")], EMPTY_LIBRARY) == {("v", "v"): (2, ("v", "v"))}
+    # Each candidate carries its body's token length with the body, then the
+    # scene it occurs in, its disjoint count and its starts.
+    assert _scene_table((("v", "v"),)) == ((("v", "v"), (2, ("v", "v")), ((0, 1, (0,)),)),)
 
 
 def test_propose_excludes_known_expansions():
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
-    assert _candidate_windows([("v", "v")], lib) == {}
+    assert _round((("v", "v"),), lib).rows == ()
 
 
 def test_propose_matches_brute_force_window_enumeration(tower_scene):
@@ -128,7 +128,7 @@ def test_propose_matches_brute_force_window_enumeration(tower_scene):
             if not any(t in ("h", "v") for t in window):
                 continue
             expected.add(window)
-    assert set(_candidate_windows([program], EMPTY_LIBRARY)) == expected
+    assert {expansion for expansion, _, _ in _scene_table((program,))} == expected
 
 
 def test_mdl_base_library_is_token_length():
@@ -347,7 +347,7 @@ def learner_caches():
 
 def test_learner_caches_are_bounded():
     names = {fn.__name__ for fn in learner_caches()}
-    assert names == {"_learning_step", "_round", "_scene_table", "_program_windows", "_mdl_cost"}
+    assert names == {"_learning_step", "_round", "_scene_table", "_mdl_cost"}
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
     # Each round holds two cost columns per scene, so an evicted round costs two
@@ -368,44 +368,11 @@ def test_every_cache_in_the_package_is_bounded():
     names = {f"{fn.__module__}.{fn.__name__}" for fn in module_caches(*modules)}
     assert names == {f"towertalk.{name}" for name in (
         "library_learning._learning_step", "library_learning._round",
-        "library_learning._scene_table", "library_learning._program_windows",
-        "library_learning._mdl_cost", "pragmatics.candidate_programs",
-        "pragmatics.lenient_run", "simulation._base_scene",
+        "library_learning._scene_table", "library_learning._mdl_cost",
+        "pragmatics.candidate_programs", "pragmatics.lenient_run", "simulation._base_scene",
         "simulation.library_trajectory")}
     for fn in module_caches(*modules):
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
-
-
-def reference_candidate_windows(programs, library):
-    """Every window of every program, enumerated directly with no cache, as
-    expansion -> (token length, body)."""
-    known = set(library.expansions())
-    windows = {}
-    for program in programs:
-        for i in range(len(program)):
-            for j in range(i + 1, len(program) + 1):
-                body = program[i:j]
-                if token_length(body) < 2:
-                    continue
-                expansion = inline(body, library)
-                if count_placements(expansion) == 0 or expansion in known:
-                    continue
-                current = windows.get(expansion)
-                if current is None or (token_length(body), body) < current:
-                    windows[expansion] = (token_length(body), body)
-    return windows
-
-
-def test_candidate_windows_match_direct_enumeration():
-    rng = random.Random(7)
-    for _ in range(150):
-        lib = random_fragment_library(rng)
-        scenes = [random_base_sequence(rng) for _ in range(rng.randint(1, 4))]
-        # Rewritten programs hold chunk references, so their windows depend on the library.
-        programs = scenes + [shortest_tokenization(s, lib) for s in scenes]
-        expected = reference_candidate_windows(programs, lib)
-        for _ in range(2):  # cold, then from the per-program tables
-            assert list(_candidate_windows(programs, lib).items()) == list(expected.items())
 
 
 def nested_fragment_library(rng, scenes):
@@ -426,6 +393,27 @@ def nested_fragment_library(rng, scenes):
     return lib
 
 
+def test_candidate_windows_match_direct_enumeration():
+    """Given each scene as its own rewrite and its rewrite under a library,
+    nested ones included, the reader's cheapest window of every expansion the
+    oracle lists is the oracle's, and every window it reads inlines to its key."""
+    rng = random.Random(7)
+    nested = 0
+    for _ in range(150):
+        scenes = [random_base_sequence(rng) for _ in range(rng.randint(1, 4))]
+        for _ in range(3):
+            lib = nested_fragment_library(rng, scenes)
+            nested += any(not dsl.is_base_token(t) for f in lib.fragments for t in f.body)
+            rewrites = [shortest_tokenization(s, lib) for s in scenes]
+            pairs = list(zip(scenes, scenes)) + list(zip(scenes, rewrites))
+            windows = _candidate_windows(pairs, lib)
+            for expansion, window in reference_candidate_windows(scenes + rewrites, lib).items():
+                assert windows[expansion] == window
+            for expansion, (length, body) in windows.items():
+                assert inline(body, lib) == expansion and token_length(body) == length
+    assert nested > 50
+
+
 def test_scene_table_holds_every_candidate_of_every_library():
     rng = random.Random(13)
     nested = 0
@@ -440,22 +428,19 @@ def test_scene_table_holds_every_candidate_of_every_library():
                                      occurrences(expansion, scene))
                                     for n, scene in enumerate(scenes) if expansion in
                                     reference_candidate_windows([scene], EMPTY_LIBRARY))
-        rows = {expansion: window for expansion, window, _ in table}
+        presence = {expansion: present for expansion, _, present in table}
         for _ in range(3):
             lib = nested_fragment_library(rng, list(scenes))
             nested += any(not dsl.is_base_token(t) for f in lib.fragments for t in f.body)
-            rewritten = [shortest_tokenization(scene, lib) for scene in scenes]
-            chunked = _candidate_windows([p for p, scene in zip(rewritten, scenes) if p != scene], lib)
+            rewritten = tuple(shortest_tokenization(scene, lib) for scene in scenes)
             # Every candidate of the scenes and their rewrites is a new expansion
-            # the table holds, at the cheaper of the table's and the rewrites' windows.
-            candidates = _candidate_windows(scenes + tuple(rewritten), lib)
-            for expansion, window in candidates.items():
-                assert expansion in rows and expansion not in lib.expansions()
-                assert window == min(rows[expansion], chunked.get(expansion, rows[expansion]))
-            # A learning round scores exactly those candidates, in sorted order.
-            round_rows = _round(scenes, lib).rows
-            assert [(expansion, window) for expansion, window, _ in round_rows] \
-                == sorted(candidates.items())
+            # the table holds; a learning round scores exactly those, in sorted
+            # order, each at its cheapest window and with the table's presence.
+            candidates = reference_candidate_windows(scenes + rewritten, lib)
+            assert set(candidates) <= set(presence)
+            assert list(_round(scenes, lib).rows) == [
+                (expansion, window, presence[expansion])
+                for expansion, window in sorted(candidates.items())]
     assert nested > 50
 
 
