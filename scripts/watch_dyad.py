@@ -34,17 +34,15 @@ def main():
     trace = run_dyad(sequence, args.w, cfg, lcfg, random.Random(args.dyad_seed), stimuli)
 
     towers = {t.id: t for t in stimuli}
-    seen = 0
-    for record in trace.records:
-        spec = record.spec
-        print(f"trial {record.index:>2} (block {spec.repetition_block}, "
+    for number, (spec, record) in enumerate(zip(sequence.trials, trace.records), start=1):
+        print(f"trial {number:>2} (block {spec.repetition_block}, "
               f"{spec.left}+{spec.right})  F1={record.f1:.3f}  "
               f"tokens={record.tokens_sent}")
         print(f"   program:   {print_program(record.program)}")
         print(f"   utterance: {' '.join(record.utterance)}")
-        for snap in record.library[seen:]:
-            print(f"   + learned {snap.id} [{snap.level}] {snap.body}")
-        seen = len(record.library)
+        for snap in trace.final_library:
+            if snap.adopted_trial == number:
+                print(f"   + learned {snap.id} [{snap.level}] {snap.body}")
         if args.render:
             target = compose_scene(towers[spec.left], towers[spec.right])
             built = Scene(target.width, target.height,

@@ -74,13 +74,6 @@ class TrialSequence(NamedTuple):
     seed: int
 
 
-class StepRecord(NamedTuple):
-    token: str
-    word: str
-    level: str          # block, sub_tower, tower, scene, or other
-    placements: int     # blocks the Builder actually placed for this step
-
-
 class FragmentSnapshot(NamedTuple):
     id: str
     body: str
@@ -91,15 +84,14 @@ class FragmentSnapshot(NamedTuple):
 
 
 class TrialRecord(NamedTuple):
-    index: int
-    spec: TrialSpec
+    """What one trial decided. Its number and spec are its place in the trace's
+    sequence, and its library is the trace's final_library up to it."""
     program: Program
-    utterance: tuple[str, ...]
+    utterance: tuple[str, ...]                  # one word per program token
     builder_placements: tuple[BlockPlacement, ...]
+    step_placements: tuple[int, ...]            # blocks the Builder placed per word
     f1: float
     tokens_sent: int
-    steps: tuple[StepRecord, ...]
-    library: tuple[FragmentSnapshot, ...]
     belief_entropy: float
     anomalies: int
 
@@ -209,49 +201,44 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
     library = Library()
     belief = initial_belief()
     bindings: dict[str, str] = {}  # the Builder's word-to-fragment bindings
-    level_by_fragment: dict[str, str] = {}
     snapshots: list[FragmentSnapshot] = []
     records: list[TrialRecord] = []
 
-    for index, (spec, trial) in enumerate(zip(sequence.trials, learned), start=1):
+    for trial in learned:
         program, utterance = architect_choose(trial.program, library, belief, cfg, rng)
 
         # The Builder's workspace: column heights and hand, empty at each trial.
         heights, hand = (0,) * GRID_WIDTH, dsl.default_start_x(trial.target)
         built: list[BlockPlacement] = []
-        steps: list[StepRecord] = []
+        step_placements: list[int] = []
         anomalies = 0
-        for token, word in zip(program, utterance):
+        for word in utterance:
             tokens = builder_interpret(word, bindings, library, rng)
             after_heights, after_hand, placed = lenient_run(tokens, heights, hand)
-            belief, anomaly = update_belief(
-                belief, word, placed, library, heights=heights, hand=hand)
+            if not dsl.is_base_token(word):  # a base word tells the belief nothing
+                belief, anomaly = update_belief(
+                    belief, word, placed, library, heights=heights, hand=hand)
+                anomalies += int(anomaly)
             heights, hand = after_heights, after_hand
             built.extend(placed)
-            anomalies += int(anomaly)
-            level = _BASE_LEVELS.get(token) or level_by_fragment[token]
-            steps.append(StepRecord(token, word, level, len(placed)))
+            step_placements.append(len(placed))
 
         trial_f1 = f1_score(trial.target, Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(built)))
 
         library = trial.library
         new_pairs: list[tuple[str, str]] = []
         for snapshot in trial.adopted:
-            new_pairs.append((synthetic_word(len(level_by_fragment)), snapshot.id))
-            level_by_fragment[snapshot.id] = snapshot.level
-        snapshots.extend(trial.adopted)
+            new_pairs.append((synthetic_word(len(snapshots)), snapshot.id))
+            snapshots.append(snapshot)
         belief = extend_hypotheses(belief, new_pairs)
 
         records.append(TrialRecord(
-            index=index,
-            spec=spec,
             program=program,
             utterance=utterance,
             builder_placements=tuple(built),
+            step_placements=tuple(step_placements),
             f1=trial_f1,
             tokens_sent=dsl.token_length(program),
-            steps=tuple(steps),
-            library=tuple(snapshots),
             belief_entropy=belief_entropy(belief),
             anomalies=anomalies,
         ))
@@ -339,25 +326,32 @@ def fragment_trajectory(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
     return rows
 
 
-def _block_records(traces: Sequence[DyadTrace], block: int) -> list[list[TrialRecord]]:
-    """Each dyad's records in a repetition block, for the dyads that have any."""
-    per_dyad = ([r for r in trace.records if r.spec.repetition_block == block] for trace in traces)
-    return [records for records in per_dyad if records]
+def step_levels(trace: DyadTrace) -> dict[str, str]:
+    """The level of each token a trace's programs send: a base token's from
+    _BASE_LEVELS, a chunk's from its fragment's snapshot in final_library."""
+    return {**_BASE_LEVELS, **{snapshot.id: snapshot.level for snapshot in trace.final_library}}
+
+
+def _block_records(trace: DyadTrace, block: int) -> list[TrialRecord]:
+    """A dyad's records in a repetition block."""
+    return [record for spec, record in zip(trace.sequence.trials, trace.records, strict=True)
+            if spec.repetition_block == block]
 
 
 def abstraction_proportions(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
     """Per repetition block: mean share of place-bearing instruction steps at
     each level, averaged over dyads (move tokens carry no reference)."""
+    levels = [step_levels(trace) for trace in traces]
     rows = []
     for block in range(1, REPETITION_BLOCKS + 1):
         shares = {level: [] for level in STEP_LEVELS}
-        for records in _block_records(traces, block):
-            steps = [s for r in records for s in r.steps if s.level != "move"]
+        for trace, level_of in zip(traces, levels):
+            steps = [level_of[token] for r in _block_records(trace, block) for token in r.program]
+            steps = [level for level in steps if level != "move"]
             if not steps:
                 continue
             for level in STEP_LEVELS:
-                shares[level].append(
-                    sum(1 for s in steps if s.level == level) / len(steps))
+                shares[level].append(steps.count(level) / len(steps))
         row = {"repetition_block": float(block)}
         for level in STEP_LEVELS:
             values = shares[level]
@@ -370,7 +364,7 @@ def accuracy_and_efficiency(traces: Sequence[DyadTrace]) -> list[dict[str, float
     """Per repetition block: mean F1 and mean tokens sent, over all dyads."""
     rows = []
     for block in range(1, REPETITION_BLOCKS + 1):
-        per_dyad = _block_records(traces, block)
+        per_dyad = [records for records in (_block_records(t, block) for t in traces) if records]
         f1_values = [sum(r.f1 for r in records) / len(records) for records in per_dyad]
         token_values = [sum(r.tokens_sent for r in records) / len(records) for records in per_dyad]
         rows.append({
@@ -404,9 +398,7 @@ def jsd(p: dict[str, float], q: dict[str, float]) -> float:
 def word_distribution(trace: DyadTrace, repetition_block: int) -> dict[str, float]:
     """Word frequencies over all utterances a dyad produced within one block."""
     counts: dict[str, float] = {}
-    for record in trace.records:
-        if record.spec.repetition_block != repetition_block:
-            continue
+    for record in _block_records(trace, repetition_block):
         for word in record.utterance:
             counts[word] = counts.get(word, 0.0) + 1.0
     return counts
@@ -508,19 +500,29 @@ _STEP = _template(_TRACE_DEPTH + 4, ("level", "placements", "token", "word"))
 def trace_json(trace: DyadTrace, memo: dict | None = None) -> str:
     """A trace's JSON text as json.dumps(..., indent=2, sort_keys=True) writes
     it in the "traces" list of traces.json: every line after the first is
-    indented 4 more spaces than at the top level.
+    indented 4 more spaces than at the top level. A trial's number and spec
+    come from the trace's sequence, its library from the final_library
+    snapshots adopted by then, and its steps' levels from step_levels.
 
     `memo` maps each sequence, placement and fragment snapshot already
     written to its text. Pass one dict to every call of a run: the dyads of a
-    group, and each trial's library, repeat the same ones. Equal values share
-    a text, so a snapshot whose score_delta is 2 and one whose is 2.0 must not
-    meet in one memo; the traces of one run never hold both.
+    group repeat the same ones. Equal values share a text, so a snapshot
+    whose score_delta is 2 and one whose is 2.0 must not meet in one memo;
+    the traces of one run never hold both.
     """
     if memo is None:
         memo = {}
     trial_depth = _TRACE_DEPTH + 2
+    level_of = step_levels(trace)
+    library = []
+    for snapshot in trace.final_library:
+        text = memo.get(snapshot)
+        if text is None:
+            text = memo[snapshot] = _nested(snapshot_to_dict(snapshot), trial_depth + 2)
+        library.append((snapshot.adopted_trial, text))
     trials = []
-    for r in trace.records:
+    for number, (spec, r) in enumerate(zip(trace.sequence.trials, trace.records, strict=True),
+                                       start=1):
         placements = []
         for block in r.builder_placements:
             text = memo.get(block)
@@ -529,28 +531,22 @@ def trace_json(trace: DyadTrace, memo: dict | None = None) -> str:
                     _ENCODE_STR(block.orientation), int.__repr__(block.x),
                     int.__repr__(block.y))
             placements.append(text)
-        library = []
-        for snapshot in r.library:
-            text = memo.get(snapshot)
-            if text is None:
-                text = memo[snapshot] = _nested(snapshot_to_dict(snapshot), trial_depth + 2)
-            library.append(text)
-        steps = [_STEP % (_ENCODE_STR(s.level), int.__repr__(s.placements),
-                          _ENCODE_STR(s.token), _ENCODE_STR(s.word))
-                 for s in r.steps]
+        steps = [_STEP % (_ENCODE_STR(level_of[token]), int.__repr__(placed),
+                          _ENCODE_STR(token), _ENCODE_STR(word))
+                 for token, word, placed in zip(r.program, r.utterance, r.step_placements)]
         trials.append(_TRIAL % (
             int.__repr__(r.anomalies),
             _number(round(r.belief_entropy, 9)),
             _array(placements, trial_depth + 1),
             _number(round(r.f1, 9)),
-            _ENCODE_STR(r.spec.left),
-            _array(library, trial_depth + 1),
+            _ENCODE_STR(spec.left),
+            _array([text for adopted, text in library if adopted <= number], trial_depth + 1),
             _ENCODE_STR(dsl.print_program(r.program)),
-            int.__repr__(r.spec.repetition_block),
-            _ENCODE_STR(r.spec.right),
+            int.__repr__(spec.repetition_block),
+            _ENCODE_STR(spec.right),
             _array(steps, trial_depth + 1),
             int.__repr__(r.tokens_sent),
-            int.__repr__(r.index),
+            int.__repr__(number),
             _array([_ENCODE_STR(word) for word in r.utterance], trial_depth + 1)))
     sequence = memo.get(trace.sequence)
     if sequence is None:

@@ -323,9 +323,21 @@ def save_stimuli(towers: Sequence[TowerStimulus], path: str) -> None:
                             for t in towers]}, path)
 
 
+def _oracle_step_level(token: str, final_library: Sequence[FragmentSnapshot]) -> str:
+    """A step's level: a chunk's is its fragment's, a move's is "move", and a
+    placement's is "block"."""
+    if not dsl.is_base_token(token):
+        (snapshot,) = [s for s in final_library if s.id == token]
+        return snapshot.level
+    return "move" if dsl.is_move(token) else "block"
+
+
 def trace_to_dict(trace: DyadTrace) -> dict:
     """A trace's data, built field by field; json.dumps(..., indent=2,
-    sort_keys=True) of it is the text traces.json must hold for the trace."""
+    sort_keys=True) of it is the text traces.json must hold for the trace.
+    A trial's number, spec, steps' levels and library come from the trace's
+    sequence and final_library."""
+    assert len(trace.records) == len(trace.sequence.trials)
     return {
         "alpha": trace.pragmatics.alpha,
         "beta": trace.pragmatics.beta,
@@ -337,24 +349,26 @@ def trace_to_dict(trace: DyadTrace) -> dict:
         "final_belief_entropy": round(trace.final_belief_entropy, 9),
         "trials": [
             {
-                "trial": r.index,
-                "repetition_block": r.spec.repetition_block,
-                "left": r.spec.left,
-                "right": r.spec.right,
+                "trial": k + 1,
+                "repetition_block": trace.sequence.trials[k].repetition_block,
+                "left": trace.sequence.trials[k].left,
+                "right": trace.sequence.trials[k].right,
                 "program": dsl.print_program(r.program),
                 "utterance": list(r.utterance),
                 "builder_placements": [b._asdict() for b in r.builder_placements],
                 "f1": round(r.f1, 9),
                 "tokens_sent": r.tokens_sent,
                 "steps": [
-                    {"token": s.token, "word": s.word, "level": s.level,
-                     "placements": s.placements}
-                    for s in r.steps
+                    {"token": r.program[i], "word": r.utterance[i],
+                     "level": _oracle_step_level(r.program[i], trace.final_library),
+                     "placements": r.step_placements[i]}
+                    for i in range(len(r.program))
                 ],
-                "library": [snapshot_to_dict(s) for s in r.library],
+                "library": [snapshot_to_dict(s) for s in trace.final_library
+                            if s.adopted_trial <= k + 1],
                 "belief_entropy": round(r.belief_entropy, 9),
                 "anomalies": r.anomalies,
             }
-            for r in trace.records
+            for k, r in enumerate(trace.records)
         ],
     }

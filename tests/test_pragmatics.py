@@ -499,7 +499,9 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
                                                      iterations=2, master_seed=master_seed)]
     assert len(traces) == 2 * 9 * 4 * 2
     assert seen["extensions"] == len(traces) * simulation.TRIALS_PER_SEQUENCE
-    assert seen["updates"] == sum(len(r.steps) for t in traces for r in t.records)
+    # A base word tells the belief nothing, so only chunk words are conditioned on.
+    assert seen["updates"] == seen["chunk words"] == sum(
+        not is_base_token(word) for t in traces for r in t.records for word in r.utterance)
     assert min(seen["chunk words"], seen["informative"], seen["anomalies"],
                seen["words added"]) > 0, seen
 

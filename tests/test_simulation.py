@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from towertalk import simulation
 from towertalk.blockworld import BlockPlacement, TowerStimulus, compose_scene, stimulus_towers
-from towertalk.dsl import canonical_program, is_place, token_length
+from towertalk.dsl import canonical_program, is_base_token, is_place, token_length
 from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
 from towertalk.simulation import (
@@ -24,7 +24,6 @@ from towertalk.simulation import (
     TRIALS_PER_SEQUENCE,
     DyadTrace,
     FragmentSnapshot,
-    StepRecord,
     TrialRecord,
     TrialSequence,
     TrialSpec,
@@ -40,6 +39,7 @@ from towertalk.simulation import (
     sequence_from_dict,
     sequence_to_dict,
     snapshot_level_proportions,
+    step_levels,
     trace_json,
     trace_to_dict,
     word_distribution,
@@ -98,9 +98,10 @@ def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3):
 
 def test_run_dyad_huge_w_is_all_base_and_perfect():
     trace = _run(w=1e6, beta=0.8)
+    levels = step_levels(trace)
     for record in trace.records:
         assert record.f1 == 1.0
-        assert all(s.level in ("block", "move") for s in record.steps)
+        assert all(levels[token] in ("block", "move") for token in record.program)
         assert len(record.builder_placements) == 8
     assert trace.final_library == ()
 
@@ -299,7 +300,8 @@ def test_accuracy_and_efficiency_single_trace_matches_raw():
     rows = accuracy_and_efficiency([trace])
     for row in rows:
         block = int(row["repetition_block"])
-        records = [r for r in trace.records if r.spec.repetition_block == block]
+        records = [r for spec, r in zip(trace.sequence.trials, trace.records)
+                   if spec.repetition_block == block]
         assert row["mean_f1"] == pytest.approx(
             sum(r.f1 for r in records) / len(records))
         assert row["mean_tokens_sent"] == pytest.approx(
@@ -421,8 +423,8 @@ def test_belief_entropy_non_increasing_between_extensions():
     # entropy may jump when hypotheses are extended (new fragments) or on an
     # anomaly reset; between those events it must not increase
     previous = 0.0
-    for record in trace.records:
-        grew = record.library and record.library[-1].adopted_trial == record.index
+    for number, record in enumerate(trace.records, start=1):
+        grew = any(s.adopted_trial == number for s in trace.final_library)
         if not grew and record.anomalies == 0:
             assert record.belief_entropy <= previous + 1e-9
         previous = record.belief_entropy
@@ -447,26 +449,50 @@ def test_trace_json_writes_int_configs_as_ints():
 
 def test_trace_json_writes_empty_lists_and_escapes_strings():
     odd = 'q"b\\s\x07\u00e9\u2603'
-    spec = TrialSpec(1, odd, "B")
+    sequence = TrialSequence((TrialSpec(1, odd, "B"), TrialSpec(2, "B", odd)), seed=7)
+    # The odd token is a chunk whose snapshot, adopted at trial 2, carries the odd level.
     snapshot = FragmentSnapshot(id=odd, body=odd, expansion="v v", level=odd,
                                 adopted_trial=2, score_delta=-1.25)
-    empty = TrialRecord(index=1, spec=spec, program=(), utterance=(), builder_placements=(),
-                        f1=0.0, tokens_sent=0, steps=(), library=(), belief_entropy=0.0,
-                        anomalies=0)
-    full = TrialRecord(index=2, spec=spec, program=("v", odd), utterance=(odd, "v"),
-                       builder_placements=(BlockPlacement(0, 0, odd),), f1=1 / 3,
-                       tokens_sent=2, steps=(StepRecord(odd, odd, odd, 1),),
-                       library=(snapshot,), belief_entropy=math.log2(3), anomalies=1)
+    empty = TrialRecord(program=(), utterance=(), builder_placements=(), step_placements=(),
+                        f1=0.0, tokens_sent=0, belief_entropy=0.0, anomalies=0)
+    full = TrialRecord(program=("v", odd), utterance=(odd, "v"),
+                       builder_placements=(BlockPlacement(0, 0, odd),), step_placements=(0, 1),
+                       f1=1 / 3, tokens_sent=2, belief_entropy=math.log2(3), anomalies=1)
     trace = DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
-                      TrialSequence((spec,), seed=7), iteration=0, dyad_seed=11,
-                      records=(empty, full), final_library=(snapshot,),
-                      final_belief_entropy=0.5)
+                      sequence, iteration=0, dyad_seed=11, records=(empty, full),
+                      final_library=(snapshot,), final_belief_entropy=0.5)
     text = trace_json(trace)
     assert text == _oracle_text(trace)
     for written in ('"library": []', '"builder_placements": []', '"steps": []',
                     '"utterance": []', '\\"', "\\\\", "\\u0007", "\\u00e9", "\\u2603"):
         assert written in text
     assert text.isascii()
-    no_trials = DyadTrace(trace.pragmatics, trace.learning, trace.sequence, 0, 11, (), (), 0.0)
+    no_trials = DyadTrace(trace.pragmatics, trace.learning, TrialSequence((), seed=7), 0, 11,
+                          (), (), 0.0)
     assert trace_json(no_trials) == _oracle_text(no_trials)
-    assert '"trials": []' in trace_json(no_trials)
+    # The sequence's trials and the trace's trials are both empty.
+    assert trace_json(no_trials).count('"trials": []') == 2
+
+
+def test_every_chunk_a_trial_sends_was_adopted_before_it():
+    """A record's levels and library are derived from final_library, and its
+    steps from its program, utterance and step_placements: every chunk a
+    trial sends has a snapshot adopted at an earlier trial, and the three line
+    up word for word. Over 2 sequences x the 9 grid cells x 2 iterations."""
+    configs = [(PragmaticsConfig(alpha=5.0, beta=beta), LearningConfig(w=w))
+               for w in (1.5, 3.2, 9.6) for beta in (0.0, 0.3, 0.8)]
+    traces = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=0)
+    assert len(traces) == 2 * 9 * 2
+    chunks = 0
+    for trace in traces:
+        assert len(trace.records) == len(trace.sequence.trials) == TRIALS_PER_SEQUENCE
+        adopted = {s.id: s.adopted_trial for s in trace.final_library}
+        assert len(adopted) == len(trace.final_library)
+        for number, record in enumerate(trace.records, start=1):
+            assert len(record.step_placements) == len(record.utterance) == len(record.program)
+            assert sum(record.step_placements) == len(record.builder_placements)
+            for token in record.program:
+                if not is_base_token(token):
+                    assert adopted[token] < number, (token, number)
+                    chunks += 1
+    assert chunks > 0
