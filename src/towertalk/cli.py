@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -33,6 +34,7 @@ from .blockworld import (
     render_ascii,
     scene_from_dict,
     stimulus_towers,
+    strict_int,
 )
 from .library_learning import BODY_TOKEN_SUM, LearningConfig
 from .pragmatics import PragmaticsConfig
@@ -112,6 +114,13 @@ def _write_outputs(outputs: dict[str, Iterable[str]]) -> None:
         raise
     for backup in backups.values():
         os.remove(backup)
+
+
+def _check_out_file(path: str) -> None:
+    """Fail before any compute if `path` has no directory to be written in, with
+    an error that names `path` rather than the temporary file beside it."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, "no directory to write it in", path)
 
 
 def _json_text(data) -> str:
@@ -195,6 +204,7 @@ def _build_config(factory, **fields):
 def cmd_gen_seq(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ConfigError("count: must be nonnegative")
+    _check_out_file(args.out)
     sequences, _ = simulation.generate_sequences(args.seed, args.count)
     payload = {
         "master_seed": args.seed,
@@ -221,6 +231,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
                    for k, trial in enumerate(sequence.trials)],
                   stimuli, args.stimuli or "stimuli",
                   f" in {args.stimuli or 'the default stimuli'}")
+    _check_out_file(args.out)
     runs = []
     for sequence in sequences:
         snapshots = [snapshot
@@ -261,6 +272,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     source = args.stimuli or "stimuli"
     _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
                   stimuli, source)
+    os.makedirs(args.out_dir, exist_ok=True)
     traces = simulation.run_experiment(
         configs=grid,
         stimuli=stimuli,
@@ -296,7 +308,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "iterations": args.iterations,
     }, traces)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     _write_outputs({os.path.join(args.out_dir, name): pieces
                     for name, pieces in sorted(outputs.items())})
     return EXIT_OK
@@ -321,7 +332,9 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
     if not 0 <= trace_index < len(traces):
         raise ConfigError(f"{path}: --trace-index {trace_index}: the file holds "
                           f"{len(traces)} traces, counted from 0")
-    matches = [t for t in traces[trace_index]["trials"] if t["trial"] == trial_index]
+    matches = [t for k, t in enumerate(traces[trace_index]["trials"])
+               if strict_int(t["trial"], f"traces[{trace_index}].trials[{k}].trial")
+               == trial_index]
     if not matches:
         raise ConfigError(f"{path}: --trace-index {trace_index}: the trace holds "
                           f"no trial {trial_index}")
@@ -329,7 +342,7 @@ def _read_trace_trial(path: str, trace_index: int, trial_index: int,
     target = compose_scene(towers[trial["left"]], towers[trial["right"]])
     built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
                              "blocks": trial["builder_placements"]})
-    return f"trial {trial['trial']} ({trial['left']}+{trial['right']})", target, built
+    return f"trial {trial_index} ({trial['left']}+{trial['right']})", target, built
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -338,6 +351,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     if len(given) != 1:
         raise ConfigError("render: pass exactly one of --scene, --stimulus, or --trace"
                           + (f", not {' and '.join(given)}" if given else ""))
+    stray = [flag for flag, value in (("--trial", args.trial),
+                                      ("--trace-index", args.trace_index)) if value is not None]
+    if stray and args.trace is None:
+        raise ConfigError(f"render: {' and '.join(stray)} given without --trace")
     towers = {t.id: t for t in stimulus_towers()}
     if args.scene is not None:
         print(render_ascii(_load(load_scene, args.scene)))
@@ -353,7 +370,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.trial is None:
         raise ConfigError("trial: required when rendering from a trace")
     label, target, built = _load(
-        lambda path: _read_trace_trial(path, args.trace_index, args.trial, towers),
+        lambda path: _read_trace_trial(path, args.trace_index or 0, args.trial, towers),
         args.trace)
     print(_render_pair(target, built, label))
     return EXIT_OK
@@ -395,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--scene", default=None)
     p_render.add_argument("--stimulus", default=None)
     p_render.add_argument("--trace", default=None)
-    p_render.add_argument("--trace-index", dest="trace_index", type=int, default=0)
+    p_render.add_argument("--trace-index", dest="trace_index", type=int, default=None)
     p_render.add_argument("--trial", type=int, default=None)
     p_render.set_defaults(func=cmd_render)
 

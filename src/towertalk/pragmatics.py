@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import dsl
 from .blockworld import (
@@ -142,25 +142,6 @@ def extend_hypotheses(belief: BeliefState,
     )
 
 
-def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
-    for bound_word, bound_frag in comp.known:
-        if bound_word == word:
-            return 1.0 if bound_frag == target else 0.0
-    for words, frags in comp.pools:
-        if word in words:
-            return 1.0 / len(frags) if target in frags else 0.0
-    return 0.0
-
-
-def marginal_listener(target: Token, word: str, belief: BeliefState) -> float:
-    """Expected success of a literal listener (a word means exactly the primitive
-    its lexicon binds it to), marginalizing over lexicon hypotheses."""
-    if dsl.is_base_token(word):
-        return 1.0 if word == target else 0.0
-    return sum(c.weight * _component_marginal(c, word, target)
-               for c in belief.components)
-
-
 def _uniform_reset(belief: BeliefState) -> BeliefState:
     if not belief.words:
         return initial_belief()
@@ -169,8 +150,27 @@ def _uniform_reset(belief: BeliefState) -> BeliefState:
     return BeliefState(_merge_components([component]), belief.words, belief.fragments)
 
 
-def _update_components(belief: BeliefState, word: str,
-                       consistent: Callable[[str], bool]) -> tuple[BeliefState, bool]:
+def update_belief(belief: BeliefState, word: str,
+                  observed: Sequence[BlockPlacement], library: Library, *,
+                  heights: tuple[int, ...], hand: int) -> tuple[BeliefState, bool]:
+    """Condition on the Builder's placements for one word.
+
+    A hypothesis survives iff running its fragment for the word from the
+    Builder's pre-step column heights and hand reproduces exactly the observed
+    placements. Returns (new belief, anomaly flag); if every hypothesis is
+    ruled out, the belief resets to uniform and the anomaly flag is set.
+    """
+    if dsl.is_base_token(word):
+        return belief, False
+    observed = tuple(observed)
+    cache: dict[str, bool] = {}
+
+    def consistent(frag_id: str) -> bool:
+        if frag_id not in cache:
+            expansion = library.resolve(frag_id).expansion
+            cache[frag_id] = lenient_run(expansion, heights, hand)[2] == observed
+        return cache[frag_id]
+
     updated: list[BeliefComponent] = []
     for comp in belief.components:
         known = dict(comp.known)
@@ -202,30 +202,6 @@ def _update_components(belief: BeliefState, word: str,
     if not updated or sum(c.weight for c in updated) <= 0.0:
         return _uniform_reset(belief), True
     return BeliefState(_merge_components(updated), belief.words, belief.fragments), False
-
-
-def update_belief(belief: BeliefState, word: str,
-                  observed: Sequence[BlockPlacement], library: Library, *,
-                  heights: tuple[int, ...], hand: int) -> tuple[BeliefState, bool]:
-    """Condition on the Builder's placements for one word.
-
-    A hypothesis survives iff running its fragment for the word from the
-    Builder's pre-step column heights and hand reproduces exactly the observed
-    placements. Returns (new belief, anomaly flag); if every hypothesis is
-    ruled out, the belief resets to uniform and the anomaly flag is set.
-    """
-    if dsl.is_base_token(word):
-        return belief, False
-    observed = tuple(observed)
-    cache: dict[str, bool] = {}
-
-    def consistent(frag_id: str) -> bool:
-        if frag_id not in cache:
-            expansion = library.resolve(frag_id).expansion
-            cache[frag_id] = lenient_run(expansion, heights, hand)[2] == observed
-        return cache[frag_id]
-
-    return _update_components(belief, word, consistent)
 
 
 def belief_entropy(belief: BeliefState) -> float:
@@ -267,17 +243,27 @@ def candidate_programs(base: Program, library: Library) -> tuple[Program, ...]:
 
 def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
     """The word with the highest marginal listener probability for a chunk
-    token (ties to the smallest), and that probability."""
+    token (ties to the smallest), and that probability. One pass over the
+    components collects each word's nonzero terms: a known binding to the token
+    adds the component's weight, and a pool whose fragments hold the token adds
+    weight * (1 / pool size) to each of its words. The terms are summed with
+    sum(), not a running +=: from Python 3.12 sum() of floats is compensated."""
     if not belief.words:
         raise ValueError(f"no synthetic words available for {token!r}")
-    best_word = belief.words[0]
-    best_prob = -1.0
-    for word in sorted(belief.words):
-        prob = marginal_listener(token, word, belief)
-        if prob > best_prob:
-            best_prob = prob
-            best_word = word
-    return best_word, best_prob
+    terms: dict[str, list[float]] = {}
+    for comp in belief.components:
+        for word, frag in comp.known:
+            if frag == token:
+                terms.setdefault(word, []).append(comp.weight)
+        for words, frags in comp.pools:
+            if token in frags:
+                for word in words:
+                    terms.setdefault(word, []).append(comp.weight * (1.0 / len(frags)))
+    if not terms:
+        return belief.words[0], 0.0
+    marginals = {word: sum(word_terms) for word, word_terms in terms.items()}
+    best = min(marginals, key=lambda word: (-marginals[word], word))
+    return best, marginals[best]
 
 
 def architect_choose(base: Program, library: Library, belief: BeliefState,

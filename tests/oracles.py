@@ -4,7 +4,8 @@ candidate window of a set of programs by direct enumeration,
 the learner's posterior score, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
-the Architect's per-candidate utterance and utility, the Builder's lenient
+a word's marginal listener probability taken word by word, the
+Architect's per-candidate utterance and utility, the Builder's lenient
 run without a memo, and a trace's data as plain dicts and lists. The
 program computes none of these; the tests check it against them. The scene
 and stimuli file writers are here too: the program only reads those files.
@@ -23,8 +24,7 @@ from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlaceme
                                   PlacementError, Scene, TowerStimulus, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
-from towertalk.pragmatics import (BeliefState, PragmaticsConfig, candidate_programs,
-                                  marginal_listener)
+from towertalk.pragmatics import BeliefComponent, BeliefState, PragmaticsConfig, candidate_programs
 from towertalk.simulation import (DyadTrace, FragmentSnapshot, sequence_to_dict,
                                   snapshot_to_dict)
 
@@ -190,6 +190,25 @@ def first_adoption_trial(snapshots: Sequence[FragmentSnapshot], level: str) -> i
     """Trial at which a fragment of the given level first entered the library."""
     trials = [s.adopted_trial for s in snapshots if s.level == level]
     return min(trials) if trials else None
+
+
+def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
+    for bound_word, bound_frag in comp.known:
+        if bound_word == word:
+            return 1.0 if bound_frag == target else 0.0
+    for words, frags in comp.pools:
+        if word in words:
+            return 1.0 / len(frags) if target in frags else 0.0
+    return 0.0
+
+
+def marginal_listener(target: Token, word: str, belief: BeliefState) -> float:
+    """Expected success of a literal listener (a word means exactly the primitive
+    its lexicon binds it to), marginalizing over lexicon hypotheses."""
+    if dsl.is_base_token(word):
+        return 1.0 if word == target else 0.0
+    return sum(c.weight * _component_marginal(c, word, target)
+               for c in belief.components)
 
 
 def best_utterance(program: Program, belief: BeliefState) -> tuple[str, ...]:

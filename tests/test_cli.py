@@ -301,11 +301,49 @@ def test_render_refuses_more_than_one_source(tmp_path, capsys):
         assert captured.err.endswith(f", not {' and '.join(named)}\n"), sources
 
 
+def test_render_refuses_trace_flags_without_a_trace(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    save_scene(Scene(4, 3, frozenset()), str(scene))
+    for source in (["--stimulus", "A"], ["--scene", str(scene)]):
+        for flags, named in ((["--trial", "3", "--trace-index", "7"], "--trial and --trace-index"),
+                             (["--trial", "3"], "--trial"),
+                             (["--trace-index", "0"], "--trace-index")):
+            assert run_cli("render", *source, *flags) == 2, (source, flags)
+            captured = capsys.readouterr()
+            assert captured.out == "", (source, flags)
+            assert captured.err == f"error: render: {named} given without --trace\n"
+
+
 def test_io_error_exit_code(tmp_path):
     missing = tmp_path / "nope" / "deep" / "file.json"
     assert run_cli("gen-seq", "--seed", "0", "--count", "1", "--out", str(missing)) == 3
     assert run_cli("learn", "--sequences", str(missing), "--w", "1.0",
                    "--out", str(tmp_path / "x.json")) == 3
+
+
+@pytest.mark.parametrize("command", ["gen-seq", "learn", "simulate"])
+def test_unwritable_destination_fails_before_compute(tmp_path, capsys, monkeypatch, command):
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    missing = str(tmp_path / "nodir" / "x.json")
+    argv, compute, destination = {
+        "gen-seq": (["gen-seq", "--out", missing], "generate_sequences", missing),
+        "learn": (["learn", "--sequences", str(sequences), "--w", "1.5", "--out", missing],
+                  "library_trajectory", missing),
+        "simulate": ([*SMALL_RUN, "--out-dir", str(blocker)], "run_experiment", str(blocker)),
+    }[command]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed outputs that have nowhere to go")
+    monkeypatch.setattr(simulation, compute, must_not_run)
+    before = _contents(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert _contents(tmp_path) == before
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and repr(destination) in err, err
 
 
 def test_simulate_and_learn_reject_nan(tmp_path):
@@ -525,6 +563,24 @@ def test_render_rejects_trace_placements_off_the_grid(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", name
         assert str(trace_file) in captured.err, name
+
+
+@pytest.mark.parametrize("value", [True, "1", 1.5], ids=["boolean", "string", "fractional"])
+def test_render_reads_trace_trial_numbers_strictly(tmp_path, capsys, value):
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    data = json.loads((out_dir / "traces.json").read_text())
+    # True == 1, so a loose match would draw this entry as "trial True".
+    data["traces"][0]["trials"][0]["trial"] = value
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("render", "--trace", str(trace_file), "--trial", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(trace_file) in captured.err
+    assert "traces[0].trials[0].trial: expected an integer" in captured.err
 
 
 def test_render_rejects_fractional_scene_numbers(tmp_path, capsys):

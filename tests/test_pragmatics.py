@@ -13,6 +13,7 @@ from towertalk.cli import DEFAULT_ALPHA
 from towertalk.dsl import Library, is_base_token, token_length
 from towertalk.pragmatics import (
     PragmaticsConfig,
+    _best_word,
     architect_choose,
     belief_entropy,
     builder_interpret,
@@ -20,7 +21,6 @@ from towertalk.pragmatics import (
     extend_hypotheses,
     initial_belief,
     lenient_run,
-    marginal_listener,
     synthetic_word,
     update_belief,
 )
@@ -28,8 +28,9 @@ from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene, stimulus_towers
 from towertalk.library_learning import LearningConfig
 
-from oracles import (best_utterance, enumerate_hypotheses, enumerated_extension,
-                     enumerated_update, joint_utility, lexicon_distribution, make_fragment,
+from oracles import (_component_marginal, best_utterance, enumerate_hypotheses,
+                     enumerated_extension, enumerated_update, joint_utility,
+                     lexicon_distribution, make_fragment, marginal_listener,
                      point_mass_lexicon, uncached_architect_choose, uncached_lenient_run)
 
 # The Builder's workspace at the start of a trial: every column empty.
@@ -405,6 +406,7 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     base = canonical_program(scene)
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", canonical_program(tower_scene("A")), lib))
+    tower_a = lib
     lib = lib.with_fragment(make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
     lib = lib.with_fragment(make_fragment("chunk3", ("v", "r1", "h"), lib))
     certain = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
@@ -416,13 +418,31 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     reset, anomaly = update_belief(informed, "chunkA", chunk3_placed, lib,
                                    heights=EMPTY, hand=0)
     assert anomaly
+    # One vertical block fits both "v r1" and "v r2", so seeing it for chunkA
+    # splits the three-word pool into two components: the words left in each
+    # pool have a marginal of two terms, one per component.
+    split_lib = tower_a.with_fragment(make_fragment("chunk2", ("v", "r1"), tower_a))
+    split_lib = split_lib.with_fragment(make_fragment("chunk3", ("v", "r2"), split_lib))
+    _, _, one_block = lenient_run(("v", "r1"), EMPTY, 0)
+    split, anomaly = update_belief(
+        extend_hypotheses(initial_belief(),
+                          [("chunkA", "chunk1"), ("chunkB", "chunk2"), ("chunkC", "chunk3")]),
+        "chunkA", one_block, split_lib, heights=EMPTY, hand=0)
+    assert not anomaly
+    assert len(split.components) >= 2
+    assert any(sum(_component_marginal(c, word, token) > 0 for c in split.components) >= 2
+               for word in split.words for token in split.fragments)
     # `certain` gives chunk2 no word with mass, so the candidates that use it drop.
-    beliefs = [certain, uniform, informed, reset]
+    cases = [(lib, certain), (lib, uniform), (lib, informed), (lib, reset), (split_lib, split)]
+    for library, belief in cases:
+        for token in library.ids():
+            (word,) = best_utterance((token,), belief)
+            assert _best_word(token, belief) == (word, marginal_listener(token, word, belief))
     for cfg in CHOICE_CONFIGS:
         rng = random.Random(11)
-        for belief in beliefs:
+        for library, belief in cases:
             for _ in range(5):
-                _assert_choice_matches_oracle(base, lib, belief, cfg, rng)
+                _assert_choice_matches_oracle(base, library, belief, cfg, rng)
     for choose in (architect_choose, uncached_architect_choose):
         with pytest.raises(ValueError, match="no synthetic words"):
             choose(base, lib, initial_belief(), CHOICE_CONFIGS[0], random.Random(0))
