@@ -8,7 +8,6 @@ Once placed, blocks never move.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple
 
 HORIZONTAL = "horizontal"
@@ -222,15 +221,8 @@ def scene_from_dict(data: dict) -> Scene:
     return Scene(width, height, frozenset(blocks))
 
 
-def load_scene(path: str) -> Scene:
-    with open(path, encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
-
-
-def load_stimuli(path: str) -> tuple[TowerStimulus, ...]:
-    """Read replacement tower stimuli from a JSON file and validate them."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def stimuli_from_dict(data: dict) -> tuple[TowerStimulus, ...]:
+    """A stimuli file's data as validated towers; rejects a duplicate id."""
     towers = []
     for k, entry in enumerate(data["towers"]):
         tower = TowerStimulus(strict_tower_id(entry["id"], f"towers[{k}].id"),

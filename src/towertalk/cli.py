@@ -29,10 +29,9 @@ from .blockworld import (
     Scene,
     compose_scene,
     f1_score,
-    load_scene,
-    load_stimuli,
     render_ascii,
     scene_from_dict,
+    stimuli_from_dict,
     stimulus_towers,
     strict_int,
 )
@@ -157,20 +156,27 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _load(loader, path: str):
-    """Parse an input file; malformed content is a ConfigError naming the file.
+def _load(parse, path: str):
+    """Read an input file's JSON and return parse(data); malformed content is a
+    ConfigError naming the file. A RecursionError is malformed content only
+    where json.load raises it, on arrays or objects nested too deeply.
 
     OSError passes through, so a file that cannot be read still exits 3.
     """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
     try:
-        return loader(path)
+        return parse(data)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _stimuli(path: str | None):
     """The towers a run builds from: the file's, or the defaults."""
-    return _load(load_stimuli, path) if path else stimulus_towers()
+    return _load(stimuli_from_dict, path) if path else stimulus_towers()
 
 
 def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
@@ -215,9 +221,7 @@ def cmd_gen_seq(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_sequences(path: str):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def _read_sequences(data: dict):
     return [sequence_from_dict(entry) for entry in data["sequences"]]
 
 
@@ -255,26 +259,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("iterations: must be nonnegative")
     if args.jobs < 1:
         raise ConfigError("jobs: must be at least 1")
-    grid = [(_build_config(PragmaticsConfig, alpha=args.alpha, beta=beta),
-             _build_config(LearningConfig, w=w))
-            for w in args.w for beta in args.beta]
     # A cell's four CSVs are named by its tag: two cells with one tag would overwrite
     # each other, and two equal configs would each aggregate both cells' traces.
     cells: dict[str, tuple[PragmaticsConfig, LearningConfig]] = {}
-    for pcfg, lcfg in grid:
-        tag = f"w{_fmt(lcfg.w)}_beta{_fmt(pcfg.beta)}"
-        if tag in cells:
-            other_p, other_l = cells[tag]
-            raise ConfigError(f"cells w={other_l.w!r} beta={other_p.beta!r} and "
-                              f"w={lcfg.w!r} beta={pcfg.beta!r} share the file tag {tag}")
-        cells[tag] = (pcfg, lcfg)
+    for w in args.w:
+        for beta in args.beta:
+            pcfg = _build_config(PragmaticsConfig, alpha=args.alpha, beta=beta)
+            lcfg = _build_config(LearningConfig, w=w)
+            tag = f"w{_fmt(lcfg.w)}_beta{_fmt(pcfg.beta)}"
+            if tag in cells:
+                other_p, other_l = cells[tag]
+                raise ConfigError(f"cells w={other_l.w!r} beta={other_p.beta!r} and "
+                                  f"w={lcfg.w!r} beta={pcfg.beta!r} share the file tag {tag}")
+            cells[tag] = (pcfg, lcfg)
     stimuli = _stimuli(args.stimuli)
     source = args.stimuli or "stimuli"
     _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
                   stimuli, source)
     os.makedirs(args.out_dir, exist_ok=True)
     traces = simulation.run_experiment(
-        configs=grid,
+        configs=list(cells.values()),
         stimuli=stimuli,
         n_sequences=args.n_sequences,
         iterations=args.iterations,
@@ -323,11 +327,9 @@ def _render_pair(target: Scene, built: Scene, label: str) -> str:
     return "\n".join(lines)
 
 
-def _read_trace_trial(path: str, trace_index: int, trial_index: int,
+def _read_trace_trial(data: dict, path: str, trace_index: int, trial_index: int,
                       towers: dict) -> tuple[str, Scene, Scene]:
-    """One recorded trial of a traces file: its label, target and built scenes."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    """One recorded trial of a traces file's data: its label, target and built scenes."""
     traces = data["traces"]
     if not 0 <= trace_index < len(traces):
         raise ConfigError(f"{path}: --trace-index {trace_index}: the file holds "
@@ -357,7 +359,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ConfigError(f"render: {' and '.join(stray)} given without --trace")
     towers = {t.id: t for t in stimulus_towers()}
     if args.scene is not None:
-        print(render_ascii(_load(load_scene, args.scene)))
+        print(render_ascii(_load(scene_from_dict, args.scene)))
         return EXIT_OK
     if args.stimulus is not None:
         if args.stimulus not in towers:
@@ -370,7 +372,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.trial is None:
         raise ConfigError("trial: required when rendering from a trace")
     label, target, built = _load(
-        lambda path: _read_trace_trial(path, args.trace_index or 0, args.trial, towers),
+        lambda data: _read_trace_trial(data, args.trace, args.trace_index or 0, args.trial,
+                                       towers),
         args.trace)
     print(_render_pair(target, built, label))
     return EXIT_OK

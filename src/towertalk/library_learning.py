@@ -33,19 +33,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus
 from .dsl import Fragment, Library, Program
 
 BODY_TOKEN_SUM = "body_token_sum"
-
-SUB_TOWER = "sub_tower"
-TOWER = "tower"
-SCENE = "scene"
-OTHER = "other"
-FRAGMENT_LEVELS = (SUB_TOWER, TOWER, SCENE, OTHER)
 
 # Greedy adoption rounds after each trial.
 MAX_FRAGMENTS_PER_TRIAL = 3
@@ -208,14 +201,6 @@ def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
                  for expansion, (window, present) in sorted(rows.items()))
 
 
-def _next_fragment_id(library: Library) -> str:
-    used = set(library.ids())
-    n = len(library.fragments) + 1
-    while f"chunk{n}" in used:
-        n += 1
-    return f"chunk{n}"
-
-
 def update_library_with_log(library: Library, observed: Sequence[Program],
                             cfg: LearningConfig) -> tuple[Library, list[Adoption]]:
     """Greedy per-trial growth; returns the new library and what was adopted."""
@@ -329,38 +314,10 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
         if best is None:
             break
         expansion, body = best
-        fragment = Fragment(_next_fragment_id(current), body, expansion)
+        # Only the learner makes fragments, so the ids run chunk1, chunk2, ...;
+        # with_fragment rejects a duplicate.
+        fragment = Fragment(f"chunk{len(current.fragments) + 1}", body, expansion)
         current = current.with_fragment(fragment)
         adoptions.append(Adoption(fragment, best_delta))
     return current, tuple(adoptions)
 
-
-def _shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
-    """The blocks moved left so that the leftmost one stands in column 0."""
-    min_x = min(b.x for b in blocks)
-    return frozenset(b.translate(-min_x) for b in blocks)
-
-
-def classify_fragment(fragment: Fragment, stimuli: Sequence[TowerStimulus]) -> str:
-    """Bucket a fragment by the configuration its expansion builds.
-
-    2-3 placements is sub-tower level; 4 placements that exactly rebuild one
-    stimulus is tower level; 8 placements that rebuild a side-by-side pair of
-    stimuli is scene level; anything else is other. The expansion runs from
-    column 30 of an empty 64x32 grid, so only its shape decides.
-    """
-    n = dsl.count_placements(fragment.expansion)
-    if 2 <= n <= 3:
-        return SUB_TOWER
-    if n not in (4, 8):
-        return OTHER
-    try:
-        placed = dsl.execute(fragment.expansion, 30, 64, 32)
-    except ValueError:  # ProgramError or PlacementError
-        return OTHER
-    # Towers go in last: a pair has a tower's shape only when its two halves are
-    # the same four blocks, and then it is that tower.
-    levels = {_shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
-              for left in stimuli for right in stimuli}
-    levels.update((_shape(tower.blocks), TOWER) for tower in stimuli)
-    return levels.get(_shape(placed), OTHER)

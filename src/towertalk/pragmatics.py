@@ -119,17 +119,17 @@ def _merge_components(components: Iterable[BeliefComponent]) -> tuple[BeliefComp
     )
 
 
-def extend_hypotheses(belief: BeliefState,
-                      new_pairs: Sequence[tuple[str, str]]) -> BeliefState:
-    """Grow the hypothesis space after the library gained fragments.
+def extend_hypotheses(belief: BeliefState, words: Sequence[str],
+                      fragments: Sequence[str]) -> BeliefState:
+    """Grow the hypothesis space by a new word for each new fragment of the library.
 
     Every existing hypothesis extends with every bijection between the new
     words and the new fragments, mass split uniformly among the extensions.
     """
-    if not new_pairs:
+    if not words:
         return belief
-    new_words = tuple(sorted(word for word, _ in new_pairs))
-    new_frags = tuple(sorted(frag for _, frag in new_pairs))
+    new_words = tuple(sorted(words))
+    new_frags = tuple(sorted(fragments))
     pool = (new_words, new_frags)
     components = tuple(
         BeliefComponent(c.weight, c.known, tuple(sorted(c.pools + (pool,))))
@@ -163,13 +163,9 @@ def update_belief(belief: BeliefState, word: str,
     if dsl.is_base_token(word):
         return belief, False
     observed = tuple(observed)
-    cache: dict[str, bool] = {}
 
     def consistent(frag_id: str) -> bool:
-        if frag_id not in cache:
-            expansion = library.resolve(frag_id).expansion
-            cache[frag_id] = lenient_run(expansion, heights, hand)[2] == observed
-        return cache[frag_id]
+        return lenient_run(library.resolve(frag_id).expansion, heights, hand)[2] == observed
 
     updated: list[BeliefComponent] = []
     for comp in belief.components:

@@ -17,12 +17,13 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from . import dsl, pragmatics
 from .blockworld import (
     GRID_HEIGHT,
     GRID_WIDTH,
+    RIGHT_ORIGIN,
     BlockPlacement,
     Scene,
     TowerStimulus,
@@ -33,13 +34,7 @@ from .blockworld import (
     strict_tower_id,
 )
 from .dsl import Library, Program
-from .library_learning import (
-    BODY_TOKEN_SUM,
-    FRAGMENT_LEVELS,
-    LearningConfig,
-    classify_fragment,
-    update_library_with_log,
-)
+from .library_learning import BODY_TOKEN_SUM, LearningConfig, update_library_with_log
 from .pragmatics import (
     PragmaticsConfig,
     architect_choose,
@@ -52,6 +47,11 @@ from .pragmatics import (
     update_belief,
 )
 
+SUB_TOWER = "sub_tower"
+TOWER = "tower"
+SCENE = "scene"
+OTHER = "other"
+FRAGMENT_LEVELS = (SUB_TOWER, TOWER, SCENE, OTHER)
 BLOCK_LEVEL = "block"
 STEP_LEVELS = (BLOCK_LEVEL,) + FRAGMENT_LEVELS
 # The level of a step that sends a base token; a chunk's step takes its fragment's.
@@ -158,6 +158,44 @@ def _base_scene(left: TowerStimulus, right: TowerStimulus) -> tuple[Scene, Progr
     return target, dsl.canonical_program(target)
 
 
+def _shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
+    """The blocks moved left so that the leftmost one stands in column 0."""
+    min_x = min(b.x for b in blocks)
+    return frozenset(b.translate(-min_x) for b in blocks)
+
+
+def shape_levels(stimuli: Sequence[TowerStimulus]) -> dict[frozenset[BlockPlacement], str]:
+    """The level of each shape a fragment can rebuild: a stimulus is a tower, and
+    a side-by-side pair of stimuli is a scene."""
+    # Towers go in last: a pair has a tower's shape only when its two halves are
+    # the same four blocks, and then it is that tower.
+    levels = {_shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
+              for left in stimuli for right in stimuli}
+    levels.update((_shape(tower.blocks), TOWER) for tower in stimuli)
+    return levels
+
+
+def classify_fragment(expansion: Program, shapes: dict[frozenset[BlockPlacement], str]) -> str:
+    """Bucket a fragment by the configuration its expansion builds.
+
+    2-3 placements is sub-tower level; 4 placements that exactly rebuild one
+    stimulus is tower level; 8 placements that rebuild a side-by-side pair of
+    stimuli is scene level; anything else is other. `shapes` is the stimuli's
+    shape_levels. The expansion runs from column 30 of an empty 64x32 grid, so
+    only its shape decides.
+    """
+    n = dsl.count_placements(expansion)
+    if 2 <= n <= 3:
+        return SUB_TOWER
+    if n not in (4, 8):
+        return OTHER
+    try:
+        placed = dsl.execute(expansion, 30, 64, 32)
+    except ValueError:  # ProgramError or PlacementError
+        return OTHER
+    return shapes.get(_shape(placed), OTHER)
+
+
 @lru_cache(maxsize=1)
 def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
                        stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
@@ -169,6 +207,7 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
     share a (sequence, lcfg) back to back, so each group learns once.
     """
     towers = {tower.id: tower for tower in stimuli}
+    shapes = shape_levels(stimuli)
     library = Library()
     scenes: list[Program] = []
     trials: list[LearnedTrial] = []
@@ -181,7 +220,7 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
                 id=a.fragment.id,
                 body=dsl.print_program(a.fragment.body),
                 expansion=dsl.print_program(a.fragment.expansion),
-                level=classify_fragment(a.fragment, stimuli),
+                level=classify_fragment(a.fragment.expansion, shapes),
                 adopted_trial=index,
                 score_delta=a.score_delta,
             )
@@ -226,11 +265,9 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         trial_f1 = f1_score(trial.target, Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(built)))
 
         library = trial.library
-        new_pairs: list[tuple[str, str]] = []
-        for snapshot in trial.adopted:
-            new_pairs.append((synthetic_word(len(snapshots)), snapshot.id))
-            snapshots.append(snapshot)
-        belief = extend_hypotheses(belief, new_pairs)
+        words = [synthetic_word(len(snapshots) + k) for k in range(len(trial.adopted))]
+        belief = extend_hypotheses(belief, words, [snapshot.id for snapshot in trial.adopted])
+        snapshots.extend(trial.adopted)
 
         records.append(TrialRecord(
             program=program,

@@ -165,12 +165,11 @@ def enumerated_update(belief: BeliefState, word: str, observed: Sequence[BlockPl
     return {lexicon: probability / total for lexicon, probability in kept.items()}, False
 
 
-def enumerated_extension(belief: BeliefState,
-                         new_pairs: Sequence[tuple[str, str]]) -> dict[frozenset, float]:
+def enumerated_extension(belief: BeliefState, words: Sequence[str],
+                         fragments: Sequence[str]) -> dict[frozenset, float]:
     """extend_hypotheses by explicit enumeration: each lexicon's mass split evenly
     over its extensions by every bijection of the new words and fragments."""
-    words = [word for word, _ in new_pairs]
-    extensions = list(permutations([fragment for _, fragment in new_pairs]))
+    extensions = list(permutations(fragments))
     extended: dict[frozenset, float] = {}
     for lexicon, probability in lexicon_distribution(belief).items():
         for assignment in extensions:

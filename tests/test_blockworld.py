@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,9 @@ from towertalk.blockworld import (
     drop_block,
     f1_score,
     is_supported,
-    load_stimuli,
     render_ascii,
     scene_from_dict,
+    stimuli_from_dict,
     strict_int,
     validate_stimulus,
 )
@@ -261,7 +263,7 @@ def test_validate_stimulus_rejects_floating_block_and_unknown_orientation():
 def test_stimulus_file_round_trip(tmp_path, towers):
     path = tmp_path / "stimuli.json"
     save_stimuli(towers, str(path))
-    loaded = load_stimuli(str(path))
+    loaded = stimuli_from_dict(json.loads(path.read_text()))
     assert loaded == towers
 
 
@@ -274,4 +276,4 @@ def test_load_stimuli_rejects_bad_tower(tmp_path):
         '{"x": 2, "y": 0, "orientation": "vertical"},'
         '{"x": 2, "y": 2, "orientation": "vertical"}]}]}')
     with pytest.raises(ValueError):
-        load_stimuli(str(path))
+        stimuli_from_dict(json.loads(path.read_text()))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -697,6 +699,52 @@ def test_internal_value_error_is_not_reported_as_config_error(tmp_path, monkeypa
                 "--out-dir", str(tmp_path / "out"))
 
 
+def _reader_argv(reader, path, tmp_path):
+    """The argv that has `reader` read `path`, with its --out or --out-dir under
+    tmp_path / "out"; every other input file is a good one."""
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    out = str(tmp_path / "out")
+    return {
+        "render --scene": ["render", "--scene", str(path)],
+        "render --trace": ["render", "--trace", str(path), "--trial", "1"],
+        "learn --sequences": ["learn", "--sequences", str(path), "--w", "1.5", "--out", out],
+        "learn --stimuli": ["learn", "--sequences", str(sequences), "--stimuli", str(path),
+                            "--w", "1.5", "--out", out],
+        "simulate --stimuli": ["simulate", "--stimuli", str(path), "--n-sequences", "1",
+                               "--iterations", "1", "--out-dir", out],
+    }[reader]
+
+
+# json.load raises RecursionError on 1,000 nested arrays up to Python 3.11, and on
+# 100,000 in every supported version; from 3.12 the first decodes, and the
+# reader rejects its content.
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("reader", ["render --scene", "render --trace", "learn --sequences",
+                                    "learn --stimuli", "simulate --stimuli"])
+def test_readers_reject_a_deeply_nested_file(tmp_path, capsys, reader, depth):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * depth + "]" * depth)
+    argv = _reader_argv(reader, deep, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {deep}: ")
+    assert depth < 100_000 or "RecursionError" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_recursion_error_while_parsing_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(data):
+        raise RecursionError("internal")
+    monkeypatch.setattr(cli, "scene_from_dict", broken)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"width": 3, "height": 3, "blocks": []}))
+    with pytest.raises(RecursionError, match="internal"):
+        run_cli("render", "--scene", str(scene))
+
+
 # Arbitrary JSON, plus values shaped like the real schemas so that loading
 # gets past the top-level keys.
 json_values = st.recursive(
@@ -712,16 +760,39 @@ sequence_files = json_values | st.fixed_dictionaries({"sequences": st.lists(
             {"left": tower_ids, "right": tower_ids}), max_size=3)}),
     max_size=2)})
 coordinates = st.integers(-1, 8) | json_values
+block_dicts = st.fixed_dictionaries({
+    "x": coordinates, "y": coordinates,
+    "orientation": st.sampled_from([HORIZONTAL, VERTICAL]) | json_values})
 default_stimuli = {"towers": [{"id": t.id, "blocks": [b._asdict() for b in t.blocks]}
                               for t in stimulus_towers()]}
 stimuli_files = json_values | st.just(default_stimuli) | st.fixed_dictionaries({"towers": st.lists(
     json_values | st.fixed_dictionaries({
         "id": tower_ids,
-        "blocks": st.lists(st.fixed_dictionaries({
-            "x": coordinates, "y": coordinates,
-            "orientation": st.sampled_from([HORIZONTAL, VERTICAL]) | json_values}),
-            max_size=4)}),
+        "blocks": st.lists(block_dicts, max_size=4)}),
     max_size=3)})
+scene_files = json_values | st.fixed_dictionaries({
+    "width": st.integers(0, 15) | json_values,
+    "height": st.integers(0, 9) | json_values,
+    "blocks": st.lists(block_dicts, max_size=4)})
+trace_files = json_values | st.fixed_dictionaries({"traces": st.lists(
+    json_values | st.fixed_dictionaries({"trials": st.lists(
+        json_values | st.fixed_dictionaries({
+            "trial": st.integers(0, 2) | json_values,
+            "left": tower_ids, "right": tower_ids,
+            "builder_placements": st.lists(block_dicts, max_size=4)}),
+        max_size=3)}),
+    max_size=2)})
+
+
+def _run_on_file(argv, path):
+    """Run the CLI on an input file; it must exit 0, or exit 2 with an error that
+    names the file. Returns the exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code in (0, 2)
+    assert code == 0 or str(path) in err.getvalue()
+    return code
 
 
 def _learn_exit(tmp_path_factory, sequences_data=None, stimuli_data=None):
@@ -733,13 +804,13 @@ def _learn_exit(tmp_path_factory, sequences_data=None, stimuli_data=None):
     else:
         sequences.write_text(json.dumps(sequences_data))
     argv = ["learn", "--sequences", str(sequences), "--w", "1000000"]
+    given_file = sequences
     if stimuli_data is not None:
-        stimuli = work / "stimuli.json"
+        given_file = stimuli = work / "stimuli.json"
         stimuli.write_text(json.dumps(stimuli_data))
         argv += ["--stimuli", str(stimuli)]
     out = work / "learn.json"
-    code = run_cli(*argv, "--out", str(out))
-    assert code in (0, 2)
+    code = _run_on_file([*argv, "--out", str(out)], given_file)
     assert out.exists() == (code == 0)
 
 
@@ -753,3 +824,19 @@ def test_learn_sequence_file_property(tmp_path_factory, data):
 @settings(max_examples=60, deadline=None)
 def test_learn_stimuli_file_property(tmp_path_factory, data):
     _learn_exit(tmp_path_factory, stimuli_data=data)
+
+
+@given(scene_files)
+@settings(max_examples=60, deadline=None)
+def test_render_scene_file_property(tmp_path_factory, data):
+    scene = tmp_path_factory.mktemp("render") / "scene.json"
+    scene.write_text(json.dumps(data))
+    _run_on_file(["render", "--scene", str(scene)], scene)
+
+
+@given(trace_files)
+@settings(max_examples=60, deadline=None)
+def test_render_trace_file_property(tmp_path_factory, data):
+    traces = tmp_path_factory.mktemp("render") / "traces.json"
+    traces.write_text(json.dumps(data))
+    _run_on_file(["render", "--trace", str(traces), "--trial", "1"], traces)

@@ -16,26 +16,29 @@ from towertalk.dsl import (
     token_length,
 )
 from towertalk.library_learning import (
-    OTHER,
-    SCENE,
-    SUB_TOWER,
-    TOWER,
     MAX_FRAGMENTS_PER_TRIAL,
     Adoption,
     LearningConfig,
     _candidate_windows,
     _mdl_cost,
-    _next_fragment_id,
     _round,
     _scene_table,
     _scene_windows,
-    classify_fragment,
     shortest_tokenization,
     update_library_with_log,
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
-from towertalk.simulation import generate_sequences, library_trajectory
+from towertalk.simulation import (
+    OTHER,
+    SCENE,
+    SUB_TOWER,
+    TOWER,
+    classify_fragment,
+    generate_sequences,
+    library_trajectory,
+    shape_levels,
+)
 
 from oracles import (EMPTY_LIBRARY, library_score, library_size, make_fragment, mdl,
                      reference_candidate_windows, reference_shortest_tokenization)
@@ -78,10 +81,10 @@ def random_base_sequence(rng, max_units=12):
 
 def random_fragment_library(rng, max_fragments=3):
     lib = Library()
-    for i in range(rng.randint(0, max_fragments)):
+    for _ in range(rng.randint(0, max_fragments)):
         body = random_base_sequence(rng, max_units=rng.randint(2, 6))
         try:
-            fragment = make_fragment(f"chunk{i + 1}", body, lib)
+            fragment = make_fragment(f"chunk{len(lib.fragments) + 1}", body, lib)
         except ValueError:
             continue
         if fragment.expansion in lib.expansions():
@@ -293,39 +296,29 @@ def test_update_library_deterministic(towers_by_id):
 
 
 def test_classify_sub_tower_levels():
-    lib = Library()
-    two_blocks = make_fragment("chunk1", ("v", "r1", "v"), lib)
-    assert classify_fragment(two_blocks, stimulus_towers()) == SUB_TOWER
-    one_block = make_fragment("chunk2", ("v", "r1"), lib)
-    assert classify_fragment(one_block, stimulus_towers()) == OTHER
+    shapes = shape_levels(stimulus_towers())
+    assert classify_fragment(("v", "r1", "v"), shapes) == SUB_TOWER
+    assert classify_fragment(("v", "r1"), shapes) == OTHER
 
 
 def test_classify_tower_level(tower_scene):
-    towers = stimulus_towers()
-    lib = Library()
+    shapes = shape_levels(stimulus_towers())
     for tower_id in "ABC":
-        program = canonical_program(tower_scene(tower_id))
-        fragment = make_fragment("chunkX", program, lib)
-        assert classify_fragment(fragment, towers) == TOWER
+        assert classify_fragment(canonical_program(tower_scene(tower_id)), shapes) == TOWER
 
 
 def test_classify_tower_level_ignores_leading_move(tower_scene):
-    towers = stimulus_towers()
     program = ("r3",) + canonical_program(tower_scene("B"))
-    fragment = make_fragment("chunkX", program, Library())
-    assert classify_fragment(fragment, towers) == TOWER
+    assert classify_fragment(program, shape_levels(stimulus_towers())) == TOWER
 
 
 def test_classify_scene_level(towers_by_id):
-    towers = stimulus_towers()
     scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
-    fragment = make_fragment("chunkX", canonical_program(scene), Library())
-    assert classify_fragment(fragment, towers) == SCENE
+    assert classify_fragment(canonical_program(scene), shape_levels(stimulus_towers())) == SCENE
 
 
 def test_classify_mismatched_four_blocks_is_other():
-    fragment = make_fragment("chunkX", ("v", "v", "v", "v"), Library())
-    assert classify_fragment(fragment, stimulus_towers()) == OTHER
+    assert classify_fragment(("v", "v", "v", "v"), shape_levels(stimulus_towers())) == OTHER
 
 
 def test_learning_config_validation():
@@ -385,7 +378,7 @@ def nested_fragment_library(rng, scenes):
                   if any(t not in scene for t in rewrite[i:j])]
         for body in rng.sample(bodies, len(bodies)):
             try:
-                fragment = make_fragment(_next_fragment_id(lib), body, lib)
+                fragment = make_fragment(f"chunk{len(lib.fragments) + 1}", body, lib)
             except ValueError:
                 continue
             if fragment.expansion not in lib.expansions():
@@ -547,7 +540,7 @@ def dense_update_library(library, observed, cfg):
                 best_delta, best = delta, (expansion, body)
         if best is None:
             break
-        fragment = Fragment(_next_fragment_id(current), best[1], best[0])
+        fragment = Fragment(f"chunk{len(current.fragments) + 1}", best[1], best[0])
         current = current.with_fragment(fragment)
         adoptions.append(Adoption(fragment, best_delta))
     return current, adoptions
@@ -645,7 +638,7 @@ def test_learning_step_scores_each_candidate_exactly(monkeypatch):
                 saving = sum(count * (brute_force_mdl(scene, expansions)
                                       - brute_force_mdl(scene, trial_key))
                              for scene, count in scene_counts)
-                fragment = Fragment(_next_fragment_id(lib), body, expansion)
+                fragment = Fragment(f"chunk{len(lib.fragments) + 1}", body, expansion)
                 assert scored_alone(lib, scene_counts, round_, row) == \
                     ((Adoption(fragment, saving),) if saving > 0 else ())
                 assert calls == [(scenes[n], trial_key) for n, count, _ in present if count > 1]

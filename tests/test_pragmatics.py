@@ -39,7 +39,7 @@ EMPTY = (0,) * GRID_WIDTH
 
 def uniform_two_chunk_belief():
     belief = initial_belief()
-    return extend_hypotheses(belief, [("chunkA", "chunk1"), ("chunkB", "chunk2")])
+    return extend_hypotheses(belief, ["chunkA", "chunkB"], ["chunk1", "chunk2"])
 
 
 def test_synthetic_word_names():
@@ -60,7 +60,7 @@ def test_literal_listener_fixed_words():
 
 def test_literal_listener_synthetic_words():
     # A belief certain of one lexicon is that lexicon's literal listener.
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     assert point_mass_lexicon(belief) == {"chunkA": "chunk1"}
     assert marginal_listener("chunk1", "chunkA", belief) == 1.0
     assert marginal_listener("chunk2", "chunkA", belief) == 0.0
@@ -80,14 +80,14 @@ def test_marginal_listener_fixed_words_ignore_belief():
 
 
 def test_extend_first_chunk_is_certain():
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     assert marginal_listener("chunk1", "chunkA", belief) == 1.0
     assert point_mass_lexicon(belief) == {"chunkA": "chunk1"}
 
 
 def test_extend_known_plus_new_forces_binding(two_fragment_library):
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
-    belief = extend_hypotheses(belief, [("chunkB", "chunk2")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
     assert marginal_listener("chunk2", "chunkB", belief) == 1.0
     assert marginal_listener("chunk1", "chunkB", belief) == 0.0
 
@@ -138,8 +138,8 @@ def test_update_belief_fixed_word_is_noop(two_fragment_library):
 
 
 def test_update_belief_resets_on_contradiction(two_fragment_library):
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
-    belief = extend_hypotheses(belief, [("chunkB", "chunk2")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
     _, _, chunk2_placed = lenient_run(("h", "r2", "h"), EMPTY, 0)
     # chunkA is certainly chunk1, but the builder produced chunk2's blocks
     updated, anomaly = update_belief(
@@ -225,10 +225,10 @@ def test_joint_utility_misaligned_lengths_raises():
 
 
 def test_joint_utility_minus_infinity_on_zero_marginal():
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
     # chunkA certainly means chunk1, so it cannot convey chunk2
-    belief = extend_hypotheses(belief, [("chunkB", "chunk2")])
+    belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
     utility = joint_utility(("chunk2",), ("chunkA",), belief, cfg)
     assert utility == -math.inf
 
@@ -238,7 +238,7 @@ def test_architect_choose_argmax_at_infinite_alpha(towers_by_id):
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     cfg = PragmaticsConfig(alpha=math.inf, beta=0.8)
     program, utterance = architect_choose(canonical_program(scene), lib, belief, cfg,
                                           random.Random(0))
@@ -251,7 +251,7 @@ def test_architect_choose_uniform_at_zero_alpha(towers_by_id):
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     cfg = PragmaticsConfig(alpha=0.0, beta=0.8)
     rng = random.Random(0)
     counts = Counter(architect_choose(canonical_program(scene), lib, belief, cfg, rng)[0]
@@ -265,7 +265,7 @@ def test_architect_choice_distribution_is_softmax(towers_by_id):
     scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
+    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     cfg = PragmaticsConfig(alpha=1.0, beta=0.5)
     base = canonical_program(scene)
     utilities = {
@@ -409,8 +409,8 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     tower_a = lib
     lib = lib.with_fragment(make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
     lib = lib.with_fragment(make_fragment("chunk3", ("v", "r1", "h"), lib))
-    certain = extend_hypotheses(initial_belief(), [("chunkA", "chunk1")])
-    uniform = extend_hypotheses(certain, [("chunkB", "chunk2"), ("chunkC", "chunk3")])
+    certain = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    uniform = extend_hypotheses(certain, ["chunkB", "chunkC"], ["chunk2", "chunk3"])
     _, _, chunk3_placed = lenient_run(("v", "r1", "h"), EMPTY, 0)
     informed, anomaly = update_belief(uniform, "chunkB", chunk3_placed, lib,
                                       heights=EMPTY, hand=0)
@@ -426,7 +426,7 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     _, _, one_block = lenient_run(("v", "r1"), EMPTY, 0)
     split, anomaly = update_belief(
         extend_hypotheses(initial_belief(),
-                          [("chunkA", "chunk1"), ("chunkB", "chunk2"), ("chunkC", "chunk3")]),
+                          ["chunkA", "chunkB", "chunkC"], ["chunk1", "chunk2", "chunk3"]),
         "chunkA", one_block, split_lib, heights=EMPTY, hand=0)
     assert not anomaly
     assert len(split.components) >= 2
@@ -502,12 +502,12 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
         seen["anomalies"] += anomaly
         return posterior, anomaly
 
-    def checked_extend(belief, new_pairs):
-        extended = extend_hypotheses(belief, new_pairs)
+    def checked_extend(belief, words, fragments):
+        extended = extend_hypotheses(belief, words, fragments)
         assert_same_distribution(lexicon_distribution(extended),
-                                 enumerated_extension(belief, new_pairs))
+                                 enumerated_extension(belief, words, fragments))
         seen["extensions"] += 1
-        seen["words added"] += len(new_pairs)
+        seen["words added"] += len(words)
         return extended
 
     monkeypatch.setattr(simulation, "update_belief", checked_update)

@@ -38,6 +38,7 @@ from towertalk.simulation import (
     library_trajectory,
     sequence_from_dict,
     sequence_to_dict,
+    shape_levels,
     snapshot_level_proportions,
     step_levels,
     trace_json,
@@ -229,6 +230,29 @@ def test_run_experiment_maps_whole_groups(monkeypatch):
         assert len(dyads) == len(results) == 2
         assert all(t.sequence == sequence and t.learning == lcfg for t in results)
     assert len(traces) == sum(len(results) for _, results in mapped) == 8
+
+
+def test_library_trajectory_builds_the_shape_table_once(monkeypatch):
+    """One shape_levels table per trajectory, however many fragments it classifies."""
+    calls = []
+
+    def counting(stimuli):
+        calls.append(stimuli)
+        return shape_levels(stimuli)
+
+    monkeypatch.setattr(simulation, "shape_levels", counting)
+    sequences, _ = simulation.generate_sequences(0, 2)
+    library_trajectory.cache_clear()
+    try:
+        levels = [snapshot.level
+                  for sequence in sequences
+                  for trial in library_trajectory(sequence, LearningConfig(w=1.5), TOWERS)
+                  for snapshot in trial.adopted]
+    finally:
+        library_trajectory.cache_clear()
+    assert calls == [TOWERS, TOWERS]
+    # The trajectories classify more tower and scene fragments than they build tables.
+    assert levels.count("tower") + levels.count("scene") > len(calls)
 
 
 def test_library_trajectory_cache_keys_on_towers_and_config():
