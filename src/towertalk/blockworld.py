@@ -8,6 +8,7 @@ Once placed, blocks never move.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterable, NamedTuple
 
 HORIZONTAL = "horizontal"
@@ -185,18 +186,19 @@ def render_ascii(scene: Scene) -> str:
 
 def strict_int(value: object, name: str) -> int:
     """An integer field of an input file; a bool, a string or a fractional number
-    is rejected rather than truncated."""
+    is rejected rather than truncated. A message abbreviates a bad value with
+    reprlib, so a huge one cannot flood the error line."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name}: expected an integer, got {value!r}")
+        raise TypeError(f"{name}: expected an integer, got {reprlib.repr(value)}")
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
+        raise ValueError(f"{name}: expected an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
 def strict_tower_id(value: object, name: str) -> str:
     """A tower id field of an input file; anything but a string is rejected."""
     if not isinstance(value, str):
-        raise TypeError(f"{name}: expected a tower id string, got {value!r}")
+        raise TypeError(f"{name}: expected a tower id string, got {reprlib.repr(value)}")
     return value
 
 
@@ -205,7 +207,7 @@ def block_from_dict(data: dict) -> BlockPlacement:
     block = BlockPlacement(strict_int(data["x"], "x"), strict_int(data["y"], "y"),
                            str(data["orientation"]))
     if block.orientation not in (HORIZONTAL, VERTICAL):
-        raise ValueError(f"unknown orientation {block.orientation!r}")
+        raise ValueError(f"unknown orientation {reprlib.repr(block.orientation)}")
     return block
 
 

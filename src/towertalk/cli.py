@@ -19,6 +19,7 @@ import errno
 import io
 import json
 import os
+import reprlib
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -191,7 +192,7 @@ def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
     for where, left, right in scenes:
         for tower in (left, right):
             if tower not in towers:
-                raise ConfigError(f"{where}: no tower with id {tower!r}{unknown}")
+                raise ConfigError(f"{where}: no tower with id {reprlib.repr(tower)}{unknown}")
     for left, right in sorted({(left, right) for _, left, right in scenes}):
         try:
             compose_scene(towers[left], towers[right])

@@ -3,14 +3,14 @@
 Words for base primitives share their token surface ("h", "v", "l3", ...) and
 are unambiguous. Each learned fragment mints one synthetic word ("chunkA",
 "chunkB", ...); neither agent knows the other's word-to-fragment mapping, so
-the Architect tracks a distribution over all bijections between the current
-synthetic words and fragments, updating it from the Builder's visible block
-placements.
+the Architect's belief is the set of bijections between the current synthetic
+words and fragments that the Builder's visible block placements have not ruled
+out. Observations are 0/1, so the belief is uniform over that set, and every
+probability is a count of lexicons over the total.
 
-The belief is stored in factored form: each component fixes some bindings and
-is uniform over the bijections of one or more unresolved word/fragment pools.
-This is exact under 0/1 observation likelihoods and never materializes the
-full permutation space.
+The set is stored in factored form: each component fixes some bindings and
+holds every bijection of one or more unresolved word/fragment pools. The
+components are disjoint, and the full permutation space is never materialized.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ def synthetic_word(index: int) -> str:
 # Belief over lexicons
 
 class BeliefComponent(NamedTuple):
-    """Fixed bindings plus independent pools, uniform over each pool's bijections."""
+    """The lexicons that keep fixed bindings and biject each independent pool."""
 
-    weight: float
     known: tuple[tuple[str, str], ...]
     pools: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
@@ -83,7 +82,7 @@ class BeliefComponent(NamedTuple):
 
 
 class BeliefState(NamedTuple):
-    """The Architect's distribution over word-to-fragment bijections."""
+    """The word-to-fragment bijections the Architect has not ruled out."""
 
     components: tuple[BeliefComponent, ...]
     words: tuple[str, ...]
@@ -91,7 +90,7 @@ class BeliefState(NamedTuple):
 
 
 def initial_belief() -> BeliefState:
-    return BeliefState((BeliefComponent(1.0, (), ()),), (), ())
+    return BeliefState((BeliefComponent((), ()),), (), ())
 
 
 def _normalized(comp: BeliefComponent) -> BeliefComponent:
@@ -103,28 +102,20 @@ def _normalized(comp: BeliefComponent) -> BeliefComponent:
             known[words[0]] = frags[0]
         else:
             pools.append((words, frags))
-    return BeliefComponent(comp.weight, tuple(sorted(known.items())), tuple(sorted(pools)))
+    return BeliefComponent(tuple(sorted(known.items())), tuple(sorted(pools)))
 
 
 def _merge_components(components: Iterable[BeliefComponent]) -> tuple[BeliefComponent, ...]:
-    merged: dict[tuple, float] = {}
-    for comp in components:
-        comp = _normalized(comp)
-        key = (comp.known, comp.pools)
-        merged[key] = merged.get(key, 0.0) + comp.weight
-    total = sum(merged.values())
-    return tuple(
-        BeliefComponent(weight / total, known, pools)
-        for (known, pools), weight in sorted(merged.items())
-    )
+    # Components are disjoint sets of lexicons, so no two of them are equal.
+    return tuple(sorted(_normalized(c) for c in components))
 
 
 def extend_hypotheses(belief: BeliefState, words: Sequence[str],
                       fragments: Sequence[str]) -> BeliefState:
     """Grow the hypothesis space by a new word for each new fragment of the library.
 
-    Every existing hypothesis extends with every bijection between the new
-    words and the new fragments, mass split uniformly among the extensions.
+    Every existing lexicon extends with every bijection between the new words
+    and the new fragments.
     """
     if not words:
         return belief
@@ -132,7 +123,7 @@ def extend_hypotheses(belief: BeliefState, words: Sequence[str],
     new_frags = tuple(sorted(fragments))
     pool = (new_words, new_frags)
     components = tuple(
-        BeliefComponent(c.weight, c.known, tuple(sorted(c.pools + (pool,))))
+        BeliefComponent(c.known, tuple(sorted(c.pools + (pool,))))
         for c in belief.components
     )
     return BeliefState(
@@ -142,23 +133,15 @@ def extend_hypotheses(belief: BeliefState, words: Sequence[str],
     )
 
 
-def _uniform_reset(belief: BeliefState) -> BeliefState:
-    if not belief.words:
-        return initial_belief()
-    pool = (belief.words, belief.fragments)
-    component = BeliefComponent(1.0, (), (pool,))
-    return BeliefState(_merge_components([component]), belief.words, belief.fragments)
-
-
 def update_belief(belief: BeliefState, word: str,
                   observed: Sequence[BlockPlacement], library: Library, *,
                   heights: tuple[int, ...], hand: int) -> tuple[BeliefState, bool]:
     """Condition on the Builder's placements for one word.
 
-    A hypothesis survives iff running its fragment for the word from the
+    A lexicon survives iff running its fragment for the word from the
     Builder's pre-step column heights and hand reproduces exactly the observed
-    placements. Returns (new belief, anomaly flag); if every hypothesis is
-    ruled out, the belief resets to uniform and the anomaly flag is set.
+    placements. Returns (new belief, anomaly flag); if every lexicon is ruled
+    out, the belief resets to every bijection and the anomaly flag is set.
     """
     if dsl.is_base_token(word):
         return belief, False
@@ -185,7 +168,6 @@ def update_belief(belief: BeliefState, word: str,
             updated.append(comp)
             continue
         rest_words = tuple(w for w in words if w != word)
-        share = comp.weight / len(frags)
         for frag in allowed:
             rest_frags = tuple(f for f in frags if f != frag)
             pools = list(comp.pools)
@@ -194,21 +176,15 @@ def update_belief(belief: BeliefState, word: str,
             else:
                 del pools[pool_index]
             updated.append(BeliefComponent(
-                share, tuple(sorted(comp.known + ((word, frag),))), tuple(sorted(pools))))
-    if not updated or sum(c.weight for c in updated) <= 0.0:
-        return _uniform_reset(belief), True
+                tuple(sorted(comp.known + ((word, frag),))), tuple(sorted(pools))))
+    if not updated:
+        return extend_hypotheses(initial_belief(), belief.words, belief.fragments), True
     return BeliefState(_merge_components(updated), belief.words, belief.fragments), False
 
 
 def belief_entropy(belief: BeliefState) -> float:
-    """Shannon entropy (bits) of the full distribution over lexicons."""
-    entropy = 0.0
-    for comp in belief.components:
-        if comp.weight <= 0:
-            continue
-        entropy -= comp.weight * math.log2(comp.weight)
-        entropy += comp.weight * math.log2(comp.hypothesis_count())
-    return entropy
+    """Shannon entropy (bits) of the belief, which is uniform over its lexicons."""
+    return math.log2(sum(c.hypothesis_count() for c in belief.components))
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +215,29 @@ def candidate_programs(base: Program, library: Library) -> tuple[Program, ...]:
 
 def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
     """The word with the highest marginal listener probability for a chunk
-    token (ties to the smallest), and that probability. One pass over the
-    components collects each word's nonzero terms: a known binding to the token
-    adds the component's weight, and a pool whose fragments hold the token adds
-    weight * (1 / pool size) to each of its words. The terms are summed with
-    sum(), not a running +=: from Python 3.12 sum() of floats is compensated."""
+    token (ties to the smallest), and that probability: the number of lexicons
+    that bind the word to the token over the total. One pass over the
+    components counts them: a known binding to the token counts each of the
+    component's n lexicons, and a pool whose fragments hold the token counts
+    n // pool size for each of its words."""
     if not belief.words:
         raise ValueError(f"no synthetic words available for {token!r}")
-    terms: dict[str, list[float]] = {}
+    counts: dict[str, int] = {}
+    total = 0
     for comp in belief.components:
+        n = comp.hypothesis_count()
+        total += n
         for word, frag in comp.known:
             if frag == token:
-                terms.setdefault(word, []).append(comp.weight)
+                counts[word] = counts.get(word, 0) + n
         for words, frags in comp.pools:
             if token in frags:
                 for word in words:
-                    terms.setdefault(word, []).append(comp.weight * (1.0 / len(frags)))
-    if not terms:
+                    counts[word] = counts.get(word, 0) + n // len(frags)
+    if not counts:
         return belief.words[0], 0.0
-    marginals = {word: sum(word_terms) for word, word_terms in terms.items()}
-    best = min(marginals, key=lambda word: (-marginals[word], word))
-    return best, marginals[best]
+    best = min(counts, key=lambda word: (-counts[word], word))
+    return best, counts[best] / total
 
 
 def architect_choose(base: Program, library: Library, belief: BeliefState,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import reprlib
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -476,7 +477,7 @@ def sequence_from_dict(data: dict) -> TrialSequence:
         block = strict_int(t["repetition_block"], f"trials[{k}].repetition_block")
         if not 1 <= block <= REPETITION_BLOCKS:
             raise ValueError(f"trials[{k}].repetition_block: expected 1..{REPETITION_BLOCKS}, "
-                             f"got {block}")
+                             f"got {reprlib.repr(block)}")
         trials.append(TrialSpec(block, strict_tower_id(t["left"], f"trials[{k}].left"),
                                 strict_tower_id(t["right"], f"trials[{k}].right")))
     return TrialSequence(tuple(trials), strict_int(data["seed"], "seed"))

@@ -114,12 +114,14 @@ def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConf
 
 def enumerate_hypotheses(belief: BeliefState,
                          limit: int = 50000) -> list[tuple[dict[str, str], float]]:
-    """Materialize (lexicon, probability) pairs; refuses absurdly large spaces."""
-    if sum(c.hypothesis_count() for c in belief.components) > limit:
+    """Materialize (lexicon, probability) pairs; refuses absurdly large spaces.
+    A component weighs hypothesis_count() / total, split evenly over its lexicons,
+    so each lexicon weighs 1 / total."""
+    total = sum(c.hypothesis_count() for c in belief.components)
+    if total > limit:
         raise RuntimeError("hypothesis space too large to enumerate")
     out: list[tuple[dict[str, str], float]] = []
     for comp in belief.components:
-        per_hypothesis = comp.weight / comp.hypothesis_count()
         partials: list[dict[str, str]] = [dict(comp.known)]
         for words, frags in comp.pools:
             extended: list[dict[str, str]] = []
@@ -129,7 +131,7 @@ def enumerate_hypotheses(belief: BeliefState,
                     lex.update(zip(words, assignment))
                     extended.append(lex)
             partials = extended
-        out.extend((lex, per_hypothesis) for lex in partials)
+        out.extend((lex, 1.0 / total) for lex in partials)
     return out
 
 
@@ -203,10 +205,12 @@ def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
 
 def marginal_listener(target: Token, word: str, belief: BeliefState) -> float:
     """Expected success of a literal listener (a word means exactly the primitive
-    its lexicon binds it to), marginalizing over lexicon hypotheses."""
+    its lexicon binds it to), marginalizing over lexicon hypotheses; a component
+    weighs hypothesis_count() / total."""
     if dsl.is_base_token(word):
         return 1.0 if word == target else 0.0
-    return sum(c.weight * _component_marginal(c, word, target)
+    total = sum(c.hypothesis_count() for c in belief.components)
+    return sum(c.hypothesis_count() / total * _component_marginal(c, word, target)
                for c in belief.components)
 
 

@@ -379,6 +379,17 @@ def test_watch_dyad_reports_bad_parameters_as_usage_errors(flag, value, message)
     assert proc.stderr.splitlines()[-1].startswith(f"watch_dyad.py: error: {message}")
 
 
+def test_watch_dyad_prints_its_pinned_narration():
+    """The narrated seed-1 dyad, drawings included, byte for byte as stored."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "watch_dyad.py"),
+                           "--seed", "1", "--render"], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(root, "tests", "data", "watch_dyad_seed1_render.txt"), "rb") as fh:
+        assert proc.stdout == fh.read()
+
+
 def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path, capsys):
     renamed = [TowerStimulus(new_id, tower.blocks)
                for new_id, tower in zip("XYZ", stimulus_towers())]
@@ -732,6 +743,54 @@ def test_readers_reject_a_deeply_nested_file(tmp_path, capsys, reader, depth):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {deep}: ")
     assert depth < 100_000 or "RecursionError" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def _default_stimuli_data(tmp_path):
+    path = tmp_path / "good-stimuli.json"
+    save_stimuli(stimulus_towers(), str(path))
+    return json.loads(path.read_text())
+
+
+def _huge_tower_id(tmp_path):
+    data = _default_stimuli_data(tmp_path)
+    data["towers"][0]["id"] = list(range(20_000))
+    return data
+
+
+def _huge_block_x(tmp_path):
+    data = _default_stimuli_data(tmp_path)
+    data["towers"][0]["blocks"][0]["x"] = "9" * 50_000
+    return data
+
+
+def _huge_trial_left(tmp_path):
+    data = _gen_seq(tmp_path / "huge-seqs.json")
+    data["sequences"][0]["trials"][0]["left"] = "A" * 50_000
+    return data
+
+
+def _huge_repetition_block(tmp_path):
+    data = _gen_seq(tmp_path / "huge-seqs.json")
+    data["sequences"][0]["trials"][0]["repetition_block"] = int("9" * 4_000)
+    return data
+
+
+@pytest.mark.parametrize("reader, malform", [
+    ("learn --stimuli", _huge_tower_id),
+    ("learn --stimuli", _huge_block_x),
+    ("learn --sequences", _huge_trial_left),
+    ("learn --sequences", _huge_repetition_block),
+], ids=["tower-id-list", "block-x-string", "trial-left-string", "trial-block-int"])
+def test_readers_abbreviate_a_huge_bad_value(tmp_path, capsys, reader, malform):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform(tmp_path)))
+    argv = _reader_argv(reader, bad, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: "), err[:300]
+    assert len(err.encode()) < 300, err[:300]
     assert not (tmp_path / "out").exists()
 
 

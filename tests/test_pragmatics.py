@@ -483,10 +483,20 @@ def assert_same_distribution(actual, expected):
         assert abs(actual[lexicon] - probability) <= 1e-9, (lexicon, actual[lexicon], probability)
 
 
+def assert_disjoint_with_shannon_entropy(belief):
+    """No lexicon lies in two components, so the belief is uniform over its
+    lexicons; and belief_entropy is the Shannon entropy of that distribution."""
+    lexicons = [frozenset(lexicon.items()) for lexicon, _ in enumerate_hypotheses(belief)]
+    assert len(set(lexicons)) == len(lexicons), belief
+    shannon = -sum(p * math.log2(p) for p in lexicon_distribution(belief).values())
+    assert abs(belief_entropy(belief) - shannon) <= 1e-9, (belief_entropy(belief), shannon)
+
+
 def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
     """Every belief update and extension of real dyads, resets included, against
     explicit enumeration of the lexicons: 4 sequences x the 9 grid cells x 2
-    iterations, at master seeds 0 and 7."""
+    iterations, at master seeds 0 and 7. Every belief seen, the initial one
+    included, is checked for disjoint components and for its entropy."""
     seen = Counter()
 
     def checked_update(belief, word, observed, library, *, heights, hand):
@@ -496,6 +506,7 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
                                            heights=heights, hand=hand)
         assert anomaly == expected_anomaly
         assert_same_distribution(lexicon_distribution(posterior), expected)
+        assert_disjoint_with_shannon_entropy(posterior)
         seen["updates"] += 1
         seen["chunk words"] += not is_base_token(word)
         seen["informative"] += len(expected) < len(lexicon_distribution(belief))
@@ -506,6 +517,8 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
         extended = extend_hypotheses(belief, words, fragments)
         assert_same_distribution(lexicon_distribution(extended),
                                  enumerated_extension(belief, words, fragments))
+        assert_disjoint_with_shannon_entropy(belief)
+        assert_disjoint_with_shannon_entropy(extended)
         seen["extensions"] += 1
         seen["words added"] += len(words)
         return extended
