@@ -50,7 +50,8 @@ def main():
             for left, right in zip(render_ascii(target).split("\n"),
                                    render_ascii(built).split("\n")):
                 print(f"   {left}   {right}")
-    print(f"final belief entropy: {trace.final_belief_entropy:.3f} bits; "
+    final_entropy = trace.records[-1].belief_entropy if trace.records else 0.0
+    print(f"final belief entropy: {final_entropy:.3f} bits; "
           f"library size: {len(trace.final_library)} fragments")
 
 

@@ -35,6 +35,7 @@ from .blockworld import (
     stimuli_from_dict,
     stimulus_towers,
     strict_int,
+    strict_tower_id,
 )
 from .library_learning import BODY_TOKEN_SUM, LearningConfig
 from .pragmatics import PragmaticsConfig
@@ -335,17 +336,23 @@ def _read_trace_trial(data: dict, path: str, trace_index: int, trial_index: int,
     if not 0 <= trace_index < len(traces):
         raise ConfigError(f"{path}: --trace-index {trace_index}: the file holds "
                           f"{len(traces)} traces, counted from 0")
-    matches = [t for k, t in enumerate(traces[trace_index]["trials"])
+    matches = [(k, t) for k, t in enumerate(traces[trace_index]["trials"])
                if strict_int(t["trial"], f"traces[{trace_index}].trials[{k}].trial")
                == trial_index]
     if not matches:
         raise ConfigError(f"{path}: --trace-index {trace_index}: the trace holds "
                           f"no trial {trial_index}")
-    trial = matches[0]
-    target = compose_scene(towers[trial["left"]], towers[trial["right"]])
+    k, trial = matches[0]
+    ids = []
+    for side in ("left", "right"):
+        field = f"traces[{trace_index}].trials[{k}].{side}"
+        ids.append(strict_tower_id(trial.get(side), field))
+        if ids[-1] not in towers:
+            raise ConfigError(f"{path}: {field}: no tower with id {reprlib.repr(ids[-1])}")
+    target = compose_scene(*(towers[tower] for tower in ids))
     built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
                              "blocks": trial["builder_placements"]})
-    return f"trial {trial_index} ({trial['left']}+{trial['right']})", target, built
+    return f"trial {trial_index} ({'+'.join(ids)})", target, built
 
 
 def cmd_render(args: argparse.Namespace) -> int:

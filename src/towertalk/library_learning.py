@@ -6,8 +6,8 @@ nest), scores each candidate extension by an unnormalized log posterior
 
     score(L) = -w * sum_f token_length(body_f) - sum_n MDL(scene_n | L)
 
-and adopts the single best strictly-improving fragment, up to
-MAX_FRAGMENTS_PER_TRIAL rounds per trial.
+and adopts the single best strictly-improving fragment, the smallest expansion
+among equally good ones, up to MAX_FRAGMENTS_PER_TRIAL rounds per trial.
 
 Which expansions are candidates, and where each occurs, depends only on the
 scenes: a window of a rewritten program inlines to a substring of its scene,
@@ -152,12 +152,13 @@ def _candidate_windows(pairs: Iterable[tuple[Program, Program]],
     return windows
 
 
+@lru_cache(maxsize=1 << 6)
 def _scene_windows(scene: Program) -> dict[Program, tuple[int, int, tuple[int, ...]]]:
     """{expansion: (token length, disjoint count, starts)} for every window of a
     base scene that is at least 2 units long and places a block, in one pass over
     the scene. The count is a greedy left-to-right count of non-overlapping
     occurrences (maximal for a fixed length); starts lists every occurrence,
-    overlapping ones included."""
+    overlapping ones included. The dict is cached per scene: read it only."""
     starts: dict[Program, list[int]] = {}
     counts: dict[Program, int] = {}
     ends: dict[Program, int] = {}  # where each pattern's last counted occurrence ends
@@ -180,25 +181,16 @@ SceneRow = tuple[Program, Window, tuple[tuple[int, int, tuple[int, ...]], ...]]
 
 @lru_cache(maxsize=1 << 6)
 def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
-    """Every candidate expansion of the base scenes, in sorted order, with its
-    window and where it occurs: each window of a scene that is at least 2 units
-    long and places a block, as its own body. Neither depends on the library.
-
-    A one-scene table is the scene's one pass; a larger set merges the
-    one-scene tables, so each scene is passed over once while it stays cached."""
-    if len(scenes) == 1:
-        return tuple(sorted((expansion, (length, expansion), ((0, count, starts),))
-                            for expansion, (length, count, starts)
-                            in _scene_windows(scenes[0]).items()))
+    """Every candidate expansion of the base scenes, in no particular order, with its
+    window and where it occurs: each window of a scene that is at least 2 units long
+    and places a block, as its own body; neither depends on the library. It merges
+    the scenes' cached _scene_windows, so each scene is passed over once."""
     rows: dict[Program, tuple[Window, list[tuple[int, int, tuple[int, ...]]]]] = {}
     for n, scene in enumerate(scenes):
-        for expansion, window, ((_, count, starts),) in _scene_table((scene,)):
-            row = rows.get(expansion)
-            if row is None:
-                rows[expansion] = row = (window, [])
-            row[1].append((n, count, starts))
+        for expansion, (length, count, starts) in _scene_windows(scene).items():
+            rows.setdefault(expansion, ((length, expansion), []))[1].append((n, count, starts))
     return tuple((expansion, window, tuple(present))
-                 for expansion, (window, present) in sorted(rows.items()))
+                 for expansion, (window, present) in rows.items())
 
 
 def update_library_with_log(library: Library, observed: Sequence[Program],
@@ -308,7 +300,8 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
                     cost = _mdl_cost(scenes[n], trial_key)
                 saving += counts[n] * (costs[n] - cost)
             delta = saving - size_cost
-            if delta > best_delta:
+            # Ties go to the smallest expansion, so the rows' order decides nothing.
+            if delta > best_delta or (delta == best_delta and best and expansion < best[0]):
                 best_delta = delta
                 best = (expansion, body)
         if best is None:

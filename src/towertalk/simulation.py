@@ -105,7 +105,6 @@ class DyadTrace(NamedTuple):
     dyad_seed: int
     records: tuple[TrialRecord, ...]
     final_library: tuple[FragmentSnapshot, ...]
-    final_belief_entropy: float
 
 
 def generate_trial_sequence(seed: int) -> TrialSequence:
@@ -289,7 +288,6 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         dyad_seed=dyad_seed,
         records=tuple(records),
         final_library=tuple(snapshots),
-        final_belief_entropy=belief_entropy(belief),
     )
 
 
@@ -594,7 +592,7 @@ def trace_json(trace: DyadTrace, memo: dict | None = None) -> str:
         _number(trace.pragmatics.alpha),
         _number(trace.pragmatics.beta),
         int.__repr__(trace.dyad_seed),
-        _number(round(trace.final_belief_entropy, 9)),
+        _number(round(trace.records[-1].belief_entropy if trace.records else 0.0, 9)),
         int.__repr__(trace.iteration),
         sequence,
         _ENCODE_STR(BODY_TOKEN_SUM),

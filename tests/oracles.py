@@ -368,7 +368,9 @@ def trace_to_dict(trace: DyadTrace) -> dict:
         "sequence": sequence_to_dict(trace.sequence),
         "iteration": trace.iteration,
         "dyad_seed": trace.dyad_seed,
-        "final_belief_entropy": round(trace.final_belief_entropy, 9),
+        # The last trial's entropy, or that of the initial belief (log2 1).
+        "final_belief_entropy": round(trace.records[-1].belief_entropy
+                                      if trace.records else 0.0, 9),
         "trials": [
             {
                 "trial": k + 1,

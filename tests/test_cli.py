@@ -596,6 +596,29 @@ def test_render_reads_trace_trial_numbers_strictly(tmp_path, capsys, value):
     assert "traces[0].trials[0].trial: expected an integer" in captured.err
 
 
+@pytest.mark.parametrize("malform", [
+    lambda trial: trial.update(left="A" * 50_000),
+    lambda trial: trial.update(left=5),
+    lambda trial: trial.pop("left"),
+], ids=["huge-unknown-id", "integer-id", "missing-id"])
+def test_render_rejects_a_bad_tower_id_in_a_trace(tmp_path, capsys, malform):
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    data = json.loads((out_dir / "traces.json").read_text())
+    malform(data["traces"][0]["trials"][0])
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("render", "--trace", str(trace_file), "--trial", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # One bounded line that names the file and the field.
+    assert captured.err.startswith(f"error: {trace_file}: "), captured.err[:300]
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300, captured.err[:300]
+    assert "traces[0].trials[0].left: " in captured.err
+
+
 def test_render_rejects_fractional_scene_numbers(tmp_path, capsys):
     # int() would truncate each of these and draw a scene.
     cases = {

@@ -340,7 +340,7 @@ def learner_caches():
 
 def test_learner_caches_are_bounded():
     names = {fn.__name__ for fn in learner_caches()}
-    assert names == {"_learning_step", "_round", "_scene_table", "_mdl_cost"}
+    assert names == {"_learning_step", "_round", "_scene_table", "_scene_windows", "_mdl_cost"}
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
     # Each round holds two cost columns per scene, so an evicted round costs two
@@ -361,7 +361,8 @@ def test_every_cache_in_the_package_is_bounded():
     names = {f"{fn.__module__}.{fn.__name__}" for fn in module_caches(*modules)}
     assert names == {f"towertalk.{name}" for name in (
         "library_learning._learning_step", "library_learning._round",
-        "library_learning._scene_table", "library_learning._mdl_cost",
+        "library_learning._scene_table", "library_learning._scene_windows",
+        "library_learning._mdl_cost",
         "pragmatics.candidate_programs", "pragmatics.lenient_run", "simulation._base_scene",
         "simulation.library_trajectory")}
     for fn in module_caches(*modules):
@@ -414,7 +415,8 @@ def test_scene_table_holds_every_candidate_of_every_library():
         scenes = tuple(sorted({random_base_sequence(rng) for _ in range(rng.randint(1, 4))}))
         table = _scene_table(scenes)
         base = reference_candidate_windows(scenes, EMPTY_LIBRARY)
-        assert [expansion for expansion, _, _ in table] == sorted(base)
+        # One row per expansion, in no particular order.
+        assert sorted(expansion for expansion, _, _ in table) == sorted(base)
         for expansion, window, present in table:
             assert window == base[expansion]
             assert present == tuple((n, greedy_count(expansion, scene),
@@ -427,14 +429,58 @@ def test_scene_table_holds_every_candidate_of_every_library():
             nested += any(not dsl.is_base_token(t) for f in lib.fragments for t in f.body)
             rewritten = tuple(shortest_tokenization(scene, lib) for scene in scenes)
             # Every candidate of the scenes and their rewrites is a new expansion
-            # the table holds; a learning round scores exactly those, in sorted
-            # order, each at its cheapest window and with the table's presence.
+            # the table holds; a learning round scores exactly those, once each,
+            # each at its cheapest window and with the table's presence.
             candidates = reference_candidate_windows(scenes + rewritten, lib)
             assert set(candidates) <= set(presence)
-            assert list(_round(scenes, lib).rows) == [
-                (expansion, window, presence[expansion])
-                for expansion, window in sorted(candidates.items())]
+            rows = _round(scenes, lib).rows
+            assert sorted(rows) == [(expansion, window, presence[expansion])
+                                    for expansion, window in sorted(candidates.items())]
     assert nested > 50
+
+
+def test_learning_does_not_depend_on_the_scene_tables_order(monkeypatch):
+    """The default grid's 49 sequences at each w learn the same trajectories
+    when every scene table lists its rows back to front: equally good
+    candidates tie often there, and the learner, not the table, breaks ties."""
+    sequences, _ = generate_sequences(0, 49)
+    stimuli = stimulus_towers()
+    caches = learner_caches()
+
+    def learn():
+        for fn in caches:
+            fn.cache_clear()
+        library_trajectory.cache_clear()
+        return [library_trajectory(sequence, LearningConfig(w=w), stimuli)
+                for w in (1.5, 3.2, 9.6) for sequence in sequences]
+
+    forward = learn()
+    table = library_learning._scene_table
+    monkeypatch.setattr(library_learning, "_scene_table", lambda scenes: table(scenes)[::-1])
+    try:
+        assert learn() == forward
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+        library_trajectory.cache_clear()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["table-order", "reversed"])
+def test_an_exact_tie_adopts_the_smaller_expansion(monkeypatch, order):
+    """At w = 0, (h h h h) and (v v v v) each save exactly 3 units, each in its
+    own scene, and nothing saves more: the smaller expansion is adopted first
+    whichever order the round lists them in, and the other one next."""
+    round_ = library_learning._round
+    monkeypatch.setattr(library_learning, "_round", lambda scenes, library: (
+        (r := round_(scenes, library))._replace(rows=r.rows[::order])))
+    library_learning._learning_step.cache_clear()
+    try:
+        _, adoptions = update_library_with_log(EMPTY_LIBRARY, [("v",) * 4, ("h",) * 4],
+                                               LearningConfig(w=0.0))
+    finally:
+        library_learning._learning_step.cache_clear()
+    assert [(a.fragment.expansion, a.score_delta) for a in adoptions] == [
+        (("h",) * 4, 3.0), (("v",) * 4, 3.0)]
 
 
 base_tokens = st.sampled_from(["h", "v", "l1", "l2", "r1", "r2"])

@@ -484,7 +484,7 @@ def test_trace_json_writes_empty_lists_and_escapes_strings():
                        f1=1 / 3, tokens_sent=2, belief_entropy=math.log2(3), anomalies=1)
     trace = DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
                       sequence, iteration=0, dyad_seed=11, records=(empty, full),
-                      final_library=(snapshot,), final_belief_entropy=0.5)
+                      final_library=(snapshot,))
     text = trace_json(trace)
     assert text == _oracle_text(trace)
     for written in ('"library": []', '"builder_placements": []', '"steps": []',
@@ -492,7 +492,7 @@ def test_trace_json_writes_empty_lists_and_escapes_strings():
         assert written in text
     assert text.isascii()
     no_trials = DyadTrace(trace.pragmatics, trace.learning, TrialSequence((), seed=7), 0, 11,
-                          (), (), 0.0)
+                          (), ())
     assert trace_json(no_trials) == _oracle_text(no_trials)
     # The sequence's trials and the trace's trials are both empty.
     assert trace_json(no_trials).count('"trials": []') == 2
