@@ -58,6 +58,8 @@ DEFAULT_BETA = (0.0, 0.3, 0.8)
 DEFAULT_ALPHA = 5.0
 DEFAULT_N_SEQUENCES = 49
 DEFAULT_ITERATIONS = 2
+# The file name prefixes of each cell's tables, in the order cmd_simulate builds them.
+TABLES = ("fragment_trajectory", "abstraction_proportions", "accuracy_efficiency", "jsd")
 
 
 class ConfigError(Exception):
@@ -118,10 +120,13 @@ def _write_outputs(outputs: dict[str, Iterable[str]]) -> None:
 
 
 def _check_out_file(path: str) -> None:
-    """Fail before any compute if `path` has no directory to be written in, with
-    an error that names `path` rather than the temporary file beside it."""
+    """Fail before any compute if `path` has no directory to be written in, or
+    is a directory, with an error that names `path` rather than a file beside
+    it. A symlink to a directory is a file: writing replaces the link."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, "no directory to write it in", path)
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
 
 
 def _json_text(data) -> str:
@@ -279,6 +284,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
                   stimuli, source)
     os.makedirs(args.out_dir, exist_ok=True)
+    for name in ["traces.json", *(f"{table}_{tag}.csv" for tag in cells for table in TABLES)]:
+        _check_out_file(os.path.join(args.out_dir, name))
     traces = simulation.run_experiment(
         configs=list(cells.values()),
         stimuli=stimuli,
@@ -288,24 +295,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
 
-    # The CSVs are small and built first. traces.json is the bulk of the output,
-    # so it is encoded one dyad at a time while it is written.
+    # The CSVs are small and built first, from one cell's summaries at a time.
+    # traces.json, the bulk of the output, is encoded one dyad at a time as it is written.
     outputs: dict[str, Iterable[str]] = {}
     for tag, cell in cells.items():
-        subset = [t for t in traces if (t.pragmatics, t.learning) == cell]
-        outputs[f"fragment_trajectory_{tag}.csv"] = [_csv_text(
-            ["trial", *FRAGMENT_LEVELS], simulation.fragment_trajectory(subset))]
-        outputs[f"abstraction_proportions_{tag}.csv"] = [_csv_text(
-            ["repetition_block", *STEP_LEVELS],
-            simulation.abstraction_proportions(subset))]
-        outputs[f"accuracy_efficiency_{tag}.csv"] = [_csv_text(
-            ["repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"],
-            simulation.accuracy_and_efficiency(subset))]
-        outputs[f"jsd_{tag}.csv"] = [_csv_text(
-            ["repetition_block", "mean_pairwise_jsd"],
-            [{"repetition_block": float(block),
-              "mean_pairwise_jsd": simulation.mean_pairwise_jsd(subset, block)}
-             for block in range(1, REPETITION_BLOCKS + 1)])]
+        summaries = [simulation.summarize(t) for t in traces if (t.pragmatics, t.learning) == cell]
+        tables = (
+            _csv_text(["trial", *FRAGMENT_LEVELS], simulation.fragment_trajectory(summaries)),
+            _csv_text(["repetition_block", *STEP_LEVELS],
+                      simulation.abstraction_proportions(summaries)),
+            _csv_text(["repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"],
+                      simulation.accuracy_and_efficiency(summaries)),
+            _csv_text(["repetition_block", "mean_pairwise_jsd"],
+                      [{"repetition_block": float(block),
+                        "mean_pairwise_jsd": simulation.mean_pairwise_jsd(summaries, block)}
+                       for block in range(1, REPETITION_BLOCKS + 1)]))
+        outputs.update((f"{table}_{tag}.csv", [text]) for table, text in zip(TABLES, tables))
     outputs["traces.json"] = _traces_json({
         "master_seed": args.master_seed,
         "alpha": args.alpha,

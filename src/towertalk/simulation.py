@@ -347,17 +347,17 @@ def snapshot_level_proportions(snapshots: Sequence[FragmentSnapshot],
     return rows
 
 
-def fragment_trajectory(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
-    """Mean per-trial library composition over traces (Fig-4A-style table)."""
-    if not traces:
+def fragment_trajectory(summaries: Sequence[DyadSummary]) -> list[dict[str, float]]:
+    """Mean per-trial library composition over dyads (Fig-4A-style table)."""
+    if not summaries:
         return []
-    per_trace = [snapshot_level_proportions(t.final_library, TRIALS_PER_SEQUENCE)
-                 for t in traces]
+    per_dyad = [snapshot_level_proportions(s.final_library, TRIALS_PER_SEQUENCE)
+                for s in summaries]
     rows = []
     for trial in range(TRIALS_PER_SEQUENCE + 1):
         row = {"trial": float(trial)}
         for level in FRAGMENT_LEVELS:
-            row[level] = sum(p[trial][level] for p in per_trace) / len(per_trace)
+            row[level] = sum(p[trial][level] for p in per_dyad) / len(per_dyad)
         rows.append(row)
     return rows
 
@@ -368,48 +368,59 @@ def step_levels(trace: DyadTrace) -> dict[str, str]:
     return {**_BASE_LEVELS, **{snapshot.id: snapshot.level for snapshot in trace.final_library}}
 
 
-def _block_records(trace: DyadTrace, block: int) -> list[TrialRecord]:
-    """A dyad's records in a repetition block."""
-    return [record for spec, record in zip(trace.sequence.trials, trace.records, strict=True)
-            if spec.repetition_block == block]
+class DyadSummary(NamedTuple):
+    """What the tables read of a trace; after final_library, one entry per repetition block."""
+    final_library: tuple[FragmentSnapshot, ...]       # the trace's own tuple
+    step_counts: tuple[tuple[int, ...], ...]          # place-bearing steps at each of STEP_LEVELS
+    means: tuple[tuple[float, float] | None, ...]     # mean F1 and tokens sent; None: no trial
+    word_counts: tuple[tuple[tuple[str, int], ...], ...]  # sorted by word
 
 
-def abstraction_proportions(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
+def summarize(trace: DyadTrace) -> DyadSummary:
+    """A trace's summary: the one reading of its records for the tables."""
+    level_of = step_levels(trace)
+    blocks = []
+    for block in range(1, REPETITION_BLOCKS + 1):
+        records = [r for spec, r in zip(trace.sequence.trials, trace.records, strict=True)
+                   if spec.repetition_block == block]
+        steps = Counter(level_of[token] for r in records for token in r.program)
+        blocks.append((
+            tuple(steps[level] for level in STEP_LEVELS),
+            (sum(r.f1 for r in records) / len(records),
+             sum(r.tokens_sent for r in records) / len(records)) if records else None,
+            tuple(sorted(Counter(word for r in records for word in r.utterance).items()))))
+    return DyadSummary(trace.final_library, *zip(*blocks))
+
+
+def _block_means(columns: Sequence[str],
+                 per_dyad: Sequence[tuple]) -> Iterator[tuple[dict[str, float], int]]:
+    """Per repetition block: a row of each column's mean over the dyads d whose
+    values per_dyad[d][block - 1] are not None (0.0 for none), and their count."""
+    for block in range(1, REPETITION_BLOCKS + 1):
+        values = [dyad[block - 1] for dyad in per_dyad if dyad[block - 1] is not None]
+        row = {"repetition_block": float(block)}
+        for k, column in enumerate(columns):
+            column_values = [dyad_values[k] for dyad_values in values]
+            row[column] = sum(column_values) / len(column_values) if values else 0.0
+        yield row, len(values)
+
+
+def _step_shares(counts: tuple[int, ...]) -> list[float] | None:
+    total = sum(counts)
+    return [count / total for count in counts] if total else None
+
+
+def abstraction_proportions(summaries: Sequence[DyadSummary]) -> list[dict[str, float]]:
     """Per repetition block: mean share of place-bearing instruction steps at
     each level, averaged over dyads (move tokens carry no reference)."""
-    levels = [step_levels(trace) for trace in traces]
-    rows = []
-    for block in range(1, REPETITION_BLOCKS + 1):
-        shares = {level: [] for level in STEP_LEVELS}
-        for trace, level_of in zip(traces, levels):
-            steps = [level_of[token] for r in _block_records(trace, block) for token in r.program]
-            steps = [level for level in steps if level != "move"]
-            if not steps:
-                continue
-            for level in STEP_LEVELS:
-                shares[level].append(steps.count(level) / len(steps))
-        row = {"repetition_block": float(block)}
-        for level in STEP_LEVELS:
-            values = shares[level]
-            row[level] = sum(values) / len(values) if values else 0.0
-        rows.append(row)
-    return rows
+    return [row for row, _ in _block_means(
+        STEP_LEVELS, [[_step_shares(counts) for counts in s.step_counts] for s in summaries])]
 
 
-def accuracy_and_efficiency(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
+def accuracy_and_efficiency(summaries: Sequence[DyadSummary]) -> list[dict[str, float]]:
     """Per repetition block: mean F1 and mean tokens sent, over all dyads."""
-    rows = []
-    for block in range(1, REPETITION_BLOCKS + 1):
-        per_dyad = [records for records in (_block_records(t, block) for t in traces) if records]
-        f1_values = [sum(r.f1 for r in records) / len(records) for records in per_dyad]
-        token_values = [sum(r.tokens_sent for r in records) / len(records) for records in per_dyad]
-        rows.append({
-            "repetition_block": float(block),
-            "mean_f1": sum(f1_values) / len(f1_values) if f1_values else 0.0,
-            "mean_tokens_sent": sum(token_values) / len(token_values) if token_values else 0.0,
-            "n_dyads": float(len(f1_values)),
-        })
-    return rows
+    return [{**row, "n_dyads": float(n)} for row, n in _block_means(
+        ("mean_f1", "mean_tokens_sent"), [s.means for s in summaries])]
 
 
 def jsd(p: dict[str, float], q: dict[str, float]) -> float:
@@ -431,24 +442,15 @@ def jsd(p: dict[str, float], q: dict[str, float]) -> float:
     return divergence
 
 
-def word_distribution(trace: DyadTrace, repetition_block: int) -> dict[str, float]:
-    """Word frequencies over all utterances a dyad produced within one block."""
-    counts: dict[str, float] = {}
-    for record in _block_records(trace, repetition_block):
-        for word in record.utterance:
-            counts[word] = counts.get(word, 0.0) + 1.0
-    return counts
-
-
-def mean_pairwise_jsd(traces: Sequence[DyadTrace], repetition_block: int) -> float:
+def mean_pairwise_jsd(summaries: Sequence[DyadSummary], repetition_block: int) -> float:
     """Mean JSD between the word distributions of all dyad pairs in a block.
 
     Each distinct distribution is scored once against each other: a pair of
     them counts once per pair of dyads holding them, in sorted order, and two
     dyads with the same distribution add nothing.
     """
-    counts = Counter(tuple(sorted(d.items()))
-                     for d in (word_distribution(t, repetition_block) for t in traces) if d)
+    counts = Counter(words for words in
+                     (s.word_counts[repetition_block - 1] for s in summaries) if words)
     n = sum(counts.values())
     if n < 2:
         return 0.0

@@ -6,7 +6,8 @@ expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
 a word's marginal listener probability taken word by word, the
 Architect's per-candidate utterance and utility, the Builder's lenient
-run without a memo, and a trace's data as plain dicts and lists. The
+run without a memo, a trace's data as plain dicts and lists, and the four
+tables built by walking each whole trace's records instead of its summary. The
 program computes none of these; the tests check it against them. The scene
 and stimuli file writers are here too: the program only reads those files.
 
@@ -16,7 +17,8 @@ Import with `from oracles import ...`: pytest puts this directory on sys.path.
 import json
 import math
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 from typing import Sequence
 
 from towertalk import dsl
@@ -25,8 +27,10 @@ from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlaceme
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
 from towertalk.pragmatics import BeliefComponent, BeliefState, PragmaticsConfig, candidate_programs
-from towertalk.simulation import (DyadTrace, FragmentSnapshot, sequence_to_dict,
-                                  snapshot_to_dict)
+from towertalk.simulation import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS,
+                                  TRIALS_PER_SEQUENCE, DyadTrace, FragmentSnapshot, TrialRecord,
+                                  jsd, sequence_to_dict, snapshot_level_proportions,
+                                  snapshot_to_dict, step_levels)
 
 # h, v, l, r and the digits 1..9.
 BASE_PRIMITIVE_COUNT = 13
@@ -396,3 +400,87 @@ def trace_to_dict(trace: DyadTrace) -> dict:
             for k, r in enumerate(trace.records)
         ],
     }
+
+
+def fragment_trajectory(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
+    """Mean per-trial library composition over traces (Fig-4A-style table)."""
+    if not traces:
+        return []
+    per_trace = [snapshot_level_proportions(t.final_library, TRIALS_PER_SEQUENCE)
+                 for t in traces]
+    rows = []
+    for trial in range(TRIALS_PER_SEQUENCE + 1):
+        row = {"trial": float(trial)}
+        for level in FRAGMENT_LEVELS:
+            row[level] = sum(p[trial][level] for p in per_trace) / len(per_trace)
+        rows.append(row)
+    return rows
+
+
+def block_records(trace: DyadTrace, block: int) -> list[TrialRecord]:
+    """A dyad's records in a repetition block."""
+    return [record for spec, record in zip(trace.sequence.trials, trace.records, strict=True)
+            if spec.repetition_block == block]
+
+
+def abstraction_proportions(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
+    """Per repetition block: mean share of place-bearing instruction steps at
+    each level, averaged over dyads (move tokens carry no reference)."""
+    levels = [step_levels(trace) for trace in traces]
+    rows = []
+    for block in range(1, REPETITION_BLOCKS + 1):
+        shares = {level: [] for level in STEP_LEVELS}
+        for trace, level_of in zip(traces, levels):
+            steps = [level_of[token] for r in block_records(trace, block) for token in r.program]
+            steps = [level for level in steps if level != "move"]
+            if not steps:
+                continue
+            for level in STEP_LEVELS:
+                shares[level].append(steps.count(level) / len(steps))
+        row = {"repetition_block": float(block)}
+        for level in STEP_LEVELS:
+            values = shares[level]
+            row[level] = sum(values) / len(values) if values else 0.0
+        rows.append(row)
+    return rows
+
+
+def accuracy_and_efficiency(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
+    """Per repetition block: mean F1 and mean tokens sent, over all dyads."""
+    rows = []
+    for block in range(1, REPETITION_BLOCKS + 1):
+        per_dyad = [records for records in (block_records(t, block) for t in traces) if records]
+        f1_values = [sum(r.f1 for r in records) / len(records) for records in per_dyad]
+        token_values = [sum(r.tokens_sent for r in records) / len(records) for records in per_dyad]
+        rows.append({
+            "repetition_block": float(block),
+            "mean_f1": sum(f1_values) / len(f1_values) if f1_values else 0.0,
+            "mean_tokens_sent": sum(token_values) / len(token_values) if token_values else 0.0,
+            "n_dyads": float(len(f1_values)),
+        })
+    return rows
+
+
+def word_distribution(trace: DyadTrace, repetition_block: int) -> dict[str, float]:
+    """Word frequencies over all utterances a dyad produced within one block."""
+    counts: dict[str, float] = {}
+    for record in block_records(trace, repetition_block):
+        for word in record.utterance:
+            counts[word] = counts.get(word, 0.0) + 1.0
+    return counts
+
+
+def mean_pairwise_jsd(traces: Sequence[DyadTrace], repetition_block: int) -> float:
+    """Mean JSD between the word distributions of all dyad pairs in a block,
+    each distinct distribution scored once against each other, in sorted order."""
+    counts = Counter(tuple(sorted(d.items()))
+                     for d in (word_distribution(t, repetition_block) for t in traces) if d)
+    n = sum(counts.values())
+    if n < 2:
+        return 0.0
+    keys = sorted(counts)
+    distributions = [dict(key) for key in keys]
+    total = 0.0
+    for i, j in combinations(range(len(keys)), 2):
+        total += counts[keys[i]] * counts[keys[j]] * jsd(distributions[i], distributions[j])
+    return total / (n * (n - 1) // 2)

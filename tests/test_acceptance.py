@@ -42,6 +42,7 @@ from towertalk.simulation import (
     jsd,
     run_experiment,
     library_trajectory,
+    summarize,
 )
 
 from oracles import (execute_nested, first_adoption_trial, make_fragment, mdl,
@@ -203,7 +204,7 @@ def test_criterion_4_production_preferences():
         traces = run_experiment(configs, stimulus_towers(), n_sequences=49, iterations=2,
                                 master_seed=0)
         assert len(traces) == 98
-        shares[beta] = abstraction_proportions(traces)
+        shares[beta] = abstraction_proportions([summarize(t) for t in traces])
     elapsed = time.monotonic() - started
 
     grey = [row["block"] for row in shares[0.0]]

@@ -348,6 +348,54 @@ def test_unwritable_destination_fails_before_compute(tmp_path, capsys, monkeypat
     assert err.startswith("i/o error: ") and repr(destination) in err, err
 
 
+def _tree(root):
+    """Every path under `root`: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("kind", ["directory", "symlink"])
+@pytest.mark.parametrize("command", ["gen-seq", "learn", "simulate"])
+def test_out_path_that_is_a_directory_fails_before_compute(tmp_path, capsys, monkeypatch,
+                                                           command, kind):
+    """An output path that is a directory exits 3 before any compute, names that
+    path and leaves the directory as it was. A symlink to a directory is written
+    like any file: the command replaces the link."""
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / ("traces.json" if command == "simulate" else "out.json")
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "inside.txt").write_text("kept\n")
+    if kind == "directory":
+        path.mkdir()
+        (path / "inside.txt").write_text("kept\n")
+    else:
+        path.symlink_to(target, target_is_directory=True)
+    argv = {"gen-seq": ["gen-seq", "--count", "1", "--out", str(path)],
+            "learn": ["learn", "--sequences", str(sequences), "--w", "1.5", "--out", str(path)],
+            "simulate": [*SMALL_RUN, "--out-dir", str(out_dir)]}[command]
+    if kind == "symlink":
+        assert run_cli(*argv) == 0
+        assert path.is_file() and not path.is_symlink()
+        assert _tree(target) == {"inside.txt": b"kept\n"}
+        return
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed outputs that have nowhere to go")
+    for compute in ("generate_sequences", "library_trajectory", "run_experiment"):
+        monkeypatch.setattr(simulation, compute, must_not_run)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert _tree(tmp_path) == before
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and repr(str(path)) in err, err
+    assert ".old" not in err, err
+
+
 def test_simulate_and_learn_reject_nan(tmp_path):
     out_dir = tmp_path / "out"
     for flag in ("--w", "--alpha"):

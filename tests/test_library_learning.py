@@ -415,14 +415,15 @@ def test_scene_table_holds_every_candidate_of_every_library():
         scenes = tuple(sorted({random_base_sequence(rng) for _ in range(rng.randint(1, 4))}))
         table = _scene_table(scenes)
         base = reference_candidate_windows(scenes, EMPTY_LIBRARY)
+        per_scene = [reference_candidate_windows([scene], EMPTY_LIBRARY) for scene in scenes]
         # One row per expansion, in no particular order.
         assert sorted(expansion for expansion, _, _ in table) == sorted(base)
         for expansion, window, present in table:
             assert window == base[expansion]
             assert present == tuple((n, greedy_count(expansion, scene),
                                      occurrences(expansion, scene))
-                                    for n, scene in enumerate(scenes) if expansion in
-                                    reference_candidate_windows([scene], EMPTY_LIBRARY))
+                                    for n, scene in enumerate(scenes)
+                                    if expansion in per_scene[n])
         presence = {expansion: present for expansion, _, present in table}
         for _ in range(3):
             lib = nested_fragment_library(rng, list(scenes))

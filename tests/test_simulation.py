@@ -22,6 +22,7 @@ from towertalk.simulation import (
     REPETITION_BLOCKS,
     TOWER_PAIRS,
     TRIALS_PER_SEQUENCE,
+    DyadSummary,
     DyadTrace,
     FragmentSnapshot,
     TrialRecord,
@@ -41,9 +42,9 @@ from towertalk.simulation import (
     shape_levels,
     snapshot_level_proportions,
     step_levels,
+    summarize,
     trace_json,
     trace_to_dict,
-    word_distribution,
 )
 
 import oracles
@@ -288,7 +289,7 @@ def test_fragment_trajectory_zero_before_learning():
     rows = snapshot_level_proportions(trace.final_library, TRIALS_PER_SEQUENCE)
     assert rows[0] == {"trial": 0.0, "sub_tower": 0.0, "tower": 0.0,
                        "scene": 0.0, "other": 0.0}
-    table = fragment_trajectory([trace])
+    table = fragment_trajectory([summarize(trace)])
     assert table[0]["sub_tower"] == 0.0
     assert all(0.0 <= row[level] <= 1.0
                for row in table for level in ("sub_tower", "tower", "scene", "other"))
@@ -304,8 +305,8 @@ def test_first_adoption_trial_helper():
 
 
 def test_abstraction_proportions_rows_sum_to_one():
-    traces = [_run(seq_seed=s, dyad_seed=100 + s) for s in range(3)]
-    rows = abstraction_proportions(traces)
+    rows = abstraction_proportions([summarize(_run(seq_seed=s, dyad_seed=100 + s))
+                                    for s in range(3)])
     assert len(rows) == 4
     for row in rows:
         total = sum(row[level] for level in
@@ -314,14 +315,13 @@ def test_abstraction_proportions_rows_sum_to_one():
 
 
 def test_abstraction_all_block_level_in_first_block():
-    trace = _run(w=1e6)
-    rows = abstraction_proportions([trace])
+    rows = abstraction_proportions([summarize(_run(w=1e6))])
     assert rows[0]["block"] == pytest.approx(1.0)
 
 
 def test_accuracy_and_efficiency_single_trace_matches_raw():
     trace = _run(w=1e6)
-    rows = accuracy_and_efficiency([trace])
+    rows = accuracy_and_efficiency([summarize(trace)])
     for row in rows:
         block = int(row["repetition_block"])
         records = [r for spec, r in zip(trace.sequence.trials, trace.records)
@@ -334,8 +334,8 @@ def test_accuracy_and_efficiency_single_trace_matches_raw():
 
 
 def test_tokens_decrease_across_blocks_at_moderate_beta():
-    traces = [_run(seq_seed=s, dyad_seed=50 + s, w=1.5, beta=0.3) for s in range(6)]
-    rows = accuracy_and_efficiency(traces)
+    rows = accuracy_and_efficiency([summarize(_run(seq_seed=s, dyad_seed=50 + s, w=1.5, beta=0.3))
+                                    for s in range(6)])
     tokens = [row["mean_tokens_sent"] for row in rows]
     assert tokens[0] > tokens[-1]
 
@@ -371,12 +371,12 @@ def test_mean_pairwise_jsd_does_not_depend_on_string_hashing():
         from towertalk.blockworld import stimulus_towers
         from towertalk.library_learning import LearningConfig
         from towertalk.pragmatics import PragmaticsConfig
-        from towertalk.simulation import jsd, mean_pairwise_jsd, run_experiment
+        from towertalk.simulation import jsd, mean_pairwise_jsd, run_experiment, summarize
         configs = [(PragmaticsConfig(alpha=5.0, beta=b), LearningConfig(w=1.5))
                    for b in (0.3, 0.8)]
         traces = run_experiment(configs, stimulus_towers(), n_sequences=4, iterations=2,
                                 master_seed=0)
-        print(repr(mean_pairwise_jsd(traces, 3)))
+        print(repr(mean_pairwise_jsd([summarize(t) for t in traces], 3)))
         p = {f"w{i}": 1.0 + i % 7 for i in range(40)}
         q = {f"w{i}": 1.0 + i % 5 for i in range(20, 60)}
         print(repr(jsd(p, q)))
@@ -393,11 +393,12 @@ def test_mean_pairwise_jsd_does_not_depend_on_string_hashing():
 def test_mean_pairwise_jsd_matches_every_pair_summed_exactly():
     """Scoring each distinct distribution once gives the mean over every dyad pair."""
     traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=3, iterations=2, master_seed=0)
+    summaries = [summarize(t) for t in traces]
     repeated = 0
     for block in range(1, REPETITION_BLOCKS + 1):
-        distributions = [d for d in (word_distribution(t, block) for t in traces) if d]
+        distributions = [d for d in (oracles.word_distribution(t, block) for t in traces) if d]
         pairs = [jsd(p, q) for p, q in combinations(distributions, 2)]
-        assert mean_pairwise_jsd(traces, block) == pytest.approx(
+        assert mean_pairwise_jsd(summaries, block) == pytest.approx(
             math.fsum(pairs) / len(pairs), rel=0, abs=1e-12)
         repeated += len(distributions) - len({tuple(sorted(d.items())) for d in distributions})
     assert repeated > 0  # dyads that share a distribution are grouped
@@ -419,12 +420,73 @@ def test_jsd_csvs_do_not_depend_on_string_hashing(tmp_path):
 
 
 def test_word_distribution_and_pairwise_jsd():
-    traces = [_run(seq_seed=s, dyad_seed=7 + s) for s in range(2)]
-    dist = word_distribution(traces[0], 1)
-    assert dist
-    assert all(count > 0 for count in dist.values())
-    value = mean_pairwise_jsd(traces, 1)
+    summaries = [summarize(_run(seq_seed=s, dyad_seed=7 + s)) for s in range(2)]
+    words = summaries[0].word_counts[0]
+    assert words and list(words) == sorted(words)
+    assert all(count > 0 for _, count in words)
+    value = mean_pairwise_jsd(summaries, 1)
     assert 0.0 <= value <= 1.0
+
+
+def _tables(module, dyads):
+    """The four tables of a cell, as `module` builds them from its dyads."""
+    return (module.fragment_trajectory(dyads), module.abstraction_proportions(dyads),
+            module.accuracy_and_efficiency(dyads),
+            [module.mean_pairwise_jsd(dyads, block) for block in range(1, REPETITION_BLOCKS + 1)])
+
+
+def test_summaries_give_the_tables_of_the_whole_traces():
+    """Every table built from summaries equals, float for float, the one built by
+    walking the whole traces, on each cell of small grids at ten seeds."""
+    for seed in range(10):
+        traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=3, iterations=2,
+                                master_seed=seed)
+        for cell in SHARED_GRID:
+            subset = [t for t in traces if (t.pragmatics, t.learning) == cell]
+            summaries = [summarize(t) for t in subset]
+            assert all(s.final_library is t.final_library for s, t in zip(summaries, subset))
+            assert _tables(simulation, summaries) == _tables(oracles, subset)
+
+
+def test_summaries_of_hand_built_traces():
+    """No dyad, a block without a trial, and a trial that sends moves only."""
+    assert _tables(simulation, []) == _tables(oracles, []) == (
+        [], *[[{"repetition_block": float(block), **values}
+               for block in range(1, REPETITION_BLOCKS + 1)]
+              for values in ({level: 0.0 for level in simulation.STEP_LEVELS},
+                             {"mean_f1": 0.0, "mean_tokens_sent": 0.0, "n_dyads": 0.0})],
+        [0.0] * REPETITION_BLOCKS)
+    snapshot = FragmentSnapshot(id="c0", body="h r2 h", expansion="h r2 h", level="sub_tower",
+                                adopted_trial=1, score_delta=1.5)
+
+    def record(program, utterance, f1):
+        return TrialRecord(program=program, utterance=utterance, builder_placements=(),
+                           step_placements=(0,) * len(program), f1=f1,
+                           tokens_sent=token_length(program), belief_entropy=0.0, anomalies=0)
+
+    def trace(specs, records):
+        return DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
+                         TrialSequence(specs, seed=0), 0, 0, records, (snapshot,))
+
+    # Blocks 1 and 3 only; block 3's trial sends moves only, so it has no place-bearing step.
+    gaps = trace((TrialSpec(1, "A", "B"), TrialSpec(1, "B", "C"), TrialSpec(3, "C", "A")),
+                 (record(("h", "c0", "v"), ("h", "w0", "v"), 0.5),
+                  record(("c0",), ("w1",), 1 / 3),
+                  record(("l2", "r3"), ("l2", "r3"), 0.0)))
+    full = trace(tuple(TrialSpec(block, "A", "B") for block in range(1, REPETITION_BLOCKS + 1)),
+                 tuple(record(("c0", "l1", "v"), ("w0", "l1", "v"), 0.1 * block)
+                       for block in range(1, REPETITION_BLOCKS + 1)))
+    summary = summarize(gaps)
+    assert summary == DyadSummary(
+        (snapshot,),
+        ((2, 2, 0, 0, 0), (0,) * 5, (0,) * 5, (0,) * 5),
+        (((0.5 + 1 / 3) / 2, 2.0), None, (0.0, 4.0), None),
+        ((("h", 1), ("v", 1), ("w0", 1), ("w1", 1)), (), (("l2", 1), ("r3", 1)), ()))
+    for dyads in ([gaps], [full], [gaps, full], [full, gaps, full]):
+        assert _tables(simulation, [summarize(t) for t in dyads]) == _tables(oracles, dyads)
+    rows = accuracy_and_efficiency([summary, summarize(full)])
+    assert [row["n_dyads"] for row in rows] == [2.0, 1.0, 2.0, 1.0]
+    assert abstraction_proportions([summary])[2]["block"] == 0.0
 
 
 def test_library_trajectory_matches_dyad_learning():
