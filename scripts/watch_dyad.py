@@ -5,12 +5,16 @@ the words sent, the reconstruction, and what entered the library."""
 import argparse
 import random
 
-from towertalk.blockworld import Scene, compose_scene, render_ascii, stimulus_towers
-from towertalk.cli import DEFAULT_ALPHA
-from towertalk.dsl import print_program
+from towertalk.blockworld import stimulus_towers
+from towertalk.cli import DEFAULT_ALPHA, narrate
 from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
-from towertalk.simulation import generate_trial_sequence, run_dyad
+from towertalk.simulation import (
+    generate_trial_sequence,
+    library_trajectory,
+    run_dyad,
+    trace_to_dict,
+)
 
 
 def main():
@@ -31,28 +35,10 @@ def main():
 
     stimuli = stimulus_towers()
     sequence = generate_trial_sequence(args.seed)
-    trace = run_dyad(sequence, args.w, cfg, lcfg, random.Random(args.dyad_seed), stimuli)
-
-    towers = {t.id: t for t in stimuli}
-    for number, (spec, record) in enumerate(zip(sequence.trials, trace.records), start=1):
-        print(f"trial {number:>2} (block {spec.repetition_block}, "
-              f"{spec.left}+{spec.right})  F1={record.f1:.3f}  "
-              f"tokens={record.tokens_sent}")
-        print(f"   program:   {print_program(record.program)}")
-        print(f"   utterance: {' '.join(record.utterance)}")
-        for snap in trace.final_library:
-            if snap.adopted_trial == number:
-                print(f"   + learned {snap.id} [{snap.level}] {snap.body}")
-        if args.render:
-            target = compose_scene(towers[spec.left], towers[spec.right])
-            built = Scene(target.width, target.height,
-                          frozenset(record.builder_placements))
-            for left, right in zip(render_ascii(target).split("\n"),
-                                   render_ascii(built).split("\n")):
-                print(f"   {left}   {right}")
-    final_entropy = trace.records[-1].belief_entropy if trace.records else 0.0
-    print(f"final belief entropy: {final_entropy:.3f} bits; "
-          f"library size: {len(trace.final_library)} fragments")
+    learned = library_trajectory(sequence, lcfg, stimuli)
+    trace = run_dyad(sequence, args.w, cfg, lcfg, random.Random(args.dyad_seed), learned)
+    # The trace as traces.json holds it, told as `render --trace` tells it.
+    print(narrate(trace_to_dict(trace), {t.id: t for t in stimuli}, draw=args.render))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .blockworld import (
     GRID_WIDTH,
     Scene,
     compose_scene,
-    f1_score,
     render_ascii,
     scene_from_dict,
     stimuli_from_dict,
@@ -324,40 +323,44 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _render_pair(target: Scene, built: Scene, label: str) -> str:
-    score = f1_score(target, built)
-    left_lines = render_ascii(target).split("\n")
-    right_lines = render_ascii(built).split("\n")
-    lines = [f"{label}  F1={score:.3f}", "target" + " " * (target.width - 2) + "    built"]
-    for lhs, rhs in zip(left_lines, right_lines):
-        lines.append(f"{lhs}    {rhs}")
+def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = True,
+            where: str = "trace") -> str:
+    """The story of one entry of a traces file's "traces" list, read as strictly
+    as any input file. Per trial: its number, block, towers, F1 and tokens sent,
+    program, utterance, each fragment it adopted and, with `draw`, its target and
+    built scene side by side. The whole dyad ends with the final belief entropy
+    and library size; with `trial`, only that trial's lines, and "" when the
+    trace holds no such trial. A bad field is named from `where` on."""
+    lines = []
+    trials = trace["trials"]
+    for k, entry in enumerate(trials):
+        field = f"{where}.trials[{k}]"
+        number = strict_int(entry["trial"], f"{field}.trial")
+        if trial is not None and number != trial:
+            continue
+        ids = [strict_tower_id(entry.get(side), f"{field}.{side}") for side in ("left", "right")]
+        for side, tower in zip(("left", "right"), ids):
+            if tower not in towers:
+                raise ValueError(f"{field}.{side}: no tower with id {reprlib.repr(tower)}")
+        block = strict_int(entry["repetition_block"], f"{field}.repetition_block")
+        tokens = strict_int(entry["tokens_sent"], f"{field}.tokens_sent")
+        lines += [f"trial {number:>2} (block {block}, {'+'.join(ids)})  "
+                  f"F1={entry['f1']:.3f}  tokens={tokens}",
+                  f"   program:   {entry['program']}",
+                  f"   utterance: {' '.join(entry['utterance'])}"]
+        for j, snap in enumerate(entry["library"]):
+            if strict_int(snap["adopted_trial"], f"{field}.library[{j}].adopted_trial") == number:
+                lines.append(f"   + learned {snap['id']} [{snap['level']}] {snap['body']}")
+        if draw:
+            target = compose_scene(*(towers[tower] for tower in ids))
+            built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
+                                     "blocks": entry["builder_placements"]})
+            lines += [f"   {lhs}   {rhs}" for lhs, rhs in zip(render_ascii(target).split("\n"),
+                                                          render_ascii(built).split("\n"))]
+    if trial is None:
+        lines.append(f"final belief entropy: {trace['final_belief_entropy']:.3f} bits; "
+                     f"library size: {len(trials[-1]['library']) if trials else 0} fragments")
     return "\n".join(lines)
-
-
-def _read_trace_trial(data: dict, path: str, trace_index: int, trial_index: int,
-                      towers: dict) -> tuple[str, Scene, Scene]:
-    """One recorded trial of a traces file's data: its label, target and built scenes."""
-    traces = data["traces"]
-    if not 0 <= trace_index < len(traces):
-        raise ConfigError(f"{path}: --trace-index {trace_index}: the file holds "
-                          f"{len(traces)} traces, counted from 0")
-    matches = [(k, t) for k, t in enumerate(traces[trace_index]["trials"])
-               if strict_int(t["trial"], f"traces[{trace_index}].trials[{k}].trial")
-               == trial_index]
-    if not matches:
-        raise ConfigError(f"{path}: --trace-index {trace_index}: the trace holds "
-                          f"no trial {trial_index}")
-    k, trial = matches[0]
-    ids = []
-    for side in ("left", "right"):
-        field = f"traces[{trace_index}].trials[{k}].{side}"
-        ids.append(strict_tower_id(trial.get(side), field))
-        if ids[-1] not in towers:
-            raise ConfigError(f"{path}: {field}: no tower with id {reprlib.repr(ids[-1])}")
-    target = compose_scene(*(towers[tower] for tower in ids))
-    built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
-                             "blocks": trial["builder_placements"]})
-    return f"trial {trial_index} ({'+'.join(ids)})", target, built
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -382,13 +385,20 @@ def cmd_render(args: argparse.Namespace) -> int:
         height = max(y for b in tower.blocks for _, y in b.cells()) + 1
         print(render_ascii(Scene(width, height, tower.blocks)))
         return EXIT_OK
-    if args.trial is None:
-        raise ConfigError("trial: required when rendering from a trace")
-    label, target, built = _load(
-        lambda data: _read_trace_trial(data, args.trace, args.trace_index or 0, args.trial,
-                                       towers),
-        args.trace)
-    print(_render_pair(target, built, label))
+    index = args.trace_index or 0
+
+    def story(data: dict) -> str:
+        traces = data["traces"]
+        if not 0 <= index < len(traces):
+            raise ConfigError(f"{args.trace}: --trace-index {index}: the file holds "
+                              f"{len(traces)} traces, counted from 0")
+        return narrate(traces[index], towers, args.trial, where=f"traces[{index}]")
+
+    text = _load(story, args.trace)
+    if not text:
+        raise ConfigError(f"{args.trace}: --trace-index {index}: the trace holds "
+                          f"no trial {args.trial}")
+    print(text)
     return EXIT_OK
 
 

@@ -196,15 +196,12 @@ def classify_fragment(expansion: Program, shapes: dict[frozenset[BlockPlacement]
     return shapes.get(_shape(placed), OTHER)
 
 
-@lru_cache(maxsize=1)
 def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
                        stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
     """Library learning over a trial sequence, one entry per trial.
 
     Learning sees only the target scenes, never the RNG or the communication,
-    so a dyad and a learning-only run over the same sequence grow the same
-    library. The last trajectory is kept: `run_experiment` runs the dyads that
-    share a (sequence, lcfg) back to back, so each group learns once.
+    so every dyad over the same sequence and lcfg shares one trajectory.
     """
     towers = {tower.id: tower for tower in stimuli}
     shapes = shape_levels(stimuli)
@@ -231,12 +228,10 @@ def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
 
 def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
              lcfg: LearningConfig, rng: random.Random,
-             stimuli: tuple[TowerStimulus, ...],
+             learned: tuple[LearnedTrial, ...],
              iteration: int = 0, dyad_seed: int = 0) -> DyadTrace:
-    """Simulate one Architect/Builder pair through a full trial sequence."""
-    lcfg = replace(lcfg, w=w)
-    learned = library_trajectory(sequence, lcfg, stimuli)
-
+    """Simulate one Architect/Builder pair through a full trial sequence;
+    `learned` is its library_trajectory at `lcfg` with `w`."""
     library = Library()
     belief = initial_belief()
     bindings: dict[str, str] = {}  # the Builder's word-to-fragment bindings
@@ -282,7 +277,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
 
     return DyadTrace(
         pragmatics=cfg,
-        learning=lcfg,
+        learning=replace(lcfg, w=w),
         sequence=sequence,
         iteration=iteration,
         dyad_seed=dyad_seed,
@@ -293,7 +288,8 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
 
 def _group_task(args: tuple) -> list[DyadTrace]:
     sequence, lcfg, stimuli, dyads = args
-    return [run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(dyad_seed), stimuli,
+    learned = library_trajectory(sequence, lcfg, stimuli)
+    return [run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(dyad_seed), learned,
                      iteration=iteration, dyad_seed=dyad_seed)
             for cfg, dyad_seed, iteration in dyads]
 

@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,13 +15,15 @@ from hypothesis import strategies as st
 
 from towertalk import cli, simulation
 from towertalk.cli import DEFAULT_ALPHA, main
-from towertalk.library_learning import BODY_TOKEN_SUM
+from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
+from towertalk.pragmatics import PragmaticsConfig
 from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
     Scene,
     TowerStimulus,
+    drop_block,
     stimulus_towers,
 )
 
@@ -283,7 +287,44 @@ def test_render_trace_trial(tmp_path, capsys):
     assert run_cli("render", "--trace", str(trace_file), "--trial", "1") == 0
     out = capsys.readouterr().out
     assert "F1=1.000" in out
-    assert run_cli("render", "--trace", str(trace_file)) == 2
+    assert "final belief entropy" not in out
+    # Without --trial, the whole dyad: twelve trials, then the final line.
+    assert run_cli("render", "--trace", str(trace_file)) == 0
+    out = capsys.readouterr().out
+    assert out.count("F1=1.000") == 12
+    assert out.endswith(" bits; library size: 0 fragments\n")
+
+
+def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
+    """`render --trace` narrates a recorded dyad as `narrate` tells the same dyad
+    played again from the trace's sequence, dyad seed and config, and `--trial n`
+    prints exactly trial n's lines of that narration."""
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1.5", "3.2", "--beta", "0.3", "0.8", "--n-sequences", "1",
+                   "--iterations", "1", "--master-seed", "1", "--out-dir", str(out_dir)) == 0
+    trace_file = out_dir / "traces.json"
+    towers = {t.id: t for t in stimulus_towers()}
+    for index, recorded in enumerate(json.loads(trace_file.read_text())["traces"]):
+        sequence = simulation.sequence_from_dict(recorded["sequence"])
+        lcfg = LearningConfig(w=recorded["w"])
+        rerun = simulation.run_dyad(
+            sequence, lcfg.w, PragmaticsConfig(alpha=recorded["alpha"], beta=recorded["beta"]),
+            lcfg, random.Random(recorded["dyad_seed"]),
+            simulation.library_trajectory(sequence, lcfg, stimulus_towers()))
+        capsys.readouterr()
+        assert run_cli("render", "--trace", str(trace_file), "--trace-index", str(index)) == 0
+        whole = capsys.readouterr().out
+        assert whole == cli.narrate(simulation.trace_to_dict(rerun), towers) + "\n", index
+    assert index == 3
+    # Each trial's lines run from its unindented head to the next one.
+    lines = whole.splitlines(keepends=True)
+    heads = [k for k, line in enumerate(lines) if not line.startswith(" ")]
+    assert len(heads) == simulation.TRIALS_PER_SEQUENCE + 1
+    assert sum(" + learned " in line for line in lines) > 0
+    for number, (start, end) in enumerate(zip(heads, heads[1:]), start=1):
+        assert run_cli("render", "--trace", str(trace_file), "--trace-index", "3",
+                       "--trial", str(number)) == 0
+        assert capsys.readouterr().out == "".join(lines[start:end]), number
 
 
 def test_render_requires_a_source():
@@ -904,13 +945,39 @@ scene_files = json_values | st.fixed_dictionaries({
     "width": st.integers(0, 15) | json_values,
     "height": st.integers(0, 9) | json_values,
     "blocks": st.lists(block_dicts, max_size=4)})
-trace_files = json_values | st.fixed_dictionaries({"traces": st.lists(
-    json_values | st.fixed_dictionaries({"trials": st.lists(
-        json_values | st.fixed_dictionaries({
-            "trial": st.integers(0, 2) | json_values,
-            "left": tower_ids, "right": tower_ids,
+
+
+@st.composite
+def one_field_off(draw, fields):
+    """A dict of `fields`' values, drawn valid, or with one of them left out or
+    drawn from json_values instead, so that a reader gets past the others."""
+    data = draw(st.fixed_dictionaries(fields))
+    key = draw(st.none() | st.sampled_from(sorted(fields)))
+    if key is not None and draw(st.booleans()):
+        del data[key]
+    elif key is not None:
+        data[key] = draw(json_values)
+    return data
+
+
+# A field drawn from json_values also puts junk in place of a list of traces or trials.
+trace_files = one_field_off({"traces": st.lists(
+    one_field_off({
+        "final_belief_entropy": st.floats(0, 8),
+        "trials": st.lists(one_field_off({
+            "trial": st.integers(0, 2),
+            "repetition_block": st.integers(1, 4),
+            "left": st.sampled_from("ABC"), "right": st.sampled_from("ABC"),
+            "f1": st.floats(0, 1),
+            "tokens_sent": st.integers(0, 30),
+            "program": st.text(max_size=8),
+            "utterance": st.lists(st.sampled_from(["h", "v", "r1", "chunkA"]), max_size=3),
+            "library": st.lists(one_field_off({
+                "id": st.just("chunk1"), "level": st.sampled_from(simulation.FRAGMENT_LEVELS),
+                "body": st.just("(v (r 1) h)"), "adopted_trial": st.integers(0, 2)}),
+                max_size=2),
             "builder_placements": st.lists(block_dicts, max_size=4)}),
-        max_size=3)}),
+            max_size=3)}),
     max_size=2)})
 
 
@@ -970,3 +1037,34 @@ def test_render_trace_file_property(tmp_path_factory, data):
     traces = tmp_path_factory.mktemp("render") / "traces.json"
     traces.write_text(json.dumps(data))
     _run_on_file(["render", "--trace", str(traces), "--trial", "1"], traces)
+    _run_on_file(["render", "--trace", str(traces)], traces)
+
+
+@st.composite
+def buildable_towers(draw, tower_id):
+    """A tower of two horizontal and two vertical blocks, dropped in a random order
+    at random columns of a grid 6 wide and 8 high: supported, without overlaps,
+    and narrow enough to stand at the right tower's origin."""
+    heights, blocks = (0,) * 6, []
+    for orientation in draw(st.permutations([HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL])):
+        column = draw(st.integers(0, 4 if orientation == HORIZONTAL else 5))
+        heights, block = drop_block(heights, orientation, column)
+        blocks.append(block)
+    return TowerStimulus(tower_id, frozenset(blocks))
+
+
+@given(st.tuples(*(buildable_towers(tower_id) for tower_id in "ABC")))
+@settings(max_examples=25, deadline=None)
+def test_simulate_runs_on_any_buildable_stimuli(tmp_path_factory, towers):
+    work = tmp_path_factory.mktemp("stimuli")
+    stimuli = work / "stimuli.json"
+    save_stimuli(towers, str(stimuli))
+    for alpha in ("5", "inf"):
+        out_dir = work / f"alpha-{alpha}"
+        assert run_cli("simulate", "--stimuli", str(stimuli), "--n-sequences", "1",
+                       "--iterations", "1", "--w", "1.5", "--beta", "0.3", "--alpha", alpha,
+                       "--out-dir", str(out_dir)) == 0
+        with open(out_dir / "accuracy_efficiency_w1.5_beta0.3.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(0.0 <= float(row["mean_f1"]) <= 1.0 for row in rows), rows

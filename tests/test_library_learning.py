@@ -363,8 +363,7 @@ def test_every_cache_in_the_package_is_bounded():
         "library_learning._learning_step", "library_learning._round",
         "library_learning._scene_table", "library_learning._scene_windows",
         "library_learning._mdl_cost",
-        "pragmatics.candidate_programs", "pragmatics.lenient_run", "simulation._base_scene",
-        "simulation.library_trajectory")}
+        "pragmatics.candidate_programs", "pragmatics.lenient_run", "simulation._base_scene")}
     for fn in module_caches(*modules):
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
@@ -451,7 +450,6 @@ def test_learning_does_not_depend_on_the_scene_tables_order(monkeypatch):
     def learn():
         for fn in caches:
             fn.cache_clear()
-        library_trajectory.cache_clear()
         return [library_trajectory(sequence, LearningConfig(w=w), stimuli)
                 for w in (1.5, 3.2, 9.6) for sequence in sequences]
 
@@ -463,7 +461,6 @@ def test_learning_does_not_depend_on_the_scene_tables_order(monkeypatch):
     finally:
         for fn in caches:
             fn.cache_clear()
-        library_trajectory.cache_clear()
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["table-order", "reversed"])

@@ -470,8 +470,9 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
     for cfg in CHOICE_CONFIGS:
         for seed in (3, 4):
             anomaly_seen[0] = False
-            simulation.run_dyad(simulation.generate_trial_sequence(seed), 1.5, cfg,
-                                LearningConfig(w=1.5), random.Random(seed), stimulus_towers())
+            sequence, lcfg = simulation.generate_trial_sequence(seed), LearningConfig(w=1.5)
+            simulation.run_dyad(sequence, 1.5, cfg, lcfg, random.Random(seed),
+                                simulation.library_trajectory(sequence, lcfg, stimulus_towers()))
     assert seen["choices"] == len(CHOICE_CONFIGS) * 2 * simulation.TRIALS_PER_SEQUENCE
     assert seen["chunked"] > 0
     assert seen["after an anomaly"] > 0

@@ -91,11 +91,9 @@ def test_sequence_dict_round_trip():
 
 
 def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3):
-    return run_dyad(
-        generate_trial_sequence(seq_seed), w,
-        PragmaticsConfig(alpha=5.0, beta=beta),
-        LearningConfig(w=w),
-        random.Random(dyad_seed), TOWERS)
+    sequence, lcfg = generate_trial_sequence(seq_seed), LearningConfig(w=w)
+    return run_dyad(sequence, w, PragmaticsConfig(alpha=5.0, beta=beta), lcfg,
+                    random.Random(dyad_seed), library_trajectory(sequence, lcfg, TOWERS))
 
 
 def test_run_dyad_huge_w_is_all_base_and_perfect():
@@ -200,7 +198,6 @@ def test_run_experiment_learns_each_group_once(monkeypatch):
         return learn(*args)
 
     monkeypatch.setattr(simulation, "update_library_with_log", counting)
-    library_trajectory.cache_clear()
     traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=2, iterations=2, master_seed=3)
     # 2 sequences x 2 w, 12 trials each; not again for each beta x iteration (192).
     assert len(calls) == 2 * 2 * TRIALS_PER_SEQUENCE
@@ -213,9 +210,9 @@ def test_run_experiment_learns_each_group_once(monkeypatch):
         for sequence in sequences:
             for iteration in range(2):
                 seed = next(seeds)
-                library_trajectory.cache_clear()
+                learned = library_trajectory(sequence, lcfg, TOWERS)
                 expected.append(run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(seed),
-                                         TOWERS, iteration=iteration, dyad_seed=seed))
+                                         learned, iteration=iteration, dyad_seed=seed))
     assert traces == expected
 
 
@@ -243,21 +240,17 @@ def test_library_trajectory_builds_the_shape_table_once(monkeypatch):
 
     monkeypatch.setattr(simulation, "shape_levels", counting)
     sequences, _ = simulation.generate_sequences(0, 2)
-    library_trajectory.cache_clear()
-    try:
-        levels = [snapshot.level
-                  for sequence in sequences
-                  for trial in library_trajectory(sequence, LearningConfig(w=1.5), TOWERS)
-                  for snapshot in trial.adopted]
-    finally:
-        library_trajectory.cache_clear()
+    levels = [snapshot.level
+              for sequence in sequences
+              for trial in library_trajectory(sequence, LearningConfig(w=1.5), TOWERS)
+              for snapshot in trial.adopted]
     assert calls == [TOWERS, TOWERS]
     # The trajectories classify more tower and scene fragments than they build tables.
     assert levels.count("tower") + levels.count("scene") > len(calls)
 
 
-def test_library_trajectory_cache_keys_on_towers_and_config():
-    """A cached trajectory is never served for other towers or another config."""
+def test_library_trajectory_follows_towers_and_config():
+    """Other towers give another trajectory, and each config learns at its own w."""
     sequence = generate_trial_sequence(8)
     lcfg = LearningConfig(w=1.5)
     rotated = tuple(TowerStimulus(t.id, other.blocks)
@@ -269,18 +262,15 @@ def test_library_trajectory_cache_keys_on_towers_and_config():
     assert [trial.target for trial in custom] == [
         compose_scene(by_id[s.left], by_id[s.right]) for s in sequence.trials]
     assert custom != default
+    # w 1e6, learned after w 1.5, adopts nothing; w 1.5 again gives the first trajectory.
     assert all(trial.adopted == () for trial in
                library_trajectory(sequence, LearningConfig(w=1e6), TOWERS))
+    assert library_trajectory(sequence, lcfg, TOWERS) == default
 
-    # A dyad on the custom towers, run while the default trajectory is cached,
-    # equals the same dyad run with nothing cached.
-    cfg = PragmaticsConfig(alpha=5.0, beta=0.8)
-    library_trajectory(sequence, lcfg, TOWERS)
-    cached = run_dyad(sequence, 1.5, cfg, lcfg, random.Random(5), rotated)
-    library_trajectory.cache_clear()
-    fresh = run_dyad(sequence, 1.5, cfg, lcfg, random.Random(5), rotated)
-    assert cached == fresh
-    assert [(s.id, s.body, s.adopted_trial) for s in fresh.final_library] == [
+    # A dyad on the custom towers adopts the custom trajectory's fragments.
+    dyad = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8), lcfg,
+                    random.Random(5), custom)
+    assert [(s.id, s.body, s.adopted_trial) for s in dyad.final_library] == [
         (s.id, s.body, s.adopted_trial) for trial in custom for s in trial.adopted]
 
 
@@ -499,7 +489,7 @@ def test_library_trajectory_matches_dyad_learning():
         assert trial.program == canonical_program(trial.target)
     snapshots = [s for trial in learned for s in trial.adopted]
     trace = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8),
-                     lcfg, random.Random(0), TOWERS)
+                     lcfg, random.Random(0), learned)
     assert [(s.id, s.body, s.adopted_trial) for s in snapshots] == \
         [(s.id, s.body, s.adopted_trial) for s in trace.final_library]
 
@@ -524,8 +514,9 @@ def _oracle_text(trace):
 
 def test_trace_json_writes_int_configs_as_ints():
     """Configs built in code may hold ints; json writes 2, not 2.0, and so must the encoder."""
-    trace = run_dyad(generate_trial_sequence(3), 2, PragmaticsConfig(alpha=5, beta=0),
-                     LearningConfig(w=2), random.Random(70), TOWERS)
+    sequence, lcfg = generate_trial_sequence(3), LearningConfig(w=2)
+    trace = run_dyad(sequence, 2, PragmaticsConfig(alpha=5, beta=0), lcfg, random.Random(70),
+                     library_trajectory(sequence, lcfg, TOWERS))
     text = trace_json(trace)
     assert text == _oracle_text(trace)
     assert '"alpha": 5,' in text and '"beta": 0,' in text and '"w": 2\n' in text
