@@ -379,7 +379,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.stimulus is not None:
         if args.stimulus not in towers:
-            raise ConfigError(f"stimulus: unknown id {args.stimulus!r}")
+            raise ConfigError(f"stimulus: unknown id {reprlib.repr(args.stimulus)}")
         tower = towers[args.stimulus]
         width = max(x for b in tower.blocks for x, _ in b.cells()) + 1
         height = max(y for b in tower.blocks for _, y in b.cells()) + 1

@@ -151,21 +151,14 @@ def moves_between(from_x: int, to_x: int) -> Program:
 
 def _column_clusters(blocks: frozenset[BlockPlacement]) -> list[list[BlockPlacement]]:
     """Split blocks into runs of contiguous occupied columns, left to right."""
-    if not blocks:
-        return []
-    occupied: set[int] = set()
-    for block in blocks:
-        for cx, _ in block.cells():
-            occupied.add(cx)
-    breaks: set[int] = set()
-    for col in sorted(occupied):
-        if col - 1 not in occupied:
-            breaks.add(col)
-    clusters: dict[int, list[BlockPlacement]] = {b: [] for b in breaks}
-    for block in blocks:
-        start = max(b for b in breaks if b <= block.x)
-        clusters[start].append(block)
-    return [sorted(clusters[start], key=lambda b: (b.y, b.x)) for start in sorted(breaks)]
+    clusters: list[list[BlockPlacement]] = []
+    right = -2  # the rightmost column covered so far; none yet
+    for block in sorted(blocks):
+        if block.x > right + 1:
+            clusters.append([])
+        clusters[-1].append(block)
+        right = max(right, *(cx for cx, _ in block.cells()))
+    return [sorted(cluster, key=lambda b: (b.y, b.x)) for cluster in clusters]
 
 
 def default_start_x(scene: Scene) -> int:

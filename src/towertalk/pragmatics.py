@@ -8,6 +8,10 @@ words and fragments that the Builder's visible block placements have not ruled
 out. Observations are 0/1, so the belief is uniform over that set, and every
 probability is a count of lexicons over the total.
 
+Both agents act on the library the belief was extended by: the belief's
+fragments are the library's ids. So every lexicon gives each chunk one word,
+and a word heard for the first time always finds a fragment no word has claimed.
+
 The set is stored in factored form: each component fixes some bindings and
 holds every bijection of one or more unresolved word/fragment pools. The
 components are disjoint, and the full permutation space is never materialized.
@@ -140,11 +144,10 @@ def update_belief(belief: BeliefState, word: str,
 
     A lexicon survives iff running its fragment for the word from the
     Builder's pre-step column heights and hand reproduces exactly the observed
-    placements. Returns (new belief, anomaly flag); if every lexicon is ruled
-    out, the belief resets to every bijection and the anomaly flag is set.
+    placements. `word` is a synthetic word of the belief. Returns (new belief,
+    anomaly flag); if every lexicon is ruled out, the belief resets to every
+    bijection and the anomaly flag is set.
     """
-    if dsl.is_base_token(word):
-        return belief, False
     observed = tuple(observed)
 
     def consistent(frag_id: str) -> bool:
@@ -157,24 +160,18 @@ def update_belief(belief: BeliefState, word: str,
             if consistent(known[word]):
                 updated.append(comp)
             continue
-        pool_index = next(
-            (i for i, (words, _) in enumerate(comp.pools) if word in words), None)
-        if pool_index is None:
-            continue
+        pool_index = next(i for i, (words, _) in enumerate(comp.pools) if word in words)
         words, frags = comp.pools[pool_index]
         allowed = [f for f in frags if consistent(f)]
         if len(allowed) == len(frags):
             # Uninformative for this component; leave it unsplit.
             updated.append(comp)
             continue
+        # A normalized pool holds two or more words, so some are left.
         rest_words = tuple(w for w in words if w != word)
         for frag in allowed:
-            rest_frags = tuple(f for f in frags if f != frag)
             pools = list(comp.pools)
-            if rest_words:
-                pools[pool_index] = (rest_words, rest_frags)
-            else:
-                del pools[pool_index]
+            pools[pool_index] = (rest_words, tuple(f for f in frags if f != frag))
             updated.append(BeliefComponent(
                 tuple(sorted(comp.known + ((word, frag),))), tuple(sorted(pools))))
     if not updated:
@@ -220,8 +217,6 @@ def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
     components counts them: a known binding to the token counts each of the
     component's n lexicons, and a pool whose fragments hold the token counts
     n // pool size for each of its words."""
-    if not belief.words:
-        raise ValueError(f"no synthetic words available for {token!r}")
     counts: dict[str, int] = {}
     total = 0
     for comp in belief.components:
@@ -234,8 +229,6 @@ def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
             if token in frags:
                 for word in words:
                     counts[word] = counts.get(word, 0) + n // len(frags)
-    if not counts:
-        return belief.words[0], 0.0
     best = min(counts, key=lambda word: (-counts[word], word))
     return best, counts[best] / total
 
@@ -247,10 +240,10 @@ def architect_choose(base: Program, library: Library, belief: BeliefState,
 
     A candidate's utterance sends each base token as itself and each chunk
     token as its best word; its joint utility is (1-beta) * the sum of log
-    marginal listener probabilities - beta * program length, and a chunk
-    word of marginal 0 drops it. The belief is fixed for the call, so each
-    chunk token's best word is found once for all candidates. A base token's
-    marginal is 1, adding log(1) == 0, so the sum skips it.
+    marginal listener probabilities - beta * program length. The belief is
+    fixed for the call, so each chunk token's best word is found once for all
+    candidates. A base token's marginal is 1, adding log(1) == 0, so the sum
+    skips it.
     """
     best: dict[Token, tuple[str, float]] = {}
     pairs = []
@@ -264,28 +257,15 @@ def architect_choose(base: Program, library: Library, belief: BeliefState,
             if token not in best:
                 best[token] = _best_word(token, belief)
             word, prob = best[token]
-            if prob <= 0.0:
-                break
             informativity += math.log(prob)
             words.append(word)
-        else:
-            utility = (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
-            pairs.append((program, tuple(words), utility))
-    if not pairs:
-        raise RuntimeError("no candidate with finite utility; base program should always qualify")
+        utility = (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
+        pairs.append((program, tuple(words), utility))
     if math.isinf(cfg.alpha):
         return max(pairs, key=lambda p: p[2])[:2]
     top = max(utility for _, _, utility in pairs)
     weights = [math.exp(cfg.alpha * (utility - top)) for _, _, utility in pairs]
-    total = sum(weights)
-    draw = rng.random() * total
-    cumulative = 0.0
-    for (program, utterance, _), weight in zip(pairs, weights):
-        cumulative += weight
-        if draw <= cumulative:
-            return program, utterance
-    program, utterance, _ = pairs[-1]
-    return program, utterance
+    return rng.choices(pairs, weights)[0][:2]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +305,5 @@ def builder_interpret(word: str, bindings: dict[str, str], library: Library,
     if fragment_id is None:
         taken = set(bindings.values())
         unbound = sorted(f for f in library.ids() if f not in taken)
-        if not unbound:
-            raise RuntimeError(f"no unbound fragment left for new word {word!r}")
-        fragment_id = bindings[word] = unbound[rng.randrange(len(unbound))]
+        fragment_id = bindings[word] = rng.choice(unbound)
     return library.resolve(fragment_id).expansion

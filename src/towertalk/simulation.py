@@ -125,10 +125,8 @@ def generate_trial_sequence(seed: int) -> TrialSequence:
                     trials.append(TrialSpec(block, first, second))
                 else:
                     trials.append(TrialSpec(block, second, first))
-        lefts: dict[str, int] = {}
-        for trial in trials:
-            lefts[trial.left] = lefts.get(trial.left, 0) + 1
-        if all(lefts.get(tower, 0) == 4 for pair in TOWER_PAIRS for tower in pair):
+        lefts = Counter(trial.left for trial in trials)
+        if all(lefts[tower] == 4 for pair in TOWER_PAIRS for tower in pair):
             return TrialSequence(tuple(trials), seed)
 
 

@@ -1,6 +1,7 @@
 """Reference functions that only the tests use: the empty library, building a
-fragment by hand, running a program's chunks in place without inlining, every
-candidate window of a set of programs by direct enumeration,
+fragment by hand, a scene's column clusters read off its occupied columns,
+running a program's chunks in place without inlining, every candidate window
+of a set of programs by direct enumeration,
 the learner's posterior score, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
@@ -68,6 +69,27 @@ def reference_candidate_windows(programs: Sequence[Program],
                 if current is None or (dsl.token_length(body), body) < current:
                     windows[expansion] = (dsl.token_length(body), body)
     return windows
+
+
+def reference_column_clusters(blocks: frozenset[BlockPlacement]) -> list[list[BlockPlacement]]:
+    """dsl._column_clusters by the set of occupied columns: a cluster starts at
+    each occupied column whose left neighbour is empty, and holds every block
+    whose x lies at or past that start and before the next."""
+    if not blocks:
+        return []
+    occupied: set[int] = set()
+    for block in blocks:
+        for cx, _ in block.cells():
+            occupied.add(cx)
+    breaks: set[int] = set()
+    for col in sorted(occupied):
+        if col - 1 not in occupied:
+            breaks.add(col)
+    clusters: dict[int, list[BlockPlacement]] = {b: [] for b in breaks}
+    for block in blocks:
+        start = max(b for b in breaks if b <= block.x)
+        clusters[start].append(block)
+    return [sorted(clusters[start], key=lambda b: (b.y, b.x)) for start in sorted(breaks)]
 
 
 def mdl(base_sequence: Program, library: Library) -> int:

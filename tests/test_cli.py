@@ -270,6 +270,14 @@ def test_render_all_stimuli(capsys):
     assert run_cli("render", "--stimulus", "Z") == 2
 
 
+def test_render_rejects_a_huge_stimulus_id_in_one_short_line(capsys):
+    assert run_cli("render", "--stimulus", "A" * 50_000) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stimulus: unknown id "), captured.err[:300]
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300, captured.err[:300]
+
+
 def test_render_scene_file(tmp_path, capsys):
     scene = Scene(4, 3, frozenset({BlockPlacement(1, 0, VERTICAL)}))
     path = tmp_path / "scene.json"

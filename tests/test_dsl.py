@@ -15,10 +15,12 @@ from towertalk.blockworld import (
     PlacementError,
     Scene,
     compose_scene,
+    drop_block,
 )
 from towertalk.dsl import (
     Library,
     ProgramError,
+    _column_clusters,
     canonical_program,
     count_placements,
     default_start_x,
@@ -32,7 +34,7 @@ from towertalk.dsl import (
 )
 from towertalk.pragmatics import lenient_run
 
-from oracles import EMPTY_LIBRARY, execute_nested, make_fragment
+from oracles import EMPTY_LIBRARY, execute_nested, make_fragment, reference_column_clusters
 
 
 def reference_expand(program, library):
@@ -178,6 +180,23 @@ def test_lenient_run_matches_execute_where_execute_succeeds(run):
     cells = [cell for block in placed for cell in block.cells()]
     assert heights == tuple(max([y + 1 for x, y in cells if x == col], default=0)
                             for col in range(GRID_WIDTH))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=GRID_WIDTH - 1),
+                         st.sampled_from([HORIZONTAL, VERTICAL])), max_size=24))
+@settings(max_examples=300)
+def test_column_clusters_match_the_occupied_column_reference(drops):
+    """Blocks dropped under gravity onto the 14x8 grid, the drops that do not
+    fit skipped, split into the same clusters as the reference."""
+    heights, blocks = (0,) * GRID_WIDTH, set()
+    for column, orientation in drops:
+        try:
+            heights, block = drop_block(heights, orientation, column)
+        except PlacementError:
+            continue
+        blocks.add(block)
+    blocks = frozenset(blocks)
+    assert _column_clusters(blocks) == reference_column_clusters(blocks)
 
 
 def test_inline_identity_on_base_program():

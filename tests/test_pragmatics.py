@@ -128,15 +128,6 @@ def test_update_belief_uninformative_observation_is_noop(two_fragment_library):
     assert updated.components == belief.components
 
 
-def test_update_belief_fixed_word_is_noop(two_fragment_library):
-    belief = uniform_two_chunk_belief()
-    updated, anomaly = update_belief(
-        belief, "v", [BlockPlacement(0, 0, VERTICAL)], two_fragment_library,
-        heights=EMPTY, hand=0)
-    assert updated is belief
-    assert not anomaly
-
-
 def test_update_belief_resets_on_contradiction(two_fragment_library):
     belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
     belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
@@ -317,13 +308,6 @@ def test_builder_interpret_respects_taken_bindings(two_fragment_library):
     assert bindings == {"chunkA": "chunk2", "chunkB": "chunk1"}
 
 
-def test_builder_interpret_raises_without_free_fragment():
-    lib = Library()
-    lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
-    with pytest.raises(RuntimeError):
-        builder_interpret("chunkB", {"chunkA": "chunk1"}, lib, random.Random(0))
-
-
 def test_builder_interpret_expands_chunk_words(two_fragment_library):
     bindings = {"chunkA": "chunk1"}
     tokens = builder_interpret("chunkA", bindings, two_fragment_library, random.Random(0))
@@ -432,8 +416,7 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     assert len(split.components) >= 2
     assert any(sum(_component_marginal(c, word, token) > 0 for c in split.components) >= 2
                for word in split.words for token in split.fragments)
-    # `certain` gives chunk2 no word with mass, so the candidates that use it drop.
-    cases = [(lib, certain), (lib, uniform), (lib, informed), (lib, reset), (split_lib, split)]
+    cases = [(lib, uniform), (lib, informed), (lib, reset), (split_lib, split)]
     for library, belief in cases:
         for token in library.ids():
             (word,) = best_utterance((token,), belief)
@@ -443,9 +426,6 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
         for library, belief in cases:
             for _ in range(5):
                 _assert_choice_matches_oracle(base, library, belief, cfg, rng)
-    for choose in (architect_choose, uncached_architect_choose):
-        with pytest.raises(ValueError, match="no synthetic words"):
-            choose(base, lib, initial_belief(), CHOICE_CONFIGS[0], random.Random(0))
 
 
 def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
@@ -454,6 +434,9 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
     anomaly_seen = [False]
 
     def checked_choose(base, library, belief, cfg, rng):
+        # The belief covers the library, so every chunk has a word to say it.
+        assert belief.fragments == tuple(sorted(library.ids()))
+        assert len(belief.words) == len(library.fragments)
         program, utterance = _assert_choice_matches_oracle(base, library, belief, cfg, rng)
         seen["choices"] += 1
         seen["after an anomaly"] += anomaly_seen[0]
@@ -501,6 +484,11 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
     seen = Counter()
 
     def checked_update(belief, word, observed, library, *, heights, hand):
+        # A base word tells the belief nothing, so only chunk words are conditioned on;
+        # each lexicon binds the word, and no pool is left with a single word.
+        assert not is_base_token(word)
+        assert all(word in dict(c.known) or any(word in words for words, _ in c.pools)
+                   for c in belief.components)
         expected, expected_anomaly = enumerated_update(belief, word, observed, library,
                                                        heights, hand)
         posterior, anomaly = update_belief(belief, word, observed, library,
@@ -508,8 +496,8 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
         assert anomaly == expected_anomaly
         assert_same_distribution(lexicon_distribution(posterior), expected)
         assert_disjoint_with_shannon_entropy(posterior)
+        assert all(len(words) >= 2 for c in posterior.components for words, _ in c.pools)
         seen["updates"] += 1
-        seen["chunk words"] += not is_base_token(word)
         seen["informative"] += len(expected) < len(lexicon_distribution(belief))
         seen["anomalies"] += anomaly
         return posterior, anomaly
@@ -533,10 +521,9 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
                                                      iterations=2, master_seed=master_seed)]
     assert len(traces) == 2 * 9 * 4 * 2
     assert seen["extensions"] == len(traces) * simulation.TRIALS_PER_SEQUENCE
-    # A base word tells the belief nothing, so only chunk words are conditioned on.
-    assert seen["updates"] == seen["chunk words"] == sum(
+    assert seen["updates"] == sum(
         not is_base_token(word) for t in traces for r in t.records for word in r.utterance)
-    assert min(seen["chunk words"], seen["informative"], seen["anomalies"],
+    assert min(seen["updates"], seen["informative"], seen["anomalies"],
                seen["words added"]) > 0, seen
 
 
