@@ -119,9 +119,11 @@ def _write_outputs(outputs: dict[str, Iterable[str]]) -> None:
 
 
 def _check_out_file(path: str) -> None:
-    """Fail before any compute if `path` has no directory to be written in, or
-    is a directory, with an error that names `path` rather than a file beside
-    it. A symlink to a directory is a file: writing replaces the link."""
+    """Fail before any compute if `path` is empty, has no directory to be
+    written in, or is a directory, with an error that names `path` rather than
+    a file beside it. A symlink to a directory is a file: writing replaces the link."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "an empty path names no file", path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, "no directory to write it in", path)
     if os.path.isdir(path) and not os.path.islink(path):
@@ -323,6 +325,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _typed(value: object, kinds, what: str, name: str):
+    """A field that narrate prints, if it is of `kinds`; a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{name}: expected {what}, got {reprlib.repr(value)}")
+    return value
+
+
 def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = True,
             where: str = "trace") -> str:
     """The story of one entry of a traces file's "traces" list, read as strictly
@@ -344,10 +353,14 @@ def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = Tr
                 raise ValueError(f"{field}.{side}: no tower with id {reprlib.repr(tower)}")
         block = strict_int(entry["repetition_block"], f"{field}.repetition_block")
         tokens = strict_int(entry["tokens_sent"], f"{field}.tokens_sent")
+        f1 = _typed(entry["f1"], (int, float), "a number", f"{field}.f1")
+        program = _typed(entry["program"], str, "a string", f"{field}.program")
+        utterance = _typed(entry["utterance"], list, "a list", f"{field}.utterance")
+        words = [_typed(w, str, "a string", f"{field}.utterance[{i}]") for i, w in enumerate(utterance)]
         lines += [f"trial {number:>2} (block {block}, {'+'.join(ids)})  "
-                  f"F1={entry['f1']:.3f}  tokens={tokens}",
-                  f"   program:   {entry['program']}",
-                  f"   utterance: {' '.join(entry['utterance'])}"]
+                  f"F1={f1:.3f}  tokens={tokens}",
+                  f"   program:   {program}",
+                  f"   utterance: {' '.join(words)}"]
         for j, snap in enumerate(entry["library"]):
             if strict_int(snap["adopted_trial"], f"{field}.library[{j}].adopted_trial") == number:
                 lines.append(f"   + learned {snap['id']} [{snap['level']}] {snap['body']}")

@@ -12,9 +12,10 @@ Both agents act on the library the belief was extended by: the belief's
 fragments are the library's ids. So every lexicon gives each chunk one word,
 and a word heard for the first time always finds a fragment no word has claimed.
 
-The set is stored in factored form: each component fixes some bindings and
-holds every bijection of one or more unresolved word/fragment pools. The
-components are disjoint, and the full permutation space is never materialized.
+The set is stored in factored form, as disjoint components. A component is a
+sorted tuple of (words, fragments) pools and holds every lexicon that binds
+each pool's words one to one to its fragments; a known binding is a pool of
+one word. The full permutation space is never materialized.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import dsl
 from .blockworld import (
@@ -72,69 +73,40 @@ def synthetic_word(index: int) -> str:
 # ---------------------------------------------------------------------------
 # Belief over lexicons
 
-class BeliefComponent(NamedTuple):
-    """The lexicons that keep fixed bindings and biject each independent pool."""
-
-    known: tuple[tuple[str, str], ...]
-    pools: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-
-    def hypothesis_count(self) -> int:
-        count = 1
-        for words, _ in self.pools:
-            count *= math.factorial(len(words))
-        return count
+# A sorted tuple of disjoint (words, fragments) pools: the lexicons that bind
+# each pool's words one to one to its fragments.
+Component = tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
 class BeliefState(NamedTuple):
     """The word-to-fragment bijections the Architect has not ruled out."""
 
-    components: tuple[BeliefComponent, ...]
-    words: tuple[str, ...]
-    fragments: tuple[str, ...]
+    components: tuple[Component, ...]
 
 
 def initial_belief() -> BeliefState:
-    return BeliefState((BeliefComponent((), ()),), (), ())
+    return BeliefState(((),))
 
 
-def _normalized(comp: BeliefComponent) -> BeliefComponent:
-    """Collapse singleton pools into fixed bindings."""
-    known = dict(comp.known)
-    pools = []
-    for words, frags in comp.pools:
-        if len(words) == 1:
-            known[words[0]] = frags[0]
-        else:
-            pools.append((words, frags))
-    return BeliefComponent(tuple(sorted(known.items())), tuple(sorted(pools)))
+def hypothesis_count(component: Component) -> int:
+    """The number of lexicons in a component: the bijections of each pool, multiplied."""
+    return math.prod(math.factorial(len(words)) for words, _ in component)
 
 
-def _merge_components(components: Iterable[BeliefComponent]) -> tuple[BeliefComponent, ...]:
-    # Components are disjoint sets of lexicons, so no two of them are equal.
-    return tuple(sorted(_normalized(c) for c in components))
+def extend_hypotheses(belief: BeliefState, library: Library) -> BeliefState:
+    """Extend the belief to cover the library.
 
-
-def extend_hypotheses(belief: BeliefState, words: Sequence[str],
-                      fragments: Sequence[str]) -> BeliefState:
-    """Grow the hypothesis space by a new word for each new fragment of the library.
-
-    Every existing lexicon extends with every bijection between the new words
-    and the new fragments.
+    Each fragment past those the belief covers gets the next synthetic word,
+    and every existing lexicon extends with every bijection between the new
+    words and the new fragments.
     """
-    if not words:
+    covered = sum(len(words) for words, _ in belief.components[0])
+    new_frags = library.ids()[covered:]
+    if not new_frags:
         return belief
-    new_words = tuple(sorted(words))
-    new_frags = tuple(sorted(fragments))
-    pool = (new_words, new_frags)
-    components = tuple(
-        BeliefComponent(c.known, tuple(sorted(c.pools + (pool,))))
-        for c in belief.components
-    )
-    return BeliefState(
-        _merge_components(components),
-        tuple(sorted(belief.words + new_words)),
-        tuple(sorted(belief.fragments + new_frags)),
-    )
+    pool = (tuple(sorted(synthetic_word(covered + k) for k in range(len(new_frags)))),
+            tuple(sorted(new_frags)))
+    return BeliefState(tuple(sorted(tuple(sorted(c + (pool,))) for c in belief.components)))
 
 
 def update_belief(belief: BeliefState, word: str,
@@ -144,44 +116,37 @@ def update_belief(belief: BeliefState, word: str,
 
     A lexicon survives iff running its fragment for the word from the
     Builder's pre-step column heights and hand reproduces exactly the observed
-    placements. `word` is a synthetic word of the belief. Returns (new belief,
-    anomaly flag); if every lexicon is ruled out, the belief resets to every
-    bijection and the anomaly flag is set.
+    placements. `word` is a synthetic word of the belief, which covers
+    `library`. Returns (new belief, anomaly flag); if every lexicon is ruled
+    out, the belief resets to every bijection and the anomaly flag is set.
     """
     observed = tuple(observed)
 
     def consistent(frag_id: str) -> bool:
         return lenient_run(library.resolve(frag_id).expansion, heights, hand)[2] == observed
 
-    updated: list[BeliefComponent] = []
+    updated: list[Component] = []
     for comp in belief.components:
-        known = dict(comp.known)
-        if word in known:
-            if consistent(known[word]):
-                updated.append(comp)
-            continue
-        pool_index = next(i for i, (words, _) in enumerate(comp.pools) if word in words)
-        words, frags = comp.pools[pool_index]
+        index = next(i for i, (words, _) in enumerate(comp) if word in words)
+        words, frags = comp[index]
         allowed = [f for f in frags if consistent(f)]
         if len(allowed) == len(frags):
             # Uninformative for this component; leave it unsplit.
             updated.append(comp)
             continue
-        # A normalized pool holds two or more words, so some are left.
-        rest_words = tuple(w for w in words if w != word)
+        # A one-word pool is kept or dropped whole, so a split pool leaves words.
+        others = comp[:index] + comp[index + 1:]
         for frag in allowed:
-            pools = list(comp.pools)
-            pools[pool_index] = (rest_words, tuple(f for f in frags if f != frag))
-            updated.append(BeliefComponent(
-                tuple(sorted(comp.known + ((word, frag),))), tuple(sorted(pools))))
+            rest = (tuple(w for w in words if w != word), tuple(f for f in frags if f != frag))
+            updated.append(tuple(sorted(others + (((word,), (frag,)), rest))))
     if not updated:
-        return extend_hypotheses(initial_belief(), belief.words, belief.fragments), True
-    return BeliefState(_merge_components(updated), belief.words, belief.fragments), False
+        return extend_hypotheses(initial_belief(), library), True
+    return BeliefState(tuple(sorted(updated))), False
 
 
 def belief_entropy(belief: BeliefState) -> float:
     """Shannon entropy (bits) of the belief, which is uniform over its lexicons."""
-    return math.log2(sum(c.hypothesis_count() for c in belief.components))
+    return math.log2(sum(hypothesis_count(c) for c in belief.components))
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +179,14 @@ def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
     """The word with the highest marginal listener probability for a chunk
     token (ties to the smallest), and that probability: the number of lexicons
     that bind the word to the token over the total. One pass over the
-    components counts them: a known binding to the token counts each of the
-    component's n lexicons, and a pool whose fragments hold the token counts
-    n // pool size for each of its words."""
+    components counts them: a pool whose fragments hold the token counts
+    n // pool size of its component's n lexicons for each of its words."""
     counts: dict[str, int] = {}
     total = 0
     for comp in belief.components:
-        n = comp.hypothesis_count()
+        n = hypothesis_count(comp)
         total += n
-        for word, frag in comp.known:
-            if frag == token:
-                counts[word] = counts.get(word, 0) + n
-        for words, frags in comp.pools:
+        for words, frags in comp:
             if token in frags:
                 for word in words:
                     counts[word] = counts.get(word, 0) + n // len(frags)

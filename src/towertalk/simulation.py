@@ -44,7 +44,6 @@ from .pragmatics import (
     extend_hypotheses,
     initial_belief,
     lenient_run,
-    synthetic_word,
     update_belief,
 )
 
@@ -233,7 +232,6 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
     library = Library()
     belief = initial_belief()
     bindings: dict[str, str] = {}  # the Builder's word-to-fragment bindings
-    snapshots: list[FragmentSnapshot] = []
     records: list[TrialRecord] = []
 
     for trial in learned:
@@ -258,9 +256,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         trial_f1 = f1_score(trial.target, Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(built)))
 
         library = trial.library
-        words = [synthetic_word(len(snapshots) + k) for k in range(len(trial.adopted))]
-        belief = extend_hypotheses(belief, words, [snapshot.id for snapshot in trial.adopted])
-        snapshots.extend(trial.adopted)
+        belief = extend_hypotheses(belief, library)
 
         records.append(TrialRecord(
             program=program,
@@ -280,7 +276,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         iteration=iteration,
         dyad_seed=dyad_seed,
         records=tuple(records),
-        final_library=tuple(snapshots),
+        final_library=tuple(snapshot for trial in learned for snapshot in trial.adopted),
     )
 
 

@@ -27,7 +27,8 @@ from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlaceme
                                   PlacementError, Scene, TowerStimulus, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
-from towertalk.pragmatics import BeliefComponent, BeliefState, PragmaticsConfig, candidate_programs
+from towertalk.pragmatics import (BeliefState, Component, PragmaticsConfig, candidate_programs,
+                                  hypothesis_count, synthetic_word)
 from towertalk.simulation import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS,
                                   TRIALS_PER_SEQUENCE, DyadTrace, FragmentSnapshot, TrialRecord,
                                   jsd, sequence_to_dict, snapshot_level_proportions,
@@ -141,15 +142,15 @@ def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConf
 def enumerate_hypotheses(belief: BeliefState,
                          limit: int = 50000) -> list[tuple[dict[str, str], float]]:
     """Materialize (lexicon, probability) pairs; refuses absurdly large spaces.
-    A component weighs hypothesis_count() / total, split evenly over its lexicons,
+    A component weighs hypothesis_count(component) / total, split evenly over its lexicons,
     so each lexicon weighs 1 / total."""
-    total = sum(c.hypothesis_count() for c in belief.components)
+    total = sum(hypothesis_count(c) for c in belief.components)
     if total > limit:
         raise RuntimeError("hypothesis space too large to enumerate")
     out: list[tuple[dict[str, str], float]] = []
     for comp in belief.components:
-        partials: list[dict[str, str]] = [dict(comp.known)]
-        for words, frags in comp.pools:
+        partials: list[dict[str, str]] = [{}]
+        for words, frags in comp:
             extended: list[dict[str, str]] = []
             for assignment in permutations(frags, len(words)):
                 for partial in partials:
@@ -159,6 +160,14 @@ def enumerate_hypotheses(belief: BeliefState,
             partials = extended
         out.extend((lex, 1.0 / total) for lex in partials)
     return out
+
+
+def belief_cover(belief: BeliefState) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The words and the fragments the belief covers, each sorted: those of the
+    pools of its first component, which every component shares."""
+    words = sorted(word for pool_words, _ in belief.components[0] for word in pool_words)
+    frags = sorted(frag for _, pool_frags in belief.components[0] for frag in pool_frags)
+    return tuple(words), tuple(frags)
 
 
 def lexicon_distribution(belief: BeliefState) -> dict[frozenset, float]:
@@ -186,17 +195,21 @@ def enumerated_update(belief: BeliefState, word: str, observed: Sequence[BlockPl
             if uncached_lenient_run(library.resolve(dict(lexicon)[word]).expansion,
                                     heights, hand)[2] == observed}
     if not kept:
-        bijections = [frozenset(zip(belief.words, assignment))
-                      for assignment in permutations(belief.fragments)]
+        words, fragments = belief_cover(belief)
+        bijections = [frozenset(zip(words, assignment)) for assignment in permutations(fragments)]
         return {lexicon: 1.0 / len(bijections) for lexicon in bijections}, True
     total = sum(kept.values())
     return {lexicon: probability / total for lexicon, probability in kept.items()}, False
 
 
-def enumerated_extension(belief: BeliefState, words: Sequence[str],
-                         fragments: Sequence[str]) -> dict[frozenset, float]:
-    """extend_hypotheses by explicit enumeration: each lexicon's mass split evenly
-    over its extensions by every bijection of the new words and fragments."""
+def enumerated_extension(belief: BeliefState, library: Library) -> dict[frozenset, float]:
+    """extend_hypotheses by explicit enumeration: the library's fragments that the
+    belief does not cover get the synthetic words after those it does, and each
+    lexicon's mass is split evenly over its extensions by every bijection of the
+    new words and fragments."""
+    covered_words, covered_frags = belief_cover(belief)
+    fragments = [f for f in library.ids() if f not in covered_frags]
+    words = [synthetic_word(len(covered_words) + k) for k in range(len(fragments))]
     extensions = list(permutations(fragments))
     extended: dict[frozenset, float] = {}
     for lexicon, probability in lexicon_distribution(belief).items():
@@ -208,8 +221,8 @@ def enumerated_extension(belief: BeliefState, words: Sequence[str],
 
 def point_mass_lexicon(belief: BeliefState) -> dict[str, str] | None:
     """The single certain lexicon, if belief has collapsed; otherwise None."""
-    if len(belief.components) == 1 and not belief.components[0].pools:
-        return dict(belief.components[0].known)
+    if len(belief.components) == 1 and all(len(words) == 1 for words, _ in belief.components[0]):
+        return {words[0]: frags[0] for words, frags in belief.components[0]}
     return None
 
 
@@ -219,11 +232,8 @@ def first_adoption_trial(snapshots: Sequence[FragmentSnapshot], level: str) -> i
     return min(trials) if trials else None
 
 
-def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
-    for bound_word, bound_frag in comp.known:
-        if bound_word == word:
-            return 1.0 if bound_frag == target else 0.0
-    for words, frags in comp.pools:
+def _component_marginal(comp: Component, word: str, target: str) -> float:
+    for words, frags in comp:
         if word in words:
             return 1.0 / len(frags) if target in frags else 0.0
     return 0.0
@@ -232,11 +242,11 @@ def _component_marginal(comp: BeliefComponent, word: str, target: str) -> float:
 def marginal_listener(target: Token, word: str, belief: BeliefState) -> float:
     """Expected success of a literal listener (a word means exactly the primitive
     its lexicon binds it to), marginalizing over lexicon hypotheses; a component
-    weighs hypothesis_count() / total."""
+    weighs hypothesis_count(component) / total."""
     if dsl.is_base_token(word):
         return 1.0 if word == target else 0.0
-    total = sum(c.hypothesis_count() for c in belief.components)
-    return sum(c.hypothesis_count() / total * _component_marginal(c, word, target)
+    total = sum(hypothesis_count(c) for c in belief.components)
+    return sum(hypothesis_count(c) / total * _component_marginal(c, word, target)
                for c in belief.components)
 
 
@@ -244,15 +254,16 @@ def best_utterance(program: Program, belief: BeliefState) -> tuple[str, ...]:
     """One word per token step: fixed surfaces for base tokens, else the word
     with the highest marginal listener probability (ties to the smallest)."""
     words: list[str] = []
+    covered_words = belief_cover(belief)[0]
     for token in program:
         if dsl.is_base_token(token):
             words.append(token)
             continue
-        if not belief.words:
+        if not covered_words:
             raise ValueError(f"no synthetic words available for {token!r}")
-        best_word = belief.words[0]
+        best_word = covered_words[0]
         best_prob = -1.0
-        for word in sorted(belief.words):
+        for word in covered_words:
             prob = marginal_listener(token, word, belief)
             if prob > best_prob:
                 best_prob = prob

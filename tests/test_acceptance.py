@@ -240,8 +240,7 @@ def test_criterion_6_belief_convergence():
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
     lib = lib.with_fragment(make_fragment("chunk2", ("h", "r2", "h"), lib))
-    belief = extend_hypotheses(initial_belief(),
-                               ["chunkA", "chunkB"], ["chunk1", "chunk2"])
+    belief = extend_hypotheses(initial_belief(), lib)
     bindings = {}
     heights, hand = (0,) * GRID_WIDTH, 0
     rng = random.Random(5)

@@ -445,6 +445,27 @@ def test_out_path_that_is_a_directory_fails_before_compute(tmp_path, capsys, mon
     assert ".old" not in err, err
 
 
+@pytest.mark.parametrize("command", ["gen-seq", "learn"])
+def test_empty_out_path_fails_before_compute(tmp_path, capsys, monkeypatch, command):
+    """An empty --out exits 3 before any compute, names the empty path rather
+    than a temporary file beside it, and leaves every file as it was."""
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    argv = {"gen-seq": ["gen-seq", "--count", "1", "--out", ""],
+            "learn": ["learn", "--sequences", str(sequences), "--w", "1.5", "--out", ""]}[command]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed outputs that have nowhere to go")
+    for compute in ("generate_sequences", "library_trajectory"):
+        monkeypatch.setattr(simulation, compute, must_not_run)
+    monkeypatch.chdir(tmp_path)  # where a temporary file beside "" would go
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert _tree(tmp_path) == before
+    assert capsys.readouterr().err == "i/o error: [Errno 2] an empty path names no file: ''\n"
+
+
 def test_simulate_and_learn_reject_nan(tmp_path):
     out_dir = tmp_path / "out"
     for flag in ("--w", "--alpha"):
@@ -714,6 +735,32 @@ def test_render_rejects_a_bad_tower_id_in_a_trace(tmp_path, capsys, malform):
     assert captured.err.startswith(f"error: {trace_file}: "), captured.err[:300]
     assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300, captured.err[:300]
     assert "traces[0].trials[0].left: " in captured.err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("utterance", "abc", "utterance: expected a list"),
+    ("utterance", ["v", 1], "utterance[1]: expected a string"),
+    ("program", 5, "program: expected a string"),
+    ("f1", True, "f1: expected a number"),
+], ids=["string-utterance", "number-word", "number-program", "bool-f1"])
+def test_render_rejects_a_printed_field_of_the_wrong_type(tmp_path, capsys, field, value, named):
+    """A field that the narrator prints is read as strictly as any other: a
+    string utterance is not printed letter by letter, nor a bool F1 as 1.000."""
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    data = json.loads((out_dir / "traces.json").read_text())
+    data["traces"][0]["trials"][0][field] = value
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    for trial in ([], ["--trial", "1"]):
+        assert run_cli("render", "--trace", str(trace_file), *trial) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {trace_file}: TypeError: traces[0].trials[0].{named}, got "), \
+            captured.err
 
 
 def test_render_rejects_fractional_scene_numbers(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
-from towertalk.blockworld import GRID_WIDTH, VERTICAL, BlockPlacement
+from towertalk.blockworld import GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement, TowerStimulus
 from towertalk.cli import DEFAULT_ALPHA
 from towertalk.dsl import Library, is_base_token, token_length
 from towertalk.pragmatics import (
@@ -28,7 +28,7 @@ from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene, stimulus_towers
 from towertalk.library_learning import LearningConfig
 
-from oracles import (_component_marginal, best_utterance, enumerate_hypotheses,
+from oracles import (_component_marginal, belief_cover, best_utterance, enumerate_hypotheses,
                      enumerated_extension, enumerated_update, joint_utility,
                      lexicon_distribution, make_fragment, marginal_listener,
                      point_mass_lexicon, uncached_architect_choose, uncached_lenient_run)
@@ -37,9 +37,13 @@ from oracles import (_component_marginal, best_utterance, enumerate_hypotheses,
 EMPTY = (0,) * GRID_WIDTH
 
 
-def uniform_two_chunk_belief():
+def bound_one_by_one(library):
+    """The belief extended by the library one fragment at a time, so it is
+    certain of every binding: chunkA to the first fragment, chunkB to the next, ..."""
     belief = initial_belief()
-    return extend_hypotheses(belief, ["chunkA", "chunkB"], ["chunk1", "chunk2"])
+    for n in range(1, len(library.fragments) + 1):
+        belief = extend_hypotheses(belief, Library(library.fragments[:n]))
+    return belief
 
 
 def test_synthetic_word_names():
@@ -50,50 +54,49 @@ def test_synthetic_word_names():
     assert names[27] == "chunkAB"
 
 
-def test_literal_listener_fixed_words():
+def test_literal_listener_fixed_words(two_fragment_library):
     # Base-token words mean themselves under every belief.
-    for belief in (initial_belief(), uniform_two_chunk_belief()):
+    for belief in (initial_belief(), extend_hypotheses(initial_belief(), two_fragment_library)):
         assert marginal_listener("h", "h", belief) == 1.0
         assert marginal_listener("v", "h", belief) == 0.0
         assert marginal_listener("l3", "l3", belief) == 1.0
 
 
-def test_literal_listener_synthetic_words():
+def test_literal_listener_synthetic_words(two_fragment_library):
     # A belief certain of one lexicon is that lexicon's literal listener.
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    belief = extend_hypotheses(initial_belief(), Library(two_fragment_library.fragments[:1]))
     assert point_mass_lexicon(belief) == {"chunkA": "chunk1"}
     assert marginal_listener("chunk1", "chunkA", belief) == 1.0
     assert marginal_listener("chunk2", "chunkA", belief) == 0.0
     assert marginal_listener("chunk1", "chunkZ", belief) == 0.0
 
 
-def test_marginal_listener_uniform_two_chunks():
-    belief = uniform_two_chunk_belief()
+def test_marginal_listener_uniform_two_chunks(two_fragment_library):
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     assert marginal_listener("chunk1", "chunkA", belief) == pytest.approx(0.5)
     assert marginal_listener("chunk2", "chunkA", belief) == pytest.approx(0.5)
 
 
-def test_marginal_listener_fixed_words_ignore_belief():
-    belief = uniform_two_chunk_belief()
+def test_marginal_listener_fixed_words_ignore_belief(two_fragment_library):
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     assert marginal_listener("h", "h", belief) == 1.0
     assert marginal_listener("v", "h", belief) == 0.0
 
 
-def test_extend_first_chunk_is_certain():
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+def test_extend_first_chunk_is_certain(two_fragment_library):
+    belief = extend_hypotheses(initial_belief(), Library(two_fragment_library.fragments[:1]))
     assert marginal_listener("chunk1", "chunkA", belief) == 1.0
     assert point_mass_lexicon(belief) == {"chunkA": "chunk1"}
 
 
 def test_extend_known_plus_new_forces_binding(two_fragment_library):
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
-    belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
+    belief = bound_one_by_one(two_fragment_library)
     assert marginal_listener("chunk2", "chunkB", belief) == 1.0
     assert marginal_listener("chunk1", "chunkB", belief) == 0.0
 
 
-def test_extend_two_at_once_splits_mass():
-    belief = uniform_two_chunk_belief()
+def test_extend_two_at_once_splits_mass(two_fragment_library):
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     hypotheses = enumerate_hypotheses(belief)
     assert len(hypotheses) == 2
     assert all(p == pytest.approx(0.5) for _, p in hypotheses)
@@ -102,14 +105,14 @@ def test_extend_two_at_once_splits_mass():
     assert {"chunkA": "chunk2", "chunkB": "chunk1"} in lexicons
 
 
-def test_support_and_probs_properties():
-    hypotheses = enumerate_hypotheses(uniform_two_chunk_belief())
+def test_support_and_probs_properties(two_fragment_library):
+    hypotheses = enumerate_hypotheses(extend_hypotheses(initial_belief(), two_fragment_library))
     assert len([lex for lex, _ in hypotheses]) == 2
     assert sum(p for _, p in hypotheses) == pytest.approx(1.0)
 
 
 def test_update_belief_collapses_on_disambiguating_observation(two_fragment_library):
-    belief = uniform_two_chunk_belief()
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     _, _, placed = lenient_run(("v", "v"), EMPTY, 0)  # chunk1's behavior
     updated, anomaly = update_belief(
         belief, "chunkA", placed, two_fragment_library, heights=EMPTY, hand=0)
@@ -117,11 +120,11 @@ def test_update_belief_collapses_on_disambiguating_observation(two_fragment_libr
     assert point_mass_lexicon(updated) == {"chunkA": "chunk1", "chunkB": "chunk2"}
 
 
-def test_update_belief_uninformative_observation_is_noop(two_fragment_library):
+def test_update_belief_uninformative_observation_is_noop():
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
     lib = lib.with_fragment(make_fragment("chunk2", ("v", "v", "l1"), lib))
-    belief = uniform_two_chunk_belief()
+    belief = extend_hypotheses(initial_belief(), lib)
     _, _, placed = lenient_run(("v", "v"), EMPTY, 0)
     updated, anomaly = update_belief(belief, "chunkA", placed, lib, heights=EMPTY, hand=0)
     assert not anomaly
@@ -129,8 +132,7 @@ def test_update_belief_uninformative_observation_is_noop(two_fragment_library):
 
 
 def test_update_belief_resets_on_contradiction(two_fragment_library):
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
-    belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
+    belief = bound_one_by_one(two_fragment_library)
     _, _, chunk2_placed = lenient_run(("h", "r2", "h"), EMPTY, 0)
     # chunkA is certainly chunk1, but the builder produced chunk2's blocks
     updated, anomaly = update_belief(
@@ -141,7 +143,7 @@ def test_update_belief_resets_on_contradiction(two_fragment_library):
 
 
 def test_belief_entropy_decreases_under_updates(two_fragment_library):
-    belief = uniform_two_chunk_belief()
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     before = belief_entropy(belief)
     _, _, placed = lenient_run(("v", "v"), EMPTY, 0)
     updated, _ = update_belief(belief, "chunkA", placed, two_fragment_library,
@@ -190,8 +192,8 @@ def test_joint_utility_base_program_is_pure_length_cost(towers_by_id):
         -0.3 * token_length(program))
 
 
-def test_joint_utility_beta_zero_prefers_unambiguous():
-    belief = uniform_two_chunk_belief()
+def test_joint_utility_beta_zero_prefers_unambiguous(two_fragment_library):
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     cfg = PragmaticsConfig(alpha=5.0, beta=0.0)
     base = ("v", "v", "h", "r2", "h")
     chunked = ("chunk1", "chunk2")
@@ -201,8 +203,8 @@ def test_joint_utility_beta_zero_prefers_unambiguous():
     assert chunk_u < base_u
 
 
-def test_joint_utility_beta_one_is_negative_length():
-    belief = uniform_two_chunk_belief()
+def test_joint_utility_beta_one_is_negative_length(two_fragment_library):
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     cfg = PragmaticsConfig(alpha=5.0, beta=1.0)
     program = ("chunk1", "chunk2")
     utterance = best_utterance(program, belief)
@@ -215,11 +217,10 @@ def test_joint_utility_misaligned_lengths_raises():
         joint_utility(("v", "v"), ("v",), initial_belief(), cfg)
 
 
-def test_joint_utility_minus_infinity_on_zero_marginal():
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+def test_joint_utility_minus_infinity_on_zero_marginal(two_fragment_library):
+    belief = bound_one_by_one(two_fragment_library)
     cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
     # chunkA certainly means chunk1, so it cannot convey chunk2
-    belief = extend_hypotheses(belief, ["chunkB"], ["chunk2"])
     utility = joint_utility(("chunk2",), ("chunkA",), belief, cfg)
     assert utility == -math.inf
 
@@ -229,7 +230,7 @@ def test_architect_choose_argmax_at_infinite_alpha(towers_by_id):
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    belief = extend_hypotheses(initial_belief(), lib)
     cfg = PragmaticsConfig(alpha=math.inf, beta=0.8)
     program, utterance = architect_choose(canonical_program(scene), lib, belief, cfg,
                                           random.Random(0))
@@ -242,7 +243,7 @@ def test_architect_choose_uniform_at_zero_alpha(towers_by_id):
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    belief = extend_hypotheses(initial_belief(), lib)
     cfg = PragmaticsConfig(alpha=0.0, beta=0.8)
     rng = random.Random(0)
     counts = Counter(architect_choose(canonical_program(scene), lib, belief, cfg, rng)[0]
@@ -256,7 +257,7 @@ def test_architect_choice_distribution_is_softmax(towers_by_id):
     scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
+    belief = extend_hypotheses(initial_belief(), lib)
     cfg = PragmaticsConfig(alpha=1.0, beta=0.5)
     base = canonical_program(scene)
     utilities = {
@@ -393,8 +394,8 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     tower_a = lib
     lib = lib.with_fragment(make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
     lib = lib.with_fragment(make_fragment("chunk3", ("v", "r1", "h"), lib))
-    certain = extend_hypotheses(initial_belief(), ["chunkA"], ["chunk1"])
-    uniform = extend_hypotheses(certain, ["chunkB", "chunkC"], ["chunk2", "chunk3"])
+    certain = extend_hypotheses(initial_belief(), tower_a)
+    uniform = extend_hypotheses(certain, lib)
     _, _, chunk3_placed = lenient_run(("v", "r1", "h"), EMPTY, 0)
     informed, anomaly = update_belief(uniform, "chunkB", chunk3_placed, lib,
                                       heights=EMPTY, hand=0)
@@ -408,14 +409,13 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
     split_lib = tower_a.with_fragment(make_fragment("chunk2", ("v", "r1"), tower_a))
     split_lib = split_lib.with_fragment(make_fragment("chunk3", ("v", "r2"), split_lib))
     _, _, one_block = lenient_run(("v", "r1"), EMPTY, 0)
-    split, anomaly = update_belief(
-        extend_hypotheses(initial_belief(),
-                          ["chunkA", "chunkB", "chunkC"], ["chunk1", "chunk2", "chunk3"]),
-        "chunkA", one_block, split_lib, heights=EMPTY, hand=0)
+    split, anomaly = update_belief(extend_hypotheses(initial_belief(), split_lib), "chunkA",
+                                   one_block, split_lib, heights=EMPTY, hand=0)
     assert not anomaly
     assert len(split.components) >= 2
+    words, fragments = belief_cover(split)
     assert any(sum(_component_marginal(c, word, token) > 0 for c in split.components) >= 2
-               for word in split.words for token in split.fragments)
+               for word in words for token in fragments)
     cases = [(lib, uniform), (lib, informed), (lib, reset), (split_lib, split)]
     for library, belief in cases:
         for token in library.ids():
@@ -428,15 +428,50 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
                 _assert_choice_matches_oracle(base, library, belief, cfg, rng)
 
 
+def _towers(*blocks):
+    """Towers A, B and C, each from (x, y, orientation) triples, "h" or "v"."""
+    orientation = {"h": HORIZONTAL, "v": VERTICAL}
+    return tuple(TowerStimulus(tower_id, frozenset(BlockPlacement(x, y, orientation[o])
+                                                   for x, y, o in tower))
+                 for tower_id, tower in zip("ABC", blocks))
+
+
+# Buildable stimulus sets, with the largest number of components that the
+# beliefs of each dyad test reach on them: (belief updates, choices). The
+# default towers keep the belief in at most two components; the other two sets,
+# found by random draws, split it further, and no belief either test reaches on
+# them holds more than 5,040 lexicons.
+DYAD_STIMULI = {
+    "default": (stimulus_towers(), (2, 1)),
+    "three-components": (_towers([(2, 0, "h"), (3, 1, "v"), (4, 0, "h"), (5, 1, "v")],
+                                 [(0, 0, "v"), (1, 0, "h"), (1, 1, "h"), (5, 0, "v")],
+                                 [(0, 0, "h"), (1, 1, "v"), (3, 0, "h"), (3, 1, "v")]), (3, 3)),
+    "four-components": (_towers([(1, 0, "h"), (3, 0, "h"), (3, 1, "v"), (3, 3, "v")],
+                                [(0, 0, "v"), (1, 0, "h"), (1, 1, "h"), (5, 0, "v")],
+                                [(0, 0, "h"), (2, 0, "v"), (4, 0, "h"), (4, 1, "v")]), (4, 4)),
+}
+
+
+def assert_covers(belief, library):
+    """The belief covers the library: in every component the pools' words are
+    exactly chunkA, chunkB, ..., one per fragment, their fragments exactly the
+    library's, and each pool has as many words as fragments."""
+    words = sorted(synthetic_word(k) for k in range(len(library.fragments)))
+    for comp in belief.components:
+        assert sorted(word for pool_words, _ in comp for word in pool_words) == words, belief
+        assert sorted(frag for _, frags in comp for frag in frags) == sorted(library.ids()), belief
+        assert all(len(pool_words) == len(frags) for pool_words, frags in comp), belief
+
+
 def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
-    """Every choice of whole dyads, on the beliefs their updates grow, resets included."""
+    """Every choice of whole dyads on each set of DYAD_STIMULI, on the beliefs
+    their updates grow, resets included."""
     seen = Counter()
     anomaly_seen = [False]
 
     def checked_choose(base, library, belief, cfg, rng):
         # The belief covers the library, so every chunk has a word to say it.
-        assert belief.fragments == tuple(sorted(library.ids()))
-        assert len(belief.words) == len(library.fragments)
+        assert_covers(belief, library)
         program, utterance = _assert_choice_matches_oracle(base, library, belief, cfg, rng)
         seen["choices"] += 1
         seen["after an anomaly"] += anomaly_seen[0]
@@ -446,19 +481,23 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
     def watched_update(*args, **kwargs):
         belief, anomaly = update_belief(*args, **kwargs)
         anomaly_seen[0] |= anomaly
+        seen["peak components"] = max(seen["peak components"], len(belief.components))
         return belief, anomaly
 
     monkeypatch.setattr(simulation, "architect_choose", checked_choose)
     monkeypatch.setattr(simulation, "update_belief", watched_update)
-    for cfg in CHOICE_CONFIGS:
-        for seed in (3, 4):
-            anomaly_seen[0] = False
-            sequence, lcfg = simulation.generate_trial_sequence(seed), LearningConfig(w=1.5)
-            simulation.run_dyad(sequence, 1.5, cfg, lcfg, random.Random(seed),
-                                simulation.library_trajectory(sequence, lcfg, stimulus_towers()))
-    assert seen["choices"] == len(CHOICE_CONFIGS) * 2 * simulation.TRIALS_PER_SEQUENCE
-    assert seen["chunked"] > 0
-    assert seen["after an anomaly"] > 0
+    for name, (stimuli, (_, peak)) in DYAD_STIMULI.items():
+        seen.clear()
+        for cfg in CHOICE_CONFIGS:
+            for seed in (3, 4):
+                anomaly_seen[0] = False
+                sequence, lcfg = simulation.generate_trial_sequence(seed), LearningConfig(w=1.5)
+                simulation.run_dyad(sequence, 1.5, cfg, lcfg, random.Random(seed),
+                                    simulation.library_trajectory(sequence, lcfg, stimuli))
+        assert seen["choices"] == len(CHOICE_CONFIGS) * 2 * simulation.TRIALS_PER_SEQUENCE, name
+        assert seen["chunked"] > 0, name
+        assert seen["after an anomaly"] > 0, name
+        assert seen["peak components"] == peak, (name, seen)
 
 
 def assert_same_distribution(actual, expected):
@@ -477,18 +516,17 @@ def assert_disjoint_with_shannon_entropy(belief):
 
 
 def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
-    """Every belief update and extension of real dyads, resets included, against
-    explicit enumeration of the lexicons: 4 sequences x the 9 grid cells x 2
-    iterations, at master seeds 0 and 7. Every belief seen, the initial one
-    included, is checked for disjoint components and for its entropy."""
+    """Every belief update and extension of real dyads on each set of
+    DYAD_STIMULI, resets included, against explicit enumeration of the
+    lexicons: 4 sequences x the 9 grid cells x 2 iterations, at master seeds 0
+    and 7. Every belief seen, the initial one included, is checked for
+    disjoint components and for its entropy."""
     seen = Counter()
 
     def checked_update(belief, word, observed, library, *, heights, hand):
-        # A base word tells the belief nothing, so only chunk words are conditioned on;
-        # each lexicon binds the word, and no pool is left with a single word.
+        # A base word tells the belief nothing, so only chunk words are conditioned on.
         assert not is_base_token(word)
-        assert all(word in dict(c.known) or any(word in words for words, _ in c.pools)
-                   for c in belief.components)
+        assert_covers(belief, library)
         expected, expected_anomaly = enumerated_update(belief, word, observed, library,
                                                        heights, hand)
         posterior, anomaly = update_belief(belief, word, observed, library,
@@ -496,42 +534,50 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
         assert anomaly == expected_anomaly
         assert_same_distribution(lexicon_distribution(posterior), expected)
         assert_disjoint_with_shannon_entropy(posterior)
-        assert all(len(words) >= 2 for c in posterior.components for words, _ in c.pools)
+        assert_covers(posterior, library)
         seen["updates"] += 1
         seen["informative"] += len(expected) < len(lexicon_distribution(belief))
         seen["anomalies"] += anomaly
+        seen["peak components"] = max(seen["peak components"], len(posterior.components))
+        seen["peak lexicons"] = max(seen["peak lexicons"], len(expected))
         return posterior, anomaly
 
-    def checked_extend(belief, words, fragments):
-        extended = extend_hypotheses(belief, words, fragments)
-        assert_same_distribution(lexicon_distribution(extended),
-                                 enumerated_extension(belief, words, fragments))
+    def checked_extend(belief, library):
+        extended = extend_hypotheses(belief, library)
+        distribution = lexicon_distribution(extended)
+        assert_same_distribution(distribution, enumerated_extension(belief, library))
         assert_disjoint_with_shannon_entropy(belief)
         assert_disjoint_with_shannon_entropy(extended)
+        assert_covers(extended, library)
         seen["extensions"] += 1
-        seen["words added"] += len(words)
+        seen["words added"] += len(belief_cover(extended)[0]) - len(belief_cover(belief)[0])
+        seen["peak lexicons"] = max(seen["peak lexicons"], len(distribution))
         return extended
 
     monkeypatch.setattr(simulation, "update_belief", checked_update)
     monkeypatch.setattr(simulation, "extend_hypotheses", checked_extend)
     configs = [(PragmaticsConfig(DEFAULT_ALPHA, beta), LearningConfig(w=w))
                for w in (1.5, 3.2, 9.6) for beta in (0.0, 0.3, 0.8)]
-    traces = [trace for master_seed in (0, 7)
-              for trace in simulation.run_experiment(configs, stimulus_towers(), n_sequences=4,
-                                                     iterations=2, master_seed=master_seed)]
-    assert len(traces) == 2 * 9 * 4 * 2
-    assert seen["extensions"] == len(traces) * simulation.TRIALS_PER_SEQUENCE
-    assert seen["updates"] == sum(
-        not is_base_token(word) for t in traces for r in t.records for word in r.utterance)
-    assert min(seen["updates"], seen["informative"], seen["anomalies"],
-               seen["words added"]) > 0, seen
+    for name, (stimuli, (peak, _)) in DYAD_STIMULI.items():
+        seen.clear()
+        traces = [trace for master_seed in (0, 7)
+                  for trace in simulation.run_experiment(configs, stimuli, n_sequences=4,
+                                                         iterations=2, master_seed=master_seed)]
+        assert len(traces) == 2 * 9 * 4 * 2
+        assert seen["extensions"] == len(traces) * simulation.TRIALS_PER_SEQUENCE, name
+        assert seen["updates"] == sum(
+            not is_base_token(word) for t in traces for r in t.records for word in r.utterance)
+        assert min(seen["updates"], seen["informative"], seen["anomalies"],
+                   seen["words added"]) > 0, (name, seen)
+        assert seen["peak components"] == peak, (name, seen)
+        assert seen["peak lexicons"] <= 5040, (name, seen)
 
 
 def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
     """After one disambiguating observation per word, the belief is a point
     mass equal to the builder's actual bindings."""
     lib = two_fragment_library
-    belief = uniform_two_chunk_belief()
+    belief = extend_hypotheses(initial_belief(), two_fragment_library)
     bindings = {}
     heights, hand = EMPTY, 0
     rng = random.Random(17)
