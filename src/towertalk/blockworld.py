@@ -9,6 +9,7 @@ Once placed, blocks never move.
 from __future__ import annotations
 
 import reprlib
+import sys
 from typing import Iterable, NamedTuple
 
 HORIZONTAL = "horizontal"
@@ -27,6 +28,10 @@ V_GLYPH = "|"
 
 class PlacementError(ValueError):
     """A block placement that the grid cannot accept."""
+
+
+class InputError(ValueError):
+    """Malformed content of an input file: the one error a reader raises for it."""
 
 
 class BlockPlacement(NamedTuple):
@@ -123,31 +128,28 @@ def stimulus_towers() -> tuple[TowerStimulus, ...]:
 
 
 def validate_stimulus(tower: TowerStimulus) -> None:
-    """Raise ValueError unless the tower has 2 vertical + 2 horizontal supported blocks."""
+    """Raise InputError unless the tower has 2 vertical + 2 horizontal supported blocks."""
     if len(tower.blocks) != 4:
-        raise ValueError(f"tower {tower.id}: expected 4 blocks, got {len(tower.blocks)}")
+        raise InputError(f"tower {tower.id}: expected 4 blocks, got {len(tower.blocks)}")
     orientations = sorted(b.orientation for b in tower.blocks)
     if orientations != [HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL]:
-        raise ValueError(f"tower {tower.id}: expected 2 vertical + 2 horizontal blocks")
-    cells: list[tuple[int, int]] = []
-    for block in tower.blocks:
-        cells.extend(block.cells())
-    if len(set(cells)) != len(cells):
-        raise ValueError(f"tower {tower.id}: blocks overlap")
+        raise InputError(f"tower {tower.id}: expected 2 vertical + 2 horizontal blocks")
+    _check_cells(tower.blocks, GRID_WIDTH, GRID_HEIGHT, f"tower {tower.id}: ")
     if not is_supported(tower.blocks):
-        raise ValueError(f"tower {tower.id}: contains an unsupported block")
+        raise InputError(f"tower {tower.id}: contains an unsupported block")
 
 
-def _check_cells(blocks: Iterable[BlockPlacement], width: int, height: int) -> None:
-    """Raise ValueError if two blocks share a cell or a cell lies outside width x height."""
+def _check_cells(blocks: Iterable[BlockPlacement], width: int, height: int, where="") -> None:
+    """Raise InputError, led by `where`, if blocks share a cell or one leaves width x height."""
     seen: set[tuple[int, int]] = set()
     for block in blocks:
-        for cx, cy in block.cells():
-            if (cx, cy) in seen:
-                raise ValueError(f"blocks overlap at cell ({cx}, {cy})")
-            if not (0 <= cx < width and 0 <= cy < height):
-                raise ValueError(f"cell ({cx}, {cy}) falls outside the {width}x{height} grid")
-            seen.add((cx, cy))
+        for cell in block.cells():
+            if cell in seen:
+                raise InputError(f"{where}blocks overlap at cell {cell}")
+            if not (0 <= cell[0] < width and 0 <= cell[1] < height):
+                raise InputError(f"{where}cell {reprlib.repr(cell)} falls outside the "
+                                 f"{width}x{height} grid")
+            seen.add(cell)
 
 
 def compose_scene(left: TowerStimulus, right: TowerStimulus) -> Scene:
@@ -184,41 +186,45 @@ def render_ascii(scene: Scene) -> str:
     return "\n".join(rows)
 
 
-def strict_int(value: object, name: str) -> int:
-    """An integer field of an input file; a bool, a string or a fractional number
-    is rejected rather than truncated. A message abbreviates a bad value with
-    reprlib, so a huge one cannot flood the error line."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name}: expected an integer, got {reprlib.repr(value)}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name}: expected an integer, got {reprlib.repr(value)}")
-    return int(value)
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+TOWER_ID = "a tower id string"
 
 
-def strict_tower_id(value: object, name: str) -> str:
-    """A tower id field of an input file; anything but a string is rejected."""
-    if not isinstance(value, str):
-        raise TypeError(f"{name}: expected a tower id string, got {reprlib.repr(value)}")
-    return value
+def field(data: object, key: str | int, kind: type, where: str = "", expected: str = ""):
+    """Field `key` of an input file's object `data`, or item `key` of its array, as a
+    `kind`: an int field takes an integral float, a float field an int, neither a bool.
+    Anything else is an InputError naming the field from `where` on, reprlib-bounded."""
+    name = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+    if not (isinstance(data, dict) and key in data if isinstance(key, str)
+            else isinstance(data, list) and 0 <= key < len(data)):
+        raise InputError(f"{name}: missing")
+    value = data[key]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name}: expected {expected or _EXPECTED[kind]}, got {reprlib.repr(value)}")
 
 
 def block_from_dict(data: dict) -> BlockPlacement:
     """Inverse of ``BlockPlacement._asdict``; rejects an unknown orientation."""
-    block = BlockPlacement(strict_int(data["x"], "x"), strict_int(data["y"], "y"),
-                           str(data["orientation"]))
+    block = BlockPlacement(field(data, "x", int), field(data, "y", int),
+                           field(data, "orientation", str))
     if block.orientation not in (HORIZONTAL, VERTICAL):
-        raise ValueError(f"unknown orientation {reprlib.repr(block.orientation)}")
+        raise InputError(f"unknown orientation {reprlib.repr(block.orientation)}")
     return block
 
 
 def scene_from_dict(data: dict) -> Scene:
     """A scene file's data as a Scene; rejects an extent outside 1x1..GRID_WIDTH x GRID_HEIGHT
     and overlapping or outlying blocks."""
-    width, height = strict_int(data["width"], "width"), strict_int(data["height"], "height")
+    width, height = field(data, "width", int), field(data, "height", int)
     if not (1 <= width <= GRID_WIDTH and 1 <= height <= GRID_HEIGHT):
-        raise ValueError(f"scene extent {width}x{height} must lie within 1x1 and "
+        raise InputError(f"scene extent {width}x{height} must lie within 1x1 and "
                          f"{GRID_WIDTH}x{GRID_HEIGHT}")
-    blocks = [block_from_dict(b) for b in data["blocks"]]
+    blocks = [block_from_dict(b) for b in field(data, "blocks", list)]
     _check_cells(blocks, width, height)
     return Scene(width, height, frozenset(blocks))
 
@@ -226,11 +232,11 @@ def scene_from_dict(data: dict) -> Scene:
 def stimuli_from_dict(data: dict) -> tuple[TowerStimulus, ...]:
     """A stimuli file's data as validated towers; rejects a duplicate id."""
     towers = []
-    for k, entry in enumerate(data["towers"]):
-        tower = TowerStimulus(strict_tower_id(entry["id"], f"towers[{k}].id"),
-                              frozenset(block_from_dict(b) for b in entry["blocks"]))
+    for k, entry in enumerate(field(data, "towers", list)):
+        tower = TowerStimulus(field(entry, "id", str, f"towers[{k}]", TOWER_ID), frozenset(
+            block_from_dict(b) for b in field(entry, "blocks", list, f"towers[{k}]")))
         validate_stimulus(tower)
         towers.append(tower)
     if len({t.id for t in towers}) != len(towers):
-        raise ValueError("duplicate tower ids in stimulus file")
+        raise InputError("duplicate tower ids in stimulus file")
     return tuple(towers)

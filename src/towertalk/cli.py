@@ -27,14 +27,14 @@ from . import simulation
 from .blockworld import (
     GRID_HEIGHT,
     GRID_WIDTH,
+    InputError,
     Scene,
     compose_scene,
+    field,
     render_ascii,
     scene_from_dict,
     stimuli_from_dict,
     stimulus_towers,
-    strict_int,
-    strict_tower_id,
 )
 from .library_learning import BODY_TOKEN_SUM, LearningConfig
 from .pragmatics import PragmaticsConfig
@@ -165,11 +165,10 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
 
 
 def _load(parse, path: str):
-    """Read an input file's JSON and return parse(data); malformed content is a
-    ConfigError naming the file. A RecursionError is malformed content only
-    where json.load raises it, on arrays or objects nested too deeply.
-
-    OSError passes through, so a file that cannot be read still exits 3.
+    """Read an input file's JSON and return parse(data). Content that json.load
+    cannot decode (nested too deeply included), or that the parser raises an
+    InputError for, is a ConfigError naming the file. Any other exception passes
+    through: an OSError still exits 3, and a bug in the parser exits 1.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -178,8 +177,8 @@ def _load(parse, path: str):
             raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
     try:
         return parse(data)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    except InputError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _stimuli(path: str | None):
@@ -203,7 +202,7 @@ def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
     for left, right in sorted({(left, right) for _, left, right in scenes}):
         try:
             compose_scene(towers[left], towers[right])
-        except ValueError as exc:
+        except InputError as exc:
             raise ConfigError(f"{source}: scene {left}+{right}: {exc}") from exc
 
 
@@ -230,7 +229,7 @@ def cmd_gen_seq(args: argparse.Namespace) -> int:
 
 
 def _read_sequences(data: dict):
-    return [sequence_from_dict(entry) for entry in data["sequences"]]
+    return [sequence_from_dict(entry) for entry in field(data, "sequences", list)]
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -325,13 +324,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _typed(value: object, kinds, what: str, name: str):
-    """A field that narrate prints, if it is of `kinds`; a bool is never a number."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{name}: expected {what}, got {reprlib.repr(value)}")
-    return value
-
-
 def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = True,
             where: str = "trace") -> str:
     """The story of one entry of a traces file's "traces" list, read as strictly
@@ -340,39 +332,43 @@ def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = Tr
     built scene side by side. The whole dyad ends with the final belief entropy
     and library size; with `trial`, only that trial's lines, and "" when the
     trace holds no such trial. A bad field is named from `where` on."""
-    lines = []
-    trials = trace["trials"]
+    lines, library = [], []
+    trials = field(trace, "trials", list, where)
+    entropy = field(trace, "final_belief_entropy", float, where)
     for k, entry in enumerate(trials):
-        field = f"{where}.trials[{k}]"
-        number = strict_int(entry["trial"], f"{field}.trial")
+        name = f"{where}.trials[{k}]"
+        number = field(entry, "trial", int, name)
         if trial is not None and number != trial:
             continue
-        ids = [strict_tower_id(entry.get(side), f"{field}.{side}") for side in ("left", "right")]
+        ids = [field(entry, side, str, name) for side in ("left", "right")]
         for side, tower in zip(("left", "right"), ids):
             if tower not in towers:
-                raise ValueError(f"{field}.{side}: no tower with id {reprlib.repr(tower)}")
-        block = strict_int(entry["repetition_block"], f"{field}.repetition_block")
-        tokens = strict_int(entry["tokens_sent"], f"{field}.tokens_sent")
-        f1 = _typed(entry["f1"], (int, float), "a number", f"{field}.f1")
-        program = _typed(entry["program"], str, "a string", f"{field}.program")
-        utterance = _typed(entry["utterance"], list, "a list", f"{field}.utterance")
-        words = [_typed(w, str, "a string", f"{field}.utterance[{i}]") for i, w in enumerate(utterance)]
+                raise InputError(f"{name}.{side}: no tower with id {reprlib.repr(tower)}")
+        block = field(entry, "repetition_block", int, name)
+        tokens = field(entry, "tokens_sent", int, name)
+        f1 = field(entry, "f1", float, name)
+        program = field(entry, "program", str, name)
+        utterance = field(entry, "utterance", list, name)
+        words = [field(utterance, i, str, f"{name}.utterance") for i in range(len(utterance))]
         lines += [f"trial {number:>2} (block {block}, {'+'.join(ids)})  "
                   f"F1={f1:.3f}  tokens={tokens}",
                   f"   program:   {program}",
                   f"   utterance: {' '.join(words)}"]
-        for j, snap in enumerate(entry["library"]):
-            if strict_int(snap["adopted_trial"], f"{field}.library[{j}].adopted_trial") == number:
-                lines.append(f"   + learned {snap['id']} [{snap['level']}] {snap['body']}")
+        library = field(entry, "library", list, name)
+        for j, snap in enumerate(library):
+            if field(snap, "adopted_trial", int, f"{name}.library[{j}]") == number:
+                fragment, level, body = (field(snap, key, str, f"{name}.library[{j}]")
+                                         for key in ("id", "level", "body"))
+                lines.append(f"   + learned {fragment} [{level}] {body}")
         if draw:
             target = compose_scene(*(towers[tower] for tower in ids))
             built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
-                                     "blocks": entry["builder_placements"]})
+                                     "blocks": field(entry, "builder_placements", list, name)})
             lines += [f"   {lhs}   {rhs}" for lhs, rhs in zip(render_ascii(target).split("\n"),
                                                           render_ascii(built).split("\n"))]
     if trial is None:
-        lines.append(f"final belief entropy: {trace['final_belief_entropy']:.3f} bits; "
-                     f"library size: {len(trials[-1]['library']) if trials else 0} fragments")
+        lines.append(f"final belief entropy: {entropy:.3f} bits; "
+                     f"library size: {len(library)} fragments")
     return "\n".join(lines)
 
 
@@ -401,7 +397,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     index = args.trace_index or 0
 
     def story(data: dict) -> str:
-        traces = data["traces"]
+        traces = field(data, "traces", list)
         if not 0 <= index < len(traces):
             raise ConfigError(f"{args.trace}: --trace-index {index}: the file holds "
                               f"{len(traces)} traces, counted from 0")

@@ -25,14 +25,15 @@ from .blockworld import (
     GRID_HEIGHT,
     GRID_WIDTH,
     RIGHT_ORIGIN,
+    TOWER_ID,
     BlockPlacement,
+    InputError,
     Scene,
     TowerStimulus,
     compose_scene,
     f1_score,
+    field,
     stimulus_towers,
-    strict_int,
-    strict_tower_id,
 )
 from .dsl import Library, Program
 from .library_learning import BODY_TOKEN_SUM, LearningConfig, update_library_with_log
@@ -178,19 +179,15 @@ def classify_fragment(expansion: Program, shapes: dict[frozenset[BlockPlacement]
     2-3 placements is sub-tower level; 4 placements that exactly rebuild one
     stimulus is tower level; 8 placements that rebuild a side-by-side pair of
     stimuli is scene level; anything else is other. `shapes` is the stimuli's
-    shape_levels. The expansion runs from column 30 of an empty 64x32 grid, so
-    only its shape decides.
+    shape_levels. The expansion, part of a 14x8 scene's program, runs from
+    column 30 of an empty 64x32 grid, which it cannot leave: only its shape decides.
     """
     n = dsl.count_placements(expansion)
     if 2 <= n <= 3:
         return SUB_TOWER
     if n not in (4, 8):
         return OTHER
-    try:
-        placed = dsl.execute(expansion, 30, 64, 32)
-    except ValueError:  # ProgramError or PlacementError
-        return OTHER
-    return shapes.get(_shape(placed), OTHER)
+    return shapes.get(_shape(dsl.execute(expansion, 30, 64, 32)), OTHER)
 
 
 def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
@@ -463,14 +460,14 @@ def sequence_from_dict(data: dict) -> TrialSequence:
     """Inverse of sequence_to_dict; rejects a repetition block outside 1..REPETITION_BLOCKS
     and a tower id that is not a string. Whether the towers exist is the caller's check."""
     trials = []
-    for k, t in enumerate(data["trials"]):
-        block = strict_int(t["repetition_block"], f"trials[{k}].repetition_block")
+    for k, t in enumerate(field(data, "trials", list)):
+        block = field(t, "repetition_block", int, f"trials[{k}]")
         if not 1 <= block <= REPETITION_BLOCKS:
-            raise ValueError(f"trials[{k}].repetition_block: expected 1..{REPETITION_BLOCKS}, "
+            raise InputError(f"trials[{k}].repetition_block: expected 1..{REPETITION_BLOCKS}, "
                              f"got {reprlib.repr(block)}")
-        trials.append(TrialSpec(block, strict_tower_id(t["left"], f"trials[{k}].left"),
-                                strict_tower_id(t["right"], f"trials[{k}].right")))
-    return TrialSequence(tuple(trials), strict_int(data["seed"], "seed"))
+        trials.append(TrialSpec(block, field(t, "left", str, f"trials[{k}]", TOWER_ID),
+                                field(t, "right", str, f"trials[{k}]", TOWER_ID)))
+    return TrialSequence(tuple(trials), field(data, "seed", int))
 
 
 def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:

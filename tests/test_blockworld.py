@@ -8,17 +8,18 @@ from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
+    InputError,
     PlacementError,
     Scene,
     TowerStimulus,
     compose_scene,
     drop_block,
     f1_score,
+    field,
     is_supported,
     render_ascii,
     scene_from_dict,
     stimuli_from_dict,
-    strict_int,
     validate_stimulus,
 )
 from towertalk.dsl import canonical_program
@@ -189,6 +190,13 @@ def test_f1_both_empty():
     assert f1_score(empty, empty) == 1.0
 
 
+def test_f1_one_empty_scene(towers_by_id):
+    target = compose_scene(towers_by_id["A"], towers_by_id["B"])
+    empty = Scene(target.width, target.height, frozenset())
+    assert f1_score(target, empty) == 0.0
+    assert f1_score(empty, target) == 0.0
+
+
 def test_f1_swap_invariance(towers_by_id):
     target = compose_scene(towers_by_id["A"], towers_by_id["B"])
     partial = Scene(target.width, target.height, frozenset(sorted(target.blocks)[:5]))
@@ -230,13 +238,41 @@ def test_scene_dict_round_trip(towers_by_id):
     assert scene_from_dict(scene_to_dict(scene)) == scene
 
 
-def test_strict_int_refuses_what_int_would_truncate():
-    assert strict_int(3, "x") == 3
-    assert strict_int(-2, "x") == -2
-    assert strict_int(3.0, "x") == 3
+def test_field_refuses_what_int_would_truncate():
+    assert field({"x": 3}, "x", int) == 3
+    assert field({"x": -2}, "x", int) == -2
+    assert field({"x": 3.0}, "x", int) == 3
     for value in (True, False, "3", None, [3], 3.9, 0.5, float("nan"), float("inf")):
-        with pytest.raises((TypeError, ValueError), match="width: expected an integer"):
-            strict_int(value, "width")
+        with pytest.raises(InputError, match="^width: expected an integer"):
+            field({"width": value}, "width", int)
+
+
+def test_field_names_a_missing_field_and_checks_each_kind():
+    data = {"f1": 1, "words": ["v", 5], "entropy": 10 ** 400}
+    assert field(data, "f1", float) == 1.0
+    assert isinstance(field(data, "f1", float), float)
+    assert field(data["words"], 0, str, "words") == "v"
+    # (holder, key, kind, how the message starts)
+    cases = [
+        (data, "id", str, "id: missing"),
+        (["v"], "id", str, "id: missing"),
+        ({"0": "v"}, 0, str, "words[0]: missing"),
+        (data["words"], 2, str, "words[2]: missing"),
+        (data["words"], -1, str, "words[-1]: missing"),
+        (data["words"], 1, str, "words[1]: expected a string, got 5"),
+        (data, "words", str, "words: expected a string, got ['v', 5]"),
+        (data, "f1", list, "f1: expected a list, got 1"),
+        ({"f1": True}, "f1", float, "f1: expected a number, got True"),
+        (data, "entropy", float, "entropy: expected a number, got 1000"),
+    ]
+    for holder, key, kind, message in cases:
+        with pytest.raises(InputError) as raised:
+            field(holder, key, kind, "words" if isinstance(key, int) else "")
+        assert str(raised.value).startswith(message), (message, raised.value)
+        assert len(str(raised.value)) < 80
+    with pytest.raises(InputError) as raised:
+        field({"id": 5}, "id", str, "towers[0]", "a tower id string")
+    assert str(raised.value) == "towers[0].id: expected a tower id string, got 5"
 
 
 def test_scene_from_dict_rejects_fractional_numbers():
@@ -258,6 +294,22 @@ def test_validate_stimulus_rejects_floating_block_and_unknown_orientation():
     for odd in (BlockPlacement(3, 3, VERTICAL), BlockPlacement(3, 0, "diagonal")):
         with pytest.raises(ValueError):
             validate_stimulus(TowerStimulus("A", frozenset(base + [odd])))
+
+
+def test_validate_stimulus_rejects_overlapping_blocks():
+    # The vertical block at column 0 stands in both cells of the one above it.
+    tower = TowerStimulus("A", frozenset({
+        BlockPlacement(0, 0, VERTICAL), BlockPlacement(0, 1, VERTICAL),
+        BlockPlacement(1, 0, HORIZONTAL), BlockPlacement(1, 1, HORIZONTAL)}))
+    with pytest.raises(ValueError, match="tower A: blocks overlap"):
+        validate_stimulus(tower)
+
+
+def test_load_stimuli_rejects_a_duplicate_id(tmp_path, towers):
+    path = tmp_path / "stimuli.json"
+    save_stimuli((towers[0], towers[1]._replace(id=towers[0].id)), str(path))
+    with pytest.raises(ValueError, match="duplicate tower ids"):
+        stimuli_from_dict(json.loads(path.read_text()))
 
 
 def test_stimulus_file_round_trip(tmp_path, towers):

@@ -239,6 +239,19 @@ def test_simulate_rejects_bad_jobs(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-seq", "--count", "-1"], "count: must be nonnegative"),
+    (["simulate", "--n-sequences", "-1"], "n_sequences: must be nonnegative"),
+    (["simulate", "--iterations", "-1"], "iterations: must be nonnegative"),
+], ids=["gen-seq-count", "simulate-n-sequences", "simulate-iterations"])
+def test_a_negative_count_is_a_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    flag = "--out" if argv[0] == "gen-seq" else "--out-dir"
+    assert run_cli(*argv, flag, str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("grid, named", [
     (["--w", "1.5", "1.5", "--beta", "0.3"], ["w=1.5 beta=0.3 and w=1.5 beta=0.3"]),
     (["--w", "1000000.1", "1000000.2", "--beta", "0.3"], ["w=1000000.1", "w=1000000.2"]),
@@ -590,7 +603,7 @@ def test_learn_rejects_stimuli_tower_ids_that_are_not_strings(tmp_path, capsys):
     assert run_cli("learn", "--sequences", str(sequences), "--stimuli", str(stimuli),
                    "--w", "1.5", "--out", str(out)) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == (f"error: {stimuli}: TypeError: towers[0].id: "
+    assert capsys.readouterr().err == (f"error: {stimuli}: towers[0].id: "
                                        "expected a tower id string, got None\n")
 
 
@@ -642,7 +655,7 @@ def test_render_rejects_a_huge_scene_extent_promptly(tmp_path):
                           preexec_fn=limit_memory)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == (f"error: {scene}: ValueError: scene extent 100000x100000 "
+    assert proc.stderr == (f"error: {scene}: scene extent 100000x100000 "
                            "must lie within 1x1 and 14x8\n")
 
 
@@ -737,12 +750,25 @@ def test_render_rejects_a_bad_tower_id_in_a_trace(tmp_path, capsys, malform):
     assert "traces[0].trials[0].left: " in captured.err
 
 
+def _snapshot(**fields):
+    """One trial's library: a snapshot adopted on trial 1, with `fields` replaced."""
+    return [{"id": "chunk1", "level": simulation.SUB_TOWER, "body": "(v v)",
+             "adopted_trial": 1, **fields}]
+
+
 @pytest.mark.parametrize("field, value, named", [
-    ("utterance", "abc", "utterance: expected a list"),
-    ("utterance", ["v", 1], "utterance[1]: expected a string"),
-    ("program", 5, "program: expected a string"),
-    ("f1", True, "f1: expected a number"),
-], ids=["string-utterance", "number-word", "number-program", "bool-f1"])
+    ("trials[0].utterance", "abc", "trials[0].utterance: expected a list"),
+    ("trials[0].utterance", ["v", 1], "trials[0].utterance[1]: expected a string"),
+    ("trials[0].program", 5, "trials[0].program: expected a string"),
+    ("trials[0].f1", True, "trials[0].f1: expected a number"),
+    ("final_belief_entropy", True, "final_belief_entropy: expected a number"),
+    ("trials[0].library", _snapshot(body=["v", 5]),
+     "trials[0].library[0].body: expected a string"),
+    ("trials[0].library", _snapshot(id=5), "trials[0].library[0].id: expected a string"),
+    ("trials[0].library", _snapshot(level=None),
+     "trials[0].library[0].level: expected a string"),
+], ids=["string-utterance", "number-word", "number-program", "bool-f1", "bool-entropy",
+        "list-body", "number-id", "null-level"])
 def test_render_rejects_a_printed_field_of_the_wrong_type(tmp_path, capsys, field, value, named):
     """A field that the narrator prints is read as strictly as any other: a
     string utterance is not printed letter by letter, nor a bool F1 as 1.000."""
@@ -750,7 +776,10 @@ def test_render_rejects_a_printed_field_of_the_wrong_type(tmp_path, capsys, fiel
     assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
                    "--iterations", "1", "--out-dir", str(out_dir)) == 0
     data = json.loads((out_dir / "traces.json").read_text())
-    data["traces"][0]["trials"][0][field] = value
+    holder = data["traces"][0]
+    if field.startswith("trials[0]."):
+        holder, field = holder["trials"][0], field.removeprefix("trials[0].")
+    holder[field] = value
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(json.dumps(data))
     capsys.readouterr()
@@ -758,8 +787,7 @@ def test_render_rejects_a_printed_field_of_the_wrong_type(tmp_path, capsys, fiel
         assert run_cli("render", "--trace", str(trace_file), *trial) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: {trace_file}: TypeError: traces[0].trials[0].{named}, got "), \
+        assert captured.err.startswith(f"error: {trace_file}: traces[0].{named}, got "), \
             captured.err
 
 
@@ -892,6 +920,40 @@ def _reader_argv(reader, path, tmp_path):
         "simulate --stimuli": ["simulate", "--stimuli", str(path), "--n-sequences", "1",
                                "--iterations", "1", "--out-dir", out],
     }[reader]
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError])
+@pytest.mark.parametrize("reader, owner, name", [
+    ("render --scene", BlockPlacement, "cells"),
+    ("learn --stimuli", BlockPlacement, "cells"),
+    ("render --trace", BlockPlacement, "cells"),
+    ("render --trace", cli, "compose_scene"),
+    ("learn --sequences", simulation, "TrialSpec"),
+], ids=["scene-cells", "stimuli-cells", "trace-cells", "trace-compose", "sequence-trialspec"])
+def test_an_error_inside_a_reader_is_not_a_config_error(tmp_path, monkeypatch, reader, owner,
+                                                        name, error):
+    """Only a reader's InputError is the file's fault: any other exception raised
+    while a good file is read is a bug, and propagates (exit 1, with a traceback)."""
+    good = tmp_path / "good.json"
+    if reader == "render --scene":
+        save_scene(Scene(3, 3, frozenset({BlockPlacement(0, 0, VERTICAL)})), str(good))
+    elif reader == "learn --stimuli":
+        save_stimuli(stimulus_towers(), str(good))
+    elif reader == "render --trace":
+        assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                       "--iterations", "1", "--out-dir", str(tmp_path / "grid")) == 0
+        good = tmp_path / "grid" / "traces.json"
+    else:
+        good = tmp_path / "seqs.json"
+    # Every file is written before the patch, since gen-seq builds TrialSpecs too.
+    argv = _reader_argv(reader, good, tmp_path)
+    assert run_cli(*argv) == 0
+
+    def broken(*args, **kwargs):
+        raise error("injected")
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(error, match="injected"):
+        run_cli(*argv)
 
 
 # json.load raises RecursionError on 1,000 nested arrays up to Python 3.11, and on

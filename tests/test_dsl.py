@@ -149,6 +149,13 @@ def test_execute_rejects_unresolved_chunk():
             execute(program, 0, GRID_WIDTH, GRID_HEIGHT)
 
 
+def test_library_rejects_a_duplicate_fragment_id():
+    lib = Library().with_fragment(make_fragment("chunk1", ("v", "v"), Library()))
+    with pytest.raises(ValueError, match="duplicate fragment id 'chunk1'"):
+        lib.with_fragment(make_fragment("chunk1", ("h", "h"), lib))
+    assert lib.ids() == ("chunk1",)
+
+
 @st.composite
 def base_programs(draw):
     """A start column and a base program whose hand stays on the 14x8 grid:
