@@ -6,7 +6,7 @@ import argparse
 import random
 
 from towertalk.blockworld import stimulus_towers
-from towertalk.cli import DEFAULT_ALPHA, narrate
+from towertalk.cli import DEFAULT_ALPHA
 from towertalk.library_learning import LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
 from towertalk.simulation import (
@@ -15,6 +15,7 @@ from towertalk.simulation import (
     run_dyad,
     trace_to_dict,
 )
+from towertalk.traces import narrate
 
 
 def main():

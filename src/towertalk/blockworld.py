@@ -84,20 +84,6 @@ def drop_block(heights: tuple[int, ...], orientation: str, x: int,
     return heights[:x] + (top,) * (right + 1 - x) + heights[right + 1:], block
 
 
-def is_supported(blocks: Iterable[BlockPlacement]) -> bool:
-    """True if every block above ground has ground or another block directly beneath one of its cells."""
-    cells: set[tuple[int, int]] = set()
-    block_list = list(blocks)
-    for block in block_list:
-        cells.update(block.cells())
-    for block in block_list:
-        if block.y == 0:
-            continue
-        if not any((cx, block.y - 1) in cells for cx, _ in block.cells()):
-            return False
-    return True
-
-
 def stimulus_towers() -> tuple[TowerStimulus, ...]:
     """The three default tower stimuli.
 
@@ -128,15 +114,20 @@ def stimulus_towers() -> tuple[TowerStimulus, ...]:
 
 
 def validate_stimulus(tower: TowerStimulus) -> None:
-    """Raise InputError unless the tower has 2 vertical + 2 horizontal supported blocks."""
+    """Raise InputError unless the tower has 2 vertical + 2 horizontal blocks that
+    gravity can build: dropped in (y, x) order, each lands where it stands."""
+    name = f"tower {reprlib.repr(tower.id)}: "
     if len(tower.blocks) != 4:
-        raise InputError(f"tower {tower.id}: expected 4 blocks, got {len(tower.blocks)}")
+        raise InputError(f"{name}expected 4 blocks, got {len(tower.blocks)}")
     orientations = sorted(b.orientation for b in tower.blocks)
     if orientations != [HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL]:
-        raise InputError(f"tower {tower.id}: expected 2 vertical + 2 horizontal blocks")
-    _check_cells(tower.blocks, GRID_WIDTH, GRID_HEIGHT, f"tower {tower.id}: ")
-    if not is_supported(tower.blocks):
-        raise InputError(f"tower {tower.id}: contains an unsupported block")
+        raise InputError(f"{name}expected 2 vertical + 2 horizontal blocks")
+    _check_cells(tower.blocks, GRID_WIDTH, GRID_HEIGHT, name)
+    heights = (0,) * GRID_WIDTH
+    for block in sorted(tower.blocks, key=lambda b: (b.y, b.x)):
+        heights, landed = drop_block(heights, block.orientation, block.x)
+        if landed != block:
+            raise InputError(f"{name}contains an unsupported block")
 
 
 def _check_cells(blocks: Iterable[BlockPlacement], width: int, height: int, where="") -> None:

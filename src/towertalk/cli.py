@@ -21,12 +21,10 @@ import json
 import os
 import reprlib
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from . import simulation
 from .blockworld import (
-    GRID_HEIGHT,
-    GRID_WIDTH,
     InputError,
     Scene,
     compose_scene,
@@ -38,14 +36,8 @@ from .blockworld import (
 )
 from .library_learning import BODY_TOKEN_SUM, LearningConfig
 from .pragmatics import PragmaticsConfig
-from .simulation import (
-    FRAGMENT_LEVELS,
-    REPETITION_BLOCKS,
-    STEP_LEVELS,
-    TOWER_PAIRS,
-    sequence_from_dict,
-    sequence_to_dict,
-)
+from .simulation import FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS, TOWER_PAIRS
+from .traces import narrate, sequence_from_dict, sequence_to_dict, snapshot_to_dict, traces_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,26 +126,6 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _traces_json(head: dict, traces: list) -> Iterator[str]:
-    """The text of `_json_text({**head, "traces": [...]})`, one dyad at a time.
-
-    "traces" sorts after every key of `head`, so that text is the head's own,
-    with each trace's text, which `simulation.trace_json` writes at that depth,
-    inside the last brackets. Only one trace's text is held at a time.
-    """
-    text = _json_text({**head, "traces": []})
-    if not traces:
-        yield text
-        return
-    yield text.rsplit("[]", 1)[0] + "["
-    memo: dict = {}
-    separator = "\n    "
-    for trace in traces:
-        yield separator + simulation.trace_json(trace, memo)
-        separator = ",\n    "
-    yield "\n  ]\n}\n"
-
-
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
@@ -229,7 +201,8 @@ def cmd_gen_seq(args: argparse.Namespace) -> int:
 
 
 def _read_sequences(data: dict):
-    return [sequence_from_dict(entry) for entry in field(data, "sequences", list)]
+    return [sequence_from_dict(entry, f"sequences[{i}]")
+            for i, entry in enumerate(field(data, "sequences", list))]
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
@@ -250,7 +223,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
                      for snapshot in trial.adopted]
         runs.append({
             "sequence_seed": sequence.seed,
-            "fragments": [simulation.snapshot_to_dict(s) for s in snapshots],
+            "fragments": [snapshot_to_dict(s) for s in snapshots],
             "level_proportions": simulation.snapshot_level_proportions(
                 snapshots, len(sequence.trials)),
         })
@@ -311,7 +284,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         "mean_pairwise_jsd": simulation.mean_pairwise_jsd(summaries, block)}
                        for block in range(1, REPETITION_BLOCKS + 1)]))
         outputs.update((f"{table}_{tag}.csv", [text]) for table, text in zip(TABLES, tables))
-    outputs["traces.json"] = _traces_json({
+    outputs["traces.json"] = traces_json({
         "master_seed": args.master_seed,
         "alpha": args.alpha,
         "size_rule": BODY_TOKEN_SUM,
@@ -322,54 +295,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_outputs({os.path.join(args.out_dir, name): pieces
                     for name, pieces in sorted(outputs.items())})
     return EXIT_OK
-
-
-def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = True,
-            where: str = "trace") -> str:
-    """The story of one entry of a traces file's "traces" list, read as strictly
-    as any input file. Per trial: its number, block, towers, F1 and tokens sent,
-    program, utterance, each fragment it adopted and, with `draw`, its target and
-    built scene side by side. The whole dyad ends with the final belief entropy
-    and library size; with `trial`, only that trial's lines, and "" when the
-    trace holds no such trial. A bad field is named from `where` on."""
-    lines, library = [], []
-    trials = field(trace, "trials", list, where)
-    entropy = field(trace, "final_belief_entropy", float, where)
-    for k, entry in enumerate(trials):
-        name = f"{where}.trials[{k}]"
-        number = field(entry, "trial", int, name)
-        if trial is not None and number != trial:
-            continue
-        ids = [field(entry, side, str, name) for side in ("left", "right")]
-        for side, tower in zip(("left", "right"), ids):
-            if tower not in towers:
-                raise InputError(f"{name}.{side}: no tower with id {reprlib.repr(tower)}")
-        block = field(entry, "repetition_block", int, name)
-        tokens = field(entry, "tokens_sent", int, name)
-        f1 = field(entry, "f1", float, name)
-        program = field(entry, "program", str, name)
-        utterance = field(entry, "utterance", list, name)
-        words = [field(utterance, i, str, f"{name}.utterance") for i in range(len(utterance))]
-        lines += [f"trial {number:>2} (block {block}, {'+'.join(ids)})  "
-                  f"F1={f1:.3f}  tokens={tokens}",
-                  f"   program:   {program}",
-                  f"   utterance: {' '.join(words)}"]
-        library = field(entry, "library", list, name)
-        for j, snap in enumerate(library):
-            if field(snap, "adopted_trial", int, f"{name}.library[{j}]") == number:
-                fragment, level, body = (field(snap, key, str, f"{name}.library[{j}]")
-                                         for key in ("id", "level", "body"))
-                lines.append(f"   + learned {fragment} [{level}] {body}")
-        if draw:
-            target = compose_scene(*(towers[tower] for tower in ids))
-            built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
-                                     "blocks": field(entry, "builder_placements", list, name)})
-            lines += [f"   {lhs}   {rhs}" for lhs, rhs in zip(render_ascii(target).split("\n"),
-                                                          render_ascii(built).split("\n"))]
-    if trial is None:
-        lines.append(f"final belief entropy: {entropy:.3f} bits; "
-                     f"library size: {len(library)} fragments")
-    return "\n".join(lines)
 
 
 def cmd_render(args: argparse.Namespace) -> int:

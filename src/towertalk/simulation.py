@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import reprlib
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -25,18 +24,15 @@ from .blockworld import (
     GRID_HEIGHT,
     GRID_WIDTH,
     RIGHT_ORIGIN,
-    TOWER_ID,
     BlockPlacement,
-    InputError,
     Scene,
     TowerStimulus,
     compose_scene,
     f1_score,
-    field,
     stimulus_towers,
 )
 from .dsl import Library, Program
-from .library_learning import BODY_TOKEN_SUM, LearningConfig, update_library_with_log
+from .library_learning import LearningConfig, update_library_with_log
 from .pragmatics import (
     PragmaticsConfig,
     architect_choose,
@@ -449,146 +445,7 @@ def mean_pairwise_jsd(summaries: Sequence[DyadSummary], repetition_block: int) -
     return total / (n * (n - 1) // 2)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-
-def sequence_to_dict(sequence: TrialSequence) -> dict:
-    return {"seed": sequence.seed, "trials": [t._asdict() for t in sequence.trials]}
-
-
-def sequence_from_dict(data: dict) -> TrialSequence:
-    """Inverse of sequence_to_dict; rejects a repetition block outside 1..REPETITION_BLOCKS
-    and a tower id that is not a string. Whether the towers exist is the caller's check."""
-    trials = []
-    for k, t in enumerate(field(data, "trials", list)):
-        block = field(t, "repetition_block", int, f"trials[{k}]")
-        if not 1 <= block <= REPETITION_BLOCKS:
-            raise InputError(f"trials[{k}].repetition_block: expected 1..{REPETITION_BLOCKS}, "
-                             f"got {reprlib.repr(block)}")
-        trials.append(TrialSpec(block, field(t, "left", str, f"trials[{k}]", TOWER_ID),
-                                field(t, "right", str, f"trials[{k}]", TOWER_ID)))
-    return TrialSequence(tuple(trials), field(data, "seed", int))
-
-
-def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:
-    return {**snapshot._asdict(), "score_delta": round(snapshot.score_delta, 9)}
-
-
-# traces.json holds each trace two levels deep, in its payload's "traces" list.
-# The encoder below writes a trace's text at that depth directly: an object or
-# array at depth d closes on a line indented 2d spaces, and its members sit one
-# level deeper. Every key is written in sorted order, as json.dumps(...,
-# sort_keys=True) would.
-_ENCODE_STR = json.encoder.encode_basestring_ascii
-_TRACE_DEPTH = 2
-_LINE = tuple("\n" + "  " * depth for depth in range(8))
-_SEPARATOR = tuple("," + line for line in _LINE)
-
-
-def _template(depth: int, keys: tuple[str, ...]) -> str:
-    """A %-format string for a JSON object at `depth`; `keys` must be sorted."""
-    return "{" + ",".join(f'{_LINE[depth + 1]}"{key}": %s' for key in keys) + _LINE[depth] + "}"
-
-
-def _array(items: list[str], depth: int) -> str:
-    """A JSON array of already-encoded items, at `depth`."""
-    if not items:
-        return "[]"
-    return "[" + _LINE[depth + 1] + _SEPARATOR[depth + 1].join(items) + _LINE[depth] + "]"
-
-
-def _nested(data, depth: int) -> str:
-    """json.dumps(data, indent=2, sort_keys=True) for a value at `depth`."""
-    return json.dumps(data, indent=2, sort_keys=True).replace("\n", _LINE[depth])
-
-
-def _number(value) -> str:
-    """A number as json writes it; for a float that is float.__repr__, or
-    Infinity, -Infinity or NaN."""
-    if value.__class__ is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    return json.dumps(value)  # an int, or a config value of another type
-
-
-_TRACE = _template(_TRACE_DEPTH, (
-    "alpha", "beta", "dyad_seed", "final_belief_entropy", "iteration", "sequence",
-    "size_rule", "trials", "w"))
-_TRIAL = _template(_TRACE_DEPTH + 2, (
-    "anomalies", "belief_entropy", "builder_placements", "f1", "left", "library",
-    "program", "repetition_block", "right", "steps", "tokens_sent", "trial", "utterance"))
-_PLACEMENT = _template(_TRACE_DEPTH + 4, ("orientation", "x", "y"))
-_STEP = _template(_TRACE_DEPTH + 4, ("level", "placements", "token", "word"))
-
-
-def trace_json(trace: DyadTrace, memo: dict | None = None) -> str:
-    """A trace's JSON text as json.dumps(..., indent=2, sort_keys=True) writes
-    it in the "traces" list of traces.json: every line after the first is
-    indented 4 more spaces than at the top level. A trial's number and spec
-    come from the trace's sequence, its library from the final_library
-    snapshots adopted by then, and its steps' levels from step_levels.
-
-    `memo` maps each sequence, placement and fragment snapshot already
-    written to its text. Pass one dict to every call of a run: the dyads of a
-    group repeat the same ones. Equal values share a text, so a snapshot
-    whose score_delta is 2 and one whose is 2.0 must not meet in one memo;
-    the traces of one run never hold both.
-    """
-    if memo is None:
-        memo = {}
-    trial_depth = _TRACE_DEPTH + 2
-    level_of = step_levels(trace)
-    library = []
-    for snapshot in trace.final_library:
-        text = memo.get(snapshot)
-        if text is None:
-            text = memo[snapshot] = _nested(snapshot_to_dict(snapshot), trial_depth + 2)
-        library.append((snapshot.adopted_trial, text))
-    trials = []
-    for number, (spec, r) in enumerate(zip(trace.sequence.trials, trace.records, strict=True),
-                                       start=1):
-        placements = []
-        for block in r.builder_placements:
-            text = memo.get(block)
-            if text is None:
-                text = memo[block] = _PLACEMENT % (
-                    _ENCODE_STR(block.orientation), int.__repr__(block.x),
-                    int.__repr__(block.y))
-            placements.append(text)
-        steps = [_STEP % (_ENCODE_STR(level_of[token]), int.__repr__(placed),
-                          _ENCODE_STR(token), _ENCODE_STR(word))
-                 for token, word, placed in zip(r.program, r.utterance, r.step_placements)]
-        trials.append(_TRIAL % (
-            int.__repr__(r.anomalies),
-            _number(round(r.belief_entropy, 9)),
-            _array(placements, trial_depth + 1),
-            _number(round(r.f1, 9)),
-            _ENCODE_STR(spec.left),
-            _array([text for adopted, text in library if adopted <= number], trial_depth + 1),
-            _ENCODE_STR(dsl.print_program(r.program)),
-            int.__repr__(spec.repetition_block),
-            _ENCODE_STR(spec.right),
-            _array(steps, trial_depth + 1),
-            int.__repr__(r.tokens_sent),
-            int.__repr__(number),
-            _array([_ENCODE_STR(word) for word in r.utterance], trial_depth + 1)))
-    sequence = memo.get(trace.sequence)
-    if sequence is None:
-        sequence = memo[trace.sequence] = _nested(sequence_to_dict(trace.sequence),
-                                                  _TRACE_DEPTH + 1)
-    return _TRACE % (
-        _number(trace.pragmatics.alpha),
-        _number(trace.pragmatics.beta),
-        int.__repr__(trace.dyad_seed),
-        _number(round(trace.records[-1].belief_entropy if trace.records else 0.0, 9)),
-        int.__repr__(trace.iteration),
-        sequence,
-        _ENCODE_STR(BODY_TOKEN_SUM),
-        _array(trials, _TRACE_DEPTH + 1),
-        _number(trace.learning.w))
-
-
 def trace_to_dict(trace: DyadTrace) -> dict:
     """A trace as the data traces.json holds for it."""
-    return json.loads(trace_json(trace))
+    from .traces import trace_json  # imported here: traces imports this module
+    return json.loads(trace_json(trace, {}))

@@ -1,5 +1,6 @@
-"""Reference functions that only the tests use: the empty library, building a
-fragment by hand, a scene's column clusters read off its occupied columns,
+"""Reference functions that only the tests use: the support rule stated cell by
+cell, the empty library, building a fragment by hand, a scene's column
+clusters read off its occupied columns,
 running a program's chunks in place without inlining, every candidate window
 of a set of programs by direct enumeration,
 the learner's posterior score, the tokenizer's walk that matches every
@@ -20,7 +21,7 @@ import math
 import random
 from collections import Counter
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from towertalk import dsl
 from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement,
@@ -31,13 +32,28 @@ from towertalk.pragmatics import (BeliefState, Component, PragmaticsConfig, cand
                                   hypothesis_count, synthetic_word)
 from towertalk.simulation import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS,
                                   TRIALS_PER_SEQUENCE, DyadTrace, FragmentSnapshot, TrialRecord,
-                                  jsd, sequence_to_dict, snapshot_level_proportions,
-                                  snapshot_to_dict, step_levels)
+                                  jsd, snapshot_level_proportions, step_levels)
+from towertalk.traces import sequence_to_dict, snapshot_to_dict
 
 # h, v, l, r and the digits 1..9.
 BASE_PRIMITIVE_COUNT = 13
 
 EMPTY_LIBRARY = Library()
+
+
+def is_supported(blocks: Iterable[BlockPlacement]) -> bool:
+    """True if every block above ground has ground or another block directly beneath
+    one of its cells."""
+    cells: set[tuple[int, int]] = set()
+    block_list = list(blocks)
+    for block in block_list:
+        cells.update(block.cells())
+    for block in block_list:
+        if block.y == 0:
+            continue
+        if not any((cx, block.y - 1) in cells for cx, _ in block.cells()):
+            return False
+    return True
 
 
 def make_fragment(fragment_id: str, body: Program, library: Library) -> Fragment:

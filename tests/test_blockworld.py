@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -16,7 +17,6 @@ from towertalk.blockworld import (
     drop_block,
     f1_score,
     field,
-    is_supported,
     render_ascii,
     scene_from_dict,
     stimuli_from_dict,
@@ -24,7 +24,7 @@ from towertalk.blockworld import (
 )
 from towertalk.dsl import canonical_program
 
-from oracles import save_stimuli, scene_to_dict
+from oracles import is_supported, save_stimuli, scene_to_dict
 
 EMPTY = (0,) * 14
 
@@ -301,8 +301,31 @@ def test_validate_stimulus_rejects_overlapping_blocks():
     tower = TowerStimulus("A", frozenset({
         BlockPlacement(0, 0, VERTICAL), BlockPlacement(0, 1, VERTICAL),
         BlockPlacement(1, 0, HORIZONTAL), BlockPlacement(1, 1, HORIZONTAL)}))
-    with pytest.raises(ValueError, match="tower A: blocks overlap"):
+    with pytest.raises(ValueError, match="tower 'A': blocks overlap"):
         validate_stimulus(tower)
+
+
+def test_validate_stimulus_agrees_with_the_support_oracle_on_every_small_tower():
+    """Dropping a tower's blocks in (y, x) order accepts exactly the towers whose
+    blocks all stand on the ground or a block: every non-overlapping tower of
+    2 horizontal + 2 vertical blocks with x < 5 and y < 4."""
+    spots = [(x, y) for x in range(5) for y in range(4)]
+    checked = 0
+    for horizontals in itertools.combinations(spots, 2):
+        for verticals in itertools.combinations(spots, 2):
+            blocks = [*(BlockPlacement(x, y, HORIZONTAL) for x, y in horizontals),
+                      *(BlockPlacement(x, y, VERTICAL) for x, y in verticals)]
+            cells = {cell for block in blocks for cell in block.cells()}
+            if len(cells) < 8:
+                continue
+            checked += 1
+            tower = TowerStimulus("A", frozenset(blocks))
+            if is_supported(blocks):
+                validate_stimulus(tower)
+            else:
+                with pytest.raises(InputError, match="^tower 'A': contains an unsupported block$"):
+                    validate_stimulus(tower)
+    assert checked == 14_568
 
 
 def test_load_stimuli_rejects_a_duplicate_id(tmp_path, towers):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towertalk import cli, simulation
+from towertalk import cli, simulation, traces
 from towertalk.cli import DEFAULT_ALPHA, main
 from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
 from towertalk.pragmatics import PragmaticsConfig
@@ -26,6 +26,7 @@ from towertalk.blockworld import (
     drop_block,
     stimulus_towers,
 )
+from towertalk.traces import narrate, sequence_from_dict
 
 from oracles import save_scene, save_stimuli, trace_to_dict
 
@@ -326,7 +327,7 @@ def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
     trace_file = out_dir / "traces.json"
     towers = {t.id: t for t in stimulus_towers()}
     for index, recorded in enumerate(json.loads(trace_file.read_text())["traces"]):
-        sequence = simulation.sequence_from_dict(recorded["sequence"])
+        sequence = sequence_from_dict(recorded["sequence"])
         lcfg = LearningConfig(w=recorded["w"])
         rerun = simulation.run_dyad(
             sequence, lcfg.w, PragmaticsConfig(alpha=recorded["alpha"], beta=recorded["beta"]),
@@ -335,7 +336,7 @@ def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("render", "--trace", str(trace_file), "--trace-index", str(index)) == 0
         whole = capsys.readouterr().out
-        assert whole == cli.narrate(simulation.trace_to_dict(rerun), towers) + "\n", index
+        assert whole == narrate(simulation.trace_to_dict(rerun), towers) + "\n", index
     assert index == 3
     # Each trial's lines run from its unindented head to the next one.
     lines = whole.splitlines(keepends=True)
@@ -346,6 +347,21 @@ def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
         assert run_cli("render", "--trace", str(trace_file), "--trace-index", "3",
                        "--trial", str(number)) == 0
         assert capsys.readouterr().out == "".join(lines[start:end]), number
+
+
+def test_render_trace_prints_its_pinned_narration(tmp_path, capsys):
+    """Each of the four traces of a small grid, told by `render --trace`, byte for
+    byte as stored: the rerun test above compares the narrator with itself."""
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1.5", "3.2", "--beta", "0.3", "0.8", "--n-sequences", "1",
+                   "--iterations", "1", "--master-seed", "1", "--out-dir", str(out_dir)) == 0
+    capsys.readouterr()
+    for index in range(4):
+        assert run_cli("render", "--trace", str(out_dir / "traces.json"),
+                       "--trace-index", str(index)) == 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "tests", "data", "render_trace_seed1.txt"), "rb") as fh:
+        assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
 
 def test_render_requires_a_source():
@@ -867,6 +883,30 @@ def test_learn_rejects_bad_sequence_trials(tmp_path, capsys, malform, message):
     assert message in err
 
 
+def _drop_seed(data):
+    del data["sequences"][1]["seed"]
+    return data
+
+
+def _block_nine(data):
+    data["sequences"][2]["trials"][5]["repetition_block"] = 9
+    return data
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_block_nine, "sequences[2].trials[5].repetition_block: expected 1..4, got 9"),
+    (_drop_seed, "sequences[1].seed: missing"),
+], ids=["block-out-of-range", "missing-seed"])
+def test_learn_names_the_sequence_of_a_bad_field(tmp_path, capsys, malform, message):
+    sequences = tmp_path / "seqs.json"
+    sequences.write_text(json.dumps(malform(_gen_seq(sequences, count=3))))
+    out = tmp_path / "learn.json"
+    assert run_cli("learn", "--sequences", str(sequences), "--w", "1.5",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {sequences}: {message}\n"
+
+
 def _stimuli_with_tower_a(tmp_path, blocks):
     towers = (TowerStimulus("A", frozenset(blocks)),) + stimulus_towers()[1:]
     path = tmp_path / "stimuli.json"
@@ -927,8 +967,8 @@ def _reader_argv(reader, path, tmp_path):
     ("render --scene", BlockPlacement, "cells"),
     ("learn --stimuli", BlockPlacement, "cells"),
     ("render --trace", BlockPlacement, "cells"),
-    ("render --trace", cli, "compose_scene"),
-    ("learn --sequences", simulation, "TrialSpec"),
+    ("render --trace", traces, "compose_scene"),
+    ("learn --sequences", traces, "TrialSpec"),
 ], ids=["scene-cells", "stimuli-cells", "trace-cells", "trace-compose", "sequence-trialspec"])
 def test_an_error_inside_a_reader_is_not_a_config_error(tmp_path, monkeypatch, reader, owner,
                                                         name, error):
@@ -987,6 +1027,11 @@ def _huge_tower_id(tmp_path):
     return data
 
 
+def _huge_tower_id_string(tmp_path):
+    return {"towers": [{"id": "A" * 50_000,
+                        "blocks": [{"x": 0, "y": 0, "orientation": VERTICAL}]}]}
+
+
 def _huge_block_x(tmp_path):
     data = _default_stimuli_data(tmp_path)
     data["towers"][0]["blocks"][0]["x"] = "9" * 50_000
@@ -1007,10 +1052,12 @@ def _huge_repetition_block(tmp_path):
 
 @pytest.mark.parametrize("reader, malform", [
     ("learn --stimuli", _huge_tower_id),
+    ("learn --stimuli", _huge_tower_id_string),
     ("learn --stimuli", _huge_block_x),
     ("learn --sequences", _huge_trial_left),
     ("learn --sequences", _huge_repetition_block),
-], ids=["tower-id-list", "block-x-string", "trial-left-string", "trial-block-int"])
+], ids=["tower-id-list", "tower-id-string", "block-x-string", "trial-left-string",
+        "trial-block-int"])
 def test_readers_abbreviate_a_huge_bad_value(tmp_path, capsys, reader, malform):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(malform(tmp_path)))

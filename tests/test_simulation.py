@@ -37,15 +37,13 @@ from towertalk.simulation import (
     run_dyad,
     run_experiment,
     library_trajectory,
-    sequence_from_dict,
-    sequence_to_dict,
     shape_levels,
     snapshot_level_proportions,
     step_levels,
     summarize,
-    trace_json,
     trace_to_dict,
 )
+from towertalk.traces import sequence_from_dict, sequence_to_dict, trace_json
 
 import oracles
 from oracles import first_adoption_trial
@@ -517,7 +515,7 @@ def test_trace_json_writes_int_configs_as_ints():
     sequence, lcfg = generate_trial_sequence(3), LearningConfig(w=2)
     trace = run_dyad(sequence, 2, PragmaticsConfig(alpha=5, beta=0), lcfg, random.Random(70),
                      library_trajectory(sequence, lcfg, TOWERS))
-    text = trace_json(trace)
+    text = trace_json(trace, {})
     assert text == _oracle_text(trace)
     assert '"alpha": 5,' in text and '"beta": 0,' in text and '"w": 2\n' in text
     assert trace.final_library  # an adopted fragment's score_delta is an int too
@@ -538,7 +536,7 @@ def test_trace_json_writes_empty_lists_and_escapes_strings():
     trace = DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
                       sequence, iteration=0, dyad_seed=11, records=(empty, full),
                       final_library=(snapshot,))
-    text = trace_json(trace)
+    text = trace_json(trace, {})
     assert text == _oracle_text(trace)
     for written in ('"library": []', '"builder_placements": []', '"steps": []',
                     '"utterance": []', '\\"', "\\\\", "\\u0007", "\\u00e9", "\\u2603"):
@@ -546,9 +544,9 @@ def test_trace_json_writes_empty_lists_and_escapes_strings():
     assert text.isascii()
     no_trials = DyadTrace(trace.pragmatics, trace.learning, TrialSequence((), seed=7), 0, 11,
                           (), ())
-    assert trace_json(no_trials) == _oracle_text(no_trials)
+    assert trace_json(no_trials, {}) == _oracle_text(no_trials)
     # The sequence's trials and the trace's trials are both empty.
-    assert trace_json(no_trials).count('"trials": []') == 2
+    assert trace_json(no_trials, {}).count('"trials": []') == 2
 
 
 def test_every_chunk_a_trial_sends_was_adopted_before_it():
