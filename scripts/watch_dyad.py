@@ -7,14 +7,9 @@ import random
 
 from towertalk.blockworld import stimulus_towers
 from towertalk.cli import DEFAULT_ALPHA
-from towertalk.library_learning import LearningConfig
+from towertalk.library_learning import library_trajectory
 from towertalk.pragmatics import PragmaticsConfig
-from towertalk.simulation import (
-    generate_trial_sequence,
-    library_trajectory,
-    run_dyad,
-    trace_to_dict,
-)
+from towertalk.simulation import LearningConfig, generate_trial_sequence, run_dyad, trace_to_dict
 from towertalk.traces import narrate
 
 
@@ -36,7 +31,7 @@ def main():
 
     stimuli = stimulus_towers()
     sequence = generate_trial_sequence(args.seed)
-    learned = library_trajectory(sequence, lcfg, stimuli)
+    learned = library_trajectory(sequence, args.w, stimuli)
     trace = run_dyad(sequence, args.w, cfg, lcfg, random.Random(args.dyad_seed), learned)
     # The trace as traces.json holds it, told as `render --trace` tells it.
     print(narrate(trace_to_dict(trace), {t.id: t for t in stimuli}, draw=args.render))

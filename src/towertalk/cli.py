@@ -14,7 +14,6 @@ error and exits 1 with a traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import json
@@ -23,7 +22,7 @@ import reprlib
 import sys
 from collections.abc import Iterable
 
-from . import simulation
+from . import library_learning
 from .blockworld import (
     InputError,
     Scene,
@@ -34,9 +33,8 @@ from .blockworld import (
     stimuli_from_dict,
     stimulus_towers,
 )
-from .library_learning import BODY_TOKEN_SUM, LearningConfig
-from .pragmatics import PragmaticsConfig
-from .simulation import FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS, TOWER_PAIRS
+from .library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS,
+                               check_w)
 from .traces import narrate, sequence_from_dict, sequence_to_dict, snapshot_to_dict, traces_json
 
 EXIT_OK = 0
@@ -127,6 +125,7 @@ def _json_text(data) -> str:
 
 
 def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+    import csv  # imported here, as the dyad code is: only simulate writes tables
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
@@ -190,6 +189,7 @@ def cmd_gen_seq(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ConfigError("count: must be nonnegative")
     _check_out_file(args.out)
+    from . import simulation  # sequence generation lives beside the dyads it seeds
     sequences, _ = simulation.generate_sequences(args.seed, args.count)
     payload = {
         "master_seed": args.seed,
@@ -206,7 +206,7 @@ def _read_sequences(data: dict):
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    lcfg = _build_config(LearningConfig, w=args.w)
+    w = _build_config(check_w, w=args.w)
     sequences = _load(_read_sequences, args.sequences)
     stimuli = _stimuli(args.stimuli)
     # The sequence file is at fault for an unknown tower, so the message names its trial.
@@ -219,15 +219,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
     runs = []
     for sequence in sequences:
         snapshots = [snapshot
-                     for trial in simulation.library_trajectory(sequence, lcfg, stimuli)
+                     for trial in library_learning.library_trajectory(sequence, w, stimuli)
                      for snapshot in trial.adopted]
         runs.append({
             "sequence_seed": sequence.seed,
             "fragments": [snapshot_to_dict(s) for s in snapshots],
-            "level_proportions": simulation.snapshot_level_proportions(
+            "level_proportions": library_learning.snapshot_level_proportions(
                 snapshots, len(sequence.trials)),
         })
-    payload = {"w": args.w, "size_rule": BODY_TOKEN_SUM, "runs": runs}
+    payload = {"w": w, "size_rule": BODY_TOKEN_SUM, "runs": runs}
     _write_outputs({args.out: [_json_text(payload)]})
     return EXIT_OK
 
@@ -239,6 +239,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("iterations: must be nonnegative")
     if args.jobs < 1:
         raise ConfigError("jobs: must be at least 1")
+    from . import simulation  # imported here: only gen-seq and simulate load the dyad code
+    from .pragmatics import PragmaticsConfig
+    from .simulation import TOWER_PAIRS, LearningConfig
     # A cell's four CSVs are named by its tag: two cells with one tag would overwrite
     # each other, and two equal configs would each aggregate both cells' traces.
     cells: dict[str, tuple[PragmaticsConfig, LearningConfig]] = {}

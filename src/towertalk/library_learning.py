@@ -1,4 +1,5 @@
-"""Fragment proposal, minimum description length, and greedy library growth.
+"""Fragment proposal, minimum description length, and greedy library growth,
+and learning over a trial sequence: the half of the model `towertalk learn` runs.
 
 After each trial the learner proposes contiguous token windows of the scene
 programs seen so far (re-tokenized under the current library, so chunks can
@@ -24,6 +25,10 @@ under the library for every prefix and every suffix. Where the candidate fits
 a scene once, its MDL with the candidate is the cheapest split around one of
 its starts; only a scene that holds two or more disjoint occurrences runs the
 DP again (_mdl_cost).
+
+library_trajectory learns over a trial sequence and labels each adopted fragment
+with the level of the shape it builds. It and the trial, snapshot and level
+types live here, so `learn` loads no dyad code.
 """
 
 from __future__ import annotations
@@ -31,11 +36,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import dsl
+from .blockworld import RIGHT_ORIGIN, BlockPlacement, Scene, TowerStimulus, compose_scene
 from .dsl import Fragment, Library, Program
 
 BODY_TOKEN_SUM = "body_token_sum"
@@ -47,15 +52,11 @@ MAX_FRAGMENTS_PER_TRIAL = 3
 Window = tuple[int, Program]
 
 
-@dataclass(frozen=True)
-class LearningConfig:
-    """Library learning knobs; w is the library size penalty from the prior."""
-
-    w: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.w < math.inf:
-            raise ValueError(f"w must be finite and nonnegative, got {self.w!r}")
+def check_w(w: float) -> float:
+    """w, the library size penalty from the prior, if it is finite and nonnegative."""
+    if not 0 <= w < math.inf:
+        raise ValueError(f"w must be finite and nonnegative, got {w!r}")
+    return w
 
 
 class Adoption(NamedTuple):
@@ -194,10 +195,10 @@ def _scene_table(scenes: tuple[Program, ...]) -> tuple[SceneRow, ...]:
 
 
 def update_library_with_log(library: Library, observed: Sequence[Program],
-                            cfg: LearningConfig) -> tuple[Library, list[Adoption]]:
+                            w: float) -> tuple[Library, list[Adoption]]:
     """Greedy per-trial growth; returns the new library and what was adopted."""
     scene_counts = tuple(sorted(Counter(tuple(p) for p in observed).items()))
-    current, adoptions = _learning_step(library, scene_counts, cfg)
+    current, adoptions = _learning_step(library, scene_counts, w)
     return current, list(adoptions)
 
 
@@ -256,7 +257,7 @@ def _round(scenes: tuple[Program, ...], library: Library) -> Round:
 
 @lru_cache(maxsize=1 << 12)
 def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ...],
-                   cfg: LearningConfig) -> tuple[Library, tuple[Adoption, ...]]:
+                   w: float) -> tuple[Library, tuple[Adoption, ...]]:
     """update_library_with_log on sorted (scene, count) pairs, so that a state
     the learner has already met is answered from the cache.
 
@@ -275,7 +276,7 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
         best_delta = 0.0
         best: tuple[Program, Program] | None = None
         for expansion, (length, body), present in rows:
-            size_cost = cfg.w * length
+            size_cost = w * length
             occurrences = 0
             for n, found, _ in present:  # a plain loop: sum() of a generator is 3x slower here
                 occurrences += counts[n] * found
@@ -314,3 +315,137 @@ def _learning_step(library: Library, scene_counts: tuple[tuple[Program, int], ..
         adoptions.append(Adoption(fragment, best_delta))
     return current, tuple(adoptions)
 
+
+
+# ---------------------------------------------------------------------------
+# Learning over a trial sequence
+
+SUB_TOWER = "sub_tower"
+TOWER = "tower"
+SCENE = "scene"
+OTHER = "other"
+FRAGMENT_LEVELS = (SUB_TOWER, TOWER, SCENE, OTHER)
+BLOCK_LEVEL = "block"
+STEP_LEVELS = (BLOCK_LEVEL,) + FRAGMENT_LEVELS
+# The level of a step that sends a base token; a chunk's step takes its fragment's.
+_BASE_LEVELS = {token: "move" if dsl.is_move(token) else BLOCK_LEVEL
+                for token in dsl.BASE_TOKENS}
+REPETITION_BLOCKS = 4
+
+
+class TrialSpec(NamedTuple):
+    repetition_block: int
+    left: str
+    right: str
+
+
+class TrialSequence(NamedTuple):
+    trials: tuple[TrialSpec, ...]
+    seed: int
+
+
+class FragmentSnapshot(NamedTuple):
+    id: str
+    body: str
+    expansion: str
+    level: str
+    adopted_trial: int
+    score_delta: float
+
+
+class LearnedTrial(NamedTuple):
+    target: Scene
+    program: Program                        # the target's canonical program
+    library: Library                        # after learning from this trial's scene
+    adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
+
+
+@lru_cache(maxsize=1 << 6)
+def _base_scene(left: TowerStimulus, right: TowerStimulus) -> tuple[Scene, Program]:
+    """A trial's target scene and its canonical program, derived once per tower pair."""
+    target = compose_scene(left, right)
+    return target, dsl.canonical_program(target)
+
+
+def _shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
+    """The blocks moved left so that the leftmost one stands in column 0."""
+    min_x = min(b.x for b in blocks)
+    return frozenset(b.translate(-min_x) for b in blocks)
+
+
+def shape_levels(stimuli: Sequence[TowerStimulus]) -> dict[frozenset[BlockPlacement], str]:
+    """The level of each shape a fragment can rebuild: a stimulus is a tower, and
+    a side-by-side pair of stimuli is a scene."""
+    # Towers go in last: a pair has a tower's shape only when its two halves are
+    # the same four blocks, and then it is that tower.
+    levels = {_shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
+              for left in stimuli for right in stimuli}
+    levels.update((_shape(tower.blocks), TOWER) for tower in stimuli)
+    return levels
+
+
+def classify_fragment(expansion: Program, shapes: dict[frozenset[BlockPlacement], str]) -> str:
+    """Bucket a fragment by the configuration its expansion builds.
+
+    2-3 placements is sub-tower level; 4 placements that exactly rebuild one
+    stimulus is tower level; 8 placements that rebuild a side-by-side pair of
+    stimuli is scene level; anything else is other. `shapes` is the stimuli's
+    shape_levels. The expansion, part of a 14x8 scene's program, runs from
+    column 30 of an empty 64x32 grid, which it cannot leave: only its shape decides.
+    """
+    n = dsl.count_placements(expansion)
+    if 2 <= n <= 3:
+        return SUB_TOWER
+    if n not in (4, 8):
+        return OTHER
+    return shapes.get(_shape(dsl.execute(expansion, 30, 64, 32)), OTHER)
+
+
+def library_trajectory(sequence: TrialSequence, w: float,
+                       stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
+    """Library learning over a trial sequence, one entry per trial.
+
+    Learning sees only the target scenes, never the RNG or the communication,
+    so every dyad over the same sequence and w shares one trajectory.
+    """
+    towers = {tower.id: tower for tower in stimuli}
+    shapes = shape_levels(stimuli)
+    library = Library()
+    scenes: list[Program] = []
+    trials: list[LearnedTrial] = []
+    for index, spec in enumerate(sequence.trials, start=1):
+        target, program = _base_scene(towers[spec.left], towers[spec.right])
+        scenes.append(program)
+        library, adoptions = update_library_with_log(library, scenes, w)
+        adopted = tuple(
+            FragmentSnapshot(
+                id=a.fragment.id,
+                body=dsl.print_program(a.fragment.body),
+                expansion=dsl.print_program(a.fragment.expansion),
+                level=classify_fragment(a.fragment.expansion, shapes),
+                adopted_trial=index,
+                score_delta=a.score_delta,
+            )
+            for a in adoptions)
+        trials.append(LearnedTrial(target, program, library, adopted))
+    return tuple(trials)
+
+
+def snapshot_level_proportions(snapshots: Sequence[FragmentSnapshot],
+                               n_trials: int) -> list[dict[str, float]]:
+    """Per trial 0..n_trials: proportion of the library's fragments at each level."""
+    rows = []
+    for trial in range(n_trials + 1):
+        fragments = [s for s in snapshots if s.adopted_trial <= trial]
+        row = {"trial": float(trial)}
+        for level in FRAGMENT_LEVELS:
+            row[level] = (sum(1 for s in fragments if s.level == level) / len(fragments)
+                          if fragments else 0.0)
+        rows.append(row)
+    return rows
+
+
+def step_levels(final_library: Sequence[FragmentSnapshot]) -> dict[str, str]:
+    """The level of each token a dyad's programs send: a base token's from
+    _BASE_LEVELS, a chunk's from its fragment's snapshot in final_library."""
+    return {**_BASE_LEVELS, **{snapshot.id: snapshot.level for snapshot in final_library}}

@@ -4,8 +4,8 @@ A dyad plays twelve trials: every pair of the three towers appears once per
 repetition block, four blocks total, with left/right positions balanced. On
 each trial the Architect picks a program and utterance for the target scene,
 the Builder reconstructs it word by word, the Architect updates its lexicon
-beliefs from the visible placements, and both agents extend their shared
-library from the scenes observed so far.
+beliefs from the visible placements, and both agents take up the library that
+library_learning.library_trajectory learned from the scenes observed so far.
 """
 
 from __future__ import annotations
@@ -14,25 +14,26 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from . import dsl, pragmatics
+from . import dsl
 from .blockworld import (
     GRID_HEIGHT,
     GRID_WIDTH,
-    RIGHT_ORIGIN,
     BlockPlacement,
     Scene,
     TowerStimulus,
-    compose_scene,
     f1_score,
     stimulus_towers,
 )
 from .dsl import Library, Program
-from .library_learning import LearningConfig, update_library_with_log
+from .library_learning import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS, FragmentSnapshot,
+                               LearnedTrial, TrialSequence, TrialSpec, check_w,
+                               library_trajectory, snapshot_level_proportions, step_levels)
+# Not called here: perfbench/layers.py wraps the learner under every name it is bound to.
+from .library_learning import update_library_with_log
 from .pragmatics import (
     PragmaticsConfig,
     architect_choose,
@@ -43,41 +44,19 @@ from .pragmatics import (
     lenient_run,
     update_belief,
 )
-
-SUB_TOWER = "sub_tower"
-TOWER = "tower"
-SCENE = "scene"
-OTHER = "other"
-FRAGMENT_LEVELS = (SUB_TOWER, TOWER, SCENE, OTHER)
-BLOCK_LEVEL = "block"
-STEP_LEVELS = (BLOCK_LEVEL,) + FRAGMENT_LEVELS
-# The level of a step that sends a base token; a chunk's step takes its fragment's.
-_BASE_LEVELS = {token: "move" if dsl.is_move(token) else BLOCK_LEVEL
-                for token in dsl.BASE_TOKENS}
+from .traces import trace_json
 
 TOWER_PAIRS = tuple(combinations(sorted(t.id for t in stimulus_towers()), 2))
 TRIALS_PER_SEQUENCE = 12
-REPETITION_BLOCKS = 4
 
 
-class TrialSpec(NamedTuple):
-    repetition_block: int
-    left: str
-    right: str
+@dataclass(frozen=True)
+class LearningConfig:
+    """Library learning knobs; w is the library size penalty from the prior."""
+    w: float
 
-
-class TrialSequence(NamedTuple):
-    trials: tuple[TrialSpec, ...]
-    seed: int
-
-
-class FragmentSnapshot(NamedTuple):
-    id: str
-    body: str
-    expansion: str
-    level: str
-    adopted_trial: int
-    score_delta: float
+    def __post_init__(self) -> None:
+        check_w(self.w)
 
 
 class TrialRecord(NamedTuple):
@@ -138,90 +117,12 @@ def generate_sequences(master_seed: int, count: int) -> tuple[list[TrialSequence
     return [generate_trial_sequence(next(seeds)) for _ in range(count)], seeds
 
 
-class LearnedTrial(NamedTuple):
-    target: Scene
-    program: Program                        # the target's canonical program
-    library: Library                        # after learning from this trial's scene
-    adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
-
-
-@lru_cache(maxsize=1 << 6)
-def _base_scene(left: TowerStimulus, right: TowerStimulus) -> tuple[Scene, Program]:
-    """A trial's target scene and its canonical program, derived once per tower pair."""
-    target = compose_scene(left, right)
-    return target, dsl.canonical_program(target)
-
-
-def _shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
-    """The blocks moved left so that the leftmost one stands in column 0."""
-    min_x = min(b.x for b in blocks)
-    return frozenset(b.translate(-min_x) for b in blocks)
-
-
-def shape_levels(stimuli: Sequence[TowerStimulus]) -> dict[frozenset[BlockPlacement], str]:
-    """The level of each shape a fragment can rebuild: a stimulus is a tower, and
-    a side-by-side pair of stimuli is a scene."""
-    # Towers go in last: a pair has a tower's shape only when its two halves are
-    # the same four blocks, and then it is that tower.
-    levels = {_shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
-              for left in stimuli for right in stimuli}
-    levels.update((_shape(tower.blocks), TOWER) for tower in stimuli)
-    return levels
-
-
-def classify_fragment(expansion: Program, shapes: dict[frozenset[BlockPlacement], str]) -> str:
-    """Bucket a fragment by the configuration its expansion builds.
-
-    2-3 placements is sub-tower level; 4 placements that exactly rebuild one
-    stimulus is tower level; 8 placements that rebuild a side-by-side pair of
-    stimuli is scene level; anything else is other. `shapes` is the stimuli's
-    shape_levels. The expansion, part of a 14x8 scene's program, runs from
-    column 30 of an empty 64x32 grid, which it cannot leave: only its shape decides.
-    """
-    n = dsl.count_placements(expansion)
-    if 2 <= n <= 3:
-        return SUB_TOWER
-    if n not in (4, 8):
-        return OTHER
-    return shapes.get(_shape(dsl.execute(expansion, 30, 64, 32)), OTHER)
-
-
-def library_trajectory(sequence: TrialSequence, lcfg: LearningConfig,
-                       stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
-    """Library learning over a trial sequence, one entry per trial.
-
-    Learning sees only the target scenes, never the RNG or the communication,
-    so every dyad over the same sequence and lcfg shares one trajectory.
-    """
-    towers = {tower.id: tower for tower in stimuli}
-    shapes = shape_levels(stimuli)
-    library = Library()
-    scenes: list[Program] = []
-    trials: list[LearnedTrial] = []
-    for index, spec in enumerate(sequence.trials, start=1):
-        target, program = _base_scene(towers[spec.left], towers[spec.right])
-        scenes.append(program)
-        library, adoptions = update_library_with_log(library, scenes, lcfg)
-        adopted = tuple(
-            FragmentSnapshot(
-                id=a.fragment.id,
-                body=dsl.print_program(a.fragment.body),
-                expansion=dsl.print_program(a.fragment.expansion),
-                level=classify_fragment(a.fragment.expansion, shapes),
-                adopted_trial=index,
-                score_delta=a.score_delta,
-            )
-            for a in adoptions)
-        trials.append(LearnedTrial(target, program, library, adopted))
-    return tuple(trials)
-
-
 def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
              lcfg: LearningConfig, rng: random.Random,
              learned: tuple[LearnedTrial, ...],
              iteration: int = 0, dyad_seed: int = 0) -> DyadTrace:
     """Simulate one Architect/Builder pair through a full trial sequence;
-    `learned` is its library_trajectory at `lcfg` with `w`."""
+    `learned` is its library_trajectory at `w`."""
     library = Library()
     belief = initial_belief()
     bindings: dict[str, str] = {}  # the Builder's word-to-fragment bindings
@@ -275,7 +176,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
 
 def _group_task(args: tuple) -> list[DyadTrace]:
     sequence, lcfg, stimuli, dyads = args
-    learned = library_trajectory(sequence, lcfg, stimuli)
+    learned = library_trajectory(sequence, lcfg.w, stimuli)
     return [run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(dyad_seed), learned,
                      iteration=iteration, dyad_seed=dyad_seed)
             for cfg, dyad_seed, iteration in dyads]
@@ -316,20 +217,6 @@ def run_experiment(configs: Sequence[tuple[PragmaticsConfig, LearningConfig]],
 # ---------------------------------------------------------------------------
 # Metrics
 
-def snapshot_level_proportions(snapshots: Sequence[FragmentSnapshot],
-                               n_trials: int) -> list[dict[str, float]]:
-    """Per trial 0..n_trials: proportion of the library's fragments at each level."""
-    rows = []
-    for trial in range(n_trials + 1):
-        fragments = [s for s in snapshots if s.adopted_trial <= trial]
-        row = {"trial": float(trial)}
-        for level in FRAGMENT_LEVELS:
-            row[level] = (sum(1 for s in fragments if s.level == level) / len(fragments)
-                          if fragments else 0.0)
-        rows.append(row)
-    return rows
-
-
 def fragment_trajectory(summaries: Sequence[DyadSummary]) -> list[dict[str, float]]:
     """Mean per-trial library composition over dyads (Fig-4A-style table)."""
     if not summaries:
@@ -345,12 +232,6 @@ def fragment_trajectory(summaries: Sequence[DyadSummary]) -> list[dict[str, floa
     return rows
 
 
-def step_levels(trace: DyadTrace) -> dict[str, str]:
-    """The level of each token a trace's programs send: a base token's from
-    _BASE_LEVELS, a chunk's from its fragment's snapshot in final_library."""
-    return {**_BASE_LEVELS, **{snapshot.id: snapshot.level for snapshot in trace.final_library}}
-
-
 class DyadSummary(NamedTuple):
     """What the tables read of a trace; after final_library, one entry per repetition block."""
     final_library: tuple[FragmentSnapshot, ...]       # the trace's own tuple
@@ -361,7 +242,7 @@ class DyadSummary(NamedTuple):
 
 def summarize(trace: DyadTrace) -> DyadSummary:
     """A trace's summary: the one reading of its records for the tables."""
-    level_of = step_levels(trace)
+    level_of = step_levels(trace.final_library)
     blocks = []
     for block in range(1, REPETITION_BLOCKS + 1):
         records = [r for spec, r in zip(trace.sequence.trials, trace.records, strict=True)
@@ -447,5 +328,4 @@ def mean_pairwise_jsd(summaries: Sequence[DyadSummary], repetition_block: int) -
 
 def trace_to_dict(trace: DyadTrace) -> dict:
     """A trace as the data traces.json holds for it."""
-    from .traces import trace_json  # imported here: traces imports this module
     return json.loads(trace_json(trace, {}))

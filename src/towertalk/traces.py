@@ -7,14 +7,16 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import dsl
 from .blockworld import (GRID_HEIGHT, GRID_WIDTH, TOWER_ID, InputError, compose_scene, field,
                          render_ascii, scene_from_dict)
-from .library_learning import BODY_TOKEN_SUM
-from .simulation import (REPETITION_BLOCKS, DyadTrace, FragmentSnapshot, TrialSequence,
-                         TrialSpec, step_levels)
+from .library_learning import (BODY_TOKEN_SUM, REPETITION_BLOCKS, FragmentSnapshot,
+                               TrialSequence, TrialSpec, step_levels)
+
+if TYPE_CHECKING:  # only for annotations: learn and render load no dyad code
+    from .simulation import DyadTrace
 
 
 def sequence_to_dict(sequence: TrialSequence) -> dict:
@@ -103,7 +105,7 @@ def trace_json(trace: DyadTrace, memo: dict) -> str:
     the traces of one run never hold both.
     """
     trial_depth = _TRACE_DEPTH + 2
-    level_of = step_levels(trace)
+    level_of = step_levels(trace.final_library)
     library = []
     for snapshot in trace.final_library:
         text = memo.get(snapshot)

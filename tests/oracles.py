@@ -27,12 +27,12 @@ from towertalk import dsl
 from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement,
                                   PlacementError, Scene, TowerStimulus, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
-from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig, _mdl_cost, _mdl_table
+from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, REPETITION_BLOCKS,
+                                        STEP_LEVELS, FragmentSnapshot, _mdl_cost, _mdl_table,
+                                        snapshot_level_proportions, step_levels)
 from towertalk.pragmatics import (BeliefState, Component, PragmaticsConfig, candidate_programs,
                                   hypothesis_count, synthetic_word)
-from towertalk.simulation import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS,
-                                  TRIALS_PER_SEQUENCE, DyadTrace, FragmentSnapshot, TrialRecord,
-                                  jsd, snapshot_level_proportions, step_levels)
+from towertalk.simulation import TRIALS_PER_SEQUENCE, DyadTrace, TrialRecord, jsd
 from towertalk.traces import sequence_to_dict, snapshot_to_dict
 
 # h, v, l, r and the digits 1..9.
@@ -149,10 +149,10 @@ def library_size(library: Library) -> int:
     return BASE_PRIMITIVE_COUNT + sum(dsl.token_length(f.body) for f in library.fragments)
 
 
-def library_score(library: Library, scenes: Sequence[Program], cfg: LearningConfig) -> float:
+def library_score(library: Library, scenes: Sequence[Program], w: float) -> float:
     """Unnormalized log posterior: -w * size(L) - sum of scene MDLs."""
     total = sum(mdl(scene, library) for scene in scenes)
-    return -cfg.w * library_size(library) - total
+    return -w * library_size(library) - total
 
 
 def enumerate_hypotheses(belief: BeliefState,
@@ -475,7 +475,7 @@ def block_records(trace: DyadTrace, block: int) -> list[TrialRecord]:
 def abstraction_proportions(traces: Sequence[DyadTrace]) -> list[dict[str, float]]:
     """Per repetition block: mean share of place-bearing instruction steps at
     each level, averaged over dyads (move tokens carry no reference)."""
-    levels = [step_levels(trace) for trace in traces]
+    levels = [step_levels(trace.final_library) for trace in traces]
     rows = []
     for block in range(1, REPETITION_BLOCKS + 1):
         shares = {level: [] for level in STEP_LEVELS}

@@ -23,7 +23,7 @@ from towertalk.dsl import (
     execute,
     inline,
 )
-from towertalk.library_learning import LearningConfig
+from towertalk.library_learning import REPETITION_BLOCKS, library_trajectory
 from towertalk.pragmatics import (
     PragmaticsConfig,
     belief_entropy,
@@ -34,14 +34,13 @@ from towertalk.pragmatics import (
     update_belief,
 )
 from towertalk.simulation import (
-    REPETITION_BLOCKS,
     TOWER_PAIRS,
+    LearningConfig,
     abstraction_proportions,
     generate_sequences,
     generate_trial_sequence,
     jsd,
     run_experiment,
-    library_trajectory,
     summarize,
 )
 
@@ -169,7 +168,7 @@ def test_criterion_3_fragment_trajectories():
         lcfg = LearningConfig(w=w)
         firsts = []
         for sequence in sequences:
-            snapshots = [s for trial in library_trajectory(sequence, lcfg, towers)
+            snapshots = [s for trial in library_trajectory(sequence, lcfg.w, towers)
                          for s in trial.adopted]
             tower = first_adoption_trial(snapshots, "tower")
             firsts.append(NO_ADOPTION_SENTINEL if tower is None else tower)

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towertalk import cli, simulation, traces
+from towertalk import cli, library_learning, simulation, traces
 from towertalk.cli import DEFAULT_ALPHA, main
-from towertalk.library_learning import BODY_TOKEN_SUM, LearningConfig
+from towertalk.library_learning import BODY_TOKEN_SUM
 from towertalk.pragmatics import PragmaticsConfig
+from towertalk.simulation import LearningConfig
 from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
@@ -332,7 +333,7 @@ def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
         rerun = simulation.run_dyad(
             sequence, lcfg.w, PragmaticsConfig(alpha=recorded["alpha"], beta=recorded["beta"]),
             lcfg, random.Random(recorded["dyad_seed"]),
-            simulation.library_trajectory(sequence, lcfg, stimulus_towers()))
+            library_learning.library_trajectory(sequence, lcfg.w, stimulus_towers()))
         capsys.readouterr()
         assert run_cli("render", "--trace", str(trace_file), "--trace-index", str(index)) == 0
         whole = capsys.readouterr().out
@@ -401,6 +402,12 @@ def test_io_error_exit_code(tmp_path):
                    "--out", str(tmp_path / "x.json")) == 3
 
 
+# Each command's compute, as (module, name): the name the command calls it by.
+COMPUTE = {"gen-seq": (simulation, "generate_sequences"),
+           "learn": (library_learning, "library_trajectory"),
+           "simulate": (simulation, "run_experiment")}
+
+
 @pytest.mark.parametrize("command", ["gen-seq", "learn", "simulate"])
 def test_unwritable_destination_fails_before_compute(tmp_path, capsys, monkeypatch, command):
     sequences = tmp_path / "seqs.json"
@@ -408,16 +415,16 @@ def test_unwritable_destination_fails_before_compute(tmp_path, capsys, monkeypat
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     missing = str(tmp_path / "nodir" / "x.json")
-    argv, compute, destination = {
-        "gen-seq": (["gen-seq", "--out", missing], "generate_sequences", missing),
+    argv, destination = {
+        "gen-seq": (["gen-seq", "--out", missing], missing),
         "learn": (["learn", "--sequences", str(sequences), "--w", "1.5", "--out", missing],
-                  "library_trajectory", missing),
-        "simulate": ([*SMALL_RUN, "--out-dir", str(blocker)], "run_experiment", str(blocker)),
+                  missing),
+        "simulate": ([*SMALL_RUN, "--out-dir", str(blocker)], str(blocker)),
     }[command]
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("computed outputs that have nowhere to go")
-    monkeypatch.setattr(simulation, compute, must_not_run)
+    monkeypatch.setattr(*COMPUTE[command], must_not_run)
     before = _contents(tmp_path)
     capsys.readouterr()
     assert run_cli(*argv) == 3
@@ -463,8 +470,8 @@ def test_out_path_that_is_a_directory_fails_before_compute(tmp_path, capsys, mon
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("computed outputs that have nowhere to go")
-    for compute in ("generate_sequences", "library_trajectory", "run_experiment"):
-        monkeypatch.setattr(simulation, compute, must_not_run)
+    for module, compute in COMPUTE.values():
+        monkeypatch.setattr(module, compute, must_not_run)
     before = _tree(tmp_path)
     capsys.readouterr()
     assert run_cli(*argv) == 3
@@ -485,8 +492,8 @@ def test_empty_out_path_fails_before_compute(tmp_path, capsys, monkeypatch, comm
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("computed outputs that have nowhere to go")
-    for compute in ("generate_sequences", "library_trajectory"):
-        monkeypatch.setattr(simulation, compute, must_not_run)
+    for module, compute in COMPUTE.values():
+        monkeypatch.setattr(module, compute, must_not_run)
     monkeypatch.chdir(tmp_path)  # where a temporary file beside "" would go
     before = _tree(tmp_path)
     capsys.readouterr()
@@ -535,6 +542,45 @@ def test_watch_dyad_prints_its_pinned_narration():
     assert proc.returncode == 0, proc.stderr
     with open(os.path.join(root, "tests", "data", "watch_dyad_seed1_render.txt"), "rb") as fh:
         assert proc.stdout == fh.read()
+
+
+# Run by a child `python -S`: one command, then the last line of stdout names its
+# exit code and which of these modules it loaded.
+_LOADS = (
+    "import sys\n"
+    "from towertalk import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(set(sys.modules) & {'towertalk.simulation', 'towertalk.pragmatics',"
+    " 'dataclasses', 'csv'}))\n")
+
+
+def _child_loads(*argv):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", _LOADS, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", (argv, proc.stderr)
+    return set(loaded)
+
+
+def test_learn_and_render_load_no_dyad_code(tmp_path):
+    """learn and each kind of render load neither the dyad code (simulation,
+    pragmatics) nor dataclasses or csv. simulate, the control, loads the dyad code."""
+    out_dir = tmp_path / "out"
+    assert {"towertalk.simulation", "towertalk.pragmatics"} <= _child_loads(
+        *SMALL_RUN, "--out-dir", str(out_dir))
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    scene = tmp_path / "scene.json"
+    save_scene(Scene(4, 3, frozenset({BlockPlacement(0, 0, HORIZONTAL)})), str(scene))
+    for argv in (["learn", "--sequences", str(sequences), "--w", "1.5",
+                  "--out", str(tmp_path / "learned.json")],
+                 ["render", "--scene", str(scene)],
+                 ["render", "--stimulus", "A"],
+                 ["render", "--trace", str(out_dir / "traces.json")]):
+        assert _child_loads(*argv) == set(), argv
 
 
 def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path, capsys):
@@ -768,7 +814,7 @@ def test_render_rejects_a_bad_tower_id_in_a_trace(tmp_path, capsys, malform):
 
 def _snapshot(**fields):
     """One trial's library: a snapshot adopted on trial 1, with `fields` replaced."""
-    return [{"id": "chunk1", "level": simulation.SUB_TOWER, "body": "(v v)",
+    return [{"id": "chunk1", "level": library_learning.SUB_TOWER, "body": "(v v)",
              "adopted_trial": 1, **fields}]
 
 
@@ -1137,7 +1183,7 @@ trace_files = one_field_off({"traces": st.lists(
             "program": st.text(max_size=8),
             "utterance": st.lists(st.sampled_from(["h", "v", "r1", "chunkA"]), max_size=3),
             "library": st.lists(one_field_off({
-                "id": st.just("chunk1"), "level": st.sampled_from(simulation.FRAGMENT_LEVELS),
+                "id": st.just("chunk1"), "level": st.sampled_from(library_learning.FRAGMENT_LEVELS),
                 "body": st.just("(v (r 1) h)"), "adopted_trial": st.integers(0, 2)}),
                 max_size=2),
             "builder_placements": st.lists(block_dicts, max_size=4)}),

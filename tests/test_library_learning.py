@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towertalk import blockworld, cli, dsl, library_learning, pragmatics, simulation
+from towertalk import blockworld, cli, dsl, library_learning, pragmatics, simulation, traces
 from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import (
     Fragment,
@@ -17,28 +17,26 @@ from towertalk.dsl import (
 )
 from towertalk.library_learning import (
     MAX_FRAGMENTS_PER_TRIAL,
+    OTHER,
+    SCENE,
+    SUB_TOWER,
+    TOWER,
     Adoption,
-    LearningConfig,
     _candidate_windows,
     _mdl_cost,
     _round,
     _scene_table,
     _scene_windows,
+    check_w,
+    classify_fragment,
+    library_trajectory,
+    shape_levels,
     shortest_tokenization,
     update_library_with_log,
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
-from towertalk.simulation import (
-    OTHER,
-    SCENE,
-    SUB_TOWER,
-    TOWER,
-    classify_fragment,
-    generate_sequences,
-    library_trajectory,
-    shape_levels,
-)
+from towertalk.simulation import LearningConfig, generate_sequences
 
 from oracles import (EMPTY_LIBRARY, library_score, library_size, make_fragment, mdl,
                      reference_candidate_windows, reference_shortest_tokenization)
@@ -223,63 +221,63 @@ def test_shortest_tokenization_tie_break_is_leftmost_longest():
 
 
 def test_library_score_empty_scene_list():
-    cfg = LearningConfig(w=2.0)
-    assert library_score(EMPTY_LIBRARY, [], cfg) == -2.0 * 13
+    w = 2.0
+    assert library_score(EMPTY_LIBRARY, [], w) == -2.0 * 13
 
 
 def test_library_score_unused_fragment_costs_w():
-    cfg = LearningConfig(w=1.5)
+    w = 1.5
     scenes = [("h", "h")]
-    base_score = library_score(EMPTY_LIBRARY, scenes, cfg)
+    base_score = library_score(EMPTY_LIBRARY, scenes, w)
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v"), lib))
-    assert library_score(lib, scenes, cfg) == pytest.approx(base_score - 1.5 * 2)
+    assert library_score(lib, scenes, w) == pytest.approx(base_score - 1.5 * 2)
 
 
 def test_library_score_zero_w_rewards_any_compression():
-    cfg = LearningConfig(w=0.0)
+    w = 0.0
     scenes = [("v", "v", "v", "v")]
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", ("v", "v", "v", "v"), lib))
-    assert library_score(lib, scenes, cfg) > library_score(EMPTY_LIBRARY, scenes, cfg)
+    assert library_score(lib, scenes, w) > library_score(EMPTY_LIBRARY, scenes, w)
 
 
 def test_update_library_huge_w_never_grows(towers_by_id):
-    cfg = LearningConfig(w=1e6)
+    w = 1e6
     scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")] * 4]
     lib = EMPTY_LIBRARY
     for t in range(1, len(scenes) + 1):
-        lib = update_library_with_log(lib, scenes[:t], cfg)[0]
+        lib = update_library_with_log(lib, scenes[:t], w)[0]
     assert lib.fragments == ()
 
 
 def test_update_library_zero_w_adopts_whole_scene_on_duplicates():
-    cfg = LearningConfig(w=0.0)
+    w = 0.0
     scene = ("v", "r1", "h", "r2", "v", "v")
-    lib, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene, scene], cfg)
+    lib, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene, scene], w)
     assert any(f.expansion == scene for f in lib.fragments)
     assert all(a.score_delta > 0 for a in adoptions)
 
 
 def test_update_library_adoption_requires_strict_improvement():
-    cfg = LearningConfig(w=1.5)
+    w = 1.5
     scene = ("v", "r1", "h")
-    lib, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene], cfg)
+    lib, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene], w)
     # single occurrence of a 4-unit window saves 3 < 1.5 * 4
     assert lib.fragments == ()
     assert adoptions == []
 
 
 def test_update_library_posterior_tradeoff(towers_by_id):
-    cfg = LearningConfig(w=1.5)
+    w = 1.5
     scenes = []
     lib = EMPTY_LIBRARY
     for a, b in [("A", "B"), ("B", "C"), ("A", "C"), ("C", "B")]:
         scenes.append(canonical_program(compose_scene(towers_by_id[a], towers_by_id[b])))
-        before = library_score(lib, scenes, cfg)
-        lib, adoptions = update_library_with_log(lib, scenes, cfg)
-        after = library_score(lib, scenes, cfg)
+        before = library_score(lib, scenes, w)
+        lib, adoptions = update_library_with_log(lib, scenes, w)
+        after = library_score(lib, scenes, w)
         if adoptions:
             assert after > before
         else:
@@ -287,11 +285,11 @@ def test_update_library_posterior_tradeoff(towers_by_id):
 
 
 def test_update_library_deterministic(towers_by_id):
-    cfg = LearningConfig(w=1.5)
+    w = 1.5
     scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")]]
-    first = update_library_with_log(EMPTY_LIBRARY, scenes, cfg)[0]
-    second = update_library_with_log(EMPTY_LIBRARY, scenes, cfg)[0]
+    first = update_library_with_log(EMPTY_LIBRARY, scenes, w)[0]
+    second = update_library_with_log(EMPTY_LIBRARY, scenes, w)[0]
     assert first == second
 
 
@@ -325,6 +323,8 @@ def test_learning_config_validation():
     for w in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             LearningConfig(w=w)
+        with pytest.raises(ValueError, match="^w must be finite and nonnegative, got "):
+            check_w(w)
 
 
 def module_caches(*modules):
@@ -340,7 +340,8 @@ def learner_caches():
 
 def test_learner_caches_are_bounded():
     names = {fn.__name__ for fn in learner_caches()}
-    assert names == {"_learning_step", "_round", "_scene_table", "_scene_windows", "_mdl_cost"}
+    assert names == {"_learning_step", "_round", "_scene_table", "_scene_windows", "_mdl_cost",
+                     "_base_scene"}
     for fn in learner_caches():
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
     # Each round holds two cost columns per scene, so an evicted round costs two
@@ -351,19 +352,19 @@ def test_learner_caches_are_bounded():
     sequences, _ = generate_sequences(0, 49)
     for w in (1.5, 3.2, 9.6):
         for sequence in sequences:
-            library_trajectory(sequence, LearningConfig(w=w), stimulus_towers())
+            library_trajectory(sequence, w, stimulus_towers())
     rounds = _round.cache_info()
     assert rounds.misses == rounds.currsize < rounds.maxsize, rounds
 
 
 def test_every_cache_in_the_package_is_bounded():
-    modules = (blockworld, cli, dsl, library_learning, pragmatics, simulation)
+    modules = (blockworld, cli, dsl, library_learning, pragmatics, simulation, traces)
     names = {f"{fn.__module__}.{fn.__name__}" for fn in module_caches(*modules)}
     assert names == {f"towertalk.{name}" for name in (
         "library_learning._learning_step", "library_learning._round",
         "library_learning._scene_table", "library_learning._scene_windows",
-        "library_learning._mdl_cost",
-        "pragmatics.candidate_programs", "pragmatics.lenient_run", "simulation._base_scene")}
+        "library_learning._mdl_cost", "library_learning._base_scene",
+        "pragmatics.candidate_programs", "pragmatics.lenient_run")}
     for fn in module_caches(*modules):
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
@@ -450,7 +451,7 @@ def test_learning_does_not_depend_on_the_scene_tables_order(monkeypatch):
     def learn():
         for fn in caches:
             fn.cache_clear()
-        return [library_trajectory(sequence, LearningConfig(w=w), stimuli)
+        return [library_trajectory(sequence, w, stimuli)
                 for w in (1.5, 3.2, 9.6) for sequence in sequences]
 
     forward = learn()
@@ -473,8 +474,7 @@ def test_an_exact_tie_adopts_the_smaller_expansion(monkeypatch, order):
         (r := round_(scenes, library))._replace(rows=r.rows[::order])))
     library_learning._learning_step.cache_clear()
     try:
-        _, adoptions = update_library_with_log(EMPTY_LIBRARY, [("v",) * 4, ("h",) * 4],
-                                               LearningConfig(w=0.0))
+        _, adoptions = update_library_with_log(EMPTY_LIBRARY, [("v",) * 4, ("h",) * 4], 0.0)
     finally:
         library_learning._learning_step.cache_clear()
     assert [(a.fragment.expansion, a.score_delta) for a in adoptions] == [
@@ -498,8 +498,8 @@ def learner_states(draw):
             library = library.with_fragment(fragment)
     pool = draw(st.lists(base_programs, min_size=1, max_size=3))
     observed = draw(st.lists(st.sampled_from(pool), max_size=6))
-    cfg = LearningConfig(w=draw(st.sampled_from([0.0, 0.5, 1.5, 3.2])))
-    return library, observed, draw(st.permutations(observed)), cfg
+    w = draw(st.sampled_from([0.0, 0.5, 1.5, 3.2]))
+    return library, observed, draw(st.permutations(observed)), w
 
 
 # Two tokens of one unit each, so that expansions overlap and tie often.
@@ -540,28 +540,28 @@ def test_shortest_tokenization_walks_the_table_like_the_reference(case):
 @given(learner_states())
 @settings(max_examples=150, deadline=None)
 def test_update_library_same_with_caches_cold_warm_and_permuted(state):
-    library, observed, permuted, cfg = state
+    library, observed, permuted, w = state
     for fn in learner_caches():
         fn.cache_clear()
-    cold = update_library_with_log(library, observed, cfg)
-    assert update_library_with_log(library, observed, cfg) == cold
-    assert update_library_with_log(library, permuted, cfg) == cold
+    cold = update_library_with_log(library, observed, w)
+    assert update_library_with_log(library, observed, w) == cold
+    assert update_library_with_log(library, permuted, w) == cold
     for fn in learner_caches():
         fn.cache_clear()
-    assert update_library_with_log(library, permuted, cfg) == cold
+    assert update_library_with_log(library, permuted, w) == cold
 
 
 def test_update_library_returns_a_fresh_adoption_list():
-    cfg = LearningConfig(w=0.0)
+    w = 0.0
     scene = ("v", "r1", "h", "r2", "v", "v")
-    library, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene, scene], cfg)
+    library, adoptions = update_library_with_log(EMPTY_LIBRARY, [scene, scene], w)
     assert adoptions
     expected = list(adoptions)
     adoptions.clear()
-    assert update_library_with_log(EMPTY_LIBRARY, [scene, scene], cfg) == (library, expected)
+    assert update_library_with_log(EMPTY_LIBRARY, [scene, scene], w) == (library, expected)
 
 
-def dense_update_library(library, observed, cfg):
+def dense_update_library(library, observed, w):
     """The learner with no sparse scoring: every candidate is scored by the MDL
     of every scene, whether or not its expansion occurs there."""
     scenes = sorted(set(tuple(p) for p in observed))
@@ -574,7 +574,7 @@ def dense_update_library(library, observed, cfg):
         best_delta, best = 0.0, None
         for expansion in sorted(windows):
             length, body = windows[expansion]
-            size_cost = cfg.w * token_length(body)
+            size_cost = w * token_length(body)
             occurrences = sum(greedy_count(expansion, seq) for seq in observed)
             if occurrences * (length - 1) <= size_cost:
                 continue
@@ -593,9 +593,9 @@ def dense_update_library(library, observed, cfg):
 @given(learner_states())
 @settings(max_examples=150, deadline=None)
 def test_update_library_matches_dense_scoring(state):
-    library, observed, _, cfg = state
-    assert update_library_with_log(library, observed, cfg) == \
-        dense_update_library(library, observed, cfg)
+    library, observed, _, w = state
+    assert update_library_with_log(library, observed, w) == \
+        dense_update_library(library, observed, w)
 
 
 def greedy_count(pattern, sequence):
@@ -650,7 +650,7 @@ def test_learning_step_scores_each_candidate_exactly(monkeypatch):
     more disjoint occurrences, with the round's expansions and the candidate.
     Each candidate is scored alone, by a round that offers only its row."""
     rng = random.Random(19)
-    cfg = LearningConfig(w=0.0)  # every candidate passes the bound; delta is the saving
+    w = 0.0  # every candidate passes the bound; delta is the saving
     calls = []
     cost, real_round = library_learning._mdl_cost, library_learning._round
     monkeypatch.setattr(library_learning, "_mdl_cost",
@@ -661,7 +661,7 @@ def test_learning_step_scores_each_candidate_exactly(monkeypatch):
             rows=(row,) if library == lib else ()))
         library_learning._learning_step.cache_clear()
         calls.clear()
-        return library_learning._learning_step(lib, scene_counts, cfg)[1]
+        return library_learning._learning_step(lib, scene_counts, w)[1]
 
     # (v v) fits (r1 v v v) once, at 1 and at 2; only the later start uses chunk1.
     cases = [(Library((make_fragment("chunk1", ("r1", "v"), EMPTY_LIBRARY),)),

@@ -26,7 +26,8 @@ from towertalk.pragmatics import (
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene, stimulus_towers
-from towertalk.library_learning import LearningConfig
+from towertalk.library_learning import library_trajectory
+from towertalk.simulation import LearningConfig
 
 from oracles import (_component_marginal, belief_cover, best_utterance, enumerate_hypotheses,
                      enumerated_extension, enumerated_update, joint_utility,
@@ -493,7 +494,7 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
                 anomaly_seen[0] = False
                 sequence, lcfg = simulation.generate_trial_sequence(seed), LearningConfig(w=1.5)
                 simulation.run_dyad(sequence, 1.5, cfg, lcfg, random.Random(seed),
-                                    simulation.library_trajectory(sequence, lcfg, stimuli))
+                                    library_trajectory(sequence, lcfg.w, stimuli))
         assert seen["choices"] == len(CHOICE_CONFIGS) * 2 * simulation.TRIALS_PER_SEQUENCE, name
         assert seen["chunked"] > 0, name
         assert seen["after an anomaly"] > 0, name

@@ -13,21 +13,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towertalk import simulation
+from towertalk import library_learning, simulation
 from towertalk.blockworld import BlockPlacement, TowerStimulus, compose_scene, stimulus_towers
 from towertalk.dsl import canonical_program, is_base_token, is_place, token_length
-from towertalk.library_learning import LearningConfig
+from towertalk.library_learning import (
+    REPETITION_BLOCKS,
+    STEP_LEVELS,
+    FragmentSnapshot,
+    TrialSequence,
+    TrialSpec,
+    library_trajectory,
+    shape_levels,
+    snapshot_level_proportions,
+    step_levels,
+)
 from towertalk.pragmatics import PragmaticsConfig
 from towertalk.simulation import (
-    REPETITION_BLOCKS,
     TOWER_PAIRS,
     TRIALS_PER_SEQUENCE,
     DyadSummary,
     DyadTrace,
-    FragmentSnapshot,
+    LearningConfig,
     TrialRecord,
-    TrialSequence,
-    TrialSpec,
     abstraction_proportions,
     accuracy_and_efficiency,
     fragment_trajectory,
@@ -36,10 +43,6 @@ from towertalk.simulation import (
     mean_pairwise_jsd,
     run_dyad,
     run_experiment,
-    library_trajectory,
-    shape_levels,
-    snapshot_level_proportions,
-    step_levels,
     summarize,
     trace_to_dict,
 )
@@ -91,12 +94,12 @@ def test_sequence_dict_round_trip():
 def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3):
     sequence, lcfg = generate_trial_sequence(seq_seed), LearningConfig(w=w)
     return run_dyad(sequence, w, PragmaticsConfig(alpha=5.0, beta=beta), lcfg,
-                    random.Random(dyad_seed), library_trajectory(sequence, lcfg, TOWERS))
+                    random.Random(dyad_seed), library_trajectory(sequence, lcfg.w, TOWERS))
 
 
 def test_run_dyad_huge_w_is_all_base_and_perfect():
     trace = _run(w=1e6, beta=0.8)
-    levels = step_levels(trace)
+    levels = step_levels(trace.final_library)
     for record in trace.records:
         assert record.f1 == 1.0
         assert all(levels[token] in ("block", "move") for token in record.program)
@@ -189,13 +192,13 @@ SHARED_GRID = [(PragmaticsConfig(alpha=5.0, beta=beta), LearningConfig(w=w))
 
 def test_run_experiment_learns_each_group_once(monkeypatch):
     calls = []
-    learn = simulation.update_library_with_log
+    learn = library_learning.update_library_with_log
 
     def counting(*args):
         calls.append(1)
         return learn(*args)
 
-    monkeypatch.setattr(simulation, "update_library_with_log", counting)
+    monkeypatch.setattr(library_learning, "update_library_with_log", counting)
     traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=2, iterations=2, master_seed=3)
     # 2 sequences x 2 w, 12 trials each; not again for each beta x iteration (192).
     assert len(calls) == 2 * 2 * TRIALS_PER_SEQUENCE
@@ -208,7 +211,7 @@ def test_run_experiment_learns_each_group_once(monkeypatch):
         for sequence in sequences:
             for iteration in range(2):
                 seed = next(seeds)
-                learned = library_trajectory(sequence, lcfg, TOWERS)
+                learned = library_trajectory(sequence, lcfg.w, TOWERS)
                 expected.append(run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(seed),
                                          learned, iteration=iteration, dyad_seed=seed))
     assert traces == expected
@@ -236,11 +239,11 @@ def test_library_trajectory_builds_the_shape_table_once(monkeypatch):
         calls.append(stimuli)
         return shape_levels(stimuli)
 
-    monkeypatch.setattr(simulation, "shape_levels", counting)
+    monkeypatch.setattr(library_learning, "shape_levels", counting)
     sequences, _ = simulation.generate_sequences(0, 2)
     levels = [snapshot.level
               for sequence in sequences
-              for trial in library_trajectory(sequence, LearningConfig(w=1.5), TOWERS)
+              for trial in library_trajectory(sequence, 1.5, TOWERS)
               for snapshot in trial.adopted]
     assert calls == [TOWERS, TOWERS]
     # The trajectories classify more tower and scene fragments than they build tables.
@@ -253,8 +256,8 @@ def test_library_trajectory_follows_towers_and_config():
     lcfg = LearningConfig(w=1.5)
     rotated = tuple(TowerStimulus(t.id, other.blocks)
                     for t, other in zip(TOWERS, TOWERS[1:] + TOWERS[:1]))
-    default = library_trajectory(sequence, lcfg, TOWERS)
-    custom = library_trajectory(sequence, lcfg, rotated)
+    default = library_trajectory(sequence, lcfg.w, TOWERS)
+    custom = library_trajectory(sequence, lcfg.w, rotated)
     assert isinstance(default, tuple) and isinstance(custom, tuple)
     by_id = {t.id: t for t in rotated}
     assert [trial.target for trial in custom] == [
@@ -262,8 +265,8 @@ def test_library_trajectory_follows_towers_and_config():
     assert custom != default
     # w 1e6, learned after w 1.5, adopts nothing; w 1.5 again gives the first trajectory.
     assert all(trial.adopted == () for trial in
-               library_trajectory(sequence, LearningConfig(w=1e6), TOWERS))
-    assert library_trajectory(sequence, lcfg, TOWERS) == default
+               library_trajectory(sequence, 1e6, TOWERS))
+    assert library_trajectory(sequence, lcfg.w, TOWERS) == default
 
     # A dyad on the custom towers adopts the custom trajectory's fragments.
     dyad = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8), lcfg,
@@ -357,9 +360,9 @@ def test_mean_pairwise_jsd_does_not_depend_on_string_hashing():
     every PYTHONHASHSEED."""
     script = textwrap.dedent("""\
         from towertalk.blockworld import stimulus_towers
-        from towertalk.library_learning import LearningConfig
         from towertalk.pragmatics import PragmaticsConfig
-        from towertalk.simulation import jsd, mean_pairwise_jsd, run_experiment, summarize
+        from towertalk.simulation import (LearningConfig, jsd, mean_pairwise_jsd,
+                                          run_experiment, summarize)
         configs = [(PragmaticsConfig(alpha=5.0, beta=b), LearningConfig(w=1.5))
                    for b in (0.3, 0.8)]
         traces = run_experiment(configs, stimulus_towers(), n_sequences=4, iterations=2,
@@ -441,7 +444,7 @@ def test_summaries_of_hand_built_traces():
     assert _tables(simulation, []) == _tables(oracles, []) == (
         [], *[[{"repetition_block": float(block), **values}
                for block in range(1, REPETITION_BLOCKS + 1)]
-              for values in ({level: 0.0 for level in simulation.STEP_LEVELS},
+              for values in ({level: 0.0 for level in STEP_LEVELS},
                              {"mean_f1": 0.0, "mean_tokens_sent": 0.0, "n_dyads": 0.0})],
         [0.0] * REPETITION_BLOCKS)
     snapshot = FragmentSnapshot(id="c0", body="h r2 h", expansion="h r2 h", level="sub_tower",
@@ -481,7 +484,7 @@ def test_library_trajectory_matches_dyad_learning():
     """Library growth depends only on the observed scenes, not on communication."""
     sequence = generate_trial_sequence(8)
     lcfg = LearningConfig(w=1.5)
-    learned = library_trajectory(sequence, lcfg, TOWERS)
+    learned = library_trajectory(sequence, lcfg.w, TOWERS)
     # Each trial carries its target's base program, which the Architect encodes.
     for trial in learned:
         assert trial.program == canonical_program(trial.target)
@@ -514,7 +517,7 @@ def test_trace_json_writes_int_configs_as_ints():
     """Configs built in code may hold ints; json writes 2, not 2.0, and so must the encoder."""
     sequence, lcfg = generate_trial_sequence(3), LearningConfig(w=2)
     trace = run_dyad(sequence, 2, PragmaticsConfig(alpha=5, beta=0), lcfg, random.Random(70),
-                     library_trajectory(sequence, lcfg, TOWERS))
+                     library_trajectory(sequence, lcfg.w, TOWERS))
     text = trace_json(trace, {})
     assert text == _oracle_text(trace)
     assert '"alpha": 5,' in text and '"beta": 0,' in text and '"w": 2\n' in text
