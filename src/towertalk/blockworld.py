@@ -183,8 +183,9 @@ TOWER_ID = "a tower id string"
 
 def field(data: object, key: str | int, kind: type, where: str = "", expected: str = ""):
     """Field `key` of an input file's object `data`, or item `key` of its array, as a
-    `kind`: an int field takes an integral float, a float field an int, neither a bool.
-    Anything else is an InputError naming the field from `where` on, reprlib-bounded."""
+    `kind`: an int field takes an integral float, a float field an int, neither a bool,
+    and a float field only a finite number. Anything else is an InputError naming the
+    field from `where` on, reprlib-bounded."""
     name = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
     if not (isinstance(data, dict) and key in data if isinstance(key, str)
             else isinstance(data, list) and 0 <= key < len(data)):
@@ -192,20 +193,31 @@ def field(data: object, key: str | int, kind: type, where: str = "", expected: s
     value = data[key]
     if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    if isinstance(value, kind) and not isinstance(value, bool):
+    if kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        expected = "a finite number" if type(value) is float else expected
+    elif isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise InputError(f"{name}: expected {expected or _EXPECTED[kind]}, got {reprlib.repr(value)}")
 
 
-def block_from_dict(data: dict) -> BlockPlacement:
-    """Inverse of ``BlockPlacement._asdict``; rejects an unknown orientation."""
-    block = BlockPlacement(field(data, "x", int), field(data, "y", int),
-                           field(data, "orientation", str))
-    if block.orientation not in (HORIZONTAL, VERTICAL):
-        raise InputError(f"unknown orientation {reprlib.repr(block.orientation)}")
-    return block
+def blocks_field(data: object, key: str, where: str, width: int = GRID_WIDTH,
+                 height: int = GRID_HEIGHT) -> frozenset[BlockPlacement]:
+    """Field `key` of `data` as a list of blocks, each as BlockPlacement._asdict writes it.
+    Rejects an unknown orientation, and blocks that overlap or leave width x height;
+    every message is named from the list's path on."""
+    name = f"{where}.{key}" if where else key
+    blocks = []
+    for i, entry in enumerate(field(data, key, list, where)):
+        x, y, orientation = (field(entry, k, kind, f"{name}[{i}]")
+                             for k, kind in (("x", int), ("y", int), ("orientation", str)))
+        if orientation not in (HORIZONTAL, VERTICAL):
+            raise InputError(f"{name}[{i}].orientation: unknown orientation "
+                             f"{reprlib.repr(orientation)}")
+        blocks.append(BlockPlacement(x, y, orientation))
+    _check_cells(blocks, width, height, f"{name}: ")
+    return frozenset(blocks)
 
 
 def scene_from_dict(data: dict) -> Scene:
@@ -215,17 +227,15 @@ def scene_from_dict(data: dict) -> Scene:
     if not (1 <= width <= GRID_WIDTH and 1 <= height <= GRID_HEIGHT):
         raise InputError(f"scene extent {width}x{height} must lie within 1x1 and "
                          f"{GRID_WIDTH}x{GRID_HEIGHT}")
-    blocks = [block_from_dict(b) for b in field(data, "blocks", list)]
-    _check_cells(blocks, width, height)
-    return Scene(width, height, frozenset(blocks))
+    return Scene(width, height, blocks_field(data, "blocks", "", width, height))
 
 
 def stimuli_from_dict(data: dict) -> tuple[TowerStimulus, ...]:
     """A stimuli file's data as validated towers; rejects a duplicate id."""
     towers = []
     for k, entry in enumerate(field(data, "towers", list)):
-        tower = TowerStimulus(field(entry, "id", str, f"towers[{k}]", TOWER_ID), frozenset(
-            block_from_dict(b) for b in field(entry, "blocks", list, f"towers[{k}]")))
+        tower = TowerStimulus(field(entry, "id", str, f"towers[{k}]", TOWER_ID),
+                              blocks_field(entry, "blocks", f"towers[{k}]"))
         validate_stimulus(tower)
         towers.append(tower)
     if len({t.id for t in towers}) != len(towers):

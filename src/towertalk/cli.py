@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import json
 import os
 import reprlib
@@ -33,8 +32,7 @@ from .blockworld import (
     stimuli_from_dict,
     stimulus_towers,
 )
-from .library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS,
-                               check_w)
+from .library_learning import BODY_TOKEN_SUM, check_w
 from .traces import narrate, sequence_from_dict, sequence_to_dict, snapshot_to_dict, traces_json
 
 EXIT_OK = 0
@@ -47,8 +45,6 @@ DEFAULT_BETA = (0.0, 0.3, 0.8)
 DEFAULT_ALPHA = 5.0
 DEFAULT_N_SEQUENCES = 49
 DEFAULT_ITERATIONS = 2
-# The file name prefixes of each cell's tables, in the order cmd_simulate builds them.
-TABLES = ("fragment_trajectory", "abstraction_proportions", "accuracy_efficiency", "jsd")
 
 
 class ConfigError(Exception):
@@ -122,17 +118,6 @@ def _check_out_file(path: str) -> None:
 
 def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    import csv  # imported here, as the dyad code is: only simulate writes tables
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                         for k, v in row.items()})
-    return buffer.getvalue()
 
 
 def _load(parse, path: str):
@@ -260,41 +245,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
                   stimuli, source)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name in ["traces.json", *(f"{table}_{tag}.csv" for tag in cells for table in TABLES)]:
+    for name in ["traces.json",
+                 *(f"{table}_{tag}.csv" for tag in cells for table in simulation.TABLES)]:
         _check_out_file(os.path.join(args.out_dir, name))
     traces = simulation.run_experiment(
-        configs=list(cells.values()),
-        stimuli=stimuli,
-        n_sequences=args.n_sequences,
-        iterations=args.iterations,
-        master_seed=args.master_seed,
-        jobs=args.jobs,
-    )
-
+        configs=list(cells.values()), stimuli=stimuli, n_sequences=args.n_sequences,
+        iterations=args.iterations, master_seed=args.master_seed, jobs=args.jobs)
     # The CSVs are small and built first, from one cell's summaries at a time.
     # traces.json, the bulk of the output, is encoded one dyad at a time as it is written.
     outputs: dict[str, Iterable[str]] = {}
     for tag, cell in cells.items():
         summaries = [simulation.summarize(t) for t in traces if (t.pragmatics, t.learning) == cell]
-        tables = (
-            _csv_text(["trial", *FRAGMENT_LEVELS], simulation.fragment_trajectory(summaries)),
-            _csv_text(["repetition_block", *STEP_LEVELS],
-                      simulation.abstraction_proportions(summaries)),
-            _csv_text(["repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"],
-                      simulation.accuracy_and_efficiency(summaries)),
-            _csv_text(["repetition_block", "mean_pairwise_jsd"],
-                      [{"repetition_block": float(block),
-                        "mean_pairwise_jsd": simulation.mean_pairwise_jsd(summaries, block)}
-                       for block in range(1, REPETITION_BLOCKS + 1)]))
-        outputs.update((f"{table}_{tag}.csv", [text]) for table, text in zip(TABLES, tables))
-    outputs["traces.json"] = traces_json({
-        "master_seed": args.master_seed,
-        "alpha": args.alpha,
-        "size_rule": BODY_TOKEN_SUM,
-        "n_sequences": args.n_sequences,
-        "iterations": args.iterations,
-    }, traces)
-
+        outputs.update((f"{table}_{tag}.csv", [text])
+                       for table, text in simulation.cell_tables(summaries).items())
+    outputs["traces.json"] = traces_json(traces, args.master_seed, args.alpha, args.n_sequences,
+                                         args.iterations)
     _write_outputs({os.path.join(args.out_dir, name): pieces
                     for name, pieces in sorted(outputs.items())})
     return EXIT_OK

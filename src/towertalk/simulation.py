@@ -326,6 +326,29 @@ def mean_pairwise_jsd(summaries: Sequence[DyadSummary], repetition_block: int) -
     return total / (n * (n - 1) // 2)
 
 
+# Each cell's four CSVs: file name prefix -> columns, in the order cell_tables builds them.
+TABLES = {
+    "fragment_trajectory": ("trial", *FRAGMENT_LEVELS),
+    "abstraction_proportions": ("repetition_block", *STEP_LEVELS),
+    "accuracy_efficiency": ("repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"),
+    "jsd": ("repetition_block", "mean_pairwise_jsd"),
+}
+
+
+def cell_tables(summaries: Sequence[DyadSummary]) -> dict[str, str]:
+    """A cell's CSV texts by TABLES prefix: a header line of the columns, then
+    one line per row of its values to 6 decimals. No header or value holds a
+    comma, quote or newline, so no field is quoted."""
+    tables = (fragment_trajectory(summaries), abstraction_proportions(summaries),
+              accuracy_and_efficiency(summaries),
+              [{"repetition_block": float(block),
+                "mean_pairwise_jsd": mean_pairwise_jsd(summaries, block)}
+               for block in range(1, REPETITION_BLOCKS + 1)])
+    return {table: "".join([",".join(columns) + "\n",
+                            *(",".join(f"{row[c]:.6f}" for c in columns) + "\n" for row in rows)])
+            for (table, columns), rows in zip(TABLES.items(), tables)}
+
+
 def trace_to_dict(trace: DyadTrace) -> dict:
     """A trace as the data traces.json holds for it."""
     return json.loads(trace_json(trace, {}))

@@ -10,8 +10,8 @@ import reprlib
 from typing import TYPE_CHECKING, Iterator
 
 from . import dsl
-from .blockworld import (GRID_HEIGHT, GRID_WIDTH, TOWER_ID, InputError, compose_scene, field,
-                         render_ascii, scene_from_dict)
+from .blockworld import (GRID_HEIGHT, GRID_WIDTH, TOWER_ID, InputError, Scene, blocks_field,
+                         compose_scene, field, render_ascii)
 from .library_learning import (BODY_TOKEN_SUM, REPETITION_BLOCKS, FragmentSnapshot,
                                TrialSequence, TrialSpec, step_levels)
 
@@ -156,11 +156,14 @@ def trace_json(trace: DyadTrace, memo: dict) -> str:
         _number(trace.learning.w))
 
 
-def traces_json(head: dict, traces: list[DyadTrace]) -> Iterator[str]:
-    """The text of json.dumps({**head, "traces": [...]}, indent=2, sort_keys=True) and a
-    newline, one dyad at a time: "traces" sorts after every key of `head`, so each trace's
-    text goes inside the head's last brackets. Only one trace's text is held at a time."""
-    before, after = (_nested({**head, "traces": []}, 0) + "\n").rsplit("[]", 1)
+def traces_json(traces: list[DyadTrace], master_seed: int, alpha: float, n_sequences: int,
+                iterations: int) -> Iterator[str]:
+    """The text of traces.json, as json.dumps(..., indent=2, sort_keys=True) and a newline
+    write it, one dyad at a time: "traces" sorts after every key of the run's head, so each
+    trace's text goes inside the head's last brackets. Only one trace's text is held at a time."""
+    head = {"master_seed": master_seed, "alpha": alpha, "size_rule": BODY_TOKEN_SUM,
+            "n_sequences": n_sequences, "iterations": iterations, "traces": []}
+    before, after = (_nested(head, 0) + "\n").rsplit("[]", 1)
     yield before + "["
     memo: dict = {}
     separator = _LINE[_TRACE_DEPTH]
@@ -208,8 +211,7 @@ def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = Tr
                 lines.append(f"   + learned {fragment} [{level}] {body}")
         if draw:
             target = compose_scene(*(towers[tower] for tower in ids))
-            built = scene_from_dict({"width": GRID_WIDTH, "height": GRID_HEIGHT,
-                                     "blocks": field(entry, "builder_placements", list, name)})
+            built = Scene(GRID_WIDTH, GRID_HEIGHT, blocks_field(entry, "builder_placements", name))
             lines += [f"   {lhs}   {rhs}" for lhs, rhs in zip(render_ascii(target).split("\n"),
                                                           render_ascii(built).split("\n"))]
     if trial is None:

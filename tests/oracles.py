@@ -8,14 +8,17 @@ expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
 a word's marginal listener probability taken word by word, the
 Architect's per-candidate utterance and utility, the Builder's lenient
-run without a memo, a trace's data as plain dicts and lists, and the four
-tables built by walking each whole trace's records instead of its summary. The
+run without a memo, a trace's data as plain dicts and lists, the four
+tables built by walking each whole trace's records instead of its summary, and
+a cell's CSV texts as csv.DictWriter writes those tables. The
 program computes none of these; the tests check it against them. The scene
 and stimuli file writers are here too: the program only reads those files.
 
 Import with `from oracles import ...`: pytest puts this directory on sys.path.
 """
 
+import csv
+import io
 import json
 import math
 import random
@@ -533,3 +536,33 @@ def mean_pairwise_jsd(traces: Sequence[DyadTrace], repetition_block: int) -> flo
     for i, j in combinations(range(len(keys)), 2):
         total += counts[keys[i]] * counts[keys[j]] * jsd(distributions[i], distributions[j])
     return total / (n * (n - 1) // 2)
+
+
+# A cell's CSVs: file name prefix -> columns.
+CSV_COLUMNS = {
+    "fragment_trajectory": ["trial", *FRAGMENT_LEVELS],
+    "abstraction_proportions": ["repetition_block", *STEP_LEVELS],
+    "accuracy_efficiency": ["repetition_block", "mean_f1", "mean_tokens_sent", "n_dyads"],
+    "jsd": ["repetition_block", "mean_pairwise_jsd"],
+}
+
+
+def csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    """The rows as csv.DictWriter writes them, each float to 6 decimals."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()})
+    return buffer.getvalue()
+
+
+def cell_csvs(traces: Sequence[DyadTrace]) -> dict[str, str]:
+    """A cell's four CSV texts, by file name prefix, from the tables above."""
+    jsd_rows = [{"repetition_block": float(block),
+                 "mean_pairwise_jsd": mean_pairwise_jsd(traces, block)}
+                for block in range(1, REPETITION_BLOCKS + 1)]
+    tables = (fragment_trajectory(traces), abstraction_proportions(traces),
+              accuracy_and_efficiency(traces), jsd_rows)
+    return {table: csv_text(columns, rows)
+            for (table, columns), rows in zip(CSV_COLUMNS.items(), tables)}

@@ -264,6 +264,9 @@ def test_field_names_a_missing_field_and_checks_each_kind():
         (data, "f1", list, "f1: expected a list, got 1"),
         ({"f1": True}, "f1", float, "f1: expected a number, got True"),
         (data, "entropy", float, "entropy: expected a number, got 1000"),
+        ({"f1": float("nan")}, "f1", float, "f1: expected a finite number, got nan"),
+        ({"f1": float("inf")}, "f1", float, "f1: expected a finite number, got inf"),
+        ({"f1": -float("inf")}, "f1", float, "f1: expected a finite number, got -inf"),
     ]
     for holder, key, kind, message in cases:
         with pytest.raises(InputError) as raised:

@@ -567,10 +567,12 @@ def _child_loads(*argv):
 
 def test_learn_and_render_load_no_dyad_code(tmp_path):
     """learn and each kind of render load neither the dyad code (simulation,
-    pragmatics) nor dataclasses or csv. simulate, the control, loads the dyad code."""
+    pragmatics) nor dataclasses or csv. simulate, the control, loads the dyad code,
+    and writes its tables without csv."""
     out_dir = tmp_path / "out"
-    assert {"towertalk.simulation", "towertalk.pragmatics"} <= _child_loads(
-        *SMALL_RUN, "--out-dir", str(out_dir))
+    loaded = _child_loads(*SMALL_RUN, "--out-dir", str(out_dir))
+    assert {"towertalk.simulation", "towertalk.pragmatics"} <= loaded
+    assert "csv" not in loaded
     sequences = tmp_path / "seqs.json"
     _gen_seq(sequences)
     scene = tmp_path / "scene.json"
@@ -829,8 +831,13 @@ def _snapshot(**fields):
     ("trials[0].library", _snapshot(id=5), "trials[0].library[0].id: expected a string"),
     ("trials[0].library", _snapshot(level=None),
      "trials[0].library[0].level: expected a string"),
+    ("trials[0].f1", float("nan"), "trials[0].f1: expected a finite number"),
+    ("final_belief_entropy", float("inf"), "final_belief_entropy: expected a finite number"),
+    ("final_belief_entropy", -float("inf"),
+     "final_belief_entropy: expected a finite number"),
 ], ids=["string-utterance", "number-word", "number-program", "bool-f1", "bool-entropy",
-        "list-body", "number-id", "null-level"])
+        "list-body", "number-id", "null-level", "nan-f1", "infinite-entropy",
+        "negative-infinite-entropy"])
 def test_render_rejects_a_printed_field_of_the_wrong_type(tmp_path, capsys, field, value, named):
     """A field that the narrator prints is read as strictly as any other: a
     string utterance is not printed letter by letter, nor a bool F1 as 1.000."""
@@ -851,6 +858,79 @@ def test_render_rejects_a_printed_field_of_the_wrong_type(tmp_path, capsys, fiel
         assert captured.out == ""
         assert captured.err.startswith(f"error: {trace_file}: traces[0].{named}, got "), \
             captured.err
+
+
+def _sorted_blocks(blocks):
+    return [b._asdict() for b in sorted(blocks)]
+
+
+def _scene_case(tmp_path, edit):
+    """render --scene on a 3x3 scene of two blocks, edited by `edit`."""
+    blocks = _sorted_blocks([BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL)])
+    edit(blocks)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"width": 3, "height": 3, "blocks": blocks}))
+    return path, ["render", "--scene", str(path)]
+
+
+def _stimuli_case(tmp_path, edit):
+    """learn on the default stimuli, the blocks of tower A edited by `edit`."""
+    towers = [{"id": t.id, "blocks": _sorted_blocks(t.blocks)} for t in stimulus_towers()]
+    edit(towers[0]["blocks"])
+    path = tmp_path / "st.json"
+    path.write_text(json.dumps({"towers": towers}))
+    sequences = tmp_path / "seqs.json"
+    _gen_seq(sequences)
+    return path, ["learn", "--sequences", str(sequences), "--stimuli", str(path), "--w", "1.5",
+                  "--out", str(tmp_path / "learn.json")]
+
+
+def _trace_case(tmp_path, edit):
+    """render --trace on a one-dyad run, the Builder's placements on trial 3 edited by `edit`."""
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--w", "1000000", "--beta", "0.0", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    data = json.loads((out_dir / "traces.json").read_text())
+    edit(data["traces"][0]["trials"][2]["builder_placements"])
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    return path, ["render", "--trace", str(path)]
+
+
+def _drop_y(blocks):
+    del blocks[1]["y"]
+
+
+def _repeat_first(blocks):
+    blocks.append(dict(blocks[0]))
+
+
+@pytest.mark.parametrize("case, edit, message", [
+    (_scene_case, _drop_y, "blocks[1].y: missing"),
+    (_scene_case, lambda blocks: blocks[1].pop("orientation"), "blocks[1].orientation: missing"),
+    (_scene_case, lambda blocks: blocks[0].update(orientation="diagonal"),
+     "blocks[0].orientation: unknown orientation 'diagonal'"),
+    (_scene_case, _repeat_first, "blocks: blocks overlap at cell (0, 0)"),
+    (_scene_case, lambda blocks: blocks[1].update(x=2),
+     "blocks: cell (3, 0) falls outside the 3x3 grid"),
+    (_stimuli_case, lambda blocks: blocks[0].update(y="0"),
+     "towers[0].blocks[0].y: expected an integer, got '0'"),
+    (_stimuli_case, _repeat_first, "towers[0].blocks: blocks overlap at cell (0, 0)"),
+    (_trace_case, _drop_y, "traces[0].trials[2].builder_placements[1].y: missing"),
+    (_trace_case, _repeat_first, "traces[0].trials[2].builder_placements: blocks overlap at cell"),
+], ids=["scene-missing-y", "scene-missing-orientation", "scene-unknown-orientation",
+        "scene-overlap", "scene-outside", "stimuli-string-y", "stimuli-overlap",
+        "trace-missing-y", "trace-overlap"])
+def test_readers_name_a_bad_block_by_its_path(tmp_path, capsys, case, edit, message):
+    """A block's field, and an overlap or an outlying cell among a list's blocks, are
+    named from the list's path in the file on."""
+    path, argv = case(tmp_path, edit)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {message}"), captured.err
+    assert captured.err.count("\n") == 1, captured.err
 
 
 def test_render_rejects_fractional_scene_numbers(tmp_path, capsys):

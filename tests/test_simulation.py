@@ -437,6 +437,7 @@ def test_summaries_give_the_tables_of_the_whole_traces():
             summaries = [summarize(t) for t in subset]
             assert all(s.final_library is t.final_library for s, t in zip(summaries, subset))
             assert _tables(simulation, summaries) == _tables(oracles, subset)
+            assert simulation.cell_tables(summaries) == oracles.cell_csvs(subset)
 
 
 def test_summaries_of_hand_built_traces():
@@ -447,6 +448,17 @@ def test_summaries_of_hand_built_traces():
               for values in ({level: 0.0 for level in STEP_LEVELS},
                              {"mean_f1": 0.0, "mean_tokens_sent": 0.0, "n_dyads": 0.0})],
         [0.0] * REPETITION_BLOCKS)
+
+    # A cell with no dyad: a header alone for the per-trial table, zeros in each block's row.
+    def zero_rows(n):
+        return "".join(f"{block}.000000" + ",0.000000" * n + "\n"
+                       for block in range(1, REPETITION_BLOCKS + 1))
+    assert simulation.cell_tables([]) == oracles.cell_csvs([]) == {
+        "fragment_trajectory": "trial,sub_tower,tower,scene,other\n",
+        "abstraction_proportions": ("repetition_block,block,sub_tower,tower,scene,other\n"
+                                    + zero_rows(5)),
+        "accuracy_efficiency": "repetition_block,mean_f1,mean_tokens_sent,n_dyads\n" + zero_rows(3),
+        "jsd": "repetition_block,mean_pairwise_jsd\n" + zero_rows(1)}
     snapshot = FragmentSnapshot(id="c0", body="h r2 h", expansion="h r2 h", level="sub_tower",
                                 adopted_trial=1, score_delta=1.5)
 
@@ -474,7 +486,9 @@ def test_summaries_of_hand_built_traces():
         (((0.5 + 1 / 3) / 2, 2.0), None, (0.0, 4.0), None),
         ((("h", 1), ("v", 1), ("w0", 1), ("w1", 1)), (), (("l2", 1), ("r3", 1)), ()))
     for dyads in ([gaps], [full], [gaps, full], [full, gaps, full]):
-        assert _tables(simulation, [summarize(t) for t in dyads]) == _tables(oracles, dyads)
+        summaries = [summarize(t) for t in dyads]
+        assert _tables(simulation, summaries) == _tables(oracles, dyads)
+        assert simulation.cell_tables(summaries) == oracles.cell_csvs(dyads)
     rows = accuracy_and_efficiency([summary, summarize(full)])
     assert [row["n_dyads"] for row in rows] == [2.0, 1.0, 2.0, 1.0]
     assert abstraction_proportions([summary])[2]["block"] == 0.0
