@@ -15,8 +15,8 @@ from typing import Iterable, NamedTuple
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-# Every scene is two towers side by side in one 14x8 grid: the left tower
-# anchored at column 0, the right one at column 8.
+# Every scene is the set of blocks of two towers side by side in one 14x8 grid:
+# the left tower anchored at column 0, the right one at column 8.
 GRID_WIDTH = 14
 GRID_HEIGHT = 8
 RIGHT_ORIGIN = 8
@@ -48,14 +48,6 @@ class BlockPlacement(NamedTuple):
 
     def translate(self, dx: int) -> "BlockPlacement":
         return BlockPlacement(self.x + dx, self.y, self.orientation)
-
-
-class Scene(NamedTuple):
-    """An unordered set of placed blocks within a fixed grid extent."""
-
-    width: int
-    height: int
-    blocks: frozenset[BlockPlacement]
 
 
 class TowerStimulus(NamedTuple):
@@ -143,38 +135,38 @@ def _check_cells(blocks: Iterable[BlockPlacement], width: int, height: int, wher
             seen.add(cell)
 
 
-def compose_scene(left: TowerStimulus, right: TowerStimulus) -> Scene:
+def compose_scene(left: TowerStimulus, right: TowerStimulus) -> frozenset[BlockPlacement]:
     """Place two towers side by side, the right one at column RIGHT_ORIGIN."""
     blocks = [*left.blocks, *(b.translate(RIGHT_ORIGIN) for b in right.blocks)]
     _check_cells(blocks, GRID_WIDTH, GRID_HEIGHT)
-    return Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(blocks))
+    return frozenset(blocks)
 
 
-def f1_score(target: Scene, built: Scene) -> float:
+def f1_score(target: frozenset[BlockPlacement], built: frozenset[BlockPlacement]) -> float:
     """Harmonic mean of block precision and recall; a match is exact (x, y, orientation)."""
-    if not target.blocks and not built.blocks:
+    if not target and not built:
         return 1.0
-    if not target.blocks or not built.blocks:
+    if not target or not built:
         return 0.0
-    true_positives = len(target.blocks & built.blocks)
-    precision = true_positives / len(built.blocks)
-    recall = true_positives / len(target.blocks)
+    true_positives = len(target & built)
+    precision = true_positives / len(built)
+    recall = true_positives / len(target)
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
-def render_ascii(scene: Scene) -> str:
-    """One glyph per cell ('=' horizontal, '|' vertical, '.' empty); bottom row printed last."""
+def render_ascii(blocks: Iterable[BlockPlacement], width: int = GRID_WIDTH,
+                 height: int = GRID_HEIGHT) -> str:
+    """One glyph per cell of width x height ('=' horizontal, '|' vertical, '.' empty);
+    bottom row printed last."""
     glyphs: dict[tuple[int, int], str] = {}
-    for block in scene.blocks:
+    for block in blocks:
         glyph = H_GLYPH if block.orientation == HORIZONTAL else V_GLYPH
         for cell in block.cells():
             glyphs[cell] = glyph
-    rows = []
-    for y in range(scene.height - 1, -1, -1):
-        rows.append("".join(glyphs.get((x, y), EMPTY_GLYPH) for x in range(scene.width)))
-    return "\n".join(rows)
+    return "\n".join("".join(glyphs.get((x, y), EMPTY_GLYPH) for x in range(width))
+                     for y in range(height - 1, -1, -1))
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "a list"}
@@ -220,14 +212,14 @@ def blocks_field(data: object, key: str, where: str, width: int = GRID_WIDTH,
     return frozenset(blocks)
 
 
-def scene_from_dict(data: dict) -> Scene:
-    """A scene file's data as a Scene; rejects an extent outside 1x1..GRID_WIDTH x GRID_HEIGHT
-    and overlapping or outlying blocks."""
+def scene_from_dict(data: dict) -> tuple[frozenset[BlockPlacement], int, int]:
+    """A scene file's blocks, width and height, as render_ascii takes them; rejects an
+    extent outside 1x1..GRID_WIDTH x GRID_HEIGHT and overlapping or outlying blocks."""
     width, height = field(data, "width", int), field(data, "height", int)
     if not (1 <= width <= GRID_WIDTH and 1 <= height <= GRID_HEIGHT):
         raise InputError(f"scene extent {width}x{height} must lie within 1x1 and "
                          f"{GRID_WIDTH}x{GRID_HEIGHT}")
-    return Scene(width, height, blocks_field(data, "blocks", "", width, height))
+    return blocks_field(data, "blocks", "", width, height), width, height
 
 
 def stimuli_from_dict(data: dict) -> tuple[TowerStimulus, ...]:

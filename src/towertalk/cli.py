@@ -22,18 +22,10 @@ import sys
 from collections.abc import Iterable
 
 from . import library_learning
-from .blockworld import (
-    InputError,
-    Scene,
-    compose_scene,
-    field,
-    render_ascii,
-    scene_from_dict,
-    stimuli_from_dict,
-    stimulus_towers,
-)
-from .library_learning import BODY_TOKEN_SUM, check_w
-from .traces import narrate, sequence_from_dict, sequence_to_dict, snapshot_to_dict, traces_json
+from .blockworld import (InputError, compose_scene, field, render_ascii, scene_from_dict,
+                         stimuli_from_dict, stimulus_towers)
+from .library_learning import check_w
+from .traces import learn_to_dict, narrate, sequences_from_dict, sequences_to_dict, traces_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,23 +168,13 @@ def cmd_gen_seq(args: argparse.Namespace) -> int:
     _check_out_file(args.out)
     from . import simulation  # sequence generation lives beside the dyads it seeds
     sequences, _ = simulation.generate_sequences(args.seed, args.count)
-    payload = {
-        "master_seed": args.seed,
-        "count": args.count,
-        "sequences": [sequence_to_dict(s) for s in sequences],
-    }
-    _write_outputs({args.out: [_json_text(payload)]})
+    _write_outputs({args.out: [_json_text(sequences_to_dict(args.seed, sequences))]})
     return EXIT_OK
-
-
-def _read_sequences(data: dict):
-    return [sequence_from_dict(entry, f"sequences[{i}]")
-            for i, entry in enumerate(field(data, "sequences", list))]
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     w = _build_config(check_w, w=args.w)
-    sequences = _load(_read_sequences, args.sequences)
+    sequences = _load(sequences_from_dict, args.sequences)
     stimuli = _stimuli(args.stimuli)
     # The sequence file is at fault for an unknown tower, so the message names its trial.
     _check_scenes([(f"{args.sequences}: sequences[{i}].trials[{k}]", trial.left, trial.right)
@@ -201,19 +183,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
                   stimuli, args.stimuli or "stimuli",
                   f" in {args.stimuli or 'the default stimuli'}")
     _check_out_file(args.out)
-    runs = []
-    for sequence in sequences:
-        snapshots = [snapshot
-                     for trial in library_learning.library_trajectory(sequence, w, stimuli)
-                     for snapshot in trial.adopted]
-        runs.append({
-            "sequence_seed": sequence.seed,
-            "fragments": [snapshot_to_dict(s) for s in snapshots],
-            "level_proportions": library_learning.snapshot_level_proportions(
-                snapshots, len(sequence.trials)),
-        })
-    payload = {"w": w, "size_rule": BODY_TOKEN_SUM, "runs": runs}
-    _write_outputs({args.out: [_json_text(payload)]})
+    runs = ((sequence, library_learning.library_trajectory(sequence, w, stimuli))
+            for sequence in sequences)
+    _write_outputs({args.out: [_json_text(learn_to_dict(w, runs))]})
     return EXIT_OK
 
 
@@ -277,15 +249,14 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ConfigError(f"render: {' and '.join(stray)} given without --trace")
     towers = {t.id: t for t in stimulus_towers()}
     if args.scene is not None:
-        print(render_ascii(_load(scene_from_dict, args.scene)))
+        print(render_ascii(*_load(scene_from_dict, args.scene)))
         return EXIT_OK
     if args.stimulus is not None:
         if args.stimulus not in towers:
             raise ConfigError(f"stimulus: unknown id {reprlib.repr(args.stimulus)}")
-        tower = towers[args.stimulus]
-        width = max(x for b in tower.blocks for x, _ in b.cells()) + 1
-        height = max(y for b in tower.blocks for _, y in b.cells()) + 1
-        print(render_ascii(Scene(width, height, tower.blocks)))
+        blocks = towers[args.stimulus].blocks
+        cells = [cell for block in blocks for cell in block.cells()]  # drawn to their bounding box
+        print(render_ascii(blocks, max(x for x, _ in cells) + 1, max(y for _, y in cells) + 1))
         return EXIT_OK
     index = args.trace_index or 0
 

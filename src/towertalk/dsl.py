@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .blockworld import HORIZONTAL, VERTICAL, BlockPlacement, Scene, drop_block
+from .blockworld import GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement, drop_block
 
 Token = str
 Program = tuple[Token, ...]
@@ -161,30 +161,28 @@ def _column_clusters(blocks: frozenset[BlockPlacement]) -> list[list[BlockPlacem
     return [sorted(cluster, key=lambda b: (b.y, b.x)) for cluster in clusters]
 
 
-def default_start_x(scene: Scene) -> int:
-    """The scene's leftmost placement column; canonical programs start there."""
-    if not scene.blocks:
-        return 0
-    return min(b.x for b in scene.blocks)
+def default_start_x(scene: frozenset[BlockPlacement]) -> int:
+    """The scene's leftmost placement column (0 if it is empty); canonical programs start there."""
+    return min((b.x for b in scene), default=0)
 
 
-def canonical_program(scene: Scene) -> Program:
+def canonical_program(scene: frozenset[BlockPlacement]) -> Program:
     """The base-level encoding of a scene: towers left to right, blocks bottom-up.
 
     The hand starts at default_start_x(scene). Within each column-connected
     group, blocks are ordered by (y, x); the hand is routed between placements
     with explicit move tokens. Raises ProgramError if gravity execution of
-    that order does not rebuild the scene.
+    that order on the GRID_WIDTH x GRID_HEIGHT grid does not rebuild the scene.
     """
     start_x = hand = default_start_x(scene)
     tokens: list[Token] = []
-    for cluster in _column_clusters(scene.blocks):
+    for cluster in _column_clusters(scene):
         for block in cluster:
             tokens.extend(moves_between(hand, block.x))
             hand = block.x
             tokens.append(PLACE_H if block.orientation == HORIZONTAL else PLACE_V)
     program = tuple(tokens)
-    if frozenset(execute(program, start_x, scene.width, scene.height)) != scene.blocks:
+    if frozenset(execute(program, start_x, GRID_WIDTH, GRID_HEIGHT)) != scene:
         raise ProgramError("scene is not reproducible in canonical order")
     return program
 

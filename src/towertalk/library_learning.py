@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import RIGHT_ORIGIN, BlockPlacement, Scene, TowerStimulus, compose_scene
+from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus, compose_scene
 from .dsl import Fragment, Library, Program
 
 BODY_TOKEN_SUM = "body_token_sum"
@@ -354,14 +354,15 @@ class FragmentSnapshot(NamedTuple):
 
 
 class LearnedTrial(NamedTuple):
-    target: Scene
+    target: frozenset[BlockPlacement]       # the trial's scene
     program: Program                        # the target's canonical program
     library: Library                        # after learning from this trial's scene
     adopted: tuple[FragmentSnapshot, ...]   # fragments this trial added
 
 
 @lru_cache(maxsize=1 << 6)
-def _base_scene(left: TowerStimulus, right: TowerStimulus) -> tuple[Scene, Program]:
+def _base_scene(left: TowerStimulus,
+                right: TowerStimulus) -> tuple[frozenset[BlockPlacement], Program]:
     """A trial's target scene and its canonical program, derived once per tower pair."""
     target = compose_scene(left, right)
     return target, dsl.canonical_program(target)

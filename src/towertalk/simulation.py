@@ -19,15 +19,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import (
-    GRID_HEIGHT,
-    GRID_WIDTH,
-    BlockPlacement,
-    Scene,
-    TowerStimulus,
-    f1_score,
-    stimulus_towers,
-)
+from .blockworld import GRID_WIDTH, BlockPlacement, TowerStimulus, f1_score, stimulus_towers
 from .dsl import Library, Program
 from .library_learning import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS, FragmentSnapshot,
                                LearnedTrial, TrialSequence, TrialSpec, check_w,
@@ -147,7 +139,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
             built.extend(placed)
             step_placements.append(len(placed))
 
-        trial_f1 = f1_score(trial.target, Scene(GRID_WIDTH, GRID_HEIGHT, frozenset(built)))
+        trial_f1 = f1_score(trial.target, frozenset(built))
 
         library = trial.library
         belief = extend_hypotheses(belief, library)

@@ -1,5 +1,5 @@
-"""The layout of traces.json and of the sequences and fragment snapshots it shares
-with gen-seq and learn: this module alone writes it, and reads it back for
+"""The layout of the files that gen-seq, learn and simulate write: this module alone
+writes them, and reads back gen-seq's sequences for learn and traces.json for
 `render --trace` and scripts/watch_dyad.py."""
 
 from __future__ import annotations
@@ -7,13 +7,12 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import dsl
-from .blockworld import (GRID_HEIGHT, GRID_WIDTH, TOWER_ID, InputError, Scene, blocks_field,
-                         compose_scene, field, render_ascii)
-from .library_learning import (BODY_TOKEN_SUM, REPETITION_BLOCKS, FragmentSnapshot,
-                               TrialSequence, TrialSpec, step_levels)
+from .blockworld import TOWER_ID, InputError, blocks_field, compose_scene, field, render_ascii
+from .library_learning import (BODY_TOKEN_SUM, REPETITION_BLOCKS, FragmentSnapshot, LearnedTrial,
+                               TrialSequence, TrialSpec, snapshot_level_proportions, step_levels)
 
 if TYPE_CHECKING:  # only for annotations: learn and render load no dyad code
     from .simulation import DyadTrace
@@ -39,8 +38,35 @@ def sequence_from_dict(data: dict, where: str = "") -> TrialSequence:
     return TrialSequence(tuple(trials), field(data, "seed", int, where))
 
 
+def sequences_to_dict(master_seed: int, sequences: list[TrialSequence]) -> dict:
+    """The sequence file that `gen-seq --seed master_seed` writes."""
+    return {"master_seed": master_seed, "count": len(sequences),
+            "sequences": [sequence_to_dict(s) for s in sequences]}
+
+
+def sequences_from_dict(data: dict) -> list[TrialSequence]:
+    """The sequences of a sequence file, each read by sequence_from_dict."""
+    return [sequence_from_dict(entry, f"sequences[{i}]")
+            for i, entry in enumerate(field(data, "sequences", list))]
+
+
 def snapshot_to_dict(snapshot: FragmentSnapshot) -> dict:
     return {**snapshot._asdict(), "score_delta": round(snapshot.score_delta, 9)}
+
+
+def learn_to_dict(w: float, runs: Iterable[tuple[TrialSequence, Sequence[LearnedTrial]]]) -> dict:
+    """The file that learn writes from each sequence's library_trajectory at `w`: per
+    sequence, the fragments adopted in order and the library's level proportions.
+    `runs` is read one trajectory at a time."""
+    rows = []
+    for sequence, trajectory in runs:
+        snapshots = [snapshot for trial in trajectory for snapshot in trial.adopted]
+        rows.append({
+            "sequence_seed": sequence.seed,
+            "fragments": [snapshot_to_dict(s) for s in snapshots],
+            "level_proportions": snapshot_level_proportions(snapshots, len(sequence.trials)),
+        })
+    return {"w": w, "size_rule": BODY_TOKEN_SUM, "runs": rows}
 
 
 # traces.json holds each trace two levels deep, in its payload's "traces" list.
@@ -210,10 +236,9 @@ def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = Tr
                                          for key in ("id", "level", "body"))
                 lines.append(f"   + learned {fragment} [{level}] {body}")
         if draw:
-            target = compose_scene(*(towers[tower] for tower in ids))
-            built = Scene(GRID_WIDTH, GRID_HEIGHT, blocks_field(entry, "builder_placements", name))
-            lines += [f"   {lhs}   {rhs}" for lhs, rhs in zip(render_ascii(target).split("\n"),
-                                                          render_ascii(built).split("\n"))]
+            target = render_ascii(compose_scene(*(towers[tower] for tower in ids)))
+            built = render_ascii(blocks_field(entry, "builder_placements", name))
+            lines += [f"   {a}   {b}" for a, b in zip(target.split("\n"), built.split("\n"))]
     if trial is None:
         lines.append(f"final belief entropy: {entropy:.3f} bits; "
                      f"library size: {len(library)} fragments")

@@ -1,6 +1,6 @@
 import pytest
 
-from towertalk.blockworld import Scene, stimulus_towers
+from towertalk.blockworld import BlockPlacement, stimulus_towers
 from towertalk.dsl import Library
 
 from oracles import make_fragment
@@ -18,10 +18,8 @@ def towers_by_id(towers):
 
 @pytest.fixture
 def tower_scene(towers_by_id):
-    def build(tower_id: str) -> Scene:
-        blocks = towers_by_id[tower_id].blocks
-        width = max(x for b in blocks for x, _ in b.cells()) + 2
-        return Scene(width, 8, blocks)
+    def build(tower_id: str) -> frozenset[BlockPlacement]:
+        return towers_by_id[tower_id].blocks
     return build
 
 

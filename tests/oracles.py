@@ -12,7 +12,8 @@ run without a memo, a trace's data as plain dicts and lists, the four
 tables built by walking each whole trace's records instead of its summary, and
 a cell's CSV texts as csv.DictWriter writes those tables. The
 program computes none of these; the tests check it against them. The scene
-and stimuli file writers are here too: the program only reads those files.
+and stimuli file writers are here too: the program only reads those files. So
+is the Hypothesis strategy for random buildable towers.
 
 Import with `from oracles import ...`: pytest puts this directory on sys.path.
 """
@@ -26,9 +27,11 @@ from collections import Counter
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
+from hypothesis import strategies as st
+
 from towertalk import dsl
-from towertalk.blockworld import (GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement,
-                                  PlacementError, Scene, TowerStimulus, drop_block)
+from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement,
+                                  PlacementError, TowerStimulus, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, REPETITION_BLOCKS,
                                         STEP_LEVELS, FragmentSnapshot, _mdl_cost, _mdl_table,
@@ -379,10 +382,10 @@ def execute_nested(program: Program, library: Library, start_x: int, width: int,
     return placed
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    """A scene in the file schema that `render --scene` reads."""
-    return {"width": scene.width, "height": scene.height,
-            "blocks": [b._asdict() for b in sorted(scene.blocks)]}
+def scene_to_dict(blocks: Iterable[BlockPlacement], width: int = GRID_WIDTH,
+                  height: int = GRID_HEIGHT) -> dict:
+    """A block set drawn on width x height, in the file schema that `render --scene` reads."""
+    return {"width": width, "height": height, "blocks": [b._asdict() for b in sorted(blocks)]}
 
 
 def _write_json(data: dict, path: str) -> None:
@@ -391,8 +394,9 @@ def _write_json(data: dict, path: str) -> None:
         fh.write("\n")
 
 
-def save_scene(scene: Scene, path: str) -> None:
-    _write_json(scene_to_dict(scene), path)
+def save_scene(blocks: Iterable[BlockPlacement], path: str, width: int = GRID_WIDTH,
+               height: int = GRID_HEIGHT) -> None:
+    _write_json(scene_to_dict(blocks, width, height), path)
 
 
 def save_stimuli(towers: Sequence[TowerStimulus], path: str) -> None:
@@ -566,3 +570,16 @@ def cell_csvs(traces: Sequence[DyadTrace]) -> dict[str, str]:
               accuracy_and_efficiency(traces), jsd_rows)
     return {table: csv_text(columns, rows)
             for (table, columns), rows in zip(CSV_COLUMNS.items(), tables)}
+
+
+@st.composite
+def buildable_towers(draw, tower_id):
+    """A tower of two horizontal and two vertical blocks, dropped in a random order
+    at random columns of a grid 6 wide and 8 high: supported, without overlaps,
+    and narrow enough to stand at the right tower's origin."""
+    heights, blocks = (0,) * 6, []
+    for orientation in draw(st.permutations([HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL])):
+        column = draw(st.integers(0, 4 if orientation == HORIZONTAL else 5))
+        heights, block = drop_block(heights, orientation, column)
+        blocks.append(block)
+    return TowerStimulus(tower_id, frozenset(blocks))

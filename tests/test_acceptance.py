@@ -11,7 +11,6 @@ from functools import lru_cache
 from towertalk.blockworld import (
     GRID_WIDTH,
     BlockPlacement,
-    Scene,
     VERTICAL,
     compose_scene,
     f1_score,
@@ -225,9 +224,8 @@ def test_criterion_4_production_preferences():
 def test_criterion_5_f1_point_check():
     towers = {t.id: t for t in stimulus_towers()}
     target = compose_scene(towers["A"], towers["B"])
-    blocks = sorted(target.blocks)
-    built = Scene(target.width, target.height,
-                  frozenset(set(blocks[:-1]) | {BlockPlacement(12, 0, VERTICAL)}))
+    blocks = sorted(target)
+    built = frozenset(blocks[:-1]) | {BlockPlacement(12, 0, VERTICAL)}
     score = f1_score(target, built)
     ok = abs(score - 0.875) <= 1e-12
     report(5, ok, f"one block out of place gives F1 = {score!r}")

@@ -11,7 +11,6 @@ from towertalk.blockworld import (
     BlockPlacement,
     InputError,
     PlacementError,
-    Scene,
     TowerStimulus,
     compose_scene,
     drop_block,
@@ -128,18 +127,18 @@ def test_stimuli_are_constructible(tower_scene):
 
 def test_compose_has_eight_blocks(towers_by_id):
     scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
-    assert len(scene.blocks) == 8
+    assert len(scene) == 8
 
 
 def test_compose_is_order_sensitive(towers_by_id):
     left = compose_scene(towers_by_id["A"], towers_by_id["C"])
     right = compose_scene(towers_by_id["C"], towers_by_id["A"])
-    assert left.blocks != right.blocks
+    assert left != right
 
 
 def test_compose_same_tower_twice_is_legal(towers_by_id):
     scene = compose_scene(towers_by_id["A"], towers_by_id["A"])
-    assert len(scene.blocks) == 8
+    assert len(scene) == 8
 
 
 def test_compose_rejects_overlap(towers_by_id):
@@ -161,7 +160,7 @@ def test_compose_rejects_out_of_bounds(towers_by_id):
         BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL),
         BlockPlacement(3, 0, HORIZONTAL), BlockPlacement(6, 0, VERTICAL)}))
     validate_stimulus(wide)
-    assert len(compose_scene(wide, towers_by_id["A"]).blocks) == 8
+    assert len(compose_scene(wide, towers_by_id["A"])) == 8
     with pytest.raises(ValueError, match="outside the 14x8 grid"):
         compose_scene(towers_by_id["A"], wide)
 
@@ -173,55 +172,53 @@ def test_f1_identical_scenes(towers_by_id):
 
 def test_f1_one_block_out_of_place(towers_by_id):
     target = compose_scene(towers_by_id["A"], towers_by_id["B"])
-    blocks = sorted(target.blocks)
-    built = set(blocks[:-1]) | {BlockPlacement(12, 0, VERTICAL)}
-    built_scene = Scene(target.width, target.height, frozenset(built))
-    assert f1_score(target, built_scene) == pytest.approx(0.875, abs=1e-12)
+    blocks = sorted(target)
+    built = frozenset(blocks[:-1]) | {BlockPlacement(12, 0, VERTICAL)}
+    assert f1_score(target, built) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_f1_disjoint_scenes():
-    a = Scene(6, 6, frozenset({BlockPlacement(0, 0, VERTICAL)}))
-    b = Scene(6, 6, frozenset({BlockPlacement(3, 0, VERTICAL)}))
+    a = frozenset({BlockPlacement(0, 0, VERTICAL)})
+    b = frozenset({BlockPlacement(3, 0, VERTICAL)})
     assert f1_score(a, b) == 0.0
 
 
 def test_f1_both_empty():
-    empty = Scene(4, 4, frozenset())
+    empty = frozenset()
     assert f1_score(empty, empty) == 1.0
 
 
 def test_f1_one_empty_scene(towers_by_id):
     target = compose_scene(towers_by_id["A"], towers_by_id["B"])
-    empty = Scene(target.width, target.height, frozenset())
+    empty = frozenset()
     assert f1_score(target, empty) == 0.0
     assert f1_score(empty, target) == 0.0
 
 
 def test_f1_swap_invariance(towers_by_id):
     target = compose_scene(towers_by_id["A"], towers_by_id["B"])
-    partial = Scene(target.width, target.height, frozenset(sorted(target.blocks)[:5]))
+    partial = frozenset(sorted(target)[:5])
     assert f1_score(target, partial) == pytest.approx(f1_score(partial, target))
 
 
 def test_f1_adding_correct_block_never_decreases(towers_by_id):
     target = compose_scene(towers_by_id["A"], towers_by_id["B"])
-    blocks = sorted(target.blocks)
+    blocks = sorted(target)
     previous = 0.0
     for n in range(1, 9):
-        built = Scene(target.width, target.height, frozenset(blocks[:n]))
+        built = frozenset(blocks[:n])
         score = f1_score(target, built)
         assert score >= previous
         previous = score
 
 
 def test_render_empty_scene():
-    scene = Scene(3, 2, frozenset())
-    assert render_ascii(scene) == "...\n..."
+    assert render_ascii(frozenset(), 3, 2) == "...\n..."
 
 
 def test_render_single_vertical():
-    scene = Scene(3, 3, frozenset({BlockPlacement(0, 0, VERTICAL)}))
-    assert render_ascii(scene) == "...\n|..\n|.."
+    scene = frozenset({BlockPlacement(0, 0, VERTICAL)})
+    assert render_ascii(scene, 3, 3) == "...\n|..\n|.."
 
 
 def test_render_composed_scene(towers_by_id):
@@ -235,7 +232,7 @@ def test_render_composed_scene(towers_by_id):
 
 def test_scene_dict_round_trip(towers_by_id):
     scene = compose_scene(towers_by_id["B"], towers_by_id["C"])
-    assert scene_from_dict(scene_to_dict(scene)) == scene
+    assert scene_from_dict(scene_to_dict(scene)) == (scene, 14, 8)
 
 
 def test_field_refuses_what_int_would_truncate():
@@ -280,7 +277,7 @@ def test_field_names_a_missing_field_and_checks_each_kind():
 
 def test_scene_from_dict_rejects_fractional_numbers():
     good = {"width": 3, "height": 3, "blocks": [{"x": 0, "y": 0, "orientation": VERTICAL}]}
-    assert scene_from_dict(good).width == 3
+    assert scene_from_dict(good)[1:] == (3, 3)
     for key, value in (("width", 3.9), ("height", True)):
         with pytest.raises((TypeError, ValueError), match=key):
             scene_from_dict({**good, key: value})

@@ -22,14 +22,12 @@ from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
-    Scene,
     TowerStimulus,
-    drop_block,
     stimulus_towers,
 )
 from towertalk.traces import narrate, sequence_from_dict
 
-from oracles import save_scene, save_stimuli, trace_to_dict
+from oracles import buildable_towers, save_scene, save_stimuli, trace_to_dict
 
 
 def run_cli(*args):
@@ -294,9 +292,8 @@ def test_render_rejects_a_huge_stimulus_id_in_one_short_line(capsys):
 
 
 def test_render_scene_file(tmp_path, capsys):
-    scene = Scene(4, 3, frozenset({BlockPlacement(1, 0, VERTICAL)}))
     path = tmp_path / "scene.json"
-    save_scene(scene, str(path))
+    save_scene({BlockPlacement(1, 0, VERTICAL)}, str(path), 4, 3)
     assert run_cli("render", "--scene", str(path)) == 0
     out = capsys.readouterr().out
     assert ".|.." in out
@@ -371,7 +368,7 @@ def test_render_requires_a_source():
 
 def test_render_refuses_more_than_one_source(tmp_path, capsys):
     scene = tmp_path / "scene.json"
-    save_scene(Scene(4, 3, frozenset()), str(scene))
+    save_scene(set(), str(scene), 4, 3)
     for sources in (["--scene", str(scene), "--trace", str(scene)],
                     ["--scene", str(scene), "--stimulus", "A"],
                     ["--stimulus", "A", "--trace", str(scene), "--trial", "1"]):
@@ -384,7 +381,7 @@ def test_render_refuses_more_than_one_source(tmp_path, capsys):
 
 def test_render_refuses_trace_flags_without_a_trace(tmp_path, capsys):
     scene = tmp_path / "scene.json"
-    save_scene(Scene(4, 3, frozenset()), str(scene))
+    save_scene(set(), str(scene), 4, 3)
     for source in (["--stimulus", "A"], ["--scene", str(scene)]):
         for flags, named in ((["--trial", "3", "--trace-index", "7"], "--trial and --trace-index"),
                              (["--trial", "3"], "--trial"),
@@ -576,7 +573,7 @@ def test_learn_and_render_load_no_dyad_code(tmp_path):
     sequences = tmp_path / "seqs.json"
     _gen_seq(sequences)
     scene = tmp_path / "scene.json"
-    save_scene(Scene(4, 3, frozenset({BlockPlacement(0, 0, HORIZONTAL)})), str(scene))
+    save_scene({BlockPlacement(0, 0, HORIZONTAL)}, str(scene), 4, 3)
     for argv in (["learn", "--sequences", str(sequences), "--w", "1.5",
                   "--out", str(tmp_path / "learned.json")],
                  ["render", "--scene", str(scene)],
@@ -1102,7 +1099,7 @@ def test_an_error_inside_a_reader_is_not_a_config_error(tmp_path, monkeypatch, r
     while a good file is read is a bug, and propagates (exit 1, with a traceback)."""
     good = tmp_path / "good.json"
     if reader == "render --scene":
-        save_scene(Scene(3, 3, frozenset({BlockPlacement(0, 0, VERTICAL)})), str(good))
+        save_scene({BlockPlacement(0, 0, VERTICAL)}, str(good), 3, 3)
     elif reader == "learn --stimuli":
         save_stimuli(stimulus_towers(), str(good))
     elif reader == "render --trace":
@@ -1328,19 +1325,6 @@ def test_render_trace_file_property(tmp_path_factory, data):
     traces.write_text(json.dumps(data))
     _run_on_file(["render", "--trace", str(traces), "--trial", "1"], traces)
     _run_on_file(["render", "--trace", str(traces)], traces)
-
-
-@st.composite
-def buildable_towers(draw, tower_id):
-    """A tower of two horizontal and two vertical blocks, dropped in a random order
-    at random columns of a grid 6 wide and 8 high: supported, without overlaps,
-    and narrow enough to stand at the right tower's origin."""
-    heights, blocks = (0,) * 6, []
-    for orientation in draw(st.permutations([HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL])):
-        column = draw(st.integers(0, 4 if orientation == HORIZONTAL else 5))
-        heights, block = drop_block(heights, orientation, column)
-        blocks.append(block)
-    return TowerStimulus(tower_id, frozenset(blocks))
 
 
 @given(st.tuples(*(buildable_towers(tower_id) for tower_id in "ABC")))

@@ -13,9 +13,9 @@ from towertalk.blockworld import (
     VERTICAL,
     BlockPlacement,
     PlacementError,
-    Scene,
     compose_scene,
     drop_block,
+    render_ascii,
 )
 from towertalk.dsl import (
     Library,
@@ -34,7 +34,8 @@ from towertalk.dsl import (
 )
 from towertalk.pragmatics import lenient_run
 
-from oracles import EMPTY_LIBRARY, execute_nested, make_fragment, reference_column_clusters
+from oracles import (EMPTY_LIBRARY, buildable_towers, execute_nested, make_fragment,
+                     reference_column_clusters)
 
 
 def reference_expand(program, library):
@@ -247,39 +248,50 @@ def test_moves_between_splits_long_spans():
 
 
 def test_canonical_program_single_block():
-    scene = Scene(4, 4, frozenset({BlockPlacement(0, 0, VERTICAL)}))
-    assert canonical_program(scene) == ("v",)
+    assert canonical_program(frozenset({BlockPlacement(0, 0, VERTICAL)})) == ("v",)
 
 
 def test_canonical_rebuilds_all_stimuli(tower_scene):
     for tower_id in "ABC":
         scene = tower_scene(tower_id)
         program = canonical_program(scene)
-        placed = execute(program, default_start_x(scene), scene.width, scene.height)
-        assert frozenset(placed) == scene.blocks
+        placed = execute(program, default_start_x(scene), GRID_WIDTH, GRID_HEIGHT)
+        assert frozenset(placed) == scene
 
 
 def test_canonical_scene_is_left_cluster_then_right(towers_by_id):
     scene = compose_scene(towers_by_id["B"], towers_by_id["C"])
     program = canonical_program(scene)
-    left_scene = Scene(scene.width, scene.height,
-                       frozenset(b for b in scene.blocks if b.x < 6))
-    left_program = canonical_program(left_scene)
+    left_program = canonical_program(frozenset(b for b in scene if b.x < 6))
     assert program[:len(left_program)] == left_program
 
 
 def test_canonical_rejects_floating_scene():
-    floating = Scene(6, 6, frozenset({BlockPlacement(0, 3, HORIZONTAL)}))
+    floating = frozenset({BlockPlacement(0, 3, HORIZONTAL)})
     with pytest.raises(ProgramError):
         canonical_program(floating)
 
 
 def test_validate_constructible(towers_by_id):
     canonical_program(compose_scene(towers_by_id["A"], towers_by_id["B"]))
-    assert canonical_program(Scene(4, 4, frozenset())) == ()
-    floating = Scene(6, 6, frozenset({BlockPlacement(0, 3, HORIZONTAL)}))
+    assert canonical_program(frozenset()) == ()
+    floating = frozenset({BlockPlacement(0, 3, HORIZONTAL)})
     with pytest.raises(ProgramError):
         canonical_program(floating)
+
+
+@given(buildable_towers("L"), buildable_towers("R"))
+@settings(max_examples=200, deadline=None)
+def test_canonical_program_rebuilds_random_scenes(left, right):
+    """Any two buildable towers side by side: the scene's canonical program, run on
+    the grid from default_start_x, rebuilds exactly its blocks, and the scene draws
+    as the grid's GRID_HEIGHT rows of GRID_WIDTH glyphs."""
+    scene = compose_scene(left, right)
+    program = canonical_program(scene)
+    assert frozenset(execute(program, default_start_x(scene), GRID_WIDTH, GRID_HEIGHT)) == scene
+    rows = render_ascii(scene).split("\n")
+    assert len(rows) == GRID_HEIGHT == 8
+    assert all(len(row) == GRID_WIDTH == 14 for row in rows)
 
 
 def test_length_accounting_lower_bound():
