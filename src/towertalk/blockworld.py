@@ -224,12 +224,12 @@ def scene_from_dict(data: dict) -> tuple[frozenset[BlockPlacement], int, int]:
 
 def stimuli_from_dict(data: dict) -> tuple[TowerStimulus, ...]:
     """A stimuli file's data as validated towers; rejects a duplicate id."""
-    towers = []
+    towers: dict[str, TowerStimulus] = {}
     for k, entry in enumerate(field(data, "towers", list)):
         tower = TowerStimulus(field(entry, "id", str, f"towers[{k}]", TOWER_ID),
                               blocks_field(entry, "blocks", f"towers[{k}]"))
+        if tower.id in towers:
+            raise InputError(f"towers[{k}].id: duplicate id {reprlib.repr(tower.id)}")
         validate_stimulus(tower)
-        towers.append(tower)
-    if len({t.id for t in towers}) != len(towers):
-        raise InputError("duplicate tower ids in stimulus file")
-    return tuple(towers)
+        towers[tower.id] = tower
+    return tuple(towers.values())

@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import RIGHT_ORIGIN, BlockPlacement, TowerStimulus, compose_scene
+from .blockworld import BlockPlacement, TowerStimulus, compose_scene
 from .dsl import Fragment, Library, Program
 
 BODY_TOKEN_SUM = "body_token_sum"
@@ -374,32 +374,23 @@ def _shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
     return frozenset(b.translate(-min_x) for b in blocks)
 
 
-def shape_levels(stimuli: Sequence[TowerStimulus]) -> dict[frozenset[BlockPlacement], str]:
-    """The level of each shape a fragment can rebuild: a stimulus is a tower, and
-    a side-by-side pair of stimuli is a scene."""
-    # Towers go in last: a pair has a tower's shape only when its two halves are
-    # the same four blocks, and then it is that tower.
-    levels = {_shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
-              for left in stimuli for right in stimuli}
-    levels.update((_shape(tower.blocks), TOWER) for tower in stimuli)
-    return levels
-
-
-def classify_fragment(expansion: Program, shapes: dict[frozenset[BlockPlacement], str]) -> str:
+def classify_fragment(expansion: Program, towers: Collection[frozenset[BlockPlacement]]) -> str:
     """Bucket a fragment by the configuration its expansion builds.
 
     2-3 placements is sub-tower level; 4 placements that exactly rebuild one
-    stimulus is tower level; 8 placements that rebuild a side-by-side pair of
-    stimuli is scene level; anything else is other. `shapes` is the stimuli's
-    shape_levels. The expansion, part of a 14x8 scene's program, runs from
-    column 30 of an empty 64x32 grid, which it cannot leave: only its shape decides.
+    stimulus is tower level; 8 placements is scene level; anything else is other.
+    `towers` holds the stimuli's shapes. The expansion must be a window of a
+    scene's canonical program, as every adopted one is: a scene is two 4-block
+    towers, so a window that places 8 blocks is the whole scene. A 4-block
+    expansion runs from column 30 of an empty 64x32 grid, which it cannot leave:
+    only its shape decides.
     """
     n = dsl.count_placements(expansion)
-    if 2 <= n <= 3:
-        return SUB_TOWER
-    if n not in (4, 8):
-        return OTHER
-    return shapes.get(_shape(dsl.execute(expansion, 30, 64, 32)), OTHER)
+    if n == 8:
+        return SCENE
+    if n == 4:
+        return TOWER if _shape(dsl.execute(expansion, 30, 64, 32)) in towers else OTHER
+    return SUB_TOWER if 2 <= n <= 3 else OTHER
 
 
 def library_trajectory(sequence: TrialSequence, w: float,
@@ -410,7 +401,7 @@ def library_trajectory(sequence: TrialSequence, w: float,
     so every dyad over the same sequence and w shares one trajectory.
     """
     towers = {tower.id: tower for tower in stimuli}
-    shapes = shape_levels(stimuli)
+    tower_shapes = frozenset(_shape(tower.blocks) for tower in stimuli)
     library = Library()
     scenes: list[Program] = []
     trials: list[LearnedTrial] = []
@@ -423,7 +414,7 @@ def library_trajectory(sequence: TrialSequence, w: float,
                 id=a.fragment.id,
                 body=dsl.print_program(a.fragment.body),
                 expansion=dsl.print_program(a.fragment.expansion),
-                level=classify_fragment(a.fragment.expansion, shapes),
+                level=classify_fragment(a.fragment.expansion, tower_shapes),
                 adopted_trial=index,
                 score_delta=a.score_delta,
             )

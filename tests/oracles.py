@@ -3,7 +3,8 @@ cell, the empty library, building a fragment by hand, a scene's column
 clusters read off its occupied columns,
 running a program's chunks in place without inlining, every candidate window
 of a set of programs by direct enumeration,
-the learner's posterior score, the tokenizer's walk that matches every
+the learner's posterior score, a fragment's level read off a table of the
+stimuli's and their pairs' shapes, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
 a word's marginal listener probability taken word by word, the
@@ -25,17 +26,18 @@ import math
 import random
 from collections import Counter
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from hypothesis import strategies as st
 
 from towertalk import dsl
-from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement,
-                                  PlacementError, TowerStimulus, drop_block)
+from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, RIGHT_ORIGIN, VERTICAL,
+                                  BlockPlacement, PlacementError, TowerStimulus, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
-from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, REPETITION_BLOCKS,
-                                        STEP_LEVELS, FragmentSnapshot, _mdl_cost, _mdl_table,
-                                        snapshot_level_proportions, step_levels)
+from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, OTHER, REPETITION_BLOCKS,
+                                        SCENE, STEP_LEVELS, SUB_TOWER, TOWER, FragmentSnapshot,
+                                        _mdl_cost, _mdl_table, snapshot_level_proportions,
+                                        step_levels)
 from towertalk.pragmatics import (BeliefState, Component, PragmaticsConfig, candidate_programs,
                                   hypothesis_count, synthetic_word)
 from towertalk.simulation import TRIALS_PER_SEQUENCE, DyadTrace, TrialRecord, jsd
@@ -148,6 +150,30 @@ def reference_shortest_tokenization(base_sequence: Program, library: Library) ->
         tokens.append(token)
         i += length
     return tuple(tokens)
+
+
+def reference_fragment_level(expansion: Program, stimuli: Sequence[TowerStimulus]) -> str:
+    """classify_fragment by a table of every shape a fragment can rebuild: a
+    stimulus is a tower, and each side-by-side pair of stimuli, the right one at
+    column RIGHT_ORIGIN, is a scene. An expansion of 4 or 8 placements runs from
+    column 30 of an empty 64x32 grid and takes the level of its shape (its
+    leftmost column moved to 0), or other if the table holds no such shape."""
+    n = dsl.count_placements(expansion)
+    if 2 <= n <= 3:
+        return SUB_TOWER
+    if n not in (4, 8):
+        return OTHER
+
+    def shape(blocks: Collection[BlockPlacement]) -> frozenset[BlockPlacement]:
+        min_x = min(b.x for b in blocks)
+        return frozenset(b.translate(-min_x) for b in blocks)
+
+    # Towers go in last: a pair has a tower's shape only when its two halves are
+    # the same four blocks, and then it is that tower.
+    levels = {shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
+              for left in stimuli for right in stimuli}
+    levels.update((shape(tower.blocks), TOWER) for tower in stimuli)
+    return levels.get(shape(dsl.execute(expansion, 30, 64, 32)), OTHER)
 
 
 def library_size(library: Library) -> int:

@@ -331,7 +331,7 @@ def test_validate_stimulus_agrees_with_the_support_oracle_on_every_small_tower()
 def test_load_stimuli_rejects_a_duplicate_id(tmp_path, towers):
     path = tmp_path / "stimuli.json"
     save_stimuli((towers[0], towers[1]._replace(id=towers[0].id)), str(path))
-    with pytest.raises(ValueError, match="duplicate tower ids"):
+    with pytest.raises(InputError, match=r"^towers\[1\]\.id: duplicate id 'A'$"):
         stimuli_from_dict(json.loads(path.read_text()))
 
 

@@ -1155,6 +1155,12 @@ def _huge_tower_id_string(tmp_path):
                         "blocks": [{"x": 0, "y": 0, "orientation": VERTICAL}]}]}
 
 
+def _huge_duplicate_tower_id(tmp_path):
+    data = _default_stimuli_data(tmp_path)
+    data["towers"][0]["id"] = data["towers"][1]["id"] = "A" * 50_000
+    return data
+
+
 def _huge_block_x(tmp_path):
     data = _default_stimuli_data(tmp_path)
     data["towers"][0]["blocks"][0]["x"] = "9" * 50_000
@@ -1176,11 +1182,12 @@ def _huge_repetition_block(tmp_path):
 @pytest.mark.parametrize("reader, malform", [
     ("learn --stimuli", _huge_tower_id),
     ("learn --stimuli", _huge_tower_id_string),
+    ("learn --stimuli", _huge_duplicate_tower_id),
     ("learn --stimuli", _huge_block_x),
     ("learn --sequences", _huge_trial_left),
     ("learn --sequences", _huge_repetition_block),
-], ids=["tower-id-list", "tower-id-string", "block-x-string", "trial-left-string",
-        "trial-block-int"])
+], ids=["tower-id-list", "tower-id-string", "tower-id-duplicate", "block-x-string",
+        "trial-left-string", "trial-block-int"])
 def test_readers_abbreviate_a_huge_bad_value(tmp_path, capsys, reader, malform):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(malform(tmp_path)))

@@ -1,9 +1,10 @@
 import math
 import random
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import blockworld, cli, dsl, library_learning, pragmatics, simulation, traces
@@ -27,19 +28,20 @@ from towertalk.library_learning import (
     _round,
     _scene_table,
     _scene_windows,
+    _shape,
     check_w,
     classify_fragment,
     library_trajectory,
-    shape_levels,
     shortest_tokenization,
     update_library_with_log,
 )
 from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
-from towertalk.simulation import LearningConfig, generate_sequences
+from towertalk.simulation import LearningConfig, generate_sequences, generate_trial_sequence
 
-from oracles import (EMPTY_LIBRARY, library_score, library_size, make_fragment, mdl,
-                     reference_candidate_windows, reference_shortest_tokenization)
+from oracles import (EMPTY_LIBRARY, buildable_towers, library_score, library_size, make_fragment,
+                     mdl, reference_candidate_windows, reference_fragment_level,
+                     reference_shortest_tokenization)
 
 
 def brute_force_mdl(sequence, expansions):
@@ -293,30 +295,54 @@ def test_update_library_deterministic(towers_by_id):
     assert first == second
 
 
+TOWER_SHAPES = frozenset(_shape(tower.blocks) for tower in stimulus_towers())
+
+
 def test_classify_sub_tower_levels():
-    shapes = shape_levels(stimulus_towers())
-    assert classify_fragment(("v", "r1", "v"), shapes) == SUB_TOWER
-    assert classify_fragment(("v", "r1"), shapes) == OTHER
+    assert classify_fragment(("v", "r1", "v"), TOWER_SHAPES) == SUB_TOWER
+    assert classify_fragment(("v", "r1"), TOWER_SHAPES) == OTHER
 
 
 def test_classify_tower_level(tower_scene):
-    shapes = shape_levels(stimulus_towers())
     for tower_id in "ABC":
-        assert classify_fragment(canonical_program(tower_scene(tower_id)), shapes) == TOWER
+        assert classify_fragment(canonical_program(tower_scene(tower_id)), TOWER_SHAPES) == TOWER
 
 
 def test_classify_tower_level_ignores_leading_move(tower_scene):
     program = ("r3",) + canonical_program(tower_scene("B"))
-    assert classify_fragment(program, shape_levels(stimulus_towers())) == TOWER
+    assert classify_fragment(program, TOWER_SHAPES) == TOWER
 
 
 def test_classify_scene_level(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
-    assert classify_fragment(canonical_program(scene), shape_levels(stimulus_towers())) == SCENE
+    program = canonical_program(compose_scene(towers_by_id["A"], towers_by_id["C"]))
+    assert classify_fragment(program, TOWER_SHAPES) == SCENE
+    # Eight placements of a scene's program are the whole scene, whatever the towers.
+    assert classify_fragment(program, frozenset()) == SCENE
 
 
 def test_classify_mismatched_four_blocks_is_other():
-    assert classify_fragment(("v", "v", "v", "v"), shape_levels(stimulus_towers())) == OTHER
+    assert classify_fragment(("v", "v", "v", "v"), TOWER_SHAPES) == OTHER
+
+
+def _composes(left, right):
+    try:
+        compose_scene(left, right)
+    except blockworld.InputError:
+        return False
+    return True
+
+
+@given(st.tuples(*(buildable_towers(tower_id) for tower_id in "ABC")),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from((1.5, 3.2, 9.6)))
+@settings(max_examples=100, deadline=None)
+def test_fragment_levels_match_the_pair_table(towers, seed, w):
+    """Every adopted fragment's level is the one a table of the stimuli's shapes
+    and of every side-by-side pair's gives, on random buildable towers."""
+    assume(all(_composes(left, right) for left, right in permutations(towers, 2)))
+    for trial in library_trajectory(generate_trial_sequence(seed), w, towers):
+        for snapshot in trial.adopted:
+            expansion = trial.library.resolve(snapshot.id).expansion
+            assert snapshot.level == reference_fragment_level(expansion, towers), snapshot
 
 
 def test_learning_config_validation():

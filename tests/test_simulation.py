@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from towertalk import library_learning, simulation
 from towertalk.blockworld import BlockPlacement, TowerStimulus, compose_scene, stimulus_towers
-from towertalk.dsl import canonical_program, is_base_token, is_place, token_length
+from towertalk.dsl import (canonical_program, count_placements, execute, is_base_token, is_place,
+                          token_length)
 from towertalk.library_learning import (
     REPETITION_BLOCKS,
     STEP_LEVELS,
@@ -23,7 +24,6 @@ from towertalk.library_learning import (
     TrialSequence,
     TrialSpec,
     library_trajectory,
-    shape_levels,
     snapshot_level_proportions,
     step_levels,
 )
@@ -231,23 +231,28 @@ def test_run_experiment_maps_whole_groups(monkeypatch):
     assert len(traces) == sum(len(results) for _, results in mapped) == 8
 
 
-def test_library_trajectory_builds_the_shape_table_once(monkeypatch):
-    """One shape_levels table per trajectory, however many fragments it classifies."""
-    calls = []
-
-    def counting(stimuli):
-        calls.append(stimuli)
-        return shape_levels(stimuli)
-
-    monkeypatch.setattr(library_learning, "shape_levels", counting)
+def test_library_trajectory_runs_only_four_block_fragments(monkeypatch):
+    """A fragment's level takes a run of its expansion only when it places 4
+    blocks: 8 placements are a scene, and 2-3 a sub-tower, without one."""
     sequences, _ = simulation.generate_sequences(0, 2)
+    # A first pass derives each tower pair's canonical program, which runs it.
+    expansions = [trial.library.resolve(snapshot.id).expansion
+                  for sequence in sequences
+                  for trial in library_trajectory(sequence, 1.5, TOWERS)
+                  for snapshot in trial.adopted]
+    runs = []
+
+    def counting(program, *grid):
+        runs.append(program)
+        return execute(program, *grid)
+
+    monkeypatch.setattr(library_learning.dsl, "execute", counting)
     levels = [snapshot.level
               for sequence in sequences
               for trial in library_trajectory(sequence, 1.5, TOWERS)
               for snapshot in trial.adopted]
-    assert calls == [TOWERS, TOWERS]
-    # The trajectories classify more tower and scene fragments than they build tables.
-    assert levels.count("tower") + levels.count("scene") > len(calls)
+    assert runs == [expansion for expansion in expansions if count_placements(expansion) == 4]
+    assert levels.count("scene") > 0
 
 
 def test_library_trajectory_follows_towers_and_config():
