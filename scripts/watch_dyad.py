@@ -34,7 +34,7 @@ def main():
     learned = library_trajectory(sequence, args.w, stimuli)
     trace = run_dyad(sequence, args.w, cfg, lcfg, random.Random(args.dyad_seed), learned)
     # The trace as traces.json holds it, told as `render --trace` tells it.
-    print(narrate(trace_to_dict(trace), {t.id: t for t in stimuli}, draw=args.render))
+    print(narrate(trace_to_dict(trace), stimuli, draw=args.render))
 
 
 if __name__ == "__main__":

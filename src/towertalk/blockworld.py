@@ -50,13 +50,6 @@ class BlockPlacement(NamedTuple):
         return BlockPlacement(self.x + dx, self.y, self.orientation)
 
 
-class TowerStimulus(NamedTuple):
-    """A four-block tower (two vertical, two horizontal) in tower-local coordinates."""
-
-    id: str
-    blocks: frozenset[BlockPlacement]
-
-
 def drop_block(heights: tuple[int, ...], orientation: str, x: int,
                height: int = GRID_HEIGHT) -> tuple[tuple[int, ...], BlockPlacement]:
     """Drop a block into column x of the grid whose column heights are given (its
@@ -76,8 +69,8 @@ def drop_block(heights: tuple[int, ...], orientation: str, x: int,
     return heights[:x] + (top,) * (right + 1 - x) + heights[right + 1:], block
 
 
-def stimulus_towers() -> tuple[TowerStimulus, ...]:
-    """The three default tower stimuli.
+def stimulus_towers() -> dict[str, frozenset[BlockPlacement]]:
+    """The three default tower stimuli, {id: blocks} in tower-local coordinates.
 
     All three carry the same interior motif (a vertical block with a
     horizontal block resting against its right side) so that sub-tower
@@ -86,37 +79,37 @@ def stimulus_towers() -> tuple[TowerStimulus, ...]:
     """
     v = VERTICAL
     h = HORIZONTAL
-    return (
+    return {
         # Ledge, motif three columns over, capped back above the ledge.
-        TowerStimulus("A", frozenset({
+        "A": frozenset({
             BlockPlacement(0, 0, h), BlockPlacement(3, 0, v),
             BlockPlacement(4, 0, h), BlockPlacement(0, 1, v),
-        })),
+        }),
         # Column, motif two columns over, shelf back on the column.
-        TowerStimulus("B", frozenset({
+        "B": frozenset({
             BlockPlacement(0, 0, v), BlockPlacement(2, 0, v),
             BlockPlacement(3, 0, h), BlockPlacement(0, 2, h),
-        })),
+        }),
         # Motif at the front (offset one column), column and shelf behind it.
-        TowerStimulus("C", frozenset({
+        "C": frozenset({
             BlockPlacement(1, 0, v), BlockPlacement(2, 0, h),
             BlockPlacement(4, 0, v), BlockPlacement(4, 2, h),
-        })),
-    )
+        }),
+    }
 
 
-def validate_stimulus(tower: TowerStimulus) -> None:
-    """Raise InputError unless the tower has 2 vertical + 2 horizontal blocks that
-    gravity can build: dropped in (y, x) order, each lands where it stands."""
-    name = f"tower {reprlib.repr(tower.id)}: "
-    if len(tower.blocks) != 4:
-        raise InputError(f"{name}expected 4 blocks, got {len(tower.blocks)}")
-    orientations = sorted(b.orientation for b in tower.blocks)
+def validate_stimulus(tower_id: str, blocks: frozenset[BlockPlacement]) -> None:
+    """Raise InputError unless tower `tower_id`'s blocks are 2 vertical + 2 horizontal
+    that gravity can build: dropped in (y, x) order, each lands where it stands."""
+    name = f"tower {reprlib.repr(tower_id)}: "
+    if len(blocks) != 4:
+        raise InputError(f"{name}expected 4 blocks, got {len(blocks)}")
+    orientations = sorted(b.orientation for b in blocks)
     if orientations != [HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL]:
         raise InputError(f"{name}expected 2 vertical + 2 horizontal blocks")
-    _check_cells(tower.blocks, GRID_WIDTH, GRID_HEIGHT, name)
+    _check_cells(blocks, GRID_WIDTH, GRID_HEIGHT, name)
     heights = (0,) * GRID_WIDTH
-    for block in sorted(tower.blocks, key=lambda b: (b.y, b.x)):
+    for block in sorted(blocks, key=lambda b: (b.y, b.x)):
         heights, landed = drop_block(heights, block.orientation, block.x)
         if landed != block:
             raise InputError(f"{name}contains an unsupported block")
@@ -135,9 +128,10 @@ def _check_cells(blocks: Iterable[BlockPlacement], width: int, height: int, wher
             seen.add(cell)
 
 
-def compose_scene(left: TowerStimulus, right: TowerStimulus) -> frozenset[BlockPlacement]:
-    """Place two towers side by side, the right one at column RIGHT_ORIGIN."""
-    blocks = [*left.blocks, *(b.translate(RIGHT_ORIGIN) for b in right.blocks)]
+def compose_scene(left: frozenset[BlockPlacement],
+                  right: frozenset[BlockPlacement]) -> frozenset[BlockPlacement]:
+    """Place two towers' blocks side by side, the right one at column RIGHT_ORIGIN."""
+    blocks = [*left, *(b.translate(RIGHT_ORIGIN) for b in right)]
     _check_cells(blocks, GRID_WIDTH, GRID_HEIGHT)
     return frozenset(blocks)
 
@@ -222,14 +216,14 @@ def scene_from_dict(data: dict) -> tuple[frozenset[BlockPlacement], int, int]:
     return blocks_field(data, "blocks", "", width, height), width, height
 
 
-def stimuli_from_dict(data: dict) -> tuple[TowerStimulus, ...]:
-    """A stimuli file's data as validated towers; rejects a duplicate id."""
-    towers: dict[str, TowerStimulus] = {}
+def stimuli_from_dict(data: dict) -> dict[str, frozenset[BlockPlacement]]:
+    """A stimuli file's validated towers, by id in file order; rejects a duplicate id."""
+    towers: dict[str, frozenset[BlockPlacement]] = {}
     for k, entry in enumerate(field(data, "towers", list)):
-        tower = TowerStimulus(field(entry, "id", str, f"towers[{k}]", TOWER_ID),
-                              blocks_field(entry, "blocks", f"towers[{k}]"))
-        if tower.id in towers:
-            raise InputError(f"towers[{k}].id: duplicate id {reprlib.repr(tower.id)}")
-        validate_stimulus(tower)
-        towers[tower.id] = tower
-    return tuple(towers.values())
+        tower_id = field(entry, "id", str, f"towers[{k}]", TOWER_ID)
+        blocks = blocks_field(entry, "blocks", f"towers[{k}]")
+        if tower_id in towers:
+            raise InputError(f"towers[{k}].id: duplicate id {reprlib.repr(tower_id)}")
+        validate_stimulus(tower_id, blocks)
+        towers[tower_id] = blocks
+    return towers

@@ -142,14 +142,13 @@ def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
     ...{unknown}". Then each distinct scene is composed, and one that does not
     fit is reported against `source`, the stimuli.
     """
-    towers = {t.id: t for t in stimuli}
     for where, left, right in scenes:
         for tower in (left, right):
-            if tower not in towers:
+            if tower not in stimuli:
                 raise ConfigError(f"{where}: no tower with id {reprlib.repr(tower)}{unknown}")
     for left, right in sorted({(left, right) for _, left, right in scenes}):
         try:
-            compose_scene(towers[left], towers[right])
+            compose_scene(stimuli[left], stimuli[right])
         except InputError as exc:
             raise ConfigError(f"{source}: scene {left}+{right}: {exc}") from exc
 
@@ -247,14 +246,14 @@ def cmd_render(args: argparse.Namespace) -> int:
                                       ("--trace-index", args.trace_index)) if value is not None]
     if stray and args.trace is None:
         raise ConfigError(f"render: {' and '.join(stray)} given without --trace")
-    towers = {t.id: t for t in stimulus_towers()}
+    towers = stimulus_towers()
     if args.scene is not None:
         print(render_ascii(*_load(scene_from_dict, args.scene)))
         return EXIT_OK
     if args.stimulus is not None:
         if args.stimulus not in towers:
             raise ConfigError(f"stimulus: unknown id {reprlib.repr(args.stimulus)}")
-        blocks = towers[args.stimulus].blocks
+        blocks = towers[args.stimulus]
         cells = [cell for block in blocks for cell in block.cells()]  # drawn to their bounding box
         print(render_ascii(blocks, max(x for x, _ in cells) + 1, max(y for _, y in cells) + 1))
         return EXIT_OK

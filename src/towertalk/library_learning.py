@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import BlockPlacement, TowerStimulus, compose_scene
+from .blockworld import BlockPlacement, compose_scene
 from .dsl import Fragment, Library, Program
 
 BODY_TOKEN_SUM = "body_token_sum"
@@ -361,8 +361,8 @@ class LearnedTrial(NamedTuple):
 
 
 @lru_cache(maxsize=1 << 6)
-def _base_scene(left: TowerStimulus,
-                right: TowerStimulus) -> tuple[frozenset[BlockPlacement], Program]:
+def _base_scene(left: frozenset[BlockPlacement],
+                right: frozenset[BlockPlacement]) -> tuple[frozenset[BlockPlacement], Program]:
     """A trial's target scene and its canonical program, derived once per tower pair."""
     target = compose_scene(left, right)
     return target, dsl.canonical_program(target)
@@ -394,19 +394,18 @@ def classify_fragment(expansion: Program, towers: Collection[frozenset[BlockPlac
 
 
 def library_trajectory(sequence: TrialSequence, w: float,
-                       stimuli: tuple[TowerStimulus, ...]) -> tuple[LearnedTrial, ...]:
+                       stimuli: dict[str, frozenset[BlockPlacement]]) -> tuple[LearnedTrial, ...]:
     """Library learning over a trial sequence, one entry per trial.
 
     Learning sees only the target scenes, never the RNG or the communication,
     so every dyad over the same sequence and w shares one trajectory.
     """
-    towers = {tower.id: tower for tower in stimuli}
-    tower_shapes = frozenset(_shape(tower.blocks) for tower in stimuli)
+    tower_shapes = frozenset(_shape(blocks) for blocks in stimuli.values())
     library = Library()
     scenes: list[Program] = []
     trials: list[LearnedTrial] = []
     for index, spec in enumerate(sequence.trials, start=1):
-        target, program = _base_scene(towers[spec.left], towers[spec.right])
+        target, program = _base_scene(stimuli[spec.left], stimuli[spec.right])
         scenes.append(program)
         library, adoptions = update_library_with_log(library, scenes, w)
         adopted = tuple(

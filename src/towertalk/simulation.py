@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import dsl
-from .blockworld import GRID_WIDTH, BlockPlacement, TowerStimulus, f1_score, stimulus_towers
+from .blockworld import GRID_WIDTH, BlockPlacement, f1_score, stimulus_towers
 from .dsl import Library, Program
 from .library_learning import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS, FragmentSnapshot,
                                LearnedTrial, TrialSequence, TrialSpec, check_w,
@@ -38,7 +38,7 @@ from .pragmatics import (
 )
 from .traces import trace_json
 
-TOWER_PAIRS = tuple(combinations(sorted(t.id for t in stimulus_towers()), 2))
+TOWER_PAIRS = tuple(combinations(sorted(stimulus_towers()), 2))
 TRIALS_PER_SEQUENCE = 12
 
 
@@ -175,8 +175,8 @@ def _group_task(args: tuple) -> list[DyadTrace]:
 
 
 def run_experiment(configs: Sequence[tuple[PragmaticsConfig, LearningConfig]],
-                   stimuli: tuple[TowerStimulus, ...], n_sequences: int, iterations: int,
-                   master_seed: int = 0, jobs: int = 1) -> list[DyadTrace]:
+                   stimuli: dict[str, frozenset[BlockPlacement]], n_sequences: int,
+                   iterations: int, master_seed: int = 0, jobs: int = 1) -> list[DyadTrace]:
     """Run every config over the same generated sequences; fully deterministic.
 
     Seeds for sequences and dyads derive from master_seed in a fixed order

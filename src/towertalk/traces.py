@@ -10,7 +10,8 @@ import reprlib
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import dsl
-from .blockworld import TOWER_ID, InputError, blocks_field, compose_scene, field, render_ascii
+from .blockworld import (TOWER_ID, InputError, blocks_field, compose_scene, f1_score, field,
+                         render_ascii)
 from .library_learning import (BODY_TOKEN_SUM, REPETITION_BLOCKS, FragmentSnapshot, LearnedTrial,
                                TrialSequence, TrialSpec, snapshot_level_proportions, step_levels)
 
@@ -202,11 +203,13 @@ def traces_json(traces: list[DyadTrace], master_seed: int, alpha: float, n_seque
 def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = True,
             where: str = "trace") -> str:
     """The story of one entry of a traces file's "traces" list, read as strictly
-    as any input file. Per trial: its number, block, towers, F1 and tokens sent,
-    program, utterance, each fragment it adopted and, with `draw`, its target and
-    built scene side by side. The whole dyad ends with the final belief entropy
-    and library size; with `trial`, only that trial's lines, and "" when the
-    trace holds no such trial. A bad field is named from `where` on."""
+    as any input file, on `towers` ({id: blocks}), which the file does not hold: a
+    trial's F1 must be its builder_placements' score against its scene of `towers`.
+    Per trial: its number, block, towers, F1 and tokens sent, program, utterance,
+    each fragment it adopted and, with `draw`, its target and built scene side by
+    side. The whole dyad ends with the final belief entropy and library size; with
+    `trial`, only that trial's lines, and "" when the trace holds no such trial. A
+    bad field is named from `where` on."""
     lines, library = [], []
     trials = field(trace, "trials", list, where)
     entropy = field(trace, "final_belief_entropy", float, where)
@@ -235,10 +238,14 @@ def narrate(trace: dict, towers: dict, trial: int | None = None, draw: bool = Tr
                 fragment, level, body = (field(snap, key, str, f"{name}.library[{j}]")
                                          for key in ("id", "level", "body"))
                 lines.append(f"   + learned {fragment} [{level}] {body}")
+        target = compose_scene(*(towers[tower] for tower in ids))
+        built = blocks_field(entry, "builder_placements", name)
+        if f1 != (scored := round(f1_score(target, built), 9)):
+            raise InputError(f"{name}.f1: recorded {f1!r}, but builder_placements score {scored!r}"
+                             f" against scene {'+'.join(ids)}: was it played on other towers?")
         if draw:
-            target = render_ascii(compose_scene(*(towers[tower] for tower in ids)))
-            built = render_ascii(blocks_field(entry, "builder_placements", name))
-            lines += [f"   {a}   {b}" for a, b in zip(target.split("\n"), built.split("\n"))]
+            rows = zip(render_ascii(target).split("\n"), render_ascii(built).split("\n"))
+            lines += [f"   {a}   {b}" for a, b in rows]
     if trial is None:
         lines.append(f"final belief entropy: {entropy:.3f} bits; "
                      f"library size: {len(library)} fragments")

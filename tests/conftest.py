@@ -1,6 +1,6 @@
 import pytest
 
-from towertalk.blockworld import BlockPlacement, stimulus_towers
+from towertalk.blockworld import stimulus_towers
 from towertalk.dsl import Library
 
 from oracles import make_fragment
@@ -8,19 +8,8 @@ from oracles import make_fragment
 
 @pytest.fixture
 def towers():
+    """The default towers, {id: blocks}."""
     return stimulus_towers()
-
-
-@pytest.fixture
-def towers_by_id(towers):
-    return {t.id: t for t in towers}
-
-
-@pytest.fixture
-def tower_scene(towers_by_id):
-    def build(tower_id: str) -> frozenset[BlockPlacement]:
-        return towers_by_id[tower_id].blocks
-    return build
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from towertalk import dsl
 from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, RIGHT_ORIGIN, VERTICAL,
-                                  BlockPlacement, PlacementError, TowerStimulus, drop_block)
+                                  BlockPlacement, PlacementError, drop_block)
 from towertalk.dsl import Fragment, Library, Program, Token
 from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, OTHER, REPETITION_BLOCKS,
                                         SCENE, STEP_LEVELS, SUB_TOWER, TOWER, FragmentSnapshot,
@@ -152,7 +152,8 @@ def reference_shortest_tokenization(base_sequence: Program, library: Library) ->
     return tuple(tokens)
 
 
-def reference_fragment_level(expansion: Program, stimuli: Sequence[TowerStimulus]) -> str:
+def reference_fragment_level(expansion: Program,
+                             stimuli: dict[str, frozenset[BlockPlacement]]) -> str:
     """classify_fragment by a table of every shape a fragment can rebuild: a
     stimulus is a tower, and each side-by-side pair of stimuli, the right one at
     column RIGHT_ORIGIN, is a scene. An expansion of 4 or 8 placements runs from
@@ -170,9 +171,10 @@ def reference_fragment_level(expansion: Program, stimuli: Sequence[TowerStimulus
 
     # Towers go in last: a pair has a tower's shape only when its two halves are
     # the same four blocks, and then it is that tower.
-    levels = {shape(left.blocks | {b.translate(RIGHT_ORIGIN) for b in right.blocks}): SCENE
-              for left in stimuli for right in stimuli}
-    levels.update((shape(tower.blocks), TOWER) for tower in stimuli)
+    towers = stimuli.values()
+    levels = {shape(left | {b.translate(RIGHT_ORIGIN) for b in right}): SCENE
+              for left in towers for right in towers}
+    levels.update((shape(tower), TOWER) for tower in towers)
     return levels.get(shape(dsl.execute(expansion, 30, 64, 32)), OTHER)
 
 
@@ -425,10 +427,10 @@ def save_scene(blocks: Iterable[BlockPlacement], path: str, width: int = GRID_WI
     _write_json(scene_to_dict(blocks, width, height), path)
 
 
-def save_stimuli(towers: Sequence[TowerStimulus], path: str) -> None:
-    """Towers in the file schema that `--stimuli` reads."""
-    _write_json({"towers": [{"id": t.id, "blocks": [b._asdict() for b in sorted(t.blocks)]}
-                            for t in towers]}, path)
+def save_stimuli(towers: dict[str, frozenset[BlockPlacement]], path: str) -> None:
+    """Towers, {id: blocks}, in the file schema that `--stimuli` reads."""
+    _write_json({"towers": [{"id": tower_id, "blocks": [b._asdict() for b in sorted(blocks)]}
+                            for tower_id, blocks in towers.items()]}, path)
 
 
 def _oracle_step_level(token: str, final_library: Sequence[FragmentSnapshot]) -> str:
@@ -599,13 +601,17 @@ def cell_csvs(traces: Sequence[DyadTrace]) -> dict[str, str]:
 
 
 @st.composite
-def buildable_towers(draw, tower_id):
-    """A tower of two horizontal and two vertical blocks, dropped in a random order
-    at random columns of a grid 6 wide and 8 high: supported, without overlaps,
-    and narrow enough to stand at the right tower's origin."""
+def buildable_towers(draw):
+    """The blocks of a tower of two horizontal and two vertical blocks, dropped in a
+    random order at random columns of a grid 6 wide and 8 high: supported, without
+    overlaps, and narrow enough to stand at the right tower's origin."""
     heights, blocks = (0,) * 6, []
     for orientation in draw(st.permutations([HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL])):
         column = draw(st.integers(0, 4 if orientation == HORIZONTAL else 5))
         heights, block = drop_block(heights, orientation, column)
         blocks.append(block)
-    return TowerStimulus(tower_id, frozenset(blocks))
+    return frozenset(blocks)
+
+
+# Random stimuli: towers A, B and C, {id: blocks}, each drawn by buildable_towers.
+buildable_stimuli = st.fixed_dictionaries({tower_id: buildable_towers() for tower_id in "ABC"})

@@ -222,7 +222,7 @@ def test_criterion_4_production_preferences():
 # -- criterion 5 -------------------------------------------------------------
 
 def test_criterion_5_f1_point_check():
-    towers = {t.id: t for t in stimulus_towers()}
+    towers = stimulus_towers()
     target = compose_scene(towers["A"], towers["B"])
     blocks = sorted(target)
     built = frozenset(blocks[:-1]) | {BlockPlacement(12, 0, VERTICAL)}

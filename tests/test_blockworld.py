@@ -11,7 +11,6 @@ from towertalk.blockworld import (
     BlockPlacement,
     InputError,
     PlacementError,
-    TowerStimulus,
     compose_scene,
     drop_block,
     f1_score,
@@ -112,66 +111,66 @@ def test_support_soundness_after_any_drop_sequence(drops):
 
 def test_stimuli_are_three_valid_towers(towers):
     assert len(towers) == 3
-    assert {t.id for t in towers} == {"A", "B", "C"}
-    for tower in towers:
-        validate_stimulus(tower)
-        vertical = sum(1 for b in tower.blocks if b.orientation == VERTICAL)
-        horizontal = sum(1 for b in tower.blocks if b.orientation == HORIZONTAL)
+    assert list(towers) == ["A", "B", "C"]
+    for tower_id, blocks in towers.items():
+        validate_stimulus(tower_id, blocks)
+        vertical = sum(1 for b in blocks if b.orientation == VERTICAL)
+        horizontal = sum(1 for b in blocks if b.orientation == HORIZONTAL)
         assert (vertical, horizontal) == (2, 2)
 
 
-def test_stimuli_are_constructible(tower_scene):
+def test_stimuli_are_constructible(towers):
     for tower_id in "ABC":
-        canonical_program(tower_scene(tower_id))  # raises ProgramError if not
+        canonical_program(towers[tower_id])  # raises ProgramError if not
 
 
-def test_compose_has_eight_blocks(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
+def test_compose_has_eight_blocks(towers):
+    scene = compose_scene(towers["A"], towers["C"])
     assert len(scene) == 8
 
 
-def test_compose_is_order_sensitive(towers_by_id):
-    left = compose_scene(towers_by_id["A"], towers_by_id["C"])
-    right = compose_scene(towers_by_id["C"], towers_by_id["A"])
+def test_compose_is_order_sensitive(towers):
+    left = compose_scene(towers["A"], towers["C"])
+    right = compose_scene(towers["C"], towers["A"])
     assert left != right
 
 
-def test_compose_same_tower_twice_is_legal(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["A"])
+def test_compose_same_tower_twice_is_legal(towers):
+    scene = compose_scene(towers["A"], towers["A"])
     assert len(scene) == 8
 
 
-def test_compose_rejects_overlap(towers_by_id):
+def test_compose_rejects_overlap(towers):
     # Left towers reaching column 8, where tower B's first block stands once
     # it is placed on the right: one shares a cell with it, one is the same block.
     for reach in (BlockPlacement(7, 0, HORIZONTAL), BlockPlacement(8, 0, VERTICAL)):
         blocks = {BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL), reach}
         blocks.add(BlockPlacement(3, 0, VERTICAL if reach.orientation == HORIZONTAL
                                   else HORIZONTAL))
-        wide = TowerStimulus("W", frozenset(blocks))
-        validate_stimulus(wide)
+        wide = frozenset(blocks)
+        validate_stimulus("W", wide)
         with pytest.raises(ValueError, match="overlap"):
-            compose_scene(wide, towers_by_id["B"])
+            compose_scene(wide, towers["B"])
 
 
-def test_compose_rejects_out_of_bounds(towers_by_id):
+def test_compose_rejects_out_of_bounds(towers):
     # Seven columns wide: it fits at column 0, but from column 8 it reaches column 14.
-    wide = TowerStimulus("W", frozenset({
+    wide = frozenset({
         BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL),
-        BlockPlacement(3, 0, HORIZONTAL), BlockPlacement(6, 0, VERTICAL)}))
-    validate_stimulus(wide)
-    assert len(compose_scene(wide, towers_by_id["A"])) == 8
+        BlockPlacement(3, 0, HORIZONTAL), BlockPlacement(6, 0, VERTICAL)})
+    validate_stimulus("W", wide)
+    assert len(compose_scene(wide, towers["A"])) == 8
     with pytest.raises(ValueError, match="outside the 14x8 grid"):
-        compose_scene(towers_by_id["A"], wide)
+        compose_scene(towers["A"], wide)
 
 
-def test_f1_identical_scenes(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_f1_identical_scenes(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     assert f1_score(scene, scene) == 1.0
 
 
-def test_f1_one_block_out_of_place(towers_by_id):
-    target = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_f1_one_block_out_of_place(towers):
+    target = compose_scene(towers["A"], towers["B"])
     blocks = sorted(target)
     built = frozenset(blocks[:-1]) | {BlockPlacement(12, 0, VERTICAL)}
     assert f1_score(target, built) == pytest.approx(0.875, abs=1e-12)
@@ -188,21 +187,21 @@ def test_f1_both_empty():
     assert f1_score(empty, empty) == 1.0
 
 
-def test_f1_one_empty_scene(towers_by_id):
-    target = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_f1_one_empty_scene(towers):
+    target = compose_scene(towers["A"], towers["B"])
     empty = frozenset()
     assert f1_score(target, empty) == 0.0
     assert f1_score(empty, target) == 0.0
 
 
-def test_f1_swap_invariance(towers_by_id):
-    target = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_f1_swap_invariance(towers):
+    target = compose_scene(towers["A"], towers["B"])
     partial = frozenset(sorted(target)[:5])
     assert f1_score(target, partial) == pytest.approx(f1_score(partial, target))
 
 
-def test_f1_adding_correct_block_never_decreases(towers_by_id):
-    target = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_f1_adding_correct_block_never_decreases(towers):
+    target = compose_scene(towers["A"], towers["B"])
     blocks = sorted(target)
     previous = 0.0
     for n in range(1, 9):
@@ -221,8 +220,8 @@ def test_render_single_vertical():
     assert render_ascii(scene, 3, 3) == "...\n|..\n|.."
 
 
-def test_render_composed_scene(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
+def test_render_composed_scene(towers):
+    scene = compose_scene(towers["A"], towers["C"])
     assert render_ascii(scene) == "\n".join(["." * 14] * 5 + [
         "|...........==",
         "|..|.....|..|.",
@@ -230,8 +229,8 @@ def test_render_composed_scene(towers_by_id):
     ])
 
 
-def test_scene_dict_round_trip(towers_by_id):
-    scene = compose_scene(towers_by_id["B"], towers_by_id["C"])
+def test_scene_dict_round_trip(towers):
+    scene = compose_scene(towers["B"], towers["C"])
     assert scene_from_dict(scene_to_dict(scene)) == (scene, 14, 8)
 
 
@@ -288,21 +287,21 @@ def test_scene_from_dict_rejects_fractional_numbers():
 def test_validate_stimulus_rejects_floating_block_and_unknown_orientation():
     base = [BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(4, 0, HORIZONTAL),
             BlockPlacement(0, 1, VERTICAL)]
-    validate_stimulus(TowerStimulus("A", frozenset(base + [BlockPlacement(3, 0, VERTICAL)])))
+    validate_stimulus("A", frozenset(base + [BlockPlacement(3, 0, VERTICAL)]))
     # A vertical block's upper cell sits on its own lower cell; that is not support.
     assert not is_supported([BlockPlacement(3, 3, VERTICAL)])
     for odd in (BlockPlacement(3, 3, VERTICAL), BlockPlacement(3, 0, "diagonal")):
         with pytest.raises(ValueError):
-            validate_stimulus(TowerStimulus("A", frozenset(base + [odd])))
+            validate_stimulus("A", frozenset(base + [odd]))
 
 
 def test_validate_stimulus_rejects_overlapping_blocks():
     # The vertical block at column 0 stands in both cells of the one above it.
-    tower = TowerStimulus("A", frozenset({
+    tower = frozenset({
         BlockPlacement(0, 0, VERTICAL), BlockPlacement(0, 1, VERTICAL),
-        BlockPlacement(1, 0, HORIZONTAL), BlockPlacement(1, 1, HORIZONTAL)}))
+        BlockPlacement(1, 0, HORIZONTAL), BlockPlacement(1, 1, HORIZONTAL)})
     with pytest.raises(ValueError, match="tower 'A': blocks overlap"):
-        validate_stimulus(tower)
+        validate_stimulus("A", tower)
 
 
 def test_validate_stimulus_agrees_with_the_support_oracle_on_every_small_tower():
@@ -319,20 +318,21 @@ def test_validate_stimulus_agrees_with_the_support_oracle_on_every_small_tower()
             if len(cells) < 8:
                 continue
             checked += 1
-            tower = TowerStimulus("A", frozenset(blocks))
+            tower = frozenset(blocks)
             if is_supported(blocks):
-                validate_stimulus(tower)
+                validate_stimulus("A", tower)
             else:
                 with pytest.raises(InputError, match="^tower 'A': contains an unsupported block$"):
-                    validate_stimulus(tower)
+                    validate_stimulus("A", tower)
     assert checked == 14_568
 
 
-def test_load_stimuli_rejects_a_duplicate_id(tmp_path, towers):
-    path = tmp_path / "stimuli.json"
-    save_stimuli((towers[0], towers[1]._replace(id=towers[0].id)), str(path))
+def test_load_stimuli_rejects_a_duplicate_id(towers):
+    # B's blocks under A's id again: no mapping holds that, so the data is spelled out.
+    data = {"towers": [{"id": "A", "blocks": [b._asdict() for b in sorted(towers[tower_id])]}
+                       for tower_id in "AB"]}
     with pytest.raises(InputError, match=r"^towers\[1\]\.id: duplicate id 'A'$"):
-        stimuli_from_dict(json.loads(path.read_text()))
+        stimuli_from_dict(data)
 
 
 def test_stimulus_file_round_trip(tmp_path, towers):
@@ -340,6 +340,11 @@ def test_stimulus_file_round_trip(tmp_path, towers):
     save_stimuli(towers, str(path))
     loaded = stimuli_from_dict(json.loads(path.read_text()))
     assert loaded == towers
+    # The file's order, not the defaults' or the ids'.
+    backwards = dict(reversed(towers.items()))
+    save_stimuli(backwards, str(path))
+    assert list(stimuli_from_dict(json.loads(path.read_text())).items()) == \
+        list(backwards.items())
 
 
 def test_load_stimuli_rejects_bad_tower(tmp_path):

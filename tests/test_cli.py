@@ -22,12 +22,13 @@ from towertalk.blockworld import (
     HORIZONTAL,
     VERTICAL,
     BlockPlacement,
-    TowerStimulus,
+    compose_scene,
+    f1_score,
     stimulus_towers,
 )
 from towertalk.traces import narrate, sequence_from_dict
 
-from oracles import buildable_towers, save_scene, save_stimuli, trace_to_dict
+from oracles import buildable_stimuli, save_scene, save_stimuli, trace_to_dict
 
 
 def run_cli(*args):
@@ -323,7 +324,7 @@ def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
     assert run_cli("simulate", "--w", "1.5", "3.2", "--beta", "0.3", "0.8", "--n-sequences", "1",
                    "--iterations", "1", "--master-seed", "1", "--out-dir", str(out_dir)) == 0
     trace_file = out_dir / "traces.json"
-    towers = {t.id: t for t in stimulus_towers()}
+    towers = stimulus_towers()
     for index, recorded in enumerate(json.loads(trace_file.read_text())["traces"]):
         sequence = sequence_from_dict(recorded["sequence"])
         lcfg = LearningConfig(w=recorded["w"])
@@ -583,8 +584,7 @@ def test_learn_and_render_load_no_dyad_code(tmp_path):
 
 
 def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path, capsys):
-    renamed = [TowerStimulus(new_id, tower.blocks)
-               for new_id, tower in zip("XYZ", stimulus_towers())]
+    renamed = dict(zip("XYZ", stimulus_towers().values()))
     stimuli = tmp_path / "stimuli.json"
     save_stimuli(renamed, str(stimuli))
     out_dir = tmp_path / "out"
@@ -593,6 +593,27 @@ def test_simulate_rejects_stimuli_missing_sequence_towers(tmp_path, capsys):
     assert code == 2
     assert not out_dir.exists()
     assert capsys.readouterr().err == f"error: {stimuli}: no tower with id 'A'\n"
+
+
+def test_stimuli_file_order_changes_no_output_byte(tmp_path):
+    """The default towers listed backwards in a stimuli file: simulate and learn
+    write what they write without --stimuli, byte for byte."""
+    backwards = tmp_path / "backwards.json"
+    save_stimuli(dict(reversed(stimulus_towers().items())), str(backwards))
+    grid = ["simulate", "--n-sequences", "2", "--iterations", "1"]
+    assert run_cli(*grid, "--out-dir", str(tmp_path / "default")) == 0
+    assert run_cli(*grid, "--stimuli", str(backwards), "--out-dir", str(tmp_path / "file")) == 0
+    names = sorted(os.listdir(tmp_path / "default"))
+    assert len(names) == 37 and sorted(os.listdir(tmp_path / "file")) == names
+    for name in names:
+        assert (tmp_path / "file" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes(), name
+    sequences = tmp_path / "seqs.json"
+    assert run_cli("gen-seq", "--count", "5", "--out", str(sequences)) == 0
+    learn = ["learn", "--sequences", str(sequences), "--w", "1.5"]
+    assert run_cli(*learn, "--out", str(tmp_path / "default.json")) == 0
+    assert run_cli(*learn, "--stimuli", str(backwards), "--out", str(tmp_path / "file.json")) == 0
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 def test_learn_rejects_sequence_naming_unknown_tower(tmp_path, capsys):
@@ -658,8 +679,8 @@ def test_learn_rejects_stimuli_tower_ids_that_are_not_strings(tmp_path, capsys):
     sequences.write_text(json.dumps(data))
     stimuli = tmp_path / "stimuli.json"
     stimuli.write_text(json.dumps({"towers": [
-        {"id": tower_id, "blocks": [b._asdict() for b in tower.blocks]}
-        for tower_id, tower in zip([None, 5, ["C"]], stimulus_towers())]}))
+        {"id": tower_id, "blocks": [b._asdict() for b in blocks]}
+        for tower_id, blocks in zip([None, 5, ["C"]], stimulus_towers().values())]}))
     out = tmp_path / "learn.json"
     assert run_cli("learn", "--sequences", str(sequences), "--stimuli", str(stimuli),
                    "--w", "1.5", "--out", str(out)) == 2
@@ -770,6 +791,29 @@ def test_render_rejects_trace_placements_off_the_grid(tmp_path, capsys):
         assert str(trace_file) in captured.err, name
 
 
+def test_render_refuses_a_trace_played_on_other_towers(tmp_path, capsys):
+    """A trace does not hold its towers, and render draws the default ones: a trace
+    played on the default towers rotated among A, B and C is refused by the F1 of
+    each trial it would print, not told with F1=1.000 beside a target never built."""
+    ids = list(stimulus_towers())
+    stimuli = tmp_path / "rotated.json"
+    save_stimuli({tower_id: stimulus_towers()[other]
+                  for tower_id, other in zip(ids, ids[1:] + ids[:1])}, str(stimuli))
+    out_dir = tmp_path / "out"
+    assert run_cli("simulate", "--stimuli", str(stimuli), "--w", "1e6", "--n-sequences", "1",
+                   "--iterations", "1", "--out-dir", str(out_dir)) == 0
+    trace_file = out_dir / "traces.json"
+    capsys.readouterr()
+    for number in range(1, simulation.TRIALS_PER_SEQUENCE + 1):
+        assert run_cli("render", "--trace", str(trace_file), "--trial", str(number)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {trace_file}: traces[0].trials[{number - 1}].f1: recorded 1.0, "), number
+    assert run_cli("render", "--trace", str(trace_file), "--trace-index", "2") == 2
+    assert f"{trace_file}: traces[2].trials[0].f1: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [True, "1", 1.5], ids=["boolean", "string", "fractional"])
 def test_render_reads_trace_trial_numbers_strictly(tmp_path, capsys, value):
     out_dir = tmp_path / "out"
@@ -872,7 +916,8 @@ def _scene_case(tmp_path, edit):
 
 def _stimuli_case(tmp_path, edit):
     """learn on the default stimuli, the blocks of tower A edited by `edit`."""
-    towers = [{"id": t.id, "blocks": _sorted_blocks(t.blocks)} for t in stimulus_towers()]
+    towers = [{"id": tower_id, "blocks": _sorted_blocks(blocks)}
+              for tower_id, blocks in stimulus_towers().items()]
     edit(towers[0]["blocks"])
     path = tmp_path / "st.json"
     path.write_text(json.dumps({"towers": towers}))
@@ -1031,7 +1076,7 @@ def test_learn_names_the_sequence_of_a_bad_field(tmp_path, capsys, malform, mess
 
 
 def _stimuli_with_tower_a(tmp_path, blocks):
-    towers = (TowerStimulus("A", frozenset(blocks)),) + stimulus_towers()[1:]
+    towers = {**stimulus_towers(), "A": frozenset(blocks)}
     path = tmp_path / "stimuli.json"
     save_stimuli(towers, str(path))
     return path
@@ -1228,8 +1273,8 @@ coordinates = st.integers(-1, 8) | json_values
 block_dicts = st.fixed_dictionaries({
     "x": coordinates, "y": coordinates,
     "orientation": st.sampled_from([HORIZONTAL, VERTICAL]) | json_values})
-default_stimuli = {"towers": [{"id": t.id, "blocks": [b._asdict() for b in t.blocks]}
-                              for t in stimulus_towers()]}
+default_stimuli = {"towers": [{"id": tower_id, "blocks": [b._asdict() for b in blocks]}
+                              for tower_id, blocks in stimulus_towers().items()]}
 stimuli_files = json_values | st.just(default_stimuli) | st.fixed_dictionaries({"towers": st.lists(
     json_values | st.fixed_dictionaries({
         "id": tower_ids,
@@ -1334,7 +1379,7 @@ def test_render_trace_file_property(tmp_path_factory, data):
     _run_on_file(["render", "--trace", str(traces)], traces)
 
 
-@given(st.tuples(*(buildable_towers(tower_id) for tower_id in "ABC")))
+@given(buildable_stimuli)
 @settings(max_examples=25, deadline=None)
 def test_simulate_runs_on_any_buildable_stimuli(tmp_path_factory, towers):
     work = tmp_path_factory.mktemp("stimuli")
@@ -1349,3 +1394,10 @@ def test_simulate_runs_on_any_buildable_stimuli(tmp_path_factory, towers):
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(0.0 <= float(row["mean_f1"]) <= 1.0 for row in rows), rows
+        # Each trial's F1 is its built blocks' score against its scene of these
+        # towers, as `render --trace` recomputes it.
+        (trace,) = json.loads((out_dir / "traces.json").read_text())["traces"]
+        for trial in trace["trials"]:
+            built = frozenset(BlockPlacement(**b) for b in trial["builder_placements"])
+            target = compose_scene(towers[trial["left"]], towers[trial["right"]])
+            assert trial["f1"] == round(f1_score(target, built), 9), trial

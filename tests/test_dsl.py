@@ -251,16 +251,16 @@ def test_canonical_program_single_block():
     assert canonical_program(frozenset({BlockPlacement(0, 0, VERTICAL)})) == ("v",)
 
 
-def test_canonical_rebuilds_all_stimuli(tower_scene):
+def test_canonical_rebuilds_all_stimuli(towers):
     for tower_id in "ABC":
-        scene = tower_scene(tower_id)
+        scene = towers[tower_id]
         program = canonical_program(scene)
         placed = execute(program, default_start_x(scene), GRID_WIDTH, GRID_HEIGHT)
         assert frozenset(placed) == scene
 
 
-def test_canonical_scene_is_left_cluster_then_right(towers_by_id):
-    scene = compose_scene(towers_by_id["B"], towers_by_id["C"])
+def test_canonical_scene_is_left_cluster_then_right(towers):
+    scene = compose_scene(towers["B"], towers["C"])
     program = canonical_program(scene)
     left_program = canonical_program(frozenset(b for b in scene if b.x < 6))
     assert program[:len(left_program)] == left_program
@@ -272,15 +272,15 @@ def test_canonical_rejects_floating_scene():
         canonical_program(floating)
 
 
-def test_validate_constructible(towers_by_id):
-    canonical_program(compose_scene(towers_by_id["A"], towers_by_id["B"]))
+def test_validate_constructible(towers):
+    canonical_program(compose_scene(towers["A"], towers["B"]))
     assert canonical_program(frozenset()) == ()
     floating = frozenset({BlockPlacement(0, 3, HORIZONTAL)})
     with pytest.raises(ProgramError):
         canonical_program(floating)
 
 
-@given(buildable_towers("L"), buildable_towers("R"))
+@given(buildable_towers(), buildable_towers())
 @settings(max_examples=200, deadline=None)
 def test_canonical_program_rebuilds_random_scenes(left, right):
     """Any two buildable towers side by side: the scene's canonical program, run on

@@ -39,7 +39,7 @@ from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
 from towertalk.simulation import LearningConfig, generate_sequences, generate_trial_sequence
 
-from oracles import (EMPTY_LIBRARY, buildable_towers, library_score, library_size, make_fragment,
+from oracles import (EMPTY_LIBRARY, buildable_stimuli, library_score, library_size, make_fragment,
                      mdl, reference_candidate_windows, reference_fragment_level,
                      reference_shortest_tokenization)
 
@@ -120,8 +120,8 @@ def test_propose_excludes_known_expansions():
     assert _round((("v", "v"),), lib).rows == ()
 
 
-def test_propose_matches_brute_force_window_enumeration(tower_scene):
-    program = canonical_program(tower_scene("A"))
+def test_propose_matches_brute_force_window_enumeration(towers):
+    program = canonical_program(towers["A"])
     expected = set()
     for i in range(len(program)):
         for j in range(i + 1, len(program) + 1):
@@ -244,9 +244,9 @@ def test_library_score_zero_w_rewards_any_compression():
     assert library_score(lib, scenes, w) > library_score(EMPTY_LIBRARY, scenes, w)
 
 
-def test_update_library_huge_w_never_grows(towers_by_id):
+def test_update_library_huge_w_never_grows(towers):
     w = 1e6
-    scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
+    scenes = [canonical_program(compose_scene(towers[a], towers[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")] * 4]
     lib = EMPTY_LIBRARY
     for t in range(1, len(scenes) + 1):
@@ -271,12 +271,12 @@ def test_update_library_adoption_requires_strict_improvement():
     assert adoptions == []
 
 
-def test_update_library_posterior_tradeoff(towers_by_id):
+def test_update_library_posterior_tradeoff(towers):
     w = 1.5
     scenes = []
     lib = EMPTY_LIBRARY
     for a, b in [("A", "B"), ("B", "C"), ("A", "C"), ("C", "B")]:
-        scenes.append(canonical_program(compose_scene(towers_by_id[a], towers_by_id[b])))
+        scenes.append(canonical_program(compose_scene(towers[a], towers[b])))
         before = library_score(lib, scenes, w)
         lib, adoptions = update_library_with_log(lib, scenes, w)
         after = library_score(lib, scenes, w)
@@ -286,16 +286,16 @@ def test_update_library_posterior_tradeoff(towers_by_id):
             assert lib.fragments == () or after == before
 
 
-def test_update_library_deterministic(towers_by_id):
+def test_update_library_deterministic(towers):
     w = 1.5
-    scenes = [canonical_program(compose_scene(towers_by_id[a], towers_by_id[b]))
+    scenes = [canonical_program(compose_scene(towers[a], towers[b]))
               for a, b in [("A", "B"), ("B", "C"), ("A", "C")]]
     first = update_library_with_log(EMPTY_LIBRARY, scenes, w)[0]
     second = update_library_with_log(EMPTY_LIBRARY, scenes, w)[0]
     assert first == second
 
 
-TOWER_SHAPES = frozenset(_shape(tower.blocks) for tower in stimulus_towers())
+TOWER_SHAPES = frozenset(_shape(blocks) for blocks in stimulus_towers().values())
 
 
 def test_classify_sub_tower_levels():
@@ -303,18 +303,18 @@ def test_classify_sub_tower_levels():
     assert classify_fragment(("v", "r1"), TOWER_SHAPES) == OTHER
 
 
-def test_classify_tower_level(tower_scene):
+def test_classify_tower_level(towers):
     for tower_id in "ABC":
-        assert classify_fragment(canonical_program(tower_scene(tower_id)), TOWER_SHAPES) == TOWER
+        assert classify_fragment(canonical_program(towers[tower_id]), TOWER_SHAPES) == TOWER
 
 
-def test_classify_tower_level_ignores_leading_move(tower_scene):
-    program = ("r3",) + canonical_program(tower_scene("B"))
+def test_classify_tower_level_ignores_leading_move(towers):
+    program = ("r3",) + canonical_program(towers["B"])
     assert classify_fragment(program, TOWER_SHAPES) == TOWER
 
 
-def test_classify_scene_level(towers_by_id):
-    program = canonical_program(compose_scene(towers_by_id["A"], towers_by_id["C"]))
+def test_classify_scene_level(towers):
+    program = canonical_program(compose_scene(towers["A"], towers["C"]))
     assert classify_fragment(program, TOWER_SHAPES) == SCENE
     # Eight placements of a scene's program are the whole scene, whatever the towers.
     assert classify_fragment(program, frozenset()) == SCENE
@@ -332,13 +332,13 @@ def _composes(left, right):
     return True
 
 
-@given(st.tuples(*(buildable_towers(tower_id) for tower_id in "ABC")),
+@given(buildable_stimuli,
        st.integers(0, 2 ** 32 - 1), st.sampled_from((1.5, 3.2, 9.6)))
 @settings(max_examples=100, deadline=None)
 def test_fragment_levels_match_the_pair_table(towers, seed, w):
     """Every adopted fragment's level is the one a table of the stimuli's shapes
     and of every side-by-side pair's gives, on random buildable towers."""
-    assume(all(_composes(left, right) for left, right in permutations(towers, 2)))
+    assume(all(_composes(left, right) for left, right in permutations(towers.values(), 2)))
     for trial in library_trajectory(generate_trial_sequence(seed), w, towers):
         for snapshot in trial.adopted:
             expansion = trial.library.resolve(snapshot.id).expansion

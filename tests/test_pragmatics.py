@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
-from towertalk.blockworld import GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement, TowerStimulus
+from towertalk.blockworld import GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement
 from towertalk.cli import DEFAULT_ALPHA
 from towertalk.dsl import Library, is_base_token, token_length
 from towertalk.pragmatics import (
@@ -153,30 +153,30 @@ def test_belief_entropy_decreases_under_updates(two_fragment_library):
     assert belief_entropy(updated) == 0.0
 
 
-def test_candidate_programs_base_only_library(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_candidate_programs_base_only_library(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     candidates = candidate_programs(canonical_program(scene), Library())
     assert candidates == (canonical_program(scene),)
 
 
-def test_candidate_programs_include_chunk_pair(towers_by_id, tower_scene):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_candidate_programs_include_chunk_pair(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     lib = Library()
     lib = lib.with_fragment(
-        make_fragment("chunk1", canonical_program(tower_scene("A")), lib))
+        make_fragment("chunk1", canonical_program(towers["A"]), lib))
     lib = lib.with_fragment(
-        make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
+        make_fragment("chunk2", canonical_program(towers["B"]), lib))
     candidates = candidate_programs(canonical_program(scene), lib)
     assert ("chunk1", "r4", "chunk2") in candidates
     assert canonical_program(scene) in candidates
 
 
-def test_candidate_programs_truncates_to_four(towers_by_id, tower_scene):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_candidate_programs_truncates_to_four(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     lib = Library()
     for i, body in enumerate([("v", "r1", "h"), ("h", "v"), ("v", "r2"),
-                              canonical_program(tower_scene("A")),
-                              canonical_program(tower_scene("B"))]):
+                              canonical_program(towers["A"]),
+                              canonical_program(towers["B"])]):
         lib = lib.with_fragment(make_fragment(f"chunk{i + 1}", body, lib))
     candidates = candidate_programs(canonical_program(scene), lib)
     assert len(candidates) <= 4
@@ -184,8 +184,8 @@ def test_candidate_programs_truncates_to_four(towers_by_id, tower_scene):
     assert len(set(candidates)) == len(candidates)
 
 
-def test_joint_utility_base_program_is_pure_length_cost(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["C"])
+def test_joint_utility_base_program_is_pure_length_cost(towers):
+    scene = compose_scene(towers["A"], towers["C"])
     program = canonical_program(scene)
     utterance = best_utterance(program, initial_belief())
     cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
@@ -226,8 +226,8 @@ def test_joint_utility_minus_infinity_on_zero_marginal(two_fragment_library):
     assert utility == -math.inf
 
 
-def test_architect_choose_argmax_at_infinite_alpha(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_architect_choose_argmax_at_infinite_alpha(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
@@ -239,8 +239,8 @@ def test_architect_choose_argmax_at_infinite_alpha(towers_by_id):
     assert utterance == ("chunkA",)
 
 
-def test_architect_choose_uniform_at_zero_alpha(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_architect_choose_uniform_at_zero_alpha(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
@@ -254,8 +254,8 @@ def test_architect_choose_uniform_at_zero_alpha(towers_by_id):
         assert 300 < count < 500
 
 
-def test_architect_choice_distribution_is_softmax(towers_by_id):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+def test_architect_choice_distribution_is_softmax(towers):
+    scene = compose_scene(towers["A"], towers["B"])
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", canonical_program(scene), lib))
     belief = extend_hypotheses(initial_belief(), lib)
@@ -387,13 +387,13 @@ CHOICE_CONFIGS = [PragmaticsConfig(alpha=alpha, beta=beta)
 
 
 def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
-        towers_by_id, tower_scene):
-    scene = compose_scene(towers_by_id["A"], towers_by_id["B"])
+        towers):
+    scene = compose_scene(towers["A"], towers["B"])
     base = canonical_program(scene)
     lib = Library()
-    lib = lib.with_fragment(make_fragment("chunk1", canonical_program(tower_scene("A")), lib))
+    lib = lib.with_fragment(make_fragment("chunk1", canonical_program(towers["A"]), lib))
     tower_a = lib
-    lib = lib.with_fragment(make_fragment("chunk2", canonical_program(tower_scene("B")), lib))
+    lib = lib.with_fragment(make_fragment("chunk2", canonical_program(towers["B"]), lib))
     lib = lib.with_fragment(make_fragment("chunk3", ("v", "r1", "h"), lib))
     certain = extend_hypotheses(initial_belief(), tower_a)
     uniform = extend_hypotheses(certain, lib)
@@ -432,9 +432,8 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
 def _towers(*blocks):
     """Towers A, B and C, each from (x, y, orientation) triples, "h" or "v"."""
     orientation = {"h": HORIZONTAL, "v": VERTICAL}
-    return tuple(TowerStimulus(tower_id, frozenset(BlockPlacement(x, y, orientation[o])
-                                                   for x, y, o in tower))
-                 for tower_id, tower in zip("ABC", blocks))
+    return {tower_id: frozenset(BlockPlacement(x, y, orientation[o]) for x, y, o in tower)
+            for tower_id, tower in zip("ABC", blocks)}
 
 
 # Buildable stimulus sets, with the largest number of components that the

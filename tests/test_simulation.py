@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk import library_learning, simulation
-from towertalk.blockworld import BlockPlacement, TowerStimulus, compose_scene, stimulus_towers
+from towertalk.blockworld import BlockPlacement, compose_scene, stimulus_towers
 from towertalk.dsl import (canonical_program, count_placements, execute, is_base_token, is_place,
                           token_length)
 from towertalk.library_learning import (
@@ -259,14 +259,13 @@ def test_library_trajectory_follows_towers_and_config():
     """Other towers give another trajectory, and each config learns at its own w."""
     sequence = generate_trial_sequence(8)
     lcfg = LearningConfig(w=1.5)
-    rotated = tuple(TowerStimulus(t.id, other.blocks)
-                    for t, other in zip(TOWERS, TOWERS[1:] + TOWERS[:1]))
+    ids = list(TOWERS)
+    rotated = {tower_id: TOWERS[other] for tower_id, other in zip(ids, ids[1:] + ids[:1])}
     default = library_trajectory(sequence, lcfg.w, TOWERS)
     custom = library_trajectory(sequence, lcfg.w, rotated)
     assert isinstance(default, tuple) and isinstance(custom, tuple)
-    by_id = {t.id: t for t in rotated}
     assert [trial.target for trial in custom] == [
-        compose_scene(by_id[s.left], by_id[s.right]) for s in sequence.trials]
+        compose_scene(rotated[s.left], rotated[s.right]) for s in sequence.trials]
     assert custom != default
     # w 1e6, learned after w 1.5, adopts nothing; w 1.5 again gives the first trajectory.
     assert all(trial.adopted == () for trial in
