@@ -31,10 +31,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# Figure parameters: w grid, beta grid, alpha, and the 49 x 2 dyad layout.
+# Figure parameters: w grid, beta grid, and the 49 x 2 dyad layout.
 DEFAULT_W = (1.5, 3.2, 9.6)
 DEFAULT_BETA = (0.0, 0.3, 0.8)
-DEFAULT_ALPHA = 5.0
 DEFAULT_N_SEQUENCES = 49
 DEFAULT_ITERATIONS = 2
 
@@ -154,7 +153,7 @@ def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
 
 
 def _build_config(factory, **fields):
-    """Construct a config object; its own validation becomes a ConfigError."""
+    """A checked config value, factory(**fields); its ValueError becomes a ConfigError."""
     try:
         return factory(**fields)
     except ValueError as exc:
@@ -196,21 +195,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError("jobs: must be at least 1")
     from . import simulation  # imported here: only gen-seq and simulate load the dyad code
-    from .pragmatics import PragmaticsConfig
+    from .pragmatics import ALPHA, check_beta
     from .simulation import TOWER_PAIRS, LearningConfig
     # A cell's four CSVs are named by its tag: two cells with one tag would overwrite
     # each other, and two equal configs would each aggregate both cells' traces.
-    cells: dict[str, tuple[PragmaticsConfig, LearningConfig]] = {}
+    cells: dict[str, tuple[float, LearningConfig]] = {}
     for w in args.w:
         for beta in args.beta:
-            pcfg = _build_config(PragmaticsConfig, alpha=args.alpha, beta=beta)
-            lcfg = _build_config(LearningConfig, w=w)
-            tag = f"w{_fmt(lcfg.w)}_beta{_fmt(pcfg.beta)}"
+            cell = (_build_config(check_beta, beta=beta), _build_config(LearningConfig, w=w))
+            tag = f"w{_fmt(w)}_beta{_fmt(beta)}"
             if tag in cells:
-                other_p, other_l = cells[tag]
-                raise ConfigError(f"cells w={other_l.w!r} beta={other_p.beta!r} and "
-                                  f"w={lcfg.w!r} beta={pcfg.beta!r} share the file tag {tag}")
-            cells[tag] = (pcfg, lcfg)
+                other_beta, other_l = cells[tag]
+                raise ConfigError(f"cells w={other_l.w!r} beta={other_beta!r} and "
+                                  f"w={w!r} beta={beta!r} share the file tag {tag}")
+            cells[tag] = cell
     stimuli = _stimuli(args.stimuli)
     source = args.stimuli or "stimuli"
     _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
@@ -226,10 +224,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # traces.json, the bulk of the output, is encoded one dyad at a time as it is written.
     outputs: dict[str, Iterable[str]] = {}
     for tag, cell in cells.items():
-        summaries = [simulation.summarize(t) for t in traces if (t.pragmatics, t.learning) == cell]
+        summaries = [simulation.summarize(t) for t in traces if (t.beta, t.learning) == cell]
         outputs.update((f"{table}_{tag}.csv", [text])
                        for table, text in simulation.cell_tables(summaries).items())
-    outputs["traces.json"] = traces_json(traces, args.master_seed, args.alpha, args.n_sequences,
+    outputs["traces.json"] = traces_json(traces, args.master_seed, ALPHA, args.n_sequences,
                                          args.iterations)
     _write_outputs({os.path.join(args.out_dir, name): pieces
                     for name, pieces in sorted(outputs.items())})
@@ -296,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="full experiment grid")
     p_sim.add_argument("--w", type=float, nargs="+", default=list(DEFAULT_W))
     p_sim.add_argument("--beta", type=float, nargs="+", default=list(DEFAULT_BETA))
-    p_sim.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_sim.add_argument("--n-sequences", dest="n_sequences", type=int,
                        default=DEFAULT_N_SEQUENCES)
     p_sim.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)

@@ -41,21 +41,15 @@ from .library_learning import shortest_tokenization
 MAX_CANDIDATES = 4
 
 
-class PragmaticsConfig(NamedTuple("PragmaticsConfig", [("alpha", float), ("beta", float)])):
-    """Speaker optimality (alpha) and cost sensitivity (beta) for the Architect.
+# The speaker's optimality: the paper's simulations hold it fixed and vary only beta and w.
+ALPHA = 5.0
 
-    The checks run in __new__, which a class-syntax NamedTuple may not define;
-    _replace and _make skip them.
-    """
 
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, beta: float) -> "PragmaticsConfig":
-        if not alpha >= 0:  # also rejects NaN; inf selects the argmax speaker
-            raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
-        if not 0 <= beta <= 1:
-            raise ValueError("beta must lie in [0, 1]")
-        return super().__new__(cls, alpha, beta)
+def check_beta(beta: float) -> float:
+    """beta, the Architect's cost sensitivity, if it lies in [0, 1]."""
+    if not 0 <= beta <= 1:  # also rejects NaN
+        raise ValueError("beta must lie in [0, 1]")
+    return beta
 
 
 def synthetic_word(index: int) -> str:
@@ -195,9 +189,9 @@ def _best_word(token: Token, belief: BeliefState) -> tuple[str, float]:
 
 
 def architect_choose(base: Program, library: Library, belief: BeliefState,
-                     cfg: PragmaticsConfig, rng: random.Random) -> tuple[Program, tuple[str, ...]]:
+                     beta: float, rng: random.Random) -> tuple[Program, tuple[str, ...]]:
     """Sample a (program, utterance) pair for the scene whose base program is
-    `base` from the softmax over joint utility.
+    `base` from the softmax, at optimality ALPHA, over joint utility.
 
     A candidate's utterance sends each base token as itself and each chunk
     token as its best word; its joint utility is (1-beta) * the sum of log
@@ -220,12 +214,10 @@ def architect_choose(base: Program, library: Library, belief: BeliefState,
             word, prob = best[token]
             informativity += math.log(prob)
             words.append(word)
-        utility = (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
+        utility = (1 - beta) * informativity - beta * dsl.token_length(program)
         pairs.append((program, tuple(words), utility))
-    if math.isinf(cfg.alpha):
-        return max(pairs, key=lambda p: p[2])[:2]
     top = max(utility for _, _, utility in pairs)
-    weights = [math.exp(cfg.alpha * (utility - top)) for _, _, utility in pairs]
+    weights = [math.exp(ALPHA * (utility - top)) for _, _, utility in pairs]
     return rng.choices(pairs, weights)[0][:2]
 
 

@@ -27,7 +27,7 @@ from .library_learning import (FRAGMENT_LEVELS, REPETITION_BLOCKS, STEP_LEVELS, 
 # Not called here: perfbench/layers.py wraps the learner under every name it is bound to.
 from .library_learning import update_library_with_log
 from .pragmatics import (
-    PragmaticsConfig,
+    ALPHA,
     architect_choose,
     belief_entropy,
     builder_interpret,
@@ -39,7 +39,7 @@ from .pragmatics import (
 from .traces import trace_json
 
 TOWER_PAIRS = tuple(combinations(sorted(stimulus_towers()), 2))
-TRIALS_PER_SEQUENCE = 12
+TRIALS_PER_SEQUENCE = REPETITION_BLOCKS * len(TOWER_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class TrialRecord(NamedTuple):
 
 
 class DyadTrace(NamedTuple):
-    pragmatics: PragmaticsConfig
+    beta: float
     learning: LearningConfig
     sequence: TrialSequence
     iteration: int
@@ -79,9 +79,10 @@ def generate_trial_sequence(seed: int) -> TrialSequence:
 
     Pair order is shuffled within each block; left/right orientations are
     drawn at random and rejection-resampled until every tower sits on each
-    side exactly four times.
+    side equally often.
     """
     rng = random.Random(seed)
+    towers = {tower for pair in TOWER_PAIRS for tower in pair}
     while True:
         trials: list[TrialSpec] = []
         for block in range(1, REPETITION_BLOCKS + 1):
@@ -93,7 +94,7 @@ def generate_trial_sequence(seed: int) -> TrialSequence:
                 else:
                     trials.append(TrialSpec(block, second, first))
         lefts = Counter(trial.left for trial in trials)
-        if all(lefts[tower] == 4 for pair in TOWER_PAIRS for tower in pair):
+        if all(lefts[tower] == TRIALS_PER_SEQUENCE // len(towers) for tower in towers):
             return TrialSequence(tuple(trials), seed)
 
 
@@ -109,7 +110,7 @@ def generate_sequences(master_seed: int, count: int) -> tuple[list[TrialSequence
     return [generate_trial_sequence(next(seeds)) for _ in range(count)], seeds
 
 
-def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
+def run_dyad(sequence: TrialSequence, w: float, beta: float,
              lcfg: LearningConfig, rng: random.Random,
              learned: tuple[LearnedTrial, ...],
              iteration: int = 0, dyad_seed: int = 0) -> DyadTrace:
@@ -121,7 +122,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
     records: list[TrialRecord] = []
 
     for trial in learned:
-        program, utterance = architect_choose(trial.program, library, belief, cfg, rng)
+        program, utterance = architect_choose(trial.program, library, belief, beta, rng)
 
         # The Builder's workspace: column heights and hand, empty at each trial.
         heights, hand = (0,) * GRID_WIDTH, dsl.default_start_x(trial.target)
@@ -156,7 +157,7 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
         ))
 
     return DyadTrace(
-        pragmatics=cfg,
+        beta=beta,
         learning=replace(lcfg, w=w),
         sequence=sequence,
         iteration=iteration,
@@ -169,28 +170,28 @@ def run_dyad(sequence: TrialSequence, w: float, cfg: PragmaticsConfig,
 def _group_task(args: tuple) -> list[DyadTrace]:
     sequence, lcfg, stimuli, dyads = args
     learned = library_trajectory(sequence, lcfg.w, stimuli)
-    return [run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(dyad_seed), learned,
+    return [run_dyad(sequence, lcfg.w, beta, lcfg, random.Random(dyad_seed), learned,
                      iteration=iteration, dyad_seed=dyad_seed)
-            for cfg, dyad_seed, iteration in dyads]
+            for beta, dyad_seed, iteration in dyads]
 
 
-def run_experiment(configs: Sequence[tuple[PragmaticsConfig, LearningConfig]],
+def run_experiment(configs: Sequence[tuple[float, LearningConfig]],
                    stimuli: dict[str, frozenset[BlockPlacement]], n_sequences: int,
                    iterations: int, master_seed: int = 0, jobs: int = 1) -> list[DyadTrace]:
-    """Run every config over the same generated sequences; fully deterministic.
+    """Run every (beta, lcfg) cell over the same generated sequences; fully deterministic.
 
     Seeds for sequences and dyads derive from master_seed in a fixed order
-    (config, sequence, iteration), and the traces come back in that order, so
+    (cell, sequence, iteration), and the traces come back in that order, so
     results are identical for any level of parallelism. The dyads that share a
     (sequence, lcfg) form one task and learn their library trajectory once.
     """
     sequences, seeds = generate_sequences(master_seed, n_sequences)
     groups: dict[tuple[TrialSequence, LearningConfig], list[tuple]] = {}
     order = []
-    for cfg, lcfg in configs:
+    for beta, lcfg in configs:
         for sequence in sequences:
             for iteration in range(iterations):
-                groups.setdefault((sequence, lcfg), []).append((cfg, next(seeds), iteration))
+                groups.setdefault((sequence, lcfg), []).append((beta, next(seeds), iteration))
                 order.append((sequence, lcfg))
     tasks = [(sequence, lcfg, stimuli, dyads) for (sequence, lcfg), dyads in groups.items()]
     # Fork only as many workers as there are groups; the pool starts them all at once.
@@ -343,4 +344,4 @@ def cell_tables(summaries: Sequence[DyadSummary]) -> dict[str, str]:
 
 def trace_to_dict(trace: DyadTrace) -> dict:
     """A trace as the data traces.json holds for it."""
-    return json.loads(trace_json(trace, {}))
+    return json.loads(trace_json(trace, ALPHA, {}))

@@ -5,7 +5,6 @@ writes them, and reads back gen-seq's sequences for learn and traces.json for
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -99,12 +98,9 @@ def _nested(data, depth: int) -> str:
 
 
 def _number(value) -> str:
-    """A number as json writes it; for a float that is float.__repr__, or
-    Infinity, -Infinity or NaN."""
+    """A finite number as json writes it; for a float that is float.__repr__."""
     if value.__class__ is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
     return json.dumps(value)  # an int, or a config value of another type
 
 
@@ -118,12 +114,14 @@ _PLACEMENT = _template(_TRACE_DEPTH + 4, ("orientation", "x", "y"))
 _STEP = _template(_TRACE_DEPTH + 4, ("level", "placements", "token", "word"))
 
 
-def trace_json(trace: DyadTrace, memo: dict) -> str:
+def trace_json(trace: DyadTrace, alpha: float, memo: dict) -> str:
     """A trace's JSON text as json.dumps(..., indent=2, sort_keys=True) writes
     it in the "traces" list of traces.json: every line after the first is
-    indented 4 more spaces than at the top level. A trial's number and spec
-    come from the trace's sequence, its library from the final_library
-    snapshots adopted by then, and its steps' levels from step_levels.
+    indented 4 more spaces than at the top level. `alpha` is the speaker
+    optimality it was played at: learn and render load no dyad code, so this
+    module does not import pragmatics.ALPHA. A trial's number and spec come
+    from the trace's sequence, its library from the final_library snapshots
+    adopted by then, and its steps' levels from step_levels.
 
     `memo` maps each sequence, placement and fragment snapshot already
     written to its text. Pass one dict to every call of a run: the dyads of a
@@ -172,8 +170,8 @@ def trace_json(trace: DyadTrace, memo: dict) -> str:
         sequence = memo[trace.sequence] = _nested(sequence_to_dict(trace.sequence),
                                                   _TRACE_DEPTH + 1)
     return _TRACE % (
-        _number(trace.pragmatics.alpha),
-        _number(trace.pragmatics.beta),
+        _number(alpha),
+        _number(trace.beta),
         int.__repr__(trace.dyad_seed),
         _number(round(trace.records[-1].belief_entropy if trace.records else 0.0, 9)),
         int.__repr__(trace.iteration),
@@ -195,7 +193,7 @@ def traces_json(traces: list[DyadTrace], master_seed: int, alpha: float, n_seque
     memo: dict = {}
     separator = _LINE[_TRACE_DEPTH]
     for trace in traces:
-        yield separator + trace_json(trace, memo)
+        yield separator + trace_json(trace, alpha, memo)
         separator = _SEPARATOR[_TRACE_DEPTH]
     yield (_LINE[_TRACE_DEPTH - 1] if traces else "") + "]" + after
 

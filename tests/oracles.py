@@ -3,13 +3,15 @@ cell, the empty library, building a fragment by hand, a scene's column
 clusters read off its occupied columns,
 running a program's chunks in place without inlining, every candidate window
 of a set of programs by direct enumeration,
-the learner's posterior score, a fragment's level read off a table of the
+the learner's posterior score, the learner scoring every candidate on every
+scene, a fragment's level read off a table of the
 stimuli's and their pairs' shapes, the tokenizer's walk that matches every
 expansion again at each position, readouts of a belief and a library trajectory,
 the belief update and extension by explicit enumeration of lexicons,
 a word's marginal listener probability taken word by word, the
-Architect's per-candidate utterance and utility, the Builder's lenient
-run without a memo, a trace's data as plain dicts and lists, the four
+Architect's candidates and per-candidate utterance and utility, the Builder's
+lenient run without a memo, a whole dyad played by these alone, a trace's data
+as plain dicts and lists, the four
 tables built by walking each whole trace's records instead of its summary, and
 a cell's CSV texts as csv.DictWriter writes those tables. The
 program computes none of these; the tests check it against them. The scene
@@ -32,15 +34,18 @@ from hypothesis import strategies as st
 
 from towertalk import dsl
 from towertalk.blockworld import (GRID_HEIGHT, GRID_WIDTH, HORIZONTAL, RIGHT_ORIGIN, VERTICAL,
-                                  BlockPlacement, PlacementError, drop_block)
+                                  BlockPlacement, PlacementError, compose_scene, drop_block,
+                                  f1_score)
 from towertalk.dsl import Fragment, Library, Program, Token
-from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, OTHER, REPETITION_BLOCKS,
-                                        SCENE, STEP_LEVELS, SUB_TOWER, TOWER, FragmentSnapshot,
-                                        _mdl_cost, _mdl_table, snapshot_level_proportions,
-                                        step_levels)
-from towertalk.pragmatics import (BeliefState, Component, PragmaticsConfig, candidate_programs,
+from towertalk.library_learning import (BODY_TOKEN_SUM, FRAGMENT_LEVELS, MAX_FRAGMENTS_PER_TRIAL,
+                                        OTHER, REPETITION_BLOCKS, SCENE, STEP_LEVELS, SUB_TOWER,
+                                        TOWER, Adoption, FragmentSnapshot, TrialSequence,
+                                        _mdl_cost, _mdl_table, shortest_tokenization,
+                                        snapshot_level_proportions, step_levels)
+from towertalk.pragmatics import (ALPHA, MAX_CANDIDATES, BeliefState, Component,
                                   hypothesis_count, synthetic_word)
-from towertalk.simulation import TRIALS_PER_SEQUENCE, DyadTrace, TrialRecord, jsd
+from towertalk.simulation import (TRIALS_PER_SEQUENCE, DyadTrace, LearningConfig, TrialRecord,
+                                  jsd)
 from towertalk.traces import sequence_to_dict, snapshot_to_dict
 
 # h, v, l, r and the digits 1..9.
@@ -189,6 +194,52 @@ def library_score(library: Library, scenes: Sequence[Program], w: float) -> floa
     return -w * library_size(library) - total
 
 
+def dense_update_library(library: Library, observed: Sequence[Program],
+                         w: float) -> tuple[Library, list[Adoption]]:
+    """The learner with no sparse scoring: every candidate is scored by the MDL
+    of every scene, whether or not its expansion occurs there."""
+    scenes = sorted(set(tuple(p) for p in observed))
+    current = library
+    adoptions = []
+    for _ in range(MAX_FRAGMENTS_PER_TRIAL):
+        current_total = sum(mdl(seq, current) for seq in observed)
+        programs = scenes + [shortest_tokenization(seq, current) for seq in scenes]
+        windows = reference_candidate_windows(programs, current)
+        best_delta, best = 0.0, None
+        for expansion in sorted(windows):
+            length, body = windows[expansion]
+            size_cost = w * dsl.token_length(body)
+            occurrences = sum(greedy_count(expansion, seq) for seq in observed)
+            if occurrences * (length - 1) <= size_cost:
+                continue
+            trial = current.with_fragment(Fragment("trial", body, expansion))
+            delta = (current_total - sum(mdl(seq, trial) for seq in observed)) - size_cost
+            if delta > best_delta:
+                best_delta, best = delta, (expansion, body)
+        if best is None:
+            break
+        fragment = Fragment(f"chunk{len(current.fragments) + 1}", best[1], best[0])
+        current = current.with_fragment(fragment)
+        adoptions.append(Adoption(fragment, best_delta))
+    return current, adoptions
+
+
+def greedy_count(pattern: Program, sequence: Program) -> int:
+    """Left-to-right count of non-overlapping occurrences, one scan per pattern."""
+    count = i = 0
+    while i + len(pattern) <= len(sequence):
+        if sequence[i:i + len(pattern)] == pattern:
+            count += 1
+            i += len(pattern)
+        else:
+            i += 1
+    return count
+
+
+class TooManyLexicons(RuntimeError):
+    """An enumeration would hold more lexicons than its limit."""
+
+
 def enumerate_hypotheses(belief: BeliefState,
                          limit: int = 50000) -> list[tuple[dict[str, str], float]]:
     """Materialize (lexicon, probability) pairs; refuses absurdly large spaces.
@@ -196,7 +247,7 @@ def enumerate_hypotheses(belief: BeliefState,
     so each lexicon weighs 1 / total."""
     total = sum(hypothesis_count(c) for c in belief.components)
     if total > limit:
-        raise RuntimeError("hypothesis space too large to enumerate")
+        raise TooManyLexicons("hypothesis space too large to enumerate")
     out: list[tuple[dict[str, str], float]] = []
     for comp in belief.components:
         partials: list[dict[str, str]] = [{}]
@@ -229,15 +280,22 @@ def lexicon_distribution(belief: BeliefState) -> dict[frozenset, float]:
     return distribution
 
 
-def enumerated_update(belief: BeliefState, word: str, observed: Sequence[BlockPlacement],
-                      library: Library, heights: tuple[int, ...],
-                      hand: int) -> tuple[dict[frozenset, float], bool]:
-    """update_belief by explicit Bayesian enumeration: the lexicons whose fragment
-    for the word reproduces the observed placements from the pre-step column
-    heights and hand keep their mass, renormalized; if none does, the result is
-    uniform over every bijection of the belief's words and fragments, and the
-    anomaly flag is set."""
-    prior = lexicon_distribution(belief)
+def lexicons_cover(distribution: dict[frozenset, float]) -> tuple[list[str], list[str]]:
+    """The words and the fragments that every lexicon of a distribution binds, each sorted."""
+    lexicon = next(iter(distribution))
+    return sorted(word for word, _ in lexicon), sorted(frag for _, frag in lexicon)
+
+
+def enumerated_update(prior: dict[frozenset, float], word: str,
+                      observed: Sequence[BlockPlacement], library: Library,
+                      heights: tuple[int, ...], hand: int,
+                      limit: int = 50000) -> tuple[dict[frozenset, float], bool]:
+    """update_belief by explicit Bayesian enumeration of the prior's lexicons (as
+    lexicon_distribution gives them): the lexicons whose fragment for the word
+    reproduces the observed placements from the pre-step column heights and hand
+    keep their mass, renormalized; if none does, the result is uniform over every
+    bijection of the prior's words and fragments, and the anomaly flag is set.
+    Raises TooManyLexicons rather than enumerate more than `limit` bijections."""
     if dsl.is_base_token(word):
         return prior, False
     observed = tuple(observed)
@@ -245,24 +303,30 @@ def enumerated_update(belief: BeliefState, word: str, observed: Sequence[BlockPl
             if uncached_lenient_run(library.resolve(dict(lexicon)[word]).expansion,
                                     heights, hand)[2] == observed}
     if not kept:
-        words, fragments = belief_cover(belief)
+        words, fragments = lexicons_cover(prior)
+        if math.factorial(len(fragments)) > limit:
+            raise TooManyLexicons(f"{len(fragments)}! lexicons")
         bijections = [frozenset(zip(words, assignment)) for assignment in permutations(fragments)]
         return {lexicon: 1.0 / len(bijections) for lexicon in bijections}, True
     total = sum(kept.values())
     return {lexicon: probability / total for lexicon, probability in kept.items()}, False
 
 
-def enumerated_extension(belief: BeliefState, library: Library) -> dict[frozenset, float]:
-    """extend_hypotheses by explicit enumeration: the library's fragments that the
-    belief does not cover get the synthetic words after those it does, and each
-    lexicon's mass is split evenly over its extensions by every bijection of the
-    new words and fragments."""
-    covered_words, covered_frags = belief_cover(belief)
+def enumerated_extension(prior: dict[frozenset, float], library: Library,
+                         limit: int = 50000) -> dict[frozenset, float]:
+    """extend_hypotheses by explicit enumeration of the prior's lexicons (as
+    lexicon_distribution gives them): the library's fragments that they do not
+    cover get the synthetic words after those they do, and each lexicon's mass is
+    split evenly over its extensions by every bijection of the new words and
+    fragments. Raises TooManyLexicons rather than enumerate more than `limit`."""
+    covered_words, covered_frags = lexicons_cover(prior)
     fragments = [f for f in library.ids() if f not in covered_frags]
+    if len(prior) * math.factorial(len(fragments)) > limit:
+        raise TooManyLexicons(f"{len(prior)} x {len(fragments)}! lexicons")
     words = [synthetic_word(len(covered_words) + k) for k in range(len(fragments))]
     extensions = list(permutations(fragments))
     extended: dict[frozenset, float] = {}
-    for lexicon, probability in lexicon_distribution(belief).items():
+    for lexicon, probability in prior.items():
         for assignment in extensions:
             key = lexicon | frozenset(zip(words, assignment))
             extended[key] = extended.get(key, 0.0) + probability / len(extensions)
@@ -323,7 +387,7 @@ def best_utterance(program: Program, belief: BeliefState) -> tuple[str, ...]:
 
 
 def joint_utility(program: Program, utterance: Sequence[str],
-                  belief: BeliefState, cfg: PragmaticsConfig) -> float:
+                  belief: BeliefState, beta: float) -> float:
     """(1-beta) * sum of log marginal listener probabilities - beta * program length."""
     if len(utterance) != len(program):
         raise ValueError("utterance is not aligned with the program's steps")
@@ -333,26 +397,38 @@ def joint_utility(program: Program, utterance: Sequence[str],
         if prob <= 0.0:
             return -math.inf
         informativity += math.log(prob)
-    return (1 - cfg.beta) * informativity - cfg.beta * dsl.token_length(program)
+    return (1 - beta) * informativity - beta * dsl.token_length(program)
+
+
+def reference_candidate_programs(base: Program, library: Library) -> tuple[Program, ...]:
+    """candidate_programs without its cache, tokenizing by
+    reference_shortest_tokenization."""
+    pool = {base}
+    if library.fragments:
+        pool.add(reference_shortest_tokenization(base, library))
+        for fragment in library.fragments:
+            pool.add(reference_shortest_tokenization(base, Library((fragment,))))
+    chosen = sorted(pool, key=lambda p: (dsl.token_length(p), p))[:MAX_CANDIDATES]
+    if base not in chosen:
+        chosen[-1] = base
+    return tuple(chosen)
 
 
 def uncached_architect_choose(base: Program, library: Library, belief: BeliefState,
-                              cfg: PragmaticsConfig,
+                              beta: float,
                               rng: random.Random) -> tuple[Program, tuple[str, ...]]:
     """architect_choose with each candidate's utterance and utility found on
     their own, every marginal taken again for every candidate."""
     pairs = []
-    for program in candidate_programs(base, library):
+    for program in reference_candidate_programs(base, library):
         utterance = best_utterance(program, belief)
-        utility = joint_utility(program, utterance, belief, cfg)
+        utility = joint_utility(program, utterance, belief, beta)
         if utility > -math.inf:
             pairs.append((program, utterance, utility))
     if not pairs:
         raise RuntimeError("no candidate with finite utility; base program should always qualify")
-    if math.isinf(cfg.alpha):
-        return max(pairs, key=lambda p: p[2])[:2]
     top = max(utility for _, _, utility in pairs)
-    weights = [math.exp(cfg.alpha * (utility - top)) for _, _, utility in pairs]
+    weights = [math.exp(ALPHA * (utility - top)) for _, _, utility in pairs]
     total = sum(weights)
     draw = rng.random() * total
     cumulative = 0.0
@@ -379,6 +455,65 @@ def uncached_lenient_run(tokens: Sequence[Token], heights: tuple[int, ...],
             continue
         placed.append(block)
     return heights, hand, tuple(placed)
+
+
+# The most lexicons reference_run_dyad enumerates: 7!, every bijection of seven words.
+REFERENCE_LEXICON_LIMIT = 5040
+
+
+def _as_belief(distribution: dict[frozenset, float]) -> BeliefState:
+    """An explicit set of lexicons as a belief of one component per lexicon, each
+    pool one binding: marginals taken over it count the set's lexicons."""
+    return BeliefState(tuple(sorted(tuple(sorted(((word,), (frag,)) for word, frag in lexicon))
+                                    for lexicon in distribution)))
+
+
+def reference_run_dyad(sequence: TrialSequence, w: float, beta: float, rng: random.Random,
+                       stimuli: dict[str, frozenset[BlockPlacement]]) -> DyadTrace:
+    """run_dyad over library_trajectory, from the oracles alone: the library is
+    learned by dense_update_library, the belief is an explicit set of lexicons,
+    updated by enumerated_update and extended by enumerated_extension, the
+    Architect is uncached_architect_choose and the Builder runs each word by
+    uncached_lenient_run. Raises TooManyLexicons rather than hold more than
+    REFERENCE_LEXICON_LIMIT lexicons. Its iteration and dyad seed are 0."""
+    library = EMPTY_LIBRARY
+    scenes: list[Program] = []
+    lexicons: dict[frozenset, float] = {frozenset(): 1.0}
+    bindings: dict[str, str] = {}
+    records, snapshots = [], []
+    for number, spec in enumerate(sequence.trials, start=1):
+        target = compose_scene(stimuli[spec.left], stimuli[spec.right])
+        base = dsl.canonical_program(target)
+        program, utterance = uncached_architect_choose(base, library, _as_belief(lexicons),
+                                                       beta, rng)
+        heights, hand = (0,) * GRID_WIDTH, dsl.default_start_x(target)
+        built, step_placements, anomalies = [], [], 0
+        for word in utterance:
+            tokens: Program = (word,)
+            if not dsl.is_base_token(word):
+                if word not in bindings:  # a first hearing: any fragment no word has claimed
+                    free = sorted(set(library.ids()) - set(bindings.values()))
+                    bindings[word] = rng.choice(free)
+                tokens = library.resolve(bindings[word]).expansion
+            after_heights, after_hand, placed = uncached_lenient_run(tokens, heights, hand)
+            if not dsl.is_base_token(word):
+                lexicons, anomaly = enumerated_update(lexicons, word, placed, library, heights,
+                                                      hand, REFERENCE_LEXICON_LIMIT)
+                anomalies += anomaly
+            heights, hand = after_heights, after_hand
+            built.extend(placed)
+            step_placements.append(len(placed))
+        scenes.append(base)
+        library, adoptions = dense_update_library(library, scenes, w)
+        lexicons = enumerated_extension(lexicons, library, REFERENCE_LEXICON_LIMIT)
+        snapshots += [FragmentSnapshot(a.fragment.id, dsl.print_program(a.fragment.body),
+                                       dsl.print_program(a.fragment.expansion),
+                                       reference_fragment_level(a.fragment.expansion, stimuli),
+                                       number, a.score_delta) for a in adoptions]
+        records.append(TrialRecord(program, utterance, tuple(built), tuple(step_placements),
+                                   f1_score(target, frozenset(built)), dsl.token_length(program),
+                                   math.log2(len(lexicons)), anomalies))
+    return DyadTrace(beta, LearningConfig(w), sequence, 0, 0, tuple(records), tuple(snapshots))
 
 
 def execute_nested(program: Program, library: Library, start_x: int, width: int,
@@ -449,8 +584,8 @@ def trace_to_dict(trace: DyadTrace) -> dict:
     sequence and final_library."""
     assert len(trace.records) == len(trace.sequence.trials)
     return {
-        "alpha": trace.pragmatics.alpha,
-        "beta": trace.pragmatics.beta,
+        "alpha": ALPHA,
+        "beta": trace.beta,
         "w": trace.learning.w,
         "size_rule": BODY_TOKEN_SUM,
         "sequence": sequence_to_dict(trace.sequence),

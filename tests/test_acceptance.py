@@ -24,7 +24,6 @@ from towertalk.dsl import (
 )
 from towertalk.library_learning import REPETITION_BLOCKS, library_trajectory
 from towertalk.pragmatics import (
-    PragmaticsConfig,
     belief_entropy,
     builder_interpret,
     extend_hypotheses,
@@ -197,8 +196,7 @@ def test_criterion_4_production_preferences():
     started = time.monotonic()
     shares = {}
     for beta in (0.0, 0.3, 0.8):
-        configs = [(PragmaticsConfig(alpha=5.0, beta=beta),
-                    LearningConfig(w=1.5))]
+        configs = [(beta, LearningConfig(w=1.5))]
         traces = run_experiment(configs, stimulus_towers(), n_sequences=49, iterations=2,
                                 master_seed=0)
         assert len(traces) == 98
@@ -279,7 +277,7 @@ def test_criterion_7_sequence_invariants():
 # -- criterion 8 -------------------------------------------------------------
 
 def test_criterion_8_byte_identical_runs(tmp_path):
-    args = ["simulate", "--w", "1.5", "--beta", "0.3", "--alpha", "5.0",
+    args = ["simulate", "--w", "1.5", "--beta", "0.3",
             "--n-sequences", "3", "--iterations", "2", "--master-seed", "40"]
     directories = {}
     for label, jobs in (("serial_a", 1), ("serial_b", 1), ("parallel", 8)):

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import resource
+import runpy
 import subprocess
 import sys
 
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk import cli, library_learning, simulation, traces
-from towertalk.cli import DEFAULT_ALPHA, main
+from towertalk.cli import main
 from towertalk.library_learning import BODY_TOKEN_SUM
-from towertalk.pragmatics import PragmaticsConfig
+from towertalk.pragmatics import ALPHA
 from towertalk.simulation import LearningConfig
 from towertalk.blockworld import (
     HORIZONTAL,
@@ -125,16 +126,14 @@ def test_simulate_smoke_and_outputs(tmp_path):
     assert len(traces["traces"][0]["trials"]) == 12
 
 
-@pytest.mark.parametrize("w, beta, alpha, n_sequences, iterations, n_traces", [
-    (["1.5"], ["0.3"], DEFAULT_ALPHA, 0, 1, 0),
-    (["1.5"], ["0.3"], DEFAULT_ALPHA, 1, 0, 0),
-    (["1.5"], ["0.3"], DEFAULT_ALPHA, 1, 1, 1),
-    (["1.5", "3.2"], ["0", "0.8"], DEFAULT_ALPHA, 1, 1, 4),
-    (["1.5"], ["0.3"], float("inf"), 1, 1, 1),
-    (["1.5"], ["-0.0"], DEFAULT_ALPHA, 1, 1, 1),
-], ids=["no-sequences", "no-iterations", "one-trace", "two-by-two", "alpha-inf",
-        "beta-negative-zero"])
-def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, beta, alpha,
+@pytest.mark.parametrize("w, beta, n_sequences, iterations, n_traces", [
+    (["1.5"], ["0.3"], 0, 1, 0),
+    (["1.5"], ["0.3"], 1, 0, 0),
+    (["1.5"], ["0.3"], 1, 1, 1),
+    (["1.5", "3.2"], ["0", "0.8"], 1, 1, 4),
+    (["1.5"], ["-0.0"], 1, 1, 1),
+], ids=["no-sequences", "no-iterations", "one-trace", "two-by-two", "beta-negative-zero"])
+def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, beta,
                                                      n_sequences, iterations, n_traces):
     traces = []
     run_experiment = simulation.run_experiment
@@ -144,11 +143,11 @@ def test_simulate_streams_the_whole_payload_encoding(tmp_path, monkeypatch, w, b
         return traces
     monkeypatch.setattr(simulation, "run_experiment", recording)
     out_dir = tmp_path / "out"
-    assert run_cli("simulate", "--w", *w, "--beta", *beta, "--alpha", str(alpha),
-                   "--n-sequences", str(n_sequences), "--iterations", str(iterations),
-                   "--master-seed", "4", "--out-dir", str(out_dir)) == 0
+    assert run_cli("simulate", "--w", *w, "--beta", *beta, "--n-sequences", str(n_sequences),
+                   "--iterations", str(iterations), "--master-seed", "4",
+                   "--out-dir", str(out_dir)) == 0
     assert len(traces) == n_traces
-    payload = {"master_seed": 4, "alpha": alpha, "size_rule": BODY_TOKEN_SUM,
+    payload = {"master_seed": 4, "alpha": ALPHA, "size_rule": BODY_TOKEN_SUM,
                "n_sequences": n_sequences, "iterations": iterations,
                "traces": [trace_to_dict(t) for t in traces]}
     # The file is written as the head, then each trace's own text: that equals
@@ -328,9 +327,9 @@ def test_render_trace_tells_the_dyad_a_rerun_plays(tmp_path, capsys):
     for index, recorded in enumerate(json.loads(trace_file.read_text())["traces"]):
         sequence = sequence_from_dict(recorded["sequence"])
         lcfg = LearningConfig(w=recorded["w"])
+        assert recorded["alpha"] == ALPHA
         rerun = simulation.run_dyad(
-            sequence, lcfg.w, PragmaticsConfig(alpha=recorded["alpha"], beta=recorded["beta"]),
-            lcfg, random.Random(recorded["dyad_seed"]),
+            sequence, lcfg.w, recorded["beta"], lcfg, random.Random(recorded["dyad_seed"]),
             library_learning.library_trajectory(sequence, lcfg.w, stimulus_towers()))
         capsys.readouterr()
         assert run_cli("render", "--trace", str(trace_file), "--trace-index", str(index)) == 0
@@ -502,7 +501,7 @@ def test_empty_out_path_fails_before_compute(tmp_path, capsys, monkeypatch, comm
 
 def test_simulate_and_learn_reject_nan(tmp_path):
     out_dir = tmp_path / "out"
-    for flag in ("--w", "--alpha"):
+    for flag in ("--w", "--beta"):
         code = run_cli("simulate", flag, "nan", "--n-sequences", "1",
                        "--iterations", "1", "--out-dir", str(out_dir))
         assert code == 2
@@ -518,7 +517,6 @@ def test_simulate_and_learn_reject_nan(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--beta", "2", "beta must lie in [0, 1]"),
     ("--w", "-1", "w must be finite and nonnegative"),
-    ("--alpha", "nan", "alpha must be nonnegative"),
 ])
 def test_watch_dyad_reports_bad_parameters_as_usage_errors(flag, value, message):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -540,6 +538,20 @@ def test_watch_dyad_prints_its_pinned_narration():
     assert proc.returncode == 0, proc.stderr
     with open(os.path.join(root, "tests", "data", "watch_dyad_seed1_render.txt"), "rb") as fh:
         assert proc.stdout == fh.read()
+
+
+def test_watch_dyad_records_the_dyad_seed_it_plays(monkeypatch):
+    """The trace that watch_dyad.py narrates names the --dyad-seed it was played from."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    narrated = []
+
+    def recording(trace, *args, **kwargs):
+        narrated.append(trace)
+        return narrate(trace, *args, **kwargs)
+    monkeypatch.setattr(traces, "narrate", recording)
+    monkeypatch.setattr(sys, "argv", ["watch_dyad.py", "--seed", "1", "--dyad-seed", "5"])
+    runpy.run_path(os.path.join(root, "scripts", "watch_dyad.py"), run_name="__main__")
+    assert [trace["dyad_seed"] for trace in narrated] == [5]
 
 
 # Run by a child `python -S`: one command, then the last line of stdout names its
@@ -1385,19 +1397,18 @@ def test_simulate_runs_on_any_buildable_stimuli(tmp_path_factory, towers):
     work = tmp_path_factory.mktemp("stimuli")
     stimuli = work / "stimuli.json"
     save_stimuli(towers, str(stimuli))
-    for alpha in ("5", "inf"):
-        out_dir = work / f"alpha-{alpha}"
-        assert run_cli("simulate", "--stimuli", str(stimuli), "--n-sequences", "1",
-                       "--iterations", "1", "--w", "1.5", "--beta", "0.3", "--alpha", alpha,
-                       "--out-dir", str(out_dir)) == 0
-        with open(out_dir / "accuracy_efficiency_w1.5_beta0.3.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        assert all(0.0 <= float(row["mean_f1"]) <= 1.0 for row in rows), rows
-        # Each trial's F1 is its built blocks' score against its scene of these
-        # towers, as `render --trace` recomputes it.
-        (trace,) = json.loads((out_dir / "traces.json").read_text())["traces"]
-        for trial in trace["trials"]:
-            built = frozenset(BlockPlacement(**b) for b in trial["builder_placements"])
-            target = compose_scene(towers[trial["left"]], towers[trial["right"]])
-            assert trial["f1"] == round(f1_score(target, built), 9), trial
+    out_dir = work / "out"
+    assert run_cli("simulate", "--stimuli", str(stimuli), "--n-sequences", "1",
+                   "--iterations", "1", "--w", "1.5", "--beta", "0.3",
+                   "--out-dir", str(out_dir)) == 0
+    with open(out_dir / "accuracy_efficiency_w1.5_beta0.3.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert all(0.0 <= float(row["mean_f1"]) <= 1.0 for row in rows), rows
+    # Each trial's F1 is its built blocks' score against its scene of these
+    # towers, as `render --trace` recomputes it.
+    (trace,) = json.loads((out_dir / "traces.json").read_text())["traces"]
+    for trial in trace["trials"]:
+        built = frozenset(BlockPlacement(**b) for b in trial["builder_placements"])
+        target = compose_scene(towers[trial["left"]], towers[trial["right"]])
+        assert trial["f1"] == round(f1_score(target, built), 9), trial

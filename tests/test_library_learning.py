@@ -17,7 +17,6 @@ from towertalk.dsl import (
     token_length,
 )
 from towertalk.library_learning import (
-    MAX_FRAGMENTS_PER_TRIAL,
     OTHER,
     SCENE,
     SUB_TOWER,
@@ -39,8 +38,9 @@ from towertalk.dsl import canonical_program
 from towertalk.blockworld import compose_scene
 from towertalk.simulation import LearningConfig, generate_sequences, generate_trial_sequence
 
-from oracles import (EMPTY_LIBRARY, buildable_stimuli, library_score, library_size, make_fragment,
-                     mdl, reference_candidate_windows, reference_fragment_level,
+from oracles import (EMPTY_LIBRARY, buildable_stimuli, dense_update_library, greedy_count,
+                     library_score, library_size, make_fragment, mdl,
+                     reference_candidate_windows, reference_fragment_level,
                      reference_shortest_tokenization)
 
 
@@ -587,53 +587,12 @@ def test_update_library_returns_a_fresh_adoption_list():
     assert update_library_with_log(EMPTY_LIBRARY, [scene, scene], w) == (library, expected)
 
 
-def dense_update_library(library, observed, w):
-    """The learner with no sparse scoring: every candidate is scored by the MDL
-    of every scene, whether or not its expansion occurs there."""
-    scenes = sorted(set(tuple(p) for p in observed))
-    current = library
-    adoptions = []
-    for _ in range(MAX_FRAGMENTS_PER_TRIAL):
-        current_total = sum(mdl(seq, current) for seq in observed)
-        programs = scenes + [shortest_tokenization(seq, current) for seq in scenes]
-        windows = reference_candidate_windows(programs, current)
-        best_delta, best = 0.0, None
-        for expansion in sorted(windows):
-            length, body = windows[expansion]
-            size_cost = w * token_length(body)
-            occurrences = sum(greedy_count(expansion, seq) for seq in observed)
-            if occurrences * (length - 1) <= size_cost:
-                continue
-            trial = current.with_fragment(Fragment("trial", body, expansion))
-            delta = (current_total - sum(mdl(seq, trial) for seq in observed)) - size_cost
-            if delta > best_delta:
-                best_delta, best = delta, (expansion, body)
-        if best is None:
-            break
-        fragment = Fragment(f"chunk{len(current.fragments) + 1}", best[1], best[0])
-        current = current.with_fragment(fragment)
-        adoptions.append(Adoption(fragment, best_delta))
-    return current, adoptions
-
-
 @given(learner_states())
 @settings(max_examples=150, deadline=None)
 def test_update_library_matches_dense_scoring(state):
     library, observed, _, w = state
     assert update_library_with_log(library, observed, w) == \
         dense_update_library(library, observed, w)
-
-
-def greedy_count(pattern, sequence):
-    """Left-to-right count of non-overlapping occurrences, one scan per pattern."""
-    count = i = 0
-    while i + len(pattern) <= len(sequence):
-        if sequence[i:i + len(pattern)] == pattern:
-            count += 1
-            i += len(pattern)
-        else:
-            i += 1
-    return count
 
 
 def test_single_use_split_matches_the_dp_and_brute_force():

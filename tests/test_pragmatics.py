@@ -1,23 +1,22 @@
 import math
-import pickle
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from towertalk import simulation
 from towertalk.blockworld import GRID_WIDTH, HORIZONTAL, VERTICAL, BlockPlacement
-from towertalk.cli import DEFAULT_ALPHA
 from towertalk.dsl import Library, is_base_token, token_length
 from towertalk.pragmatics import (
-    PragmaticsConfig,
+    ALPHA,
     _best_word,
     architect_choose,
     belief_entropy,
     builder_interpret,
     candidate_programs,
+    check_beta,
     extend_hypotheses,
     initial_belief,
     lenient_run,
@@ -29,10 +28,11 @@ from towertalk.blockworld import compose_scene, stimulus_towers
 from towertalk.library_learning import library_trajectory
 from towertalk.simulation import LearningConfig
 
-from oracles import (_component_marginal, belief_cover, best_utterance, enumerate_hypotheses,
-                     enumerated_extension, enumerated_update, joint_utility,
-                     lexicon_distribution, make_fragment, marginal_listener,
-                     point_mass_lexicon, uncached_architect_choose, uncached_lenient_run)
+from oracles import (TooManyLexicons, _component_marginal, belief_cover, best_utterance,
+                     buildable_stimuli, enumerate_hypotheses, enumerated_extension,
+                     enumerated_update, joint_utility, lexicon_distribution, make_fragment,
+                     marginal_listener, point_mass_lexicon, reference_run_dyad,
+                     uncached_architect_choose, uncached_lenient_run)
 
 # The Builder's workspace at the start of a trial: every column empty.
 EMPTY = (0,) * GRID_WIDTH
@@ -188,66 +188,48 @@ def test_joint_utility_base_program_is_pure_length_cost(towers):
     scene = compose_scene(towers["A"], towers["C"])
     program = canonical_program(scene)
     utterance = best_utterance(program, initial_belief())
-    cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
-    assert joint_utility(program, utterance, initial_belief(), cfg) == pytest.approx(
+    assert joint_utility(program, utterance, initial_belief(), 0.3) == pytest.approx(
         -0.3 * token_length(program))
 
 
 def test_joint_utility_beta_zero_prefers_unambiguous(two_fragment_library):
     belief = extend_hypotheses(initial_belief(), two_fragment_library)
-    cfg = PragmaticsConfig(alpha=5.0, beta=0.0)
     base = ("v", "v", "h", "r2", "h")
     chunked = ("chunk1", "chunk2")
-    base_u = joint_utility(base, best_utterance(base, belief), belief, cfg)
-    chunk_u = joint_utility(chunked, best_utterance(chunked, belief), belief, cfg)
+    base_u = joint_utility(base, best_utterance(base, belief), belief, 0.0)
+    chunk_u = joint_utility(chunked, best_utterance(chunked, belief), belief, 0.0)
     assert base_u == pytest.approx(0.0)
     assert chunk_u < base_u
 
 
 def test_joint_utility_beta_one_is_negative_length(two_fragment_library):
     belief = extend_hypotheses(initial_belief(), two_fragment_library)
-    cfg = PragmaticsConfig(alpha=5.0, beta=1.0)
     program = ("chunk1", "chunk2")
     utterance = best_utterance(program, belief)
-    assert joint_utility(program, utterance, belief, cfg) == pytest.approx(-2.0)
+    assert joint_utility(program, utterance, belief, 1.0) == pytest.approx(-2.0)
 
 
 def test_joint_utility_misaligned_lengths_raises():
-    cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
     with pytest.raises(ValueError):
-        joint_utility(("v", "v"), ("v",), initial_belief(), cfg)
+        joint_utility(("v", "v"), ("v",), initial_belief(), 0.3)
 
 
 def test_joint_utility_minus_infinity_on_zero_marginal(two_fragment_library):
     belief = bound_one_by_one(two_fragment_library)
-    cfg = PragmaticsConfig(alpha=5.0, beta=0.3)
     # chunkA certainly means chunk1, so it cannot convey chunk2
-    utility = joint_utility(("chunk2",), ("chunkA",), belief, cfg)
+    utility = joint_utility(("chunk2",), ("chunkA",), belief, 0.3)
     assert utility == -math.inf
 
 
-def test_architect_choose_argmax_at_infinite_alpha(towers):
+def test_architect_choose_uniform_at_zero_beta(towers):
+    # Both candidates are fully informative, so at beta 0 their utilities tie.
     scene = compose_scene(towers["A"], towers["B"])
     lib = Library()
     lib = lib.with_fragment(
         make_fragment("chunk1", canonical_program(scene), lib))
     belief = extend_hypotheses(initial_belief(), lib)
-    cfg = PragmaticsConfig(alpha=math.inf, beta=0.8)
-    program, utterance = architect_choose(canonical_program(scene), lib, belief, cfg,
-                                          random.Random(0))
-    assert program == ("chunk1",)
-    assert utterance == ("chunkA",)
-
-
-def test_architect_choose_uniform_at_zero_alpha(towers):
-    scene = compose_scene(towers["A"], towers["B"])
-    lib = Library()
-    lib = lib.with_fragment(
-        make_fragment("chunk1", canonical_program(scene), lib))
-    belief = extend_hypotheses(initial_belief(), lib)
-    cfg = PragmaticsConfig(alpha=0.0, beta=0.8)
     rng = random.Random(0)
-    counts = Counter(architect_choose(canonical_program(scene), lib, belief, cfg, rng)[0]
+    counts = Counter(architect_choose(canonical_program(scene), lib, belief, 0.0, rng)[0]
                      for _ in range(800))
     assert len(counts) == 2
     for count in counts.values():
@@ -259,18 +241,20 @@ def test_architect_choice_distribution_is_softmax(towers):
     lib = Library()
     lib = lib.with_fragment(make_fragment("chunk1", canonical_program(scene), lib))
     belief = extend_hypotheses(initial_belief(), lib)
-    cfg = PragmaticsConfig(alpha=1.0, beta=0.5)
+    # Small enough that neither candidate's share is near 0 or 1 at ALPHA.
+    beta = 0.01
     base = canonical_program(scene)
     utilities = {
-        base: joint_utility(base, best_utterance(base, belief), belief, cfg),
-        ("chunk1",): joint_utility(("chunk1",), ("chunkA",), belief, cfg),
+        base: joint_utility(base, best_utterance(base, belief), belief, beta),
+        ("chunk1",): joint_utility(("chunk1",), ("chunkA",), belief, beta),
     }
     top = max(utilities.values())
-    weights = {p: math.exp(1.0 * (u - top)) for p, u in utilities.items()}
+    weights = {p: math.exp(ALPHA * (u - top)) for p, u in utilities.items()}
     total = sum(weights.values())
     expected = weights[("chunk1",)] / total
+    assert 0.1 < expected < 0.9
     rng = random.Random(1)
-    picks = sum(architect_choose(base, lib, belief, cfg, rng)[0] == ("chunk1",)
+    picks = sum(architect_choose(base, lib, belief, beta, rng)[0] == ("chunk1",)
                 for _ in range(3000))
     assert picks / 3000 == pytest.approx(expected, abs=0.03)
 
@@ -372,18 +356,17 @@ def test_execute_lenient_results_do_not_share_state_with_later_calls():
     assert EMPTY == (0,) * GRID_WIDTH
 
 
-def _assert_choice_matches_oracle(base, library, belief, cfg, rng):
+def _assert_choice_matches_oracle(base, library, belief, beta, rng):
     oracle_rng = random.Random()
     oracle_rng.setstate(rng.getstate())
-    expected = uncached_architect_choose(base, library, belief, cfg, oracle_rng)
-    chosen = architect_choose(base, library, belief, cfg, rng)
+    expected = uncached_architect_choose(base, library, belief, beta, oracle_rng)
+    chosen = architect_choose(base, library, belief, beta, rng)
     assert chosen == expected
     assert rng.getstate() == oracle_rng.getstate()
     return chosen
 
 
-CHOICE_CONFIGS = [PragmaticsConfig(alpha=alpha, beta=beta)
-                  for alpha in (0.0, 5.0, math.inf) for beta in (0.0, 0.3, 1.0)]
+CHOICE_BETAS = (0.0, 0.3, 1.0)
 
 
 def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
@@ -422,11 +405,11 @@ def test_architect_choose_matches_per_candidate_oracle_on_built_beliefs(
         for token in library.ids():
             (word,) = best_utterance((token,), belief)
             assert _best_word(token, belief) == (word, marginal_listener(token, word, belief))
-    for cfg in CHOICE_CONFIGS:
+    for beta in CHOICE_BETAS:
         rng = random.Random(11)
         for library, belief in cases:
             for _ in range(5):
-                _assert_choice_matches_oracle(base, library, belief, cfg, rng)
+                _assert_choice_matches_oracle(base, library, belief, beta, rng)
 
 
 def _towers(*blocks):
@@ -469,10 +452,10 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
     seen = Counter()
     anomaly_seen = [False]
 
-    def checked_choose(base, library, belief, cfg, rng):
+    def checked_choose(base, library, belief, beta, rng):
         # The belief covers the library, so every chunk has a word to say it.
         assert_covers(belief, library)
-        program, utterance = _assert_choice_matches_oracle(base, library, belief, cfg, rng)
+        program, utterance = _assert_choice_matches_oracle(base, library, belief, beta, rng)
         seen["choices"] += 1
         seen["after an anomaly"] += anomaly_seen[0]
         seen["chunked"] += program != base
@@ -488,13 +471,13 @@ def test_architect_choose_matches_per_candidate_oracle_in_dyads(monkeypatch):
     monkeypatch.setattr(simulation, "update_belief", watched_update)
     for name, (stimuli, (_, peak)) in DYAD_STIMULI.items():
         seen.clear()
-        for cfg in CHOICE_CONFIGS:
+        for beta in CHOICE_BETAS:
             for seed in (3, 4):
                 anomaly_seen[0] = False
                 sequence, lcfg = simulation.generate_trial_sequence(seed), LearningConfig(w=1.5)
-                simulation.run_dyad(sequence, 1.5, cfg, lcfg, random.Random(seed),
+                simulation.run_dyad(sequence, 1.5, beta, lcfg, random.Random(seed),
                                     library_trajectory(sequence, lcfg.w, stimuli))
-        assert seen["choices"] == len(CHOICE_CONFIGS) * 2 * simulation.TRIALS_PER_SEQUENCE, name
+        assert seen["choices"] == len(CHOICE_BETAS) * 2 * simulation.TRIALS_PER_SEQUENCE, name
         assert seen["chunked"] > 0, name
         assert seen["after an anomaly"] > 0, name
         assert seen["peak components"] == peak, (name, seen)
@@ -527,8 +510,8 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
         # A base word tells the belief nothing, so only chunk words are conditioned on.
         assert not is_base_token(word)
         assert_covers(belief, library)
-        expected, expected_anomaly = enumerated_update(belief, word, observed, library,
-                                                       heights, hand)
+        expected, expected_anomaly = enumerated_update(lexicon_distribution(belief), word,
+                                                       observed, library, heights, hand)
         posterior, anomaly = update_belief(belief, word, observed, library,
                                            heights=heights, hand=hand)
         assert anomaly == expected_anomaly
@@ -545,7 +528,8 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
     def checked_extend(belief, library):
         extended = extend_hypotheses(belief, library)
         distribution = lexicon_distribution(extended)
-        assert_same_distribution(distribution, enumerated_extension(belief, library))
+        assert_same_distribution(distribution,
+                                 enumerated_extension(lexicon_distribution(belief), library))
         assert_disjoint_with_shannon_entropy(belief)
         assert_disjoint_with_shannon_entropy(extended)
         assert_covers(extended, library)
@@ -556,7 +540,7 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
 
     monkeypatch.setattr(simulation, "update_belief", checked_update)
     monkeypatch.setattr(simulation, "extend_hypotheses", checked_extend)
-    configs = [(PragmaticsConfig(DEFAULT_ALPHA, beta), LearningConfig(w=w))
+    configs = [(beta, LearningConfig(w=w))
                for w in (1.5, 3.2, 9.6) for beta in (0.0, 0.3, 0.8)]
     for name, (stimuli, (peak, _)) in DYAD_STIMULI.items():
         seen.clear()
@@ -571,6 +555,42 @@ def test_belief_updates_in_dyads_match_bayesian_enumeration(monkeypatch):
                    seen["words added"]) > 0, (name, seen)
         assert seen["peak components"] == peak, (name, seen)
         assert seen["peak lexicons"] <= 5040, (name, seen)
+
+
+@given(stimuli=buildable_stimuli, sequence_seed=st.integers(0, 2 ** 32 - 1),
+       w=st.sampled_from((1.5, 3.2, 9.6)), beta=st.floats(0, 1),
+       dyad_seed=st.integers(0, 2 ** 32 - 1))
+@example(stimuli=DYAD_STIMULI["three-components"][0], sequence_seed=3, w=1.5, beta=0.3,
+         dyad_seed=3)
+@example(stimuli=DYAD_STIMULI["four-components"][0], sequence_seed=4, w=1.5, beta=0.3,
+         dyad_seed=4)
+@settings(max_examples=20, deadline=None)
+def test_run_dyad_matches_the_reference_dyad(stimuli, sequence_seed, w, beta, dyad_seed):
+    """A whole dyad on random towers, learned and played by run_dyad over
+    library_trajectory, equals the reference dyad built from the oracles alone,
+    and leaves its RNG in the same state."""
+    sequence = simulation.generate_trial_sequence(sequence_seed)
+    reference_rng = random.Random(dyad_seed)
+    try:
+        expected = reference_run_dyad(sequence, w, beta, reference_rng, stimuli)
+    except TooManyLexicons:
+        assume(False)
+    peak = [1]
+
+    def watched_update(*args, **kwargs):
+        belief, anomaly = update_belief(*args, **kwargs)
+        peak[0] = max(peak[0], len(belief.components))
+        return belief, anomaly
+
+    rng = random.Random(dyad_seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "update_belief", watched_update)
+        trace = simulation.run_dyad(sequence, w, beta, LearningConfig(w=w), rng,
+                                    library_trajectory(sequence, w, stimuli))
+    event(f"belief components reached: {peak[0]}")
+    assert trace.records == expected.records
+    assert trace.final_library == expected.final_library
+    assert rng.getstate() == reference_rng.getstate()
 
 
 def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
@@ -593,27 +613,11 @@ def test_scripted_dyad_converges_to_builder_bindings(two_fragment_library):
     assert all(a >= b for a, b in zip(entropies, entropies[1:]))
 
 
-def test_pragmatics_config_validation():
-    with pytest.raises(ValueError):
-        PragmaticsConfig(alpha=-1.0, beta=0.3)
-    with pytest.raises(ValueError):
-        PragmaticsConfig(alpha=math.nan, beta=0.3)
-    with pytest.raises(ValueError):
-        PragmaticsConfig(alpha=5.0, beta=1.5)
-    assert PragmaticsConfig(alpha=math.inf, beta=0.3).alpha == math.inf
+@pytest.mark.parametrize("beta", [math.nan, -0.1, 1.1])
+def test_check_beta_refuses_a_beta_outside_0_to_1(beta):
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+        check_beta(beta)
 
 
-@pytest.mark.parametrize("alpha, beta", [(-1.0, 0.3), (math.nan, 0.3), (5.0, 2.0), (5.0, math.nan)])
-def test_pragmatics_config_checks_run_for_every_construction(alpha, beta):
-    with pytest.raises(ValueError):
-        PragmaticsConfig(alpha=alpha, beta=beta)
-    with pytest.raises(ValueError):
-        PragmaticsConfig(alpha, beta)
-
-
-@pytest.mark.parametrize("cfg", [PragmaticsConfig(5.0, 0.3), PragmaticsConfig(math.inf, 1.0)])
-def test_pragmatics_config_pickles_to_an_equal_config(cfg):
-    # A --jobs pool sends each config to its workers by pickle.
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
-        copy = pickle.loads(pickle.dumps(cfg, protocol))
-        assert copy == cfg and type(copy) is PragmaticsConfig
+def test_check_beta_keeps_both_ends():
+    assert check_beta(0.0) == 0.0 and check_beta(1.0) == 1.0

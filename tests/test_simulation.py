@@ -27,7 +27,7 @@ from towertalk.library_learning import (
     snapshot_level_proportions,
     step_levels,
 )
-from towertalk.pragmatics import PragmaticsConfig
+from towertalk.pragmatics import ALPHA
 from towertalk.simulation import (
     TOWER_PAIRS,
     TRIALS_PER_SEQUENCE,
@@ -93,8 +93,8 @@ def test_sequence_dict_round_trip():
 
 def _run(seq_seed=3, dyad_seed=70, w=1.5, beta=0.3):
     sequence, lcfg = generate_trial_sequence(seq_seed), LearningConfig(w=w)
-    return run_dyad(sequence, w, PragmaticsConfig(alpha=5.0, beta=beta), lcfg,
-                    random.Random(dyad_seed), library_trajectory(sequence, lcfg.w, TOWERS))
+    return run_dyad(sequence, w, beta, lcfg, random.Random(dyad_seed),
+                    library_trajectory(sequence, lcfg.w, TOWERS))
 
 
 def test_run_dyad_huge_w_is_all_base_and_perfect():
@@ -126,8 +126,7 @@ def test_run_dyad_distinct_seeds_differ():
 
 
 def test_run_experiment_shape_and_determinism():
-    configs = [(PragmaticsConfig(alpha=5.0, beta=0.3),
-                LearningConfig(w=1.5))]
+    configs = [(0.3, LearningConfig(w=1.5))]
     first = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=9)
     second = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=9)
     assert len(first) == 4
@@ -135,8 +134,7 @@ def test_run_experiment_shape_and_determinism():
 
 
 def test_run_experiment_parallel_matches_serial():
-    configs = [(PragmaticsConfig(alpha=5.0, beta=0.8),
-                LearningConfig(w=1.5))]
+    configs = [(0.8, LearningConfig(w=1.5))]
     serial = run_experiment(configs, TOWERS, n_sequences=2, iterations=1,
                             master_seed=4, jobs=1)
     parallel = run_experiment(configs, TOWERS, n_sequences=2, iterations=1,
@@ -174,7 +172,7 @@ def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
     """The unit of work is a (sequence, lcfg) group: the pool never outnumbers them."""
     sizes, _ = _record_pool(monkeypatch)
     lcfg = LearningConfig(w=1e6)
-    one_w = [(PragmaticsConfig(alpha=5.0, beta=beta), lcfg) for beta in (0.0, 0.8)]
+    one_w = [(beta, lcfg) for beta in (0.0, 0.8)]
     # One sequence and one lcfg make one group, however many dyads it holds:
     # it runs serially and starts no pool at all; so does an empty grid.
     assert len(run_experiment(one_w, TOWERS, n_sequences=1, iterations=2, jobs=8)) == 4
@@ -186,8 +184,7 @@ def test_run_experiment_pool_never_exceeds_task_count(monkeypatch):
     assert two == run_experiment(one_w, TOWERS, n_sequences=2, iterations=2, jobs=1)
 
 
-SHARED_GRID = [(PragmaticsConfig(alpha=5.0, beta=beta), LearningConfig(w=w))
-               for w in (1.5, 9.6) for beta in (0.0, 0.8)]
+SHARED_GRID = [(beta, LearningConfig(w=w)) for w in (1.5, 9.6) for beta in (0.0, 0.8)]
 
 
 def test_run_experiment_learns_each_group_once(monkeypatch):
@@ -203,16 +200,16 @@ def test_run_experiment_learns_each_group_once(monkeypatch):
     # 2 sequences x 2 w, 12 trials each; not again for each beta x iteration (192).
     assert len(calls) == 2 * 2 * TRIALS_PER_SEQUENCE
 
-    # The dyads, run one by one in seed order (config, sequence, iteration), each
+    # The dyads, run one by one in seed order (cell, sequence, iteration), each
     # learning afresh, give the same traces in the same order.
     sequences, seeds = simulation.generate_sequences(3, 2)
     expected = []
-    for cfg, lcfg in SHARED_GRID:
+    for beta, lcfg in SHARED_GRID:
         for sequence in sequences:
             for iteration in range(2):
                 seed = next(seeds)
                 learned = library_trajectory(sequence, lcfg.w, TOWERS)
-                expected.append(run_dyad(sequence, lcfg.w, cfg, lcfg, random.Random(seed),
+                expected.append(run_dyad(sequence, lcfg.w, beta, lcfg, random.Random(seed),
                                          learned, iteration=iteration, dyad_seed=seed))
     assert traces == expected
 
@@ -273,8 +270,7 @@ def test_library_trajectory_follows_towers_and_config():
     assert library_trajectory(sequence, lcfg.w, TOWERS) == default
 
     # A dyad on the custom towers adopts the custom trajectory's fragments.
-    dyad = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8), lcfg,
-                    random.Random(5), custom)
+    dyad = run_dyad(sequence, 1.5, 0.8, lcfg, random.Random(5), custom)
     assert [(s.id, s.body, s.adopted_trial) for s in dyad.final_library] == [
         (s.id, s.body, s.adopted_trial) for trial in custom for s in trial.adopted]
 
@@ -364,11 +360,9 @@ def test_mean_pairwise_jsd_does_not_depend_on_string_hashing():
     every PYTHONHASHSEED."""
     script = textwrap.dedent("""\
         from towertalk.blockworld import stimulus_towers
-        from towertalk.pragmatics import PragmaticsConfig
         from towertalk.simulation import (LearningConfig, jsd, mean_pairwise_jsd,
                                           run_experiment, summarize)
-        configs = [(PragmaticsConfig(alpha=5.0, beta=b), LearningConfig(w=1.5))
-                   for b in (0.3, 0.8)]
+        configs = [(b, LearningConfig(w=1.5)) for b in (0.3, 0.8)]
         traces = run_experiment(configs, stimulus_towers(), n_sequences=4, iterations=2,
                                 master_seed=0)
         print(repr(mean_pairwise_jsd([summarize(t) for t in traces], 3)))
@@ -437,7 +431,7 @@ def test_summaries_give_the_tables_of_the_whole_traces():
         traces = run_experiment(SHARED_GRID, TOWERS, n_sequences=3, iterations=2,
                                 master_seed=seed)
         for cell in SHARED_GRID:
-            subset = [t for t in traces if (t.pragmatics, t.learning) == cell]
+            subset = [t for t in traces if (t.beta, t.learning) == cell]
             summaries = [summarize(t) for t in subset]
             assert all(s.final_library is t.final_library for s, t in zip(summaries, subset))
             assert _tables(simulation, summaries) == _tables(oracles, subset)
@@ -472,8 +466,8 @@ def test_summaries_of_hand_built_traces():
                            tokens_sent=token_length(program), belief_entropy=0.0, anomalies=0)
 
     def trace(specs, records):
-        return DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
-                         TrialSequence(specs, seed=0), 0, 0, records, (snapshot,))
+        return DyadTrace(0.3, LearningConfig(w=1.5), TrialSequence(specs, seed=0), 0, 0, records,
+                         (snapshot,))
 
     # Blocks 1 and 3 only; block 3's trial sends moves only, so it has no place-bearing step.
     gaps = trace((TrialSpec(1, "A", "B"), TrialSpec(1, "B", "C"), TrialSpec(3, "C", "A")),
@@ -507,8 +501,7 @@ def test_library_trajectory_matches_dyad_learning():
     for trial in learned:
         assert trial.program == canonical_program(trial.target)
     snapshots = [s for trial in learned for s in trial.adopted]
-    trace = run_dyad(sequence, 1.5, PragmaticsConfig(alpha=5.0, beta=0.8),
-                     lcfg, random.Random(0), learned)
+    trace = run_dyad(sequence, 1.5, 0.8, lcfg, random.Random(0), learned)
     assert [(s.id, s.body, s.adopted_trial) for s in snapshots] == \
         [(s.id, s.body, s.adopted_trial) for s in trace.final_library]
 
@@ -534,11 +527,11 @@ def _oracle_text(trace):
 def test_trace_json_writes_int_configs_as_ints():
     """Configs built in code may hold ints; json writes 2, not 2.0, and so must the encoder."""
     sequence, lcfg = generate_trial_sequence(3), LearningConfig(w=2)
-    trace = run_dyad(sequence, 2, PragmaticsConfig(alpha=5, beta=0), lcfg, random.Random(70),
+    trace = run_dyad(sequence, 2, 0, lcfg, random.Random(70),
                      library_trajectory(sequence, lcfg.w, TOWERS))
-    text = trace_json(trace, {})
+    text = trace_json(trace, ALPHA, {})
     assert text == _oracle_text(trace)
-    assert '"alpha": 5,' in text and '"beta": 0,' in text and '"w": 2\n' in text
+    assert '"alpha": 5.0,' in text and '"beta": 0,' in text and '"w": 2\n' in text
     assert trace.final_library  # an adopted fragment's score_delta is an int too
     assert trace_to_dict(trace) == oracles.trace_to_dict(trace)
 
@@ -554,20 +547,19 @@ def test_trace_json_writes_empty_lists_and_escapes_strings():
     full = TrialRecord(program=("v", odd), utterance=(odd, "v"),
                        builder_placements=(BlockPlacement(0, 0, odd),), step_placements=(0, 1),
                        f1=1 / 3, tokens_sent=2, belief_entropy=math.log2(3), anomalies=1)
-    trace = DyadTrace(PragmaticsConfig(alpha=5.0, beta=0.3), LearningConfig(w=1.5),
-                      sequence, iteration=0, dyad_seed=11, records=(empty, full),
-                      final_library=(snapshot,))
-    text = trace_json(trace, {})
+    trace = DyadTrace(0.3, LearningConfig(w=1.5), sequence, iteration=0, dyad_seed=11,
+                      records=(empty, full), final_library=(snapshot,))
+    text = trace_json(trace, ALPHA, {})
     assert text == _oracle_text(trace)
     for written in ('"library": []', '"builder_placements": []', '"steps": []',
                     '"utterance": []', '\\"', "\\\\", "\\u0007", "\\u00e9", "\\u2603"):
         assert written in text
     assert text.isascii()
-    no_trials = DyadTrace(trace.pragmatics, trace.learning, TrialSequence((), seed=7), 0, 11,
+    no_trials = DyadTrace(trace.beta, trace.learning, TrialSequence((), seed=7), 0, 11,
                           (), ())
-    assert trace_json(no_trials, {}) == _oracle_text(no_trials)
+    assert trace_json(no_trials, ALPHA, {}) == _oracle_text(no_trials)
     # The sequence's trials and the trace's trials are both empty.
-    assert trace_json(no_trials, {}).count('"trials": []') == 2
+    assert trace_json(no_trials, ALPHA, {}).count('"trials": []') == 2
 
 
 def test_every_chunk_a_trial_sends_was_adopted_before_it():
@@ -575,7 +567,7 @@ def test_every_chunk_a_trial_sends_was_adopted_before_it():
     steps from its program, utterance and step_placements: every chunk a
     trial sends has a snapshot adopted at an earlier trial, and the three line
     up word for word. Over 2 sequences x the 9 grid cells x 2 iterations."""
-    configs = [(PragmaticsConfig(alpha=5.0, beta=beta), LearningConfig(w=w))
+    configs = [(beta, LearningConfig(w=w))
                for w in (1.5, 3.2, 9.6) for beta in (0.0, 0.3, 0.8)]
     traces = run_experiment(configs, TOWERS, n_sequences=2, iterations=2, master_seed=0)
     assert len(traces) == 2 * 9 * 2
