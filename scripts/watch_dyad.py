@@ -21,6 +21,10 @@ def main():
     parser.add_argument("--render", action="store_true",
                         help="also draw target and reconstruction")
     args = parser.parse_args()
+    # random.Random(-s) seeds as Random(s) does, so a negative seed names another run.
+    for name in ("seed", "dyad_seed"):
+        if getattr(args, name) < 0:
+            parser.error(f"{name}: must be nonnegative")
     try:
         beta = check_beta(args.beta)
         lcfg = LearningConfig(w=args.w)

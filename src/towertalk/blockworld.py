@@ -100,15 +100,18 @@ def stimulus_towers() -> dict[str, frozenset[BlockPlacement]]:
 
 def validate_stimulus(tower_id: str, blocks: frozenset[BlockPlacement]) -> None:
     """Raise InputError unless tower `tower_id`'s blocks are 2 vertical + 2 horizontal
-    that gravity can build: dropped in (y, x) order, each lands where it stands."""
+    that gravity can build: dropped in (y, x) order, each lands where it stands.
+
+    Every cell must lie within the right side's GRID_WIDTH - RIGHT_ORIGIN columns,
+    so a valid tower stands on either side and any two compose into a scene."""
     name = f"tower {reprlib.repr(tower_id)}: "
     if len(blocks) != 4:
         raise InputError(f"{name}expected 4 blocks, got {len(blocks)}")
     orientations = sorted(b.orientation for b in blocks)
     if orientations != [HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL]:
         raise InputError(f"{name}expected 2 vertical + 2 horizontal blocks")
-    _check_cells(blocks, GRID_WIDTH, GRID_HEIGHT, name)
-    heights = (0,) * GRID_WIDTH
+    _check_cells(blocks, GRID_WIDTH - RIGHT_ORIGIN, GRID_HEIGHT, name)
+    heights = (0,) * (GRID_WIDTH - RIGHT_ORIGIN)
     for block in sorted(blocks, key=lambda b: (b.y, b.x)):
         heights, landed = drop_block(heights, block.orientation, block.x)
         if landed != block:

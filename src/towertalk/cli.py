@@ -22,8 +22,8 @@ import sys
 from collections.abc import Iterable
 
 from . import library_learning
-from .blockworld import (InputError, compose_scene, field, render_ascii, scene_from_dict,
-                         stimuli_from_dict, stimulus_towers)
+from .blockworld import (InputError, field, render_ascii, scene_from_dict, stimuli_from_dict,
+                         stimulus_towers)
 from .library_learning import check_w
 from .traces import learn_to_dict, narrate, sequences_from_dict, sequences_to_dict, traces_json
 
@@ -133,23 +133,15 @@ def _stimuli(path: str | None):
     return _load(stimuli_from_dict, path) if path else stimulus_towers()
 
 
-def _check_scenes(scenes, stimuli, source: str, unknown: str = "") -> None:
-    """Every scene a run composes must name known towers and fit the grid.
-
-    `scenes` lists (where, left, right). The tower ids are checked first, in
-    that order: an unknown one is reported as "{where}: no tower with id
-    ...{unknown}". Then each distinct scene is composed, and one that does not
-    fit is reported against `source`, the stimuli.
-    """
+def _check_tower_ids(scenes, stimuli, unknown: str = "") -> None:
+    """Every scene a run composes must name known towers: `scenes` lists (where,
+    left, right), and the first unknown id, in that order, is reported as
+    "{where}: no tower with id ...{unknown}". Nothing else is checked, because
+    any two valid towers compose into a scene."""
     for where, left, right in scenes:
         for tower in (left, right):
             if tower not in stimuli:
                 raise ConfigError(f"{where}: no tower with id {reprlib.repr(tower)}{unknown}")
-    for left, right in sorted({(left, right) for _, left, right in scenes}):
-        try:
-            compose_scene(stimuli[left], stimuli[right])
-        except InputError as exc:
-            raise ConfigError(f"{source}: scene {left}+{right}: {exc}") from exc
 
 
 def _build_config(factory, **fields):
@@ -160,9 +152,15 @@ def _build_config(factory, **fields):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_nonnegative(args: argparse.Namespace, *names: str) -> None:
+    """A negative count is no count, and random.Random(-s) seeds as Random(s) does."""
+    for name in names:
+        if getattr(args, name) < 0:
+            raise ConfigError(f"{name}: must be nonnegative")
+
+
 def cmd_gen_seq(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        raise ConfigError("count: must be nonnegative")
+    _check_nonnegative(args, "count", "seed")
     _check_out_file(args.out)
     from . import simulation  # sequence generation lives beside the dyads it seeds
     sequences, _ = simulation.generate_sequences(args.seed, args.count)
@@ -175,11 +173,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     sequences = _load(sequences_from_dict, args.sequences)
     stimuli = _stimuli(args.stimuli)
     # The sequence file is at fault for an unknown tower, so the message names its trial.
-    _check_scenes([(f"{args.sequences}: sequences[{i}].trials[{k}]", trial.left, trial.right)
-                   for i, sequence in enumerate(sequences)
-                   for k, trial in enumerate(sequence.trials)],
-                  stimuli, args.stimuli or "stimuli",
-                  f" in {args.stimuli or 'the default stimuli'}")
+    _check_tower_ids([(f"{args.sequences}: sequences[{i}].trials[{k}]", trial.left, trial.right)
+                      for i, sequence in enumerate(sequences)
+                      for k, trial in enumerate(sequence.trials)],
+                     stimuli, f" in {args.stimuli or 'the default stimuli'}")
     _check_out_file(args.out)
     runs = ((sequence, library_learning.library_trajectory(sequence, w, stimuli))
             for sequence in sequences)
@@ -188,10 +185,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.n_sequences < 0:
-        raise ConfigError("n_sequences: must be nonnegative")
-    if args.iterations < 0:
-        raise ConfigError("iterations: must be nonnegative")
+    _check_nonnegative(args, "n_sequences", "iterations", "master_seed")
     if args.jobs < 1:
         raise ConfigError("jobs: must be at least 1")
     from . import simulation  # imported here: only gen-seq and simulate load the dyad code
@@ -210,9 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                   f"w={w!r} beta={beta!r} share the file tag {tag}")
             cells[tag] = cell
     stimuli = _stimuli(args.stimuli)
-    source = args.stimuli or "stimuli"
-    _check_scenes([(source, *pair) for pair in (*TOWER_PAIRS, *(p[::-1] for p in TOWER_PAIRS))],
-                  stimuli, source)
+    _check_tower_ids([(args.stimuli or "stimuli", *pair) for pair in TOWER_PAIRS], stimuli)
     os.makedirs(args.out_dir, exist_ok=True)
     for name in ["traces.json",
                  *(f"{table}_{tag}.csv" for tag in cells for table in simulation.TABLES)]:

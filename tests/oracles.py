@@ -739,7 +739,8 @@ def cell_csvs(traces: Sequence[DyadTrace]) -> dict[str, str]:
 def buildable_towers(draw):
     """The blocks of a tower of two horizontal and two vertical blocks, dropped in a
     random order at random columns of a grid 6 wide and 8 high: supported, without
-    overlaps, and narrow enough to stand at the right tower's origin."""
+    overlaps, and, as validate_stimulus requires of every tower, narrow enough to
+    stand at the right tower's origin."""
     heights, blocks = (0,) * 6, []
     for orientation in draw(st.permutations([HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL])):
         column = draw(st.integers(0, 4 if orientation == HORIZONTAL else 5))

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towertalk.blockworld import (
+    GRID_HEIGHT,
+    GRID_WIDTH,
     HORIZONTAL,
+    RIGHT_ORIGIN,
     VERTICAL,
     BlockPlacement,
     InputError,
@@ -20,7 +23,7 @@ from towertalk.blockworld import (
     stimuli_from_dict,
     validate_stimulus,
 )
-from towertalk.dsl import canonical_program
+from towertalk.dsl import canonical_program, default_start_x, execute
 
 from oracles import is_supported, save_stimuli, scene_to_dict
 
@@ -143,25 +146,67 @@ def test_compose_same_tower_twice_is_legal(towers):
 def test_compose_rejects_overlap(towers):
     # Left towers reaching column 8, where tower B's first block stands once
     # it is placed on the right: one shares a cell with it, one is the same block.
+    # No stimulus is that wide, but compose_scene checks its own scene.
     for reach in (BlockPlacement(7, 0, HORIZONTAL), BlockPlacement(8, 0, VERTICAL)):
         blocks = {BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL), reach}
         blocks.add(BlockPlacement(3, 0, VERTICAL if reach.orientation == HORIZONTAL
                                   else HORIZONTAL))
         wide = frozenset(blocks)
-        validate_stimulus("W", wide)
+        with pytest.raises(InputError, match=r"^tower 'W': cell \(\d+, 0\) falls outside "
+                                              r"the 6x8 grid$"):
+            validate_stimulus("W", wide)
         with pytest.raises(ValueError, match="overlap"):
             compose_scene(wide, towers["B"])
 
 
 def test_compose_rejects_out_of_bounds(towers):
-    # Seven columns wide: it fits at column 0, but from column 8 it reaches column 14.
+    # Seven columns wide: it fits at column 0, but from column 8 it reaches column 14,
+    # so it is no stimulus, and compose_scene refuses it on the right.
     wide = frozenset({
         BlockPlacement(0, 0, VERTICAL), BlockPlacement(1, 0, HORIZONTAL),
         BlockPlacement(3, 0, HORIZONTAL), BlockPlacement(6, 0, VERTICAL)})
-    validate_stimulus("W", wide)
+    with pytest.raises(InputError, match=r"^tower 'W': cell \(6, 0\) falls outside the 6x8 grid$"):
+        validate_stimulus("W", wide)
     assert len(compose_scene(wide, towers["A"])) == 8
     with pytest.raises(ValueError, match="outside the 14x8 grid"):
         compose_scene(towers["A"], wide)
+
+
+@st.composite
+def dropped_towers(draw):
+    """Two horizontal and two vertical blocks dropped in a random order at random
+    columns of the first `reach` columns of the 14x8 grid, `reach` drawn from 2..14,
+    so that narrow and wide towers are both drawn often."""
+    reach = draw(st.integers(2, GRID_WIDTH))
+    heights, blocks = (0,) * GRID_WIDTH, []
+    for orientation in draw(st.permutations([HORIZONTAL, HORIZONTAL, VERTICAL, VERTICAL])):
+        column = draw(st.integers(0, reach - (2 if orientation == HORIZONTAL else 1)))
+        heights, block = drop_block(heights, orientation, column)
+        blocks.append(block)
+    return frozenset(blocks)
+
+
+@given(st.lists(dropped_towers(), min_size=1, max_size=3))
+@settings(max_examples=150)
+def test_a_valid_tower_stands_on_either_side_of_any_scene(dropped):
+    """validate_stimulus accepts a dropped tower exactly when all its cells lie in
+    columns 0-5, and any two towers it accepts, in either order, compose into a
+    scene that canonical_program rebuilds."""
+    valid = []
+    for tower in dropped:
+        narrow = all(x < GRID_WIDTH - RIGHT_ORIGIN for b in tower for x, _ in b.cells())
+        if narrow:
+            validate_stimulus("T", tower)
+            valid.append(tower)
+        else:
+            with pytest.raises(InputError, match="^tower 'T': cell .* falls outside"):
+                validate_stimulus("T", tower)
+    for left, right in itertools.product(valid, repeat=2):
+        scene = compose_scene(left, right)
+        assert len(scene) == 8
+        program = canonical_program(scene)
+        assert frozenset(execute(program, default_start_x(scene), GRID_WIDTH,
+                                 GRID_HEIGHT)) == scene
 
 
 def test_f1_identical_scenes(towers):

@@ -243,7 +243,11 @@ def test_simulate_rejects_bad_jobs(tmp_path):
     (["gen-seq", "--count", "-1"], "count: must be nonnegative"),
     (["simulate", "--n-sequences", "-1"], "n_sequences: must be nonnegative"),
     (["simulate", "--iterations", "-1"], "iterations: must be nonnegative"),
-], ids=["gen-seq-count", "simulate-n-sequences", "simulate-iterations"])
+    # random.Random(-s) seeds as Random(s) does: a negative seed names another run.
+    (["gen-seq", "--seed", "-5"], "seed: must be nonnegative"),
+    (["simulate", "--master-seed", "-3"], "master_seed: must be nonnegative"),
+], ids=["gen-seq-count", "simulate-n-sequences", "simulate-iterations", "gen-seq-seed",
+        "simulate-master-seed"])
 def test_a_negative_count_is_a_config_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     flag = "--out" if argv[0] == "gen-seq" else "--out-dir"
@@ -517,6 +521,8 @@ def test_simulate_and_learn_reject_nan(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--beta", "2", "beta must lie in [0, 1]"),
     ("--w", "-1", "w must be finite and nonnegative"),
+    ("--seed", "-1", "seed: must be nonnegative"),
+    ("--dyad-seed", "-1", "dyad_seed: must be nonnegative"),
 ])
 def test_watch_dyad_reports_bad_parameters_as_usage_errors(flag, value, message):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1114,6 +1120,36 @@ def test_simulate_rejects_unbuildable_scene_before_compute(tmp_path, capsys, mon
     assert code == 2
     assert not out_dir.exists()
     assert str(stimuli) in capsys.readouterr().err
+
+
+def _sequences_with_a_on_the_left(path):
+    """A sequence file whose trials place tower A only on the left."""
+    data = _gen_seq(path)
+    for trial in data["sequences"][0]["trials"]:
+        if trial["right"] == "A":
+            trial["left"], trial["right"] = trial["right"], trial["left"]
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("command", ["learn", "simulate"])
+def test_a_tower_too_wide_for_the_right_side_is_refused_before_compute(tmp_path, capsys,
+                                                                       command):
+    """Seven columns fit the left side but not the right one, so the stimuli file is
+    refused, naming the tower, even where the sequence file places it only on the left."""
+    stimuli = _stimuli_with_tower_a(tmp_path, [
+        BlockPlacement(0, 0, HORIZONTAL), BlockPlacement(3, 0, VERTICAL),
+        BlockPlacement(5, 0, HORIZONTAL), BlockPlacement(0, 1, VERTICAL)])
+    out = tmp_path / "out"
+    argv = {"learn": ["learn", "--sequences",
+                      str(_sequences_with_a_on_the_left(tmp_path / "seqs.json")),
+                      "--w", "1.5", "--out", str(out)],
+            "simulate": ["simulate", "--n-sequences", "1", "--iterations", "1",
+                         "--out-dir", str(out)]}[command]
+    assert run_cli(*argv, "--stimuli", str(stimuli)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        f"error: {stimuli}: tower 'A': cell (6, 0) falls outside the 6x8 grid\n"
 
 
 def test_internal_value_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
